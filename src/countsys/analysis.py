@@ -1,6 +1,6 @@
 """Aggregate structural report for a counting system."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .core import is_dedekind, is_minimal, reachable_set
 from .morphisms import initiality_report

@@ -11,12 +11,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .derive import MonoidTable, generates, submonoid_closure
+from .core import propagate
+from .derive import MonoidTable, require_generates, submonoid_closure
 from .errors import (
     CompatibilityViolated,
-    GensDoNotGenerate,
+    IndexSetMismatch,
     InternalInvariantViolation,
-    MinimalityRequired,
     OdotNotTotal,
 )
 
@@ -86,30 +86,14 @@ def hom_extend_report(src, dst, gens, targets):
     """
     gens = tuple(gens)
     targets = tuple(targets)
-    closure = submonoid_closure(src, gens)
-    if len(closure) != src.size:
-        raise GensDoNotGenerate(gens, set(range(src.size)) - closure)
-    img = {src.zero: dst.zero}
-    frontier = [src.zero]
-    conflict = None
-    while frontier and conflict is None:
-        next_frontier = []
-        for a in frontier:
-            for g, b in zip(gens, targets):
-                a2 = src.op[g][a]
-                cand = dst.op[b][img[a]]
-                if a2 in img:
-                    if img[a2] != cand:
-                        conflict = ExtensionConflict(a2, img[a2], cand)
-                        break
-                else:
-                    img[a2] = cand
-                    next_frontier.append(a2)
-            if conflict is not None:
-                break
-        frontier = next_frontier
-    if conflict is not None:
-        return None, conflict
+    require_generates(src, gens)
+    prop = propagate(src.zero, dst.zero, [
+        (src.op[g].__getitem__, dst.op[b].__getitem__)
+        for g, b in zip(gens, targets)
+    ])
+    if prop.conflict is not None:
+        return None, ExtensionConflict(*prop.conflict)
+    img = prop.value
     mapping = tuple(img[a] for a in range(src.size))
     if not is_hom(src, dst, mapping):
         op = src.op
@@ -167,32 +151,21 @@ def biadditive_extend(M, N, gens, lambdas, lambda_primes):
     input and raises InternalInvariantViolation.
     """
     gens = tuple(gens)
-    closure = submonoid_closure(M, gens)
-    if len(closure) != M.size:
-        raise GensDoNotGenerate(gens, set(range(M.size)) - closure)
+    require_generates(M, gens)
     for i, (g_s, lam_s) in enumerate(zip(gens, lambdas)):
         for j, (g_t, lamp_t) in enumerate(zip(gens, lambda_primes)):
             if lam_s(g_t) != lamp_t(g_s):
                 raise CompatibilityViolated(i, j, lam_s(g_t), lamp_t(g_s))
 
-    sections = {M.zero: zero_hom(M, N)}
-    frontier = [M.zero]
-    while frontier:
-        next_frontier = []
-        for a in frontier:
-            for g, lam in zip(gens, lambdas):
-                a2 = M.op[g][a]
-                cand = hom_add(lam, sections[a])
-                if a2 in sections:
-                    if sections[a2].map != cand.map:
-                        raise InternalInvariantViolation(
-                            f"section conflict at element {a2}"
-                        )
-                else:
-                    sections[a2] = cand
-                    next_frontier.append(a2)
-        frontier = next_frontier
-
+    prop = propagate(M.zero, zero_hom(M, N), [
+        (M.op[g].__getitem__, lambda sec, lam=lam: hom_add(lam, sec))
+        for g, lam in zip(gens, lambdas)
+    ])
+    if prop.conflict is not None:
+        raise InternalInvariantViolation(
+            f"section conflict at element {prop.conflict[0]}"
+        )
+    sections = prop.value
     op = tuple(sections[a].map for a in range(M.size))
     if not is_biadditive(M, N, op):
         raise InternalInvariantViolation("extension is not biadditive")
@@ -308,7 +281,7 @@ def derive_multiplication_indexed(sys, t, odot):
     """
     odot.validate()
     if tuple(odot.index_set) != tuple(sys.index_set):
-        raise OdotNotTotal(str(odot.index_set), str(sys.index_set))
+        raise IndexSetMismatch(odot.index_set, sys.index_set)
     labels = sys.index_set
     x = {s: sys.map_for(s)(sys.base) for s in labels}
     gens = tuple(x[s] for s in labels)
@@ -352,8 +325,7 @@ def projections(t, gens):
     """One idempotent-on-its-generator, zero-elsewhere endomorphism per
     generator, when they all exist."""
     gens = tuple(gens)
-    if not generates(t, gens):
-        raise GensDoNotGenerate(gens, set(range(t.size)) - submonoid_closure(t, gens))
+    require_generates(t, gens)
     out = []
     for i, g in enumerate(gens):
         targets = tuple(g if j == i else t.zero for j in range(len(gens)))
@@ -431,20 +403,15 @@ def is_free_report(t, gens):
     data: the direct-sum condition plus, per generator, the Peano conditions
     for its cyclic submonoid (which always fail on a finite carrier)."""
     gens = tuple(gens)
-    if not generates(t, gens):
-        raise GensDoNotGenerate(gens, set(range(t.size)) - submonoid_closure(t, gens))
+    require_generates(t, gens)
     ds = direct_sum_report(t, gens)
     cyclic = []
     for i, g in enumerate(gens):
         sub = sorted(submonoid_closure(t, (g,)))
         pos = {a: k for k, a in enumerate(sub)}
         tau = [pos[t.op[g][a]] for a in sub]
-        reach = {pos[t.zero]}
-        cur = pos[t.zero]
-        while tau[cur] not in reach:
-            cur = tau[cur]
-            reach.add(cur)
-        minimal = len(reach) == len(sub)
+        orbit = propagate(pos[t.zero], None, [(tau.__getitem__, None)])
+        minimal = len(orbit.order) == len(sub)
         injective = len(set(tau)) == len(tau)
         zero_in_image = pos[t.zero] in set(tau)
         cyclic.append(

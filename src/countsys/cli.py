@@ -41,6 +41,22 @@ def _load(path, auto_core=False):
     return doc
 
 
+def _pairs(text, sep, option, form):
+    """(column, key, value) for each comma-separated part of an option value;
+    a part without `sep` is a ParseError at its column."""
+    pairs = []
+    col = 1
+    for part in text.split(","):
+        key, found, value = part.partition(sep)
+        if not found:
+            raise ParseError(
+                1, col, f"{option} expects {form} items, got {part!r}"
+            )
+        pairs.append((col, key, value))
+        col += len(part) + 1
+    return pairs
+
+
 def _tsv_table(labels, table, out):
     print("\t" + "\t".join(labels), file=out)
     for i, row in enumerate(table):
@@ -174,9 +190,10 @@ def _cmd_morphism(args, out, err):
     dst_doc = _load(args.dst)
     src = src_doc.system
     if args.relabel:
-        mapping = dict(
-            pair.split("=", 1) for pair in args.relabel.split(",")
-        )
+        mapping = {
+            old: new
+            for _, old, new in _pairs(args.relabel, "=", "--relabel", "old=new")
+        }
         src = relabel_index_set(src, mapping)
     m = morphism_find(src, dst_doc.system)
     if m is None:
@@ -207,9 +224,18 @@ def _cmd_free_eval(args, out, err):
     doc = _load(args.file, args.auto_core)
     counts = {}
     if args.multiset.strip():
-        for part in args.multiset.split(","):
-            lab, _, num = part.partition(":")
-            counts[lab.strip()] = counts.get(lab.strip(), 0) + int(num)
+        parts = _pairs(args.multiset, ":", "--multiset", "label:count")
+        for col, lab, text in parts:
+            try:
+                num = int(text)
+            except ValueError:
+                num = -1
+            if num < 0:
+                raise ParseError(
+                    1, col, f"--multiset count {text!r} is not a "
+                    "non-negative integer"
+                )
+            counts[lab.strip()] = counts.get(lab.strip(), 0) + num
     e = FreeElement.of(counts)
     idx = free_eval(doc.system, e)
     print(doc.system.carrier.labels[idx], file=out)

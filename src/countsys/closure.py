@@ -8,8 +8,8 @@ closure element u to u(base).
 
 from dataclasses import dataclass
 
-from .core import EndoMap
-from .errors import ClosureTooLarge, InternalInvariantViolation
+from .core import EndoMap, propagate, words
+from .errors import InternalInvariantViolation
 
 MAX_CLOSURE_SIZE = 1 << 16
 
@@ -35,26 +35,15 @@ class EvaluationMap:
 
 def monoid_closure(sys, limit=MAX_CLOSURE_SIZE):
     """Least composition-closed set of self-maps containing the generators."""
-    n = sys.size
-    ident = EndoMap.identity(n)
-    elements = [ident]
-    index = {ident.table: 0}
-    words = [()]
-    frontier = [0]
-    while frontier:
-        next_frontier = []
-        for i in frontier:
-            u = elements[i]
-            for lab, f in zip(sys.index_set, sys.maps):
-                v = f.compose(u)
-                if v.table not in index:
-                    if len(elements) >= limit:
-                        raise ClosureTooLarge(limit)
-                    index[v.table] = len(elements)
-                    elements.append(v)
-                    words.append(words[i] + (lab,))
-                    next_frontier.append(index[v.table])
-        frontier = next_frontier
+    # each step is a bound `compose`, so that a wrapper on EndoMap.compose
+    # (bench/tracing.py) counts every composition the closure makes
+    prop = propagate(
+        EndoMap.identity(sys.size), None,
+        [(f.compose, None) for f in sys.maps], limit=limit,
+    )
+    elements = prop.order
+    index = {u.table: i for i, u in enumerate(elements)}
+    word = words(prop, sys.index_set)
 
     m = len(elements)
     comp = []
@@ -82,7 +71,8 @@ def monoid_closure(sys, limit=MAX_CLOSURE_SIZE):
     # a generator may coincide with a shorter word (e.g. the identity); keep
     # the canonical witness for its element
     return TransformationMonoid(
-        tuple(elements), tuple(comp), gen_index, tuple(words)
+        tuple(elements), tuple(comp), gen_index,
+        tuple(word[u] for u in elements),
     )
 
 

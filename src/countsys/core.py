@@ -5,20 +5,31 @@ pairwise-commuting total self-maps indexed by string labels.  Everything here
 is immutable after construction; all functions are pure.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import (
     BadIndex,
     CarrierTooLarge,
+    ClosureTooLarge,
     DuplicateLabel,
     EmptyIndexSet,
     IndexSetTooLarge,
+    MinimalityRequired,
     NonCommuting,
     UnknownLabel,
 )
 
 MAX_CARRIER_SIZE = 4096
 MAX_INDEX_SET_SIZE = 16
+
+
+def require_distinct(labels):
+    """Raise DuplicateLabel for the first empty or repeated label."""
+    seen = set()
+    for lab in labels:
+        if not lab or lab in seen:
+            raise DuplicateLabel(lab)
+        seen.add(lab)
 
 
 @dataclass(frozen=True)
@@ -32,13 +43,7 @@ class Carrier:
             raise BadIndex(0, 0)
         if len(self.labels) > MAX_CARRIER_SIZE:
             raise CarrierTooLarge(len(self.labels), MAX_CARRIER_SIZE)
-        seen = set()
-        for lab in self.labels:
-            if not lab:
-                raise DuplicateLabel(lab)
-            if lab in seen:
-                raise DuplicateLabel(lab)
-            seen.add(lab)
+        require_distinct(self.labels)
 
     @property
     def size(self):
@@ -123,11 +128,7 @@ def new_system(carrier, base, index_set, maps):
         raise EmptyIndexSet()
     if len(index_set) > MAX_INDEX_SET_SIZE:
         raise IndexSetTooLarge(len(index_set), MAX_INDEX_SET_SIZE)
-    seen = set()
-    for lab in index_set:
-        if not lab or lab in seen:
-            raise DuplicateLabel(lab)
-        seen.add(lab)
+    require_distinct(index_set)
     if len(maps) != len(index_set):
         raise BadIndex(len(maps), len(index_set))
     for f in maps:
@@ -143,31 +144,88 @@ def new_system(carrier, base, index_set, maps):
     return CountingSystem(carrier, base, index_set, maps)
 
 
-def _bfs_order(sys):
-    """Reachable elements from the base, in deterministic discovery order.
+@dataclass
+class Propagation:
+    """The outcome of `propagate`."""
 
-    The frontier is expanded element-index ascending, maps applied in
-    ascending label order.
+    order: list  # elements in discovery order, start first
+    value: dict  # element -> the first value forced on it
+    parent: dict  # element -> (previous element, edge index); start absent
+    conflict: tuple | None  # (element, kept, forced) where the run stopped
+
+
+def propagate(start, value, edges, sort_levels=False, limit=None, depth=None):
+    """Forced propagation: breadth-first from `start`, level by level.
+
+    Each edge is a `(step, push)` pair: `step(x)` is the next element and
+    `push(v)` the value forced on it from x's value v (`push` None forces v
+    itself).  Edges are taken in the given order; a level is expanded in
+    discovery order, or ascending when `sort_levels` is set.  The first value
+    forced on an element is kept; a different one forced later stops the run
+    and is reported as `conflict`.  With `limit`, ClosureTooLarge is raised
+    before a discovery would make more than `limit` elements; with `depth`,
+    elements `depth` steps from the start are reached but not expanded.
     """
-    order = [sys.base]
-    seen = {sys.base}
-    by_label = sorted(zip(sys.index_set, sys.maps))
-    frontier = [sys.base]
-    while frontier:
-        next_frontier = []
-        for x in sorted(frontier):
-            for _lab, f in by_label:
-                y = f(x)
-                if y not in seen:
-                    seen.add(y)
-                    order.append(y)
-                    next_frontier.append(y)
-        frontier = next_frontier
-    return order
+    order = [start]
+    values = {start: value}
+    parent = {}
+    done = 0  # order[done:] is the level to expand next
+    level = 0
+    while done < len(order) and (depth is None or level < depth):
+        frontier = order[done:]
+        done = len(order)
+        for x in sorted(frontier) if sort_levels else frontier:
+            v = values[x]
+            for k, (step, push) in enumerate(edges):
+                y = step(x)
+                forced = v if push is None else push(v)
+                if y in values:
+                    if values[y] != forced:
+                        return Propagation(
+                            order, values, parent, (y, values[y], forced)
+                        )
+                    continue
+                if limit is not None and len(order) >= limit:
+                    raise ClosureTooLarge(limit)
+                values[y] = forced
+                parent[y] = (x, k)
+                order.append(y)
+        level += 1
+    return Propagation(order, values, parent, None)
+
+
+def words(prop, labels):
+    """element -> the labels of the edges on its parent path from the start;
+    `labels[k]` names edge k."""
+    out = {prop.order[0]: ()}
+    for y in prop.order[1:]:
+        x, k = prop.parent[y]
+        out[y] = out[x] + (labels[k],)
+    return out
+
+
+def reach(sys):
+    """Carrier BFS from the base: levels expanded element-index ascending,
+    maps applied in ascending label order (edge k is `sorted(index_set)[k]`).
+    """
+    edges = [
+        (f.table.__getitem__, None)
+        for _lab, f in sorted(zip(sys.index_set, sys.maps))
+    ]
+    return propagate(sys.base, None, edges, sort_levels=True)
+
+
+def require_minimal(sys):
+    """The carrier BFS of a minimal system; raises MinimalityRequired with the
+    unreachable elements otherwise."""
+    prop = reach(sys)
+    if len(prop.order) != sys.size:
+        raise MinimalityRequired(set(range(sys.size)) - set(prop.order))
+    return prop
 
 
 def reachable_set(sys):
-    return set(_bfs_order(sys))
+    return set(reach(sys).order)
 
 
 def is_minimal(sys):
@@ -178,10 +236,10 @@ def is_minimal(sys):
 def minimal_core(sys):
     """Restrict to the least invariant subset containing the base.
 
-    Elements of the core are relabelled in BFS discovery order; the result is
+    Elements of the core are relabelled in the order of `reach`; the result is
     always minimal and the operation is idempotent up to that relabelling.
     """
-    order = _bfs_order(sys)
+    order = reach(sys).order
     if len(order) == sys.size:
         # already minimal; identity relabelling keeps the operation idempotent
         return sys

@@ -6,24 +6,14 @@ from two independent directions: the transfer itself, and a reconstruction
 that uses only the unit axiom and the shift axiom along generator words.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .closure import evaluation, monoid_closure
-from .core import EndoMap, reachable_set
-from .errors import InternalInvariantViolation, MinimalityRequired
-
-
-@dataclass
-class TableFlags:
-    """Each flag is None until its exhaustive check has run and passed."""
-
-    associative: bool | None = None
-    commutative: bool | None = None
-    cancellative: bool | None = None
-    group: bool | None = None
-    zero_sum_free: bool | None = None
+from .core import EndoMap, propagate, require_minimal, words
+from .errors import GensDoNotGenerate, InternalInvariantViolation
 
 
 @dataclass
@@ -31,7 +21,6 @@ class MonoidTable:
     size: int
     op: tuple  # n x n tuple-of-tuples of element indices
     zero: int
-    flags: TableFlags = field(default_factory=TableFlags)
 
     def __post_init__(self):
         z = self.zero
@@ -44,13 +33,9 @@ class MonoidTable:
     def add(self, a, b):
         return self.op[a][b]
 
-    @property
+    @cached_property
     def np_op(self):
-        arr = getattr(self, "_np_op", None)
-        if arr is None:
-            arr = np.array(self.op, dtype=np.intp)
-            object.__setattr__(self, "_np_op", arr)
-        return arr
+        return np.array(self.op, dtype=np.intp)
 
 
 @dataclass
@@ -84,7 +69,10 @@ def derive_addition(sys):
     tm = monoid_closure(sys)
     ev = evaluation(tm, sys)
     if not ev.bijective:
-        raise MinimalityRequired(set(range(n)) - reachable_set(sys))
+        require_minimal(sys)
+        raise InternalInvariantViolation(
+            "evaluation not bijective on a minimal system"
+        )
     inv = ev.inverse
     op = tuple(
         tuple(ev.to_carrier[tm.comp[inv[a]][inv[b]]] for b in range(n))
@@ -95,8 +83,6 @@ def derive_addition(sys):
         raise InternalInvariantViolation("derived table not associative")
     if not _check_commutative(t):
         raise InternalInvariantViolation("derived table not commutative")
-    t.flags.associative = True
-    t.flags.commutative = True
     # shift property: f_s(x) = x_s + x for every generator and element
     for f in sys.maps:
         xs = f(sys.base)
@@ -116,20 +102,7 @@ def reconstruct_addition(sys):
     transfer; used to establish uniqueness.
     """
     n = sys.size
-    word = {sys.base: ()}
-    by_label = sorted(zip(sys.index_set, sys.maps))
-    frontier = [sys.base]
-    while frontier:
-        next_frontier = []
-        for x in sorted(frontier):
-            for lab, f in by_label:
-                y = f(x)
-                if y not in word:
-                    word[y] = word[x] + (lab,)
-                    next_frontier.append(y)
-        frontier = next_frontier
-    if len(word) != n:
-        raise MinimalityRequired(set(range(n)) - set(word))
+    word = words(require_minimal(sys), sorted(sys.index_set))
     maps = dict(zip(sys.index_set, sys.maps))
     op = []
     for a in range(n):
@@ -217,9 +190,6 @@ def classify(sys, t):
         raise InternalInvariantViolation(
             "base outside every image but zero has a non-trivial sum"
         )
-    t.flags.cancellative = cancellative if cancellative else None
-    t.flags.group = group if group else None
-    t.flags.zero_sum_free = zero_sum_free if zero_sum_free else None
     return Classification(group, cancellative, zero_sum_free, trichotomy)
 
 
@@ -244,22 +214,20 @@ def cayley_embedding(t):
 
 def submonoid_closure(t, gens):
     """Least subset containing zero and closed under adding the generators."""
-    seen = {t.zero}
-    frontier = [t.zero]
-    while frontier:
-        next_frontier = []
-        for x in frontier:
-            for g in gens:
-                y = t.op[g][x]
-                if y not in seen:
-                    seen.add(y)
-                    next_frontier.append(y)
-        frontier = next_frontier
-    return seen
+    edges = [(t.op[g].__getitem__, None) for g in gens]
+    return set(propagate(t.zero, None, edges).order)
 
 
 def generates(t, gens):
     return len(submonoid_closure(t, gens)) == t.size
+
+
+def require_generates(t, gens):
+    """Raise GensDoNotGenerate, with the missing elements, unless the
+    generators reach every element of the table."""
+    closure = submonoid_closure(t, gens)
+    if len(closure) != t.size:
+        raise GensDoNotGenerate(gens, set(range(t.size)) - closure)
 
 
 def product_table(a, b):
@@ -275,8 +243,3 @@ def product_table(a, b):
         for j1 in range(m)
     )
     return MonoidTable(n * m, op, a.zero * m + b.zero)
-
-
-def table_from_system(sys):
-    """Associated counting system of a table, reversed: tau_s(a) = a_s + a."""
-    return derive_addition(sys)

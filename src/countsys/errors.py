@@ -94,12 +94,13 @@ class GensDoNotGenerate(CountingSystemError):
 
 
 class CompatibilityViolated(CountingSystemError):
-    """lambda_s(a_t) != lambda'_t(a_s) for some pair of generator labels."""
+    """lambda_s(a_t) != lambda'_t(a_s) for some pair (s, t) of positions in
+    the generator tuple."""
 
     def __init__(self, s, t, left, right):
         super().__init__(
-            f"incompatible section homomorphisms at ({s!r}, {t!r}): "
-            f"{left} != {right}"
+            f"incompatible section homomorphisms at generator positions "
+            f"({s}, {t}): {left} != {right}"
         )
         self.s = s
         self.t = t

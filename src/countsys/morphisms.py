@@ -9,18 +9,20 @@ elements are sparse multisets over the index labels.
 from dataclasses import dataclass, field
 
 from .core import (
+    CountingSystem,
     is_dedekind,
-    is_minimal,
     minimal_core,
     pad_single,
+    propagate,
     reachable_set,
+    require_distinct,
+    require_minimal,
     single_map_subsystem,
 )
 from .derive import derive_addition, submonoid_closure
 from .errors import (
     IndexSetMismatch,
     InternalInvariantViolation,
-    MinimalityRequired,
     UnknownLabel,
 )
 
@@ -41,24 +43,14 @@ def morphism_find(src, dst):
     """The unique morphism from a minimal system, or None if propagation
     forces two different images for some element."""
     _require_same_index_set(src, dst)
-    reach = reachable_set(src)
-    if len(reach) != src.size:
-        raise MinimalityRequired(set(range(src.size)) - reach)
-    img = {src.base: dst.base}
-    frontier = [src.base]
-    while frontier:
-        next_frontier = []
-        for x in sorted(frontier):
-            for f, g in zip(src.maps, dst.maps):
-                x2 = f(x)
-                y2 = g(img[x])
-                if x2 in img:
-                    if img[x2] != y2:
-                        return None
-                else:
-                    img[x2] = y2
-                    next_frontier.append(x2)
-        frontier = next_frontier
+    require_minimal(src)
+    prop = propagate(src.base, dst.base, [
+        (f.table.__getitem__, g.table.__getitem__)
+        for f, g in zip(src.maps, dst.maps)
+    ])
+    if prop.conflict is not None:
+        return None
+    img = prop.value
     m = SystemMorphism(src, dst, tuple(img[x] for x in range(src.size)))
     if not is_morphism(m):
         return None
@@ -186,27 +178,14 @@ def free_uniqueness_probe(target, bound):
     Any map m with m(empty) = base and m(e + unit_s) = f_s(m(e)) is computed
     by induction over degree; every inductive route must agree with free_eval.
     """
-    reach = reachable_set(target)
-    if len(reach) != target.size:
-        raise MinimalityRequired(set(range(target.size)) - reach)
-    labels = target.index_set
-    level = [free_zero()]
-    values = {free_zero(): target.base}
-    if values[free_zero()] != free_eval(target, free_zero()):
+    require_minimal(target)
+    prop = propagate(free_zero(), target.base, [
+        (lambda e, u=free_unit(lab): free_add(e, u), target.map_for(lab))
+        for lab in target.index_set
+    ], depth=bound)
+    if prop.conflict is not None:
         return False
-    for _ in range(bound):
-        next_level = []
-        for e in level:
-            for lab in labels:
-                e2 = free_add(e, free_unit(lab))
-                forced = target.map_for(lab)(values[e])
-                if e2 in values:
-                    if values[e2] != forced:
-                        return False
-                else:
-                    values[e2] = forced
-                    next_level.append(e2)
-        level = next_level
+    values = prop.value
     # re-derivation pass: every way down by one unit gives the same value
     for e, v in values.items():
         if v != free_eval(target, e):
@@ -223,11 +202,9 @@ class InitialityCondition:
     label: str
     morphism_to_padded: bool
     core_size: int
-    core_minimal: bool
     core_injective: bool
     base_in_core_image: bool
     core_dedekind: bool
-    submonoid_matches_core: bool
 
     @property
     def holds(self):
@@ -254,9 +231,7 @@ def initiality_report(sys):
     finite carrier the second condition always fails, so the diagnostics are
     the informative content.
     """
-    reach = reachable_set(sys)
-    if len(reach) != sys.size:
-        raise MinimalityRequired(set(range(sys.size)) - reach)
+    require_minimal(sys)
     table = derive_addition(sys)
     report = InitialityReport()
     for lab in sys.index_set:
@@ -280,23 +255,21 @@ def initiality_report(sys):
                 label=lab,
                 morphism_to_padded=has_morphism,
                 core_size=core.size,
-                core_minimal=True,
                 core_injective=f.is_injective(),
                 base_in_core_image=core.base in set(f.table),
                 core_dedekind=ded,
-                submonoid_matches_core=True,
             )
         )
     return report
 
 
 def relabel_index_set(sys, mapping):
-    """Rename index labels via an explicit old -> new mapping."""
+    """Rename index labels via an explicit old -> new mapping; the new labels
+    must be non-empty and distinct (DuplicateLabel otherwise)."""
     new_labels = []
     for lab in sys.index_set:
         if lab not in mapping:
             raise UnknownLabel(lab, tuple(mapping))
         new_labels.append(mapping[lab])
-    from .core import CountingSystem
-
+    require_distinct(new_labels)
     return CountingSystem(sys.carrier, sys.base, tuple(new_labels), sys.maps)

@@ -26,6 +26,7 @@ from countsys.derive import derive_addition, product_table
 from countsys.errors import (
     CompatibilityViolated,
     GensDoNotGenerate,
+    IndexSetMismatch,
     InternalInvariantViolation,
     OdotNotTotal,
 )
@@ -103,8 +104,12 @@ def test_biadditive_extend_rejects_incompatible_sections():
     z4 = derive_addition(cyc(4))
     ident = identity_hom(z4)
     threefold = make_hom(z4, z4, tuple((3 * i) % 4 for i in range(4)))
-    with pytest.raises(CompatibilityViolated):
+    with pytest.raises(CompatibilityViolated) as exc:
         biadditive_extend(z4, z4, (1,), (ident,), (threefold,))
+    assert str(exc.value) == (
+        "incompatible section homomorphisms at generator positions (0, 0): "
+        "1 != 3"
+    )
 
 
 def test_single_map_multiplication_is_modular():
@@ -150,8 +155,10 @@ def test_indexed_multiplication_on_zpair_is_modular():
 def test_indexed_multiplication_rejects_wrong_index_set():
     sys = cyc(4)
     t = derive_addition(sys)
-    with pytest.raises(OdotNotTotal):
+    with pytest.raises(IndexSetMismatch) as exc:
         derive_multiplication_indexed(sys, t, sign_odot())
+    assert exc.value.src_labels == ("+", "-")
+    assert exc.value.dst_labels == ("s",)
 
 
 def test_indexed_multiplication_reports_structured_absence():

@@ -13,11 +13,15 @@ from countsys.core import (
     new_system,
     pad_single,
     product,
+    propagate,
+    reach,
     reachable_set,
     single_map_subsystem,
+    words,
 )
 from countsys.errors import (
     BadIndex,
+    ClosureTooLarge,
     DuplicateLabel,
     EmptyIndexSet,
     NonCommuting,
@@ -177,3 +181,62 @@ def test_single_map_subsystem():
     assert sub.index_set == ("-",)
     assert sub.maps[0].table == z.map_for("-").table
     assert sub.base == z.base
+
+
+# -- forced propagation --------------------------------------------------------
+
+def test_propagate_reports_first_conflict():
+    # a 3-cycle forcing v -> v + 1: element 0 keeps 0 and is forced 3
+    prop = propagate(0, 0, [(lambda x: (x + 1) % 3, lambda v: v + 1)])
+    assert prop.conflict == (0, 0, 3)
+    assert prop.order == [0, 1, 2]
+    assert prop.value == {0: 0, 1: 1, 2: 2}
+
+
+def test_propagate_consistent_values_and_parents():
+    # x -> 2x and x -> 3x on Z5; forcing v -> 2v and v -> 3v is consistent
+    edges = [(lambda x: 2 * x % 5, lambda v: 2 * v % 5),
+             (lambda x: 3 * x % 5, lambda v: 3 * v % 5)]
+    prop = propagate(1, 1, edges)
+    assert prop.conflict is None
+    assert prop.order == [1, 2, 3, 4]
+    assert prop.value == {1: 1, 2: 2, 3: 3, 4: 4}
+    assert prop.parent == {2: (1, 0), 3: (1, 1), 4: (2, 0)}
+    assert words(prop, "ab") == {1: (), 2: ("a",), 3: ("b",), 4: ("a", "a")}
+
+
+def test_propagate_limit_raises_before_it_is_exceeded():
+    seen = []
+
+    def step(x):
+        seen.append(x)
+        return (x + 1) % 10
+
+    assert len(propagate(0, None, [(step, None)], limit=10).order) == 10
+    seen.clear()
+    with pytest.raises(ClosureTooLarge):
+        propagate(0, None, [(step, None)], limit=9)
+    # raised on discovering the tenth element, which is never expanded
+    assert seen == list(range(9))
+
+
+def test_propagate_depth_bound():
+    prop = propagate(0, 0, [(lambda x: x + 1, lambda v: v + 2)], depth=3)
+    assert prop.order == [0, 1, 2, 3]
+    assert prop.value[3] == 6
+    assert propagate(0, None, [(lambda x: x + 1, None)], depth=0).order == [0]
+
+
+def test_sorted_levels_differ_from_discovery_order():
+    # Z5 under +1 (s) and -1 (t) on permuted indices, plus a fixed point 5:
+    # level 1 is discovered as [4, 1], so sorting changes level 2
+    s = EndoMap((4, 0, 3, 1, 2, 5))
+    t = EndoMap((1, 3, 4, 2, 0, 5))
+    sys = new_system(Carrier(tuple("abcdez")), 0, ("s", "t"), (s, t))
+    edges = [(s.table.__getitem__, None), (t.table.__getitem__, None)]
+    assert propagate(0, None, edges).order == [0, 4, 1, 2, 3]
+    assert propagate(0, None, edges, sort_levels=True).order == [0, 4, 1, 3, 2]
+    assert reach(sys).order == [0, 4, 1, 3, 2]
+    assert reachable_set(sys) == {0, 1, 2, 3, 4}
+    core = minimal_core(sys)
+    assert core.carrier.labels == tuple("aebdc")

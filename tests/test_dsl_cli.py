@@ -258,6 +258,33 @@ def test_cli_initial_and_free_report(tmp_path):
     assert payload["direct_sum"] is True
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["free-eval", "{z}", "--multiset", "+:x"],
+     "parse error: line 1, col 1: --multiset count 'x' is not a "
+     "non-negative integer"),
+    (["free-eval", "{z}", "--multiset", "+"],
+     "parse error: line 1, col 1: --multiset expects label:count items, "
+     "got '+'"),
+    (["free-eval", "{z}", "--multiset", "+:1,-:-3"],
+     "parse error: line 1, col 5: --multiset count '-3' is not a "
+     "non-negative integer"),
+    (["morphism", "{z}", "{z}", "--relabel", "abc"],
+     "parse error: line 1, col 1: --relabel expects old=new items, "
+     "got 'abc'"),
+])
+def test_cli_malformed_option_values_exit_2(tmp_path, argv, message):
+    path = write(tmp_path, "z.csys", emit_system(zpair(5), name="z5"))
+    code, out, err = run([a.format(z=path) for a in argv])
+    assert (code, out, err) == (2, "", message + "\n")
+
+
+def test_cli_relabel_collision_exits_2(tmp_path):
+    path = write(tmp_path, "z.csys", emit_system(zpair(5), name="z5"))
+    code, out, err = run(["morphism", path, path, "--relabel", "+=a,-=a"])
+    assert code == 2
+    assert err == "error: duplicate label 'a'\n"
+
+
 def test_cli_bad_arguments_exit_2():
     code, out, err = run(["no-such-command"])
     assert code == 2

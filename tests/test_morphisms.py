@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from countsys.core import CountingSystem
 from countsys.derive import derive_addition
 from countsys.errors import (
+    DuplicateLabel,
     IndexSetMismatch,
     MinimalityRequired,
     UnknownLabel,
@@ -67,6 +68,15 @@ def test_relabel_enables_cross_label_search():
     assert renamed.index_set == ("a", "b")
     with pytest.raises(UnknownLabel):
         relabel_index_set(z, {"+": "a"})
+
+
+def test_relabel_rejects_colliding_and_empty_labels():
+    z = zpair(4)
+    with pytest.raises(DuplicateLabel) as exc:
+        relabel_index_set(z, {"+": "a", "-": "a"})
+    assert exc.value.label == "a"
+    with pytest.raises(DuplicateLabel):
+        relabel_index_set(z, {"+": "a", "-": ""})
 
 
 def test_identity_is_isomorphism():
@@ -202,7 +212,6 @@ def test_initiality_diagnostics_zpair():
         # system would need the identity to agree with a 5-cycle
         assert not cond.morphism_to_padded
         assert cond.core_size == 5
-        assert cond.submonoid_matches_core
 
 
 def test_initiality_requires_minimality():
