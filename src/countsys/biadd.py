@@ -9,9 +9,8 @@ them into a two-argument table.
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .core import propagate
+from . import laws
+from .core import propagate, require_single_map
 from .derive import MonoidTable, require_generates, submonoid_closure
 from .errors import (
     CompatibilityViolated,
@@ -50,8 +49,7 @@ class ExtensionConflict:
 def is_hom(src, dst, mapping):
     if mapping[src.zero] != dst.zero:
         return False
-    s = np.asarray(mapping, dtype=np.intp)
-    return bool(np.array_equal(s[src.np_op], dst.np_op[s[:, None], s[None, :]]))
+    return laws.homomorphism(src.np_op, dst.np_op, mapping) is None
 
 
 def make_hom(src, dst, mapping):
@@ -95,15 +93,14 @@ def hom_extend_report(src, dst, gens, targets):
         return None, ExtensionConflict(*prop.conflict)
     img = prop.value
     mapping = tuple(img[a] for a in range(src.size))
-    if not is_hom(src, dst, mapping):
-        op = src.op
-        for a in range(src.size):
-            for b in range(src.size):
-                got = dst.op[mapping[a]][mapping[b]]
-                if mapping[op[a][b]] != got:
-                    return None, ExtensionConflict(
-                        op[a][b], mapping[op[a][b]], got
-                    )
+    # propagation sent zero to zero, so only additivity can fail
+    w = laws.homomorphism(src.np_op, dst.np_op, mapping)
+    if w is not None:
+        a, b = w
+        ab = src.op[a][b]
+        return None, ExtensionConflict(
+            ab, mapping[ab], dst.op[mapping[a]][mapping[b]]
+        )
     for g, b in zip(gens, targets):
         if mapping[g] != b:
             return None, ExtensionConflict(g, b, mapping[g])
@@ -127,19 +124,7 @@ class BiadditiveTable:
 
 def is_biadditive(M, N, op):
     """Every row section and every column section is a homomorphism M -> N."""
-    arr = np.asarray(op, dtype=np.intp)
-    n_op = N.np_op
-    m_op = M.np_op
-    z = M.zero
-    if not (arr[:, z] == N.zero).all() or not (arr[z, :] == N.zero).all():
-        return False
-    rows_ok = np.array_equal(
-        arr[:, m_op], n_op[arr[:, :, None], arr[:, None, :]]
-    )
-    cols_ok = np.array_equal(
-        arr[m_op, :], n_op[arr[:, None, :], arr[None, :, :]]
-    )
-    return bool(rows_ok and cols_ok)
+    return laws.biadditive(M.np_op, N.np_op, op, M.zero, N.zero) is None
 
 
 def biadditive_extend(M, N, gens, lambdas, lambda_primes):
@@ -180,38 +165,32 @@ def biadditive_extend(M, N, gens, lambdas, lambda_primes):
 
 def _verify_mult_laws(sys, t, mult):
     n = sys.size
-    op = t.np_op
-    mu = np.asarray(mult.op, dtype=np.intp)
+    mu = laws.table(mult.op)
     x0 = sys.base
-    if not (mu[x0, :] == x0).all():
+    if laws.translation(mu, x0, (x0,) * n) is not None:
         raise InternalInvariantViolation("zero absorption fails")
     for f in sys.maps:
-        for x1 in range(n):
-            fx1 = f(x1)
-            for x2 in range(n):
-                if mult.op[fx1][x2] != t.op[x2][mult.op[x1][x2]]:
-                    raise InternalInvariantViolation(
-                        f"successor law fails at ({x1}, {x2})"
-                    )
-    if not np.array_equal(mu, mu.T):
+        w = laws.shift(mu, f.table, t.np_op)
+        if w is not None:
+            raise InternalInvariantViolation(
+                f"successor law fails at ({w[0]}, {w[1]})"
+            )
+    if laws.commutative(mult.op) is not None:
         raise InternalInvariantViolation("multiplication not commutative")
-    if not np.array_equal(mu[mu], mu[np.arange(n)[:, None, None], mu]):
+    if laws.associative(mu) is not None:
         raise InternalInvariantViolation("multiplication not associative")
     # distributivity: x1*(x2+x3) = (x1*x2) + (x1*x3)
-    left = mu[np.arange(n)[:, None, None], op]
-    right = op[mu[:, :, None], mu[:, None, :]]
-    if not np.array_equal(left, right):
+    if laws.sections(t.np_op, t.np_op, mu) is not None:
         raise InternalInvariantViolation("distributivity fails")
     one = sys.maps[0](sys.base) if len(sys.maps) == 1 else None
-    if one is not None and not (mu[one, :] == np.arange(n)).all():
+    if one is not None and laws.translation(mu, one, range(n)) is not None:
         raise InternalInvariantViolation("successor of zero is not a unit")
 
 
 def derive_multiplication_single(sys, t):
     """Multiplication for a minimal single-map system: the unique biadditive
     table fixing the successor of the base, verified against all six laws."""
-    if len(sys.index_set) != 1:
-        raise InternalInvariantViolation("single-map system required")
+    require_single_map(sys)
     a0 = sys.maps[0](sys.base)
     mult = biadditive_extend(t, t, (a0,), (identity_hom(t),), (identity_hom(t),))
     _verify_mult_laws(sys, t, mult)
@@ -236,24 +215,22 @@ class OdotTable:
         if self.unit is not None and self.unit not in self.index_set:
             raise OdotNotTotal(self.unit, self.unit)
 
+    def _grid(self):
+        """The operation as a table of index-set positions."""
+        pos = {s: i for i, s in enumerate(self.index_set)}
+        return [[pos[self.op[(s, t)]] for t in self.index_set]
+                for s in self.index_set]
+
     def is_associative(self):
-        return all(
-            self.op[(self.op[(r, s)], t)] == self.op[(r, self.op[(s, t)])]
-            for r in self.index_set
-            for s in self.index_set
-            for t in self.index_set
-        )
+        return laws.associative(self._grid()) is None
 
     def is_commutative(self):
-        return all(
-            self.op[(s, t)] == self.op[(t, s)]
-            for s in self.index_set
-            for t in self.index_set
-        )
+        return laws.commutative(self._grid()) is None
 
     def left_unit(self):
-        for u in self.index_set:
-            if all(self.op[(u, s)] == s for s in self.index_set):
+        grid = self._grid()
+        for i, u in enumerate(self.index_set):
+            if laws.translation(grid, i, range(len(grid))) is None:
                 return u
         return None
 
@@ -301,20 +278,19 @@ def derive_multiplication_indexed(sys, t, odot):
         lambdas.append(lam)
         lambda_primes.append(lamp)
     mult = biadditive_extend(t, t, gens, lambdas, lambda_primes)
-    mu = np.asarray(mult.op, dtype=np.intp)
-    n = t.size
+    mu = laws.table(mult.op)
     if odot.is_associative():
-        if not np.array_equal(mu[mu], mu[np.arange(n)[:, None, None], mu]):
+        if laws.associative(mu) is not None:
             raise InternalInvariantViolation(
                 "index operation associative but product table is not"
             )
     if odot.is_commutative():
-        if not np.array_equal(mu, mu.T):
+        if laws.commutative(mult.op) is not None:
             raise InternalInvariantViolation(
                 "index operation commutative but product table is not"
             )
     u = odot.left_unit()
-    if u is not None and not (mu[x[u], :] == np.arange(n)).all():
+    if u is not None and laws.translation(mu, x[u], range(t.size)) is not None:
         raise InternalInvariantViolation(
             "index operation has a unit but the product table does not"
         )

@@ -2,7 +2,8 @@
 
 Exit codes: 0 for success or a positive verdict, 1 for a well-formed negative
 verdict or structured absence (no morphism, no extension), 2 for parse or
-validation errors and violated preconditions.
+validation errors and violated preconditions, and for an internal invariant
+failure (a bug), which is reported with a `bug:` prefix instead of `error:`.
 """
 
 import argparse
@@ -19,7 +20,7 @@ from .closure import monoid_closure
 from .core import adjoin_omega, minimal_core, product
 from .derive import derive_addition
 from .dsl import emit_system, parse_odot, parse_system
-from .errors import CountingSystemError, ParseError
+from .errors import CountingSystemError, InternalInvariantViolation, ParseError
 from .morphisms import (
     FreeElement,
     free_eval,
@@ -43,17 +44,23 @@ def _load(path, auto_core=False):
 
 def _pairs(text, sep, option, form):
     """(column, key, value) for each comma-separated part of an option value;
-    a part without `sep` is a ParseError at its column."""
+    a part without `sep` is a ParseError at its column.  Commas inside
+    parentheses do not separate, so product labels such as `(s,t)` pass."""
     pairs = []
     col = 1
-    for part in text.split(","):
+    depth = 0
+    for end, ch in enumerate(text + ","):  # the last comma ends the text
+        depth += (ch == "(") - (ch == ")")
+        if ch != "," or (depth > 0 and end < len(text)):
+            continue
+        part = text[col - 1:end]
         key, found, value = part.partition(sep)
         if not found:
             raise ParseError(
                 1, col, f"{option} expects {form} items, got {part!r}"
             )
         pairs.append((col, key, value))
-        col += len(part) + 1
+        col = end + 2
     return pairs
 
 
@@ -365,6 +372,9 @@ def run_cli(argv, out=None, err=None):
         return args.fn(args, out, err)
     except ParseError as exc:
         print(f"parse error: {exc}", file=err)
+        return EXIT_ERROR
+    except InternalInvariantViolation as exc:
+        print(f"bug: {exc}", file=err)
         return EXIT_ERROR
     except CountingSystemError as exc:
         print(f"error: {exc}", file=err)

@@ -8,6 +8,7 @@ closure element u to u(base).
 
 from dataclasses import dataclass
 
+from . import laws
 from .core import EndoMap, propagate, words
 from .errors import InternalInvariantViolation
 
@@ -59,12 +60,11 @@ def monoid_closure(sys, limit=MAX_CLOSURE_SIZE):
                     f"closure not closed under composition at ({i}, {j})"
                 ) from None
         comp.append(tuple(row))
-    for i in range(m):
-        for j in range(i + 1, m):
-            if comp[i][j] != comp[j][i]:
-                raise InternalInvariantViolation(
-                    f"closure not commutative at ({i}, {j})"
-                )
+    w = laws.commutative(comp)
+    if w is not None:
+        raise InternalInvariantViolation(
+            f"closure not commutative at ({w[0]}, {w[1]})"
+        )
     gen_index = {
         lab: index[f.table] for lab, f in zip(sys.index_set, sys.maps)
     }

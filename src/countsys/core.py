@@ -7,6 +7,7 @@ is immutable after construction; all functions are pure.
 
 from dataclasses import dataclass
 
+from . import laws
 from .errors import (
     BadIndex,
     CarrierTooLarge,
@@ -16,6 +17,7 @@ from .errors import (
     IndexSetTooLarge,
     MinimalityRequired,
     NonCommuting,
+    SingleMapRequired,
     UnknownLabel,
 )
 
@@ -134,13 +136,11 @@ def new_system(carrier, base, index_set, maps):
     for f in maps:
         if f.carrier_size != n:
             raise BadIndex(f.carrier_size, n)
-    for i, s in enumerate(index_set):
-        for j in range(i + 1, len(index_set)):
-            t = index_set[j]
-            fs, ft = maps[i], maps[j]
-            for x in range(n):
-                if fs(ft(x)) != ft(fs(x)):
-                    raise NonCommuting(s, t, x)
+    for i, (s, fs) in enumerate(zip(index_set, maps)):
+        for t, ft in zip(index_set[i + 1:], maps[i + 1:]):
+            x = laws.intertwines(fs.table, ft.table, ft.table)
+            if x is not None:
+                raise NonCommuting(s, t, x)
     return CountingSystem(carrier, base, index_set, maps)
 
 
@@ -276,6 +276,12 @@ def product(a, b):
     )
 
 
+def require_single_map(sys):
+    """Raise SingleMapRequired unless the system has exactly one map."""
+    if len(sys.index_set) != 1:
+        raise SingleMapRequired(len(sys.index_set))
+
+
 def _fresh_label(taken, stem):
     if stem not in taken:
         return stem
@@ -290,8 +296,7 @@ def adjoin_omega(sys):
 
     Only defined for single-map systems.
     """
-    if len(sys.index_set) != 1:
-        raise BadIndex(len(sys.index_set), 1)
+    require_single_map(sys)
     n = sys.size
     omega = _fresh_label(set(sys.carrier.labels), "omega")
     labels = sys.carrier.labels + (omega,)
@@ -308,8 +313,7 @@ def is_dedekind(sys):
     Always false on a finite carrier: an injective self-map of a finite set is
     surjective, so the base is in the image.
     """
-    if len(sys.index_set) != 1:
-        raise BadIndex(len(sys.index_set), 1)
+    require_single_map(sys)
     f = sys.maps[0]
     return (
         is_minimal(sys)

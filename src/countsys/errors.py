@@ -48,6 +48,14 @@ class IndexSetMismatch(CountingSystemError):
         self.dst_labels = tuple(dst_labels)
 
 
+class SingleMapRequired(CountingSystemError):
+    def __init__(self, count):
+        super().__init__(
+            f"a single-map system is required; this one has {count} maps"
+        )
+        self.count = count
+
+
 class LimitExceeded(CountingSystemError):
     pass
 

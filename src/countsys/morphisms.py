@@ -8,6 +8,8 @@ elements are sparse multisets over the index labels.
 
 from dataclasses import dataclass, field
 
+from . import laws
+from .biadd import is_hom
 from .core import (
     CountingSystem,
     is_dedekind,
@@ -62,9 +64,8 @@ def is_morphism(m):
     if m.map[m.src.base] != m.dst.base:
         return False
     return all(
-        m.map[f(x)] == g(m.map[x])
+        laws.intertwines(m.map, f.table, g.table) is None
         for f, g in zip(m.src.maps, m.dst.maps)
-        for x in range(m.src.size)
     )
 
 
@@ -89,16 +90,10 @@ def bridge_check(m, t_src, t_dst):
     homomorphism of the derived tables sending each generator image to the
     matching one."""
     _require_same_index_set(m.src, m.dst)
-    mp = m.map
-    if mp[t_src.zero] != t_dst.zero:
+    if not is_hom(t_src, t_dst, m.map):
         return False
-    n = t_src.size
-    for a in range(n):
-        for b in range(n):
-            if mp[t_src.op[a][b]] != t_dst.op[mp[a]][mp[b]]:
-                return False
     for f, g in zip(m.src.maps, m.dst.maps):
-        if mp[f(m.src.base)] != g(m.dst.base):
+        if m.map[f(m.src.base)] != g(m.dst.base):
             return False
     return True
 
@@ -156,6 +151,22 @@ def free_remove_one(e, label):
     return FreeElement(tuple(sorted((l, c) for l, c in counts.items() if c > 0)))
 
 
+def _iterate(f, y, count):
+    """f applied `count` times to y, in at most n steps: once the orbit of y
+    returns to a point it has visited, the rest of the count is reduced
+    modulo the cycle it has closed."""
+    orbit = []
+    step_of = {}  # point -> the step at which the orbit first reached it
+    for step in range(count):
+        if y in step_of:
+            start = step_of[y]
+            return orbit[start + (count - start) % (step - start)]
+        step_of[y] = step
+        orbit.append(y)
+        y = f(y)
+    return y
+
+
 def free_eval(target, e, order=None):
     """Apply each generator as many times as its multiplicity, starting at the
     target's base.  The result is independent of application order because the
@@ -163,9 +174,11 @@ def free_eval(target, e, order=None):
     for lab, _ in e.multiplicity:
         if lab not in target.index_set:
             raise UnknownLabel(lab, target.index_set)
-    if order is None:
-        order = [lab for lab in target.index_set for _ in range(e.count(lab))]
     y = target.base
+    if order is None:
+        for lab in target.index_set:
+            y = _iterate(target.map_for(lab), y, e.count(lab))
+        return y
     for lab in order:
         y = target.map_for(lab)(y)
     return y

@@ -25,6 +25,7 @@ from countsys.errors import (
     DuplicateLabel,
     EmptyIndexSet,
     NonCommuting,
+    SingleMapRequired,
     UnknownLabel,
 )
 from countsys.fixtures import cyc, one_point, rho, zpair
@@ -152,8 +153,11 @@ def test_adjoin_omega_fresh_label_avoids_collision():
 
 
 def test_adjoin_omega_rejects_multi_map():
-    with pytest.raises(BadIndex):
+    with pytest.raises(SingleMapRequired) as exc:
         adjoin_omega(zpair(3))
+    assert str(exc.value) == (
+        "a single-map system is required; this one has 2 maps"
+    )
 
 
 def test_dedekind_always_false_on_finite_carrier():
@@ -162,7 +166,7 @@ def test_dedekind_always_false_on_finite_carrier():
 
 
 def test_dedekind_rejects_multi_map():
-    with pytest.raises(BadIndex):
+    with pytest.raises(SingleMapRequired):
         is_dedekind(zpair(3))
 
 

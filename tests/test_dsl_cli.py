@@ -2,13 +2,23 @@
 
 import io
 import json
+import os
+import string
+import subprocess
+import sys as _sys
 
 import pytest
 from hypothesis import given, strategies as st
 
+import countsys
 from countsys.cli import run_cli
+from countsys.core import Carrier, EndoMap, new_system, product
 from countsys.dsl import emit_system, parse_odot, parse_system
-from countsys.errors import ParseError
+from countsys.errors import (
+    CountingSystemError,
+    InternalInvariantViolation,
+    ParseError,
+)
 from countsys.fixtures import SIGN_ODOT_LINES, cyc, rho, zpair
 
 CYC3 = """\
@@ -99,6 +109,54 @@ def test_emit_parse_round_trip_cyclic(n):
     assert doc.system.maps[0].table == cyc(n).maps[0].table
 
 
+_LABEL = st.text(string.ascii_letters + string.digits + "()+-_,.'",
+                 min_size=1, max_size=4)
+
+
+@st.composite
+def commuting_systems(draw):
+    """Small systems whose maps are powers of one map, so they commute."""
+    n = draw(st.integers(1, 6))
+    f = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    maps = []
+    for e in draw(st.lists(st.integers(0, 4), min_size=1, max_size=3)):
+        g = list(range(n))
+        for _ in range(e):
+            g = [f[x] for x in g]
+        maps.append(EndoMap(tuple(g)))
+    elements = draw(st.lists(_LABEL, min_size=n, max_size=n, unique=True))
+    labels = draw(st.lists(_LABEL, min_size=len(maps), max_size=len(maps),
+                           unique=True))
+    base = draw(st.integers(0, n - 1))
+    return new_system(Carrier(tuple(elements)), base, tuple(labels), maps)
+
+
+@given(commuting_systems(), _LABEL)
+def test_emit_parse_round_trip_random(sys, name):
+    doc = parse_system(emit_system(sys, name=name))
+    assert doc.name == name
+    assert doc.system == sys
+
+
+_TOKENS = ["system", "elements", "base", "map", "odot", "unit", "=", "a",
+           "b", "s", "t", "+", "-", "#", "a#b", "\t", "(s,s)", "e0", "é"]
+_TEXT = st.one_of(
+    st.text(max_size=200),
+    st.lists(st.lists(st.sampled_from(_TOKENS), max_size=7).map(" ".join),
+             max_size=8).map("\n".join),
+)
+
+
+@given(_TEXT)
+def test_parsers_raise_only_structured_errors(text):
+    for parse in (parse_system, parse_odot,
+                  lambda t: parse_odot(t, index_set=("+", "-"))):
+        try:
+            parse(text)
+        except CountingSystemError:
+            pass
+
+
 def test_parse_odot_sign_table():
     od = parse_odot("\n".join(SIGN_ODOT_LINES))
     assert od.unit == "+"
@@ -120,6 +178,28 @@ def test_cli_validate_ok(tmp_path):
     code, out, err = run(["validate", path])
     assert code == 0
     assert "cyc3" in out
+
+
+@pytest.mark.parametrize("command, loads_numpy", [
+    ("validate", False), ("closure", False), ("add", True),
+])
+def test_cli_loads_numpy_only_for_table_laws(tmp_path, command, loads_numpy):
+    """validate and closure evaluate only the plain-Python laws, so a fresh
+    interpreter running them never executes numpy; add does."""
+    path = write(tmp_path, "c.csys", CYC3)
+    probe = (
+        "import sys\n"
+        "from countsys.cli import run_cli\n"
+        "code = run_cli(sys.argv[1:])\n"
+        "print(code, any(m.startswith('numpy.') for m in sys.modules))\n"
+    )
+    src = os.path.dirname(os.path.dirname(countsys.__file__))
+    proc = subprocess.run(
+        [_sys.executable, "-c", probe, command, path],
+        capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.stdout.splitlines()[-1] == f"0 {loads_numpy}"
 
 
 def test_cli_parse_error_exits_2(tmp_path):
@@ -256,6 +336,44 @@ def test_cli_initial_and_free_report(tmp_path):
     payload = json.loads(out)
     assert payload["free"] is False
     assert payload["direct_sum"] is True
+
+
+def test_cli_free_eval_huge_count(tmp_path):
+    path = write(tmp_path, "c.csys", emit_system(cyc(6), name="c6"))
+    code, out, err = run(["free-eval", path, "--multiset", "s:10000000000"])
+    assert (code, out, err) == (0, "e4\n", "")
+
+
+def test_cli_names_product_labels(tmp_path):
+    c2xc3 = emit_system(product(cyc(2), cyc(3)), name="c2xc3")
+    path = write(tmp_path, "p.csys", c2xc3)
+    code, out, err = run(["free-eval", path, "--multiset", "(s,s):5"])
+    assert (code, out, err) == (0, "(e1,e2)\n", "")
+    c6 = write(tmp_path, "c6.csys", emit_system(cyc(6), name="c6"))
+    code, out, err = run(["morphism", path, c6, "--relabel", "(s,s)=s"])
+    assert code == 0 and err == ""
+    assert out.splitlines()[1] == "(e0,e1)\te4"  # x = 0 mod 2, 1 mod 3
+    pp = write(tmp_path, "pp.csys", emit_system(
+        product(product(cyc(2), cyc(3)), zpair(2)), name="pp"))
+    code, out, err = run(
+        ["free-eval", pp, "--multiset", "((s,s),+):1, ((s,s),-):2"])
+    assert (code, out, err) == (0, "((e1,e0),e1)\n", "")
+    code, out, err = run(["free-eval", pp, "--multiset", "((s,s),+):1,(x"])
+    assert (code, out, err) == (
+        2, "", "parse error: line 1, col 13: --multiset expects label:count "
+        "items, got '(x'\n")
+
+
+def test_cli_reports_an_internal_invariant_failure_as_a_bug(
+        tmp_path, monkeypatch):
+    def broken(sys):
+        raise InternalInvariantViolation("derived table not associative")
+
+    monkeypatch.setattr("countsys.cli.derive_addition", broken)
+    path = write(tmp_path, "c.csys", CYC3)
+    code, out, err = run(["add", path])
+    assert (code, out, err) == (
+        2, "", "bug: derived table not associative\n")
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -13,7 +13,7 @@ from countsys.errors import (
     MinimalityRequired,
     UnknownLabel,
 )
-from countsys.fixtures import cyc, one_point, rho, zpair
+from countsys.fixtures import cyc, one_point, rho, rho_collapse, zpair
 from countsys.morphisms import (
     FreeElement,
     SystemMorphism,
@@ -170,6 +170,19 @@ def test_free_eval_is_order_independent():
     for _ in range(50):
         rng.shuffle(expanded)
         assert free_eval(z, e, order=list(expanded)) == expected
+
+
+def test_free_eval_reduces_counts_along_tail_and_cycle():
+    # rho(t, ell): f^k(0) = rho_collapse(t, ell, k); the walk is at most
+    # t + ell steps, so huge counts are no slower than small ones
+    for t_len, ell in [(0, 6), (2, 3), (4, 1), (3, 5)]:
+        sys = rho(t_len, ell)
+        for k in [*range(3 * (t_len + ell)), 10**10, 10**30 + 7]:
+            e = FreeElement.of({"s": k})
+            assert free_eval(sys, e) == rho_collapse(t_len, ell, k)
+    z = zpair(7)
+    e = FreeElement.of({"+": 10**12 + 3, "-": 10**12})
+    assert free_eval(z, e) == 3
 
 
 def test_free_uniqueness_probe_on_fixtures():
