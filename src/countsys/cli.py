@@ -141,6 +141,8 @@ def _cmd_core(args, out, err):
 def _cmd_closure(args, out, err):
     doc = _load(args.file, args.auto_core)
     tm = monoid_closure(doc.system)
+    # the table is built, or refused, before anything is printed
+    comp = tm.comp if args.full else None
     if args.json:
         payload = {
             "size": tm.size,
@@ -148,7 +150,7 @@ def _cmd_closure(args, out, err):
             "words": [list(w) for w in tm.words],
         }
         if args.full:
-            payload["comp"] = [list(row) for row in tm.comp]
+            payload["comp"] = [list(row) for row in comp]
         print(json.dumps(payload, indent=2, sort_keys=True), file=out)
         return EXIT_OK
     _report_lines([("size", tm.size)], out)
@@ -156,7 +158,7 @@ def _cmd_closure(args, out, err):
         print(f"generator {lab}: {idx}", file=out)
     if args.full:
         labels = [str(i) for i in range(tm.size)]
-        _tsv_table(labels, tm.comp, out)
+        _tsv_table(labels, comp, out)
     return EXIT_OK
 
 

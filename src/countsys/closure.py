@@ -1,30 +1,55 @@
 """Transformation-monoid closure of a commuting family, and its evaluation map.
 
 The closure is built breadth-first from the identity, composing with the
-generators in index-set order and deduplicating by the full image table.  The
-composition table is materialised eagerly; the evaluation map sends each
+generators in index-set order and deduplicating by the full image table.  It
+keeps the left Cayley graph (the index of f_k . u for every generator f_k and
+element u) and the edge that discovered each element, as in Froidure & Pin,
+"Algorithms for computing finite semigroups" (1997).  The composition table
+is lazy: it is built from the graph by index lookups, never by composing
+maps, and only when read (`closure --full`).  The evaluation map sends each
 closure element u to u(base).
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import laws
 from .core import EndoMap, propagate, words
-from .errors import InternalInvariantViolation
+from .errors import CompositionTableTooLarge, InternalInvariantViolation
 
 MAX_CLOSURE_SIZE = 1 << 16
+MAX_COMPOSITION_TABLE_SIZE = 1 << 12  # largest closure whose `comp` is built
 
 
 @dataclass
 class TransformationMonoid:
     elements: tuple  # EndoMaps; elements[0] is the identity
-    comp: tuple  # comp[i][j] = index of elements[i] . elements[j]
+    cayley: tuple  # cayley[k][i] = index of maps[k] . elements[i]
+    parent: tuple  # parent[i] = (p, k): elements[i] = maps[k] . elements[p]
     gen_index: dict  # label -> element index
     words: tuple  # one witness generator word per element (labels)
 
     @property
     def size(self):
         return len(self.elements)
+
+    @cached_property
+    def comp(self):
+        """comp[i][j] = index of elements[i] . elements[j].
+
+        Row i follows from the edge that discovered u_i = f_k . u_p:
+        u_i . u_j = f_k . (u_p . u_j), so comp[i][j] = cayley[k][comp[p][j]].
+        Raises CompositionTableTooLarge before allocating above
+        MAX_COMPOSITION_TABLE_SIZE elements.
+        """
+        if self.size > MAX_COMPOSITION_TABLE_SIZE:
+            raise CompositionTableTooLarge(
+                self.size, MAX_COMPOSITION_TABLE_SIZE
+            )
+        rows = [tuple(range(self.size))]
+        for p, k in self.parent[1:]:
+            rows.append(tuple(map(self.cayley[k].__getitem__, rows[p])))
+        return tuple(rows)
 
 
 @dataclass
@@ -44,34 +69,35 @@ def monoid_closure(sys, limit=MAX_CLOSURE_SIZE):
     )
     elements = prop.order
     index = {u.table: i for i, u in enumerate(elements)}
-    word = words(prop, sys.index_set)
-
-    m = len(elements)
-    comp = []
-    for i in range(m):
-        row = []
-        ui = elements[i]
-        for j in range(m):
-            w = ui.compose(elements[j])
-            try:
-                row.append(index[w.table])
-            except KeyError:
-                raise InternalInvariantViolation(
-                    f"closure not closed under composition at ({i}, {j})"
-                ) from None
-        comp.append(tuple(row))
-    w = laws.commutative(comp)
-    if w is not None:
-        raise InternalInvariantViolation(
-            f"closure not commutative at ({w[0]}, {w[1]})"
-        )
+    cayley = []
+    for lab, f in zip(sys.index_set, sys.maps):
+        row = [index.get(tuple(map(f.table.__getitem__, u.table)))
+               for u in elements]
+        if None in row:
+            raise InternalInvariantViolation(
+                f"closure not closed under {lab!r} at element {row.index(None)}"
+            )
+        cayley.append(tuple(row))
     gen_index = {
         lab: index[f.table] for lab, f in zip(sys.index_set, sys.maps)
     }
+    # every element commutes with every generator iff the closure commutes:
+    # the generators generate it
+    for i, u in enumerate(elements):
+        for lab, f in zip(sys.index_set, sys.maps):
+            if laws.intertwines(u.table, f.table, f.table) is not None:
+                raise InternalInvariantViolation(
+                    f"closure not commutative at ({i}, {gen_index[lab]})"
+                )
+    parent = (None,) + tuple(
+        (index[prop.parent[u][0].table], prop.parent[u][1])
+        for u in elements[1:]
+    )
+    word = words(prop, sys.index_set)
     # a generator may coincide with a shorter word (e.g. the identity); keep
     # the canonical witness for its element
     return TransformationMonoid(
-        tuple(elements), tuple(comp), gen_index,
+        tuple(elements), tuple(cayley), parent, gen_index,
         tuple(word[u] for u in elements),
     )
 

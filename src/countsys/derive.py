@@ -1,9 +1,10 @@
 """Derived addition tables and their verification.
 
 The addition on a minimal system's carrier is obtained by transferring the
-closure's composition through the evaluation bijection.  The table is checked
-from two independent directions: the transfer itself, and a reconstruction
-that uses only the unit axiom and the shift axiom along generator words.
+closure's composition through the evaluation bijection: row a of the table is
+the closure element that evaluates to a.  The table is checked from two
+independent directions: the transfer itself, and a reconstruction that uses
+only the unit axiom and the shift axiom along generator words.
 """
 
 from dataclasses import dataclass
@@ -45,23 +46,19 @@ class Classification:
 def derive_addition(sys):
     """Addition transferred through the evaluation bijection; zero is the base.
 
-    Raises MinimalityRequired (with the unreachable witness set) when the
-    evaluation map is not a bijection.
+    Raises MinimalityRequired (with the unreachable witness set) before the
+    closure is built when the system is not minimal.
     """
-    n = sys.size
+    require_minimal(sys)
     tm = monoid_closure(sys)
     ev = evaluation(tm, sys)
     if not ev.bijective:
-        require_minimal(sys)
         raise InternalInvariantViolation(
             "evaluation not bijective on a minimal system"
         )
-    inv = ev.inverse
-    op = tuple(
-        tuple(ev.to_carrier[tm.comp[inv[a]][inv[b]]] for b in range(n))
-        for a in range(n)
-    )
-    t = MonoidTable(n, op, sys.base)
+    # with u_a the element evaluating to a: a + b = (u_a . u_b)(base) = u_a(b)
+    op = tuple(tm.elements[i].table for i in ev.inverse)
+    t = MonoidTable(sys.size, op, sys.base)
     if laws.associative(t.np_op) is not None:
         raise InternalInvariantViolation("derived table not associative")
     if laws.commutative(t.op) is not None:

@@ -80,6 +80,16 @@ class ClosureTooLarge(LimitExceeded):
         self.limit = limit
 
 
+class CompositionTableTooLarge(LimitExceeded):
+    def __init__(self, size, limit):
+        super().__init__(
+            f"composition table (closure --full) needs a closure of at most "
+            f"{limit} elements; this one has {size}"
+        )
+        self.size = size
+        self.limit = limit
+
+
 class MinimalityRequired(CountingSystemError):
     """A derivation step needs a minimal system; carries the unreachable set."""
 

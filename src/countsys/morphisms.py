@@ -36,19 +36,21 @@ class SystemMorphism:
     map: tuple  # per-element image index
 
 
-def _require_same_index_set(src, dst):
-    if tuple(src.index_set) != tuple(dst.index_set):
+def _paired_maps(src, dst):
+    """(f_s, g_s) for each label s of the source, in its order; the two
+    index sets must hold the same labels, in any order."""
+    if set(src.index_set) != set(dst.index_set):
         raise IndexSetMismatch(src.index_set, dst.index_set)
+    return [(f, dst.map_for(lab)) for lab, f in zip(src.index_set, src.maps)]
 
 
 def morphism_find(src, dst):
     """The unique morphism from a minimal system, or None if propagation
     forces two different images for some element."""
-    _require_same_index_set(src, dst)
+    pairs = _paired_maps(src, dst)
     require_minimal(src)
     prop = propagate(src.base, dst.base, [
-        (f.table.__getitem__, g.table.__getitem__)
-        for f, g in zip(src.maps, dst.maps)
+        (f.table.__getitem__, g.table.__getitem__) for f, g in pairs
     ])
     if prop.conflict is not None:
         return None
@@ -65,7 +67,7 @@ def is_morphism(m):
         return False
     return all(
         laws.intertwines(m.map, f.table, g.table) is None
-        for f, g in zip(m.src.maps, m.dst.maps)
+        for f, g in _paired_maps(m.src, m.dst)
     )
 
 
@@ -89,10 +91,10 @@ def bridge_check(m, t_src, t_dst):
     """Monoid-homomorphism formulation of the morphism property: the map is a
     homomorphism of the derived tables sending each generator image to the
     matching one."""
-    _require_same_index_set(m.src, m.dst)
+    pairs = _paired_maps(m.src, m.dst)
     if not is_hom(t_src, t_dst, m.map):
         return False
-    for f, g in zip(m.src.maps, m.dst.maps):
+    for f, g in pairs:
         if m.map[f(m.src.base)] != g(m.dst.base):
             return False
     return True

@@ -1,13 +1,55 @@
 """Transformation-monoid closure and the evaluation map."""
 
 import itertools
+import tracemalloc
 
 import pytest
+from hypothesis import given, strategies as st
 
-from countsys.closure import evaluation, is_invariant, monoid_closure
-from countsys.core import Carrier, CountingSystem, EndoMap
-from countsys.errors import ClosureTooLarge
+from countsys.closure import (
+    MAX_COMPOSITION_TABLE_SIZE,
+    TransformationMonoid,
+    evaluation,
+    is_invariant,
+    monoid_closure,
+)
+from countsys.core import (
+    Carrier,
+    CountingSystem,
+    EndoMap,
+    is_minimal,
+    new_system,
+)
+from countsys.derive import derive_addition
+from countsys.errors import (
+    ClosureTooLarge,
+    CompositionTableTooLarge,
+    InternalInvariantViolation,
+    LimitExceeded,
+)
 from countsys.fixtures import cyc, one_point, rho, zpair
+from test_laws import FIXTURES, _enumeration, _system
+
+
+def oracle_comp(tm):
+    """The composition table as the closure once built it: one validated
+    compose per pair, looked up by image table."""
+    index = {u.table: i for i, u in enumerate(tm.elements)}
+    return tuple(
+        tuple(index[ui.compose(uj).table] for uj in tm.elements)
+        for ui in tm.elements
+    )
+
+
+def cycles(lengths):
+    """One permutation made of disjoint cycles of the given lengths; its
+    closure is its powers, lcm(lengths) of them."""
+    table, start = [], 0
+    for ell in lengths:
+        table += [start + (i + 1) % ell for i in range(ell)]
+        start += ell
+    labels = tuple(f"e{i}" for i in range(len(table)))
+    return new_system(Carrier(labels), 0, ("s",), (EndoMap(tuple(table)),))
 
 
 def test_identity_is_element_zero():
@@ -107,3 +149,104 @@ def test_generator_equal_to_identity_is_deduplicated():
     tm = monoid_closure(sys)
     assert tm.size == 2
     assert tm.gen_index["t"] == 0
+
+
+def test_lazy_comp_matches_the_pairwise_oracle():
+    systems = list(FIXTURES)
+    systems += [_system(0, tables) for tables in _enumeration()]
+    for sys in systems:
+        tm = monoid_closure(sys)
+        assert tm.comp == oracle_comp(tm)
+
+
+def _power(f, e, x):
+    for _ in range(e):
+        x = f[x]
+    return x
+
+
+@st.composite
+def non_minimal_two_map_systems(draw):
+    """Disjoint union of two or three blocks A x B, with f = a x b^j and
+    g = a^i x b on each: the maps commute, and the base, in one block,
+    reaches no other."""
+    f, g = [], []
+    for _ in range(draw(st.integers(2, 3))):
+        p, q = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        a = draw(st.lists(st.integers(0, p - 1), min_size=p, max_size=p))
+        b = draw(st.lists(st.integers(0, q - 1), min_size=q, max_size=q))
+        i, j = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+        start = len(f)
+        for x, y in itertools.product(range(p), range(q)):
+            f.append(start + a[x] * q + _power(b, j, y))
+            g.append(start + _power(a, i, x) * q + b[y])
+    n = len(f)
+    return new_system(
+        Carrier(tuple(f"e{x}" for x in range(n))),
+        draw(st.integers(0, n - 1)), ("s", "t"),
+        (EndoMap(tuple(f)), EndoMap(tuple(g))),
+    )
+
+
+@given(non_minimal_two_map_systems())
+def test_lazy_comp_matches_the_pairwise_oracle_on_random_systems(sys):
+    assert not is_minimal(sys)
+    tm = monoid_closure(sys)
+    assert tm.comp == oracle_comp(tm)
+
+
+def _count_composes(monkeypatch):
+    calls = []
+    compose = EndoMap.compose
+
+    def counted(self, other):
+        calls.append(1)
+        return compose(self, other)
+
+    monkeypatch.setattr(EndoMap, "compose", counted)
+    return calls
+
+
+def test_closure_composes_at_most_once_per_cayley_edge(monkeypatch):
+    calls = _count_composes(monkeypatch)
+    for sys in FIXTURES + [rho(5, 4), zpair(7), cycles([3, 4, 5])]:
+        calls.clear()
+        tm = monoid_closure(sys)
+        assert len(calls) <= len(sys.maps) * tm.size
+        tm.comp
+        assert len(calls) <= len(sys.maps) * tm.size
+
+
+def test_derive_addition_never_reads_comp(monkeypatch):
+    def refuse(self):
+        raise AssertionError("comp read")
+
+    monkeypatch.setattr(TransformationMonoid, "comp", property(refuse))
+    for sys in FIXTURES:
+        derive_addition(sys)
+
+
+def test_commutativity_guard_rejects_non_commuting_maps():
+    # built without new_system, which would refuse the pair
+    sys = CountingSystem(
+        Carrier(("a", "b", "c")), 0, ("s", "t"),
+        (EndoMap((1, 2, 0)), EndoMap((1, 0, 2))),
+    )
+    with pytest.raises(InternalInvariantViolation, match="not commutative"):
+        monoid_closure(sys)
+
+
+def test_full_table_is_refused_above_its_limit_before_allocating():
+    tm = monoid_closure(cycles([5, 7, 9, 16]))  # 37 points
+    assert tm.size == 5040 > MAX_COMPOSITION_TABLE_SIZE
+    tracemalloc.start()
+    try:
+        with pytest.raises(CompositionTableTooLarge) as exc:
+            tm.comp
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert isinstance(exc.value, LimitExceeded)
+    assert "closure --full" in str(exc.value)
+    assert peak < 1 << 16
+

@@ -20,6 +20,7 @@ from countsys.errors import (
     ParseError,
 )
 from countsys.fixtures import SIGN_ODOT_LINES, cyc, rho, zpair
+from test_closure import cycles
 
 CYC3 = """\
 # a three-cycle
@@ -284,6 +285,43 @@ def test_cli_morphism_relabel(tmp_path):
     assert code == 2  # index sets differ
     code, out, err = run(["morphism", a, b, "--relabel", "s=t"])
     assert code == 0
+
+
+def test_cli_morphism_relabel_permuting_product_labels(tmp_path):
+    # swapping (+,s) and (-,s) turns the source's successor into the
+    # target's predecessor: the morphism is negation on the zpair factor
+    p = write(tmp_path, "p.csys",
+              emit_system(product(zpair(3), cyc(2)), name="p"))
+    code, out, err = run(["morphism", p, p,
+                          "--relabel", "(+,s)=(-,s),(-,s)=(+,s)"])
+    assert (code, err) == (0, "")
+    assert [line.split("\t") for line in out.splitlines()] == [
+        [f"(e{x},e{y})", f"(e{-x % 3},e{y})"]
+        for x in range(3) for y in range(2)
+    ]
+
+
+def test_cli_closure_full_refuses_a_table_above_its_limit(tmp_path):
+    path = write(tmp_path, "c.csys", emit_system(cycles([5, 7, 9, 16])))
+    code, out, err = run(["closure", path])
+    assert (code, out.splitlines()[0]) == (0, "size: 5040")
+    for extra in ([], ["--json"]):
+        code, out, err = run(["closure", path, "--full", *extra])
+        assert (code, out) == (2, "")
+        assert err == ("error: composition table (closure --full) needs a "
+                       "closure of at most 4096 elements; this one has "
+                       "5040\n")
+
+
+def test_cli_add_refuses_a_non_minimal_system_before_its_closure(tmp_path):
+    # the closure has lcm(5, 7, 9, 11, 13, 16) = 720720 elements, above its
+    # 65536 limit; minimality is checked first
+    path = write(tmp_path, "c.csys",
+                 emit_system(cycles([5, 7, 9, 11, 13, 16])))
+    code, out, err = run(["add", path])
+    assert (code, out) == (2, "")
+    assert err == ("error: system is not minimal; unreachable elements: "
+                   + ", ".join(map(str, range(5, 61))) + "\n")
 
 
 def test_cli_core_and_closure(tmp_path):

@@ -113,6 +113,22 @@ def test_bridge_theorem_on_examples():
     assert not bridge_check(bad, t_src, t_dst)
 
 
+def test_maps_are_paired_by_label_not_position():
+    # the same zpair(5), with its labels declared in the other order: the
+    # identity is a morphism, an isomorphism and a bridge
+    z = zpair(5)
+    swapped = CountingSystem(
+        z.carrier, z.base, ("-", "+"), (z.maps[1], z.maps[0])
+    )
+    m = morphism_find(z, swapped)
+    assert m is not None
+    assert m.map == tuple(range(5))
+    assert is_isomorphism(m)
+    t = derive_addition(z)
+    assert bridge_check(m, t, derive_addition(swapped))
+    assert morphism_find(swapped, z).map == tuple(range(5))
+
+
 # -- free multiset monoid ----------------------------------------------------
 
 labels = st.sampled_from(["a", "b", "c"])
