@@ -49,7 +49,7 @@ class ExtensionConflict:
 def is_hom(src, dst, mapping):
     if mapping[src.zero] != dst.zero:
         return False
-    return laws.homomorphism(src.np_op, dst.np_op, mapping) is None
+    return laws.homomorphism(src.op, dst.op, mapping) is None
 
 
 def make_hom(src, dst, mapping):
@@ -94,7 +94,8 @@ def hom_extend_report(src, dst, gens, targets):
     img = prop.value
     mapping = tuple(img[a] for a in range(src.size))
     # propagation sent zero to zero, so only additivity can fail
-    w = laws.homomorphism(src.np_op, dst.np_op, mapping)
+    # right=gens: gens generate src (above), src and dst are MonoidTables
+    w = laws.homomorphism(src.op, dst.op, mapping, right=gens)
     if w is not None:
         a, b = w
         ab = src.op[a][b]
@@ -122,9 +123,12 @@ class BiadditiveTable:
         return self.op[a][b]
 
 
-def is_biadditive(M, N, op):
-    """Every row section and every column section is a homomorphism M -> N."""
-    return laws.biadditive(M.np_op, N.np_op, op, M.zero, N.zero) is None
+def is_biadditive(M, N, op, gens=None):
+    """Every row section and every column section is a homomorphism M -> N.
+
+    With `gens`, which the caller has checked generate M, each section is
+    checked on the generators only (see laws.homomorphism)."""
+    return laws.biadditive(M.op, N.op, op, M.zero, N.zero, right=gens) is None
 
 
 def biadditive_extend(M, N, gens, lambdas, lambda_primes):
@@ -152,7 +156,8 @@ def biadditive_extend(M, N, gens, lambdas, lambda_primes):
         )
     sections = prop.value
     op = tuple(sections[a].map for a in range(M.size))
-    if not is_biadditive(M, N, op):
+    # gens=gens: they generate M (above), M and N are MonoidTables
+    if not is_biadditive(M, N, op, gens=gens):
         raise InternalInvariantViolation("extension is not biadditive")
     for g_s, lam_s in zip(gens, lambdas):
         for g_t in gens:
@@ -164,24 +169,29 @@ def biadditive_extend(M, N, gens, lambdas, lambda_primes):
 
 
 def _verify_mult_laws(sys, t, mult):
+    """Check the multiplication laws; the caller has checked with
+    require_generates that the generators x_s generate t."""
     n = sys.size
-    mu = laws.table(mult.op)
+    mu = mult.op
     x0 = sys.base
+    gens = tuple(f(x0) for f in sys.maps)
     if laws.translation(mu, x0, (x0,) * n) is not None:
         raise InternalInvariantViolation("zero absorption fails")
     for f in sys.maps:
-        w = laws.shift(mu, f.table, t.np_op)
+        w = laws.shift(mu, f.table, t.op)
         if w is not None:
             raise InternalInvariantViolation(
                 f"successor law fails at ({w[0]}, {w[1]})"
             )
-    if laws.commutative(mult.op) is not None:
+    if laws.commutative(mu) is not None:
         raise InternalInvariantViolation("multiplication not commutative")
-    if laws.associative(mu) is not None:
-        raise InternalInvariantViolation("multiplication not associative")
     # distributivity: x1*(x2+x3) = (x1*x2) + (x1*x3)
-    if laws.sections(t.np_op, t.np_op, mu) is not None:
+    # right=gens: gens generate t; absorption, commutativity fix zero per row
+    if laws.sections(t.op, t.op, mu, right=gens) is not None:
         raise InternalInvariantViolation("distributivity fails")
+    # generator triples: distributivity and commutativity make it tri-additive
+    if laws.associative(mu, gens, gens, gens) is not None:
+        raise InternalInvariantViolation("multiplication not associative")
     one = sys.maps[0](sys.base) if len(sys.maps) == 1 else None
     if one is not None and laws.translation(mu, one, range(n)) is not None:
         raise InternalInvariantViolation("successor of zero is not a unit")
@@ -278,14 +288,15 @@ def derive_multiplication_indexed(sys, t, odot):
         lambdas.append(lam)
         lambda_primes.append(lamp)
     mult = biadditive_extend(t, t, gens, lambdas, lambda_primes)
-    mu = laws.table(mult.op)
+    mu = mult.op
     if odot.is_associative():
-        if laws.associative(mu) is not None:
+        # generator triples: biadditive_extend checked biadditivity above
+        if laws.associative(mu, gens, gens, gens) is not None:
             raise InternalInvariantViolation(
                 "index operation associative but product table is not"
             )
     if odot.is_commutative():
-        if laws.commutative(mult.op) is not None:
+        if laws.commutative(mu) is not None:
             raise InternalInvariantViolation(
                 "index operation commutative but product table is not"
             )

@@ -34,9 +34,18 @@ EXIT_NEGATIVE = 1
 EXIT_ERROR = 2
 
 
+def _read(path):
+    """The text of a file; a path with a NUL byte or a file that is not
+    UTF-8 is an OSError, like a missing file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except ValueError as exc:
+        raise OSError(f"cannot read {path!r}: {exc}") from None
+
+
 def _load(path, auto_core=False):
-    with open(path, encoding="utf-8") as fh:
-        doc = parse_system(fh.read())
+    doc = parse_system(_read(path))
     if auto_core:
         doc.system = minimal_core(doc.system)
     return doc
@@ -174,8 +183,7 @@ def _cmd_mul(args, out, err):
     sys_ = doc.system
     t = derive_addition(sys_)
     if args.odot:
-        with open(args.odot, encoding="utf-8") as fh:
-            odot = parse_odot(fh.read(), index_set=sys_.index_set)
+        odot = parse_odot(_read(args.odot), index_set=sys_.index_set)
         res = derive_multiplication_indexed(sys_, t, odot)
         if not res.ok:
             msg = "no multiplication: required endomorphism missing " \

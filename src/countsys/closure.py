@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import laws
-from .core import EndoMap, propagate, words
+from .core import EndoMap, propagate
 from .errors import CompositionTableTooLarge, InternalInvariantViolation
 
 MAX_CLOSURE_SIZE = 1 << 16
@@ -26,12 +26,22 @@ class TransformationMonoid:
     elements: tuple  # EndoMaps; elements[0] is the identity
     cayley: tuple  # cayley[k][i] = index of maps[k] . elements[i]
     parent: tuple  # parent[i] = (p, k): elements[i] = maps[k] . elements[p]
-    gen_index: dict  # label -> element index
-    words: tuple  # one witness generator word per element (labels)
+    gen_index: dict  # label -> element index, in index-set order
 
     @property
     def size(self):
         return len(self.elements)
+
+    @cached_property
+    def words(self):
+        """One witness generator word (labels) per element: the labels of
+        the edges on its parent path from the identity.  Built only when
+        read, since the words of a cyclic closure hold m^2 / 2 labels."""
+        labels = tuple(self.gen_index)
+        out = [()]
+        for p, k in self.parent[1:]:
+            out.append(out[p] + (labels[k],))
+        return tuple(out)
 
     @cached_property
     def comp(self):
@@ -93,12 +103,8 @@ def monoid_closure(sys, limit=MAX_CLOSURE_SIZE):
         (index[prop.parent[u][0].table], prop.parent[u][1])
         for u in elements[1:]
     )
-    word = words(prop, sys.index_set)
-    # a generator may coincide with a shorter word (e.g. the identity); keep
-    # the canonical witness for its element
     return TransformationMonoid(
-        tuple(elements), tuple(cayley), parent, gen_index,
-        tuple(word[u] for u in elements),
+        tuple(elements), tuple(cayley), parent, gen_index
     )
 
 

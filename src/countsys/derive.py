@@ -8,7 +8,6 @@ only the unit axiom and the shift axiom along generator words.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from . import laws
 from .closure import evaluation, monoid_closure
@@ -18,21 +17,21 @@ from .errors import GensDoNotGenerate, InternalInvariantViolation
 
 @dataclass
 class MonoidTable:
+    """An associative table with unit `zero`.  The unit is checked here;
+    derive_addition verifies associativity and product_table preserves it,
+    and the generator certificates in biadd rely on it."""
+
     size: int
     op: tuple  # n x n tuple-of-tuples of element indices
     zero: int
 
     def __post_init__(self):
-        x = laws.unit(self.np_op, self.zero)
+        x = laws.unit(self.op, self.zero)
         if x is not None:
             raise InternalInvariantViolation(f"unit law fails at element {x}")
 
     def add(self, a, b):
         return self.op[a][b]
-
-    @cached_property
-    def np_op(self):
-        return laws.table(self.op)
 
 
 @dataclass
@@ -59,17 +58,19 @@ def derive_addition(sys):
     # with u_a the element evaluating to a: a + b = (u_a . u_b)(base) = u_a(b)
     op = tuple(tm.elements[i].table for i in ev.inverse)
     t = MonoidTable(sys.size, op, sys.base)
-    if laws.associative(t.np_op) is not None:
-        raise InternalInvariantViolation("derived table not associative")
-    if laws.commutative(t.op) is not None:
-        raise InternalInvariantViolation("derived table not commutative")
     # shift property: f_s(x) = x_s + x for every generator and element
-    for f in sys.maps:
-        x = laws.translation(t.np_op, f(sys.base), f.table)
+    gens = tuple(f(sys.base) for f in sys.maps)
+    for g, f in zip(gens, sys.maps):
+        x = laws.translation(t.op, g, f.table)
         if x is not None:
             raise InternalInvariantViolation(
                 f"shift property fails at element {x}"
             )
+    # Light's test: unit, shift (above) and minimality make the x_s generate t
+    if laws.associative(t.op, middle=gens) is not None:
+        raise InternalInvariantViolation("derived table not associative")
+    if laws.commutative(t.op) is not None:
+        raise InternalInvariantViolation("derived table not commutative")
     return t
 
 
@@ -101,14 +102,14 @@ def verify_plus_axioms(sys, t):
     Returns (ok, witness); the witness names the first failing axiom instance
     or reconstruction mismatch, and is None on success.
     """
-    x = laws.translation(t.np_op, sys.base, range(sys.size))
+    x = laws.translation(t.op, sys.base, range(sys.size))
     if x is not None:
         return False, ("unit", x)
     for lab, f in zip(sys.index_set, sys.maps):
-        w = laws.shift(t.np_op, f.table, f.table)
+        w = laws.shift(t.op, f.table, f.table)
         if w is not None:
             return False, ("shift", lab, *w)
-    w = laws.difference(reconstruct_addition(sys).np_op, t.np_op)
+    w = laws.difference(reconstruct_addition(sys).op, t.op)
     if w is not None:
         return False, ("reconstruction", *w)
     return True, None
@@ -119,8 +120,8 @@ def classify(sys, t):
     and compared, and a disagreement is an internal error, never a flag."""
     maps_injective = all(f.is_injective() for f in sys.maps)
     maps_bijective = all(f.is_bijective() for f in sys.maps)
-    cancellative = laws.cancellative(t.np_op) is None
-    group = laws.group(t.np_op) is None
+    cancellative = laws.cancellative(t.op) is None
+    group = laws.group(t.op) is None
     if cancellative != maps_injective:
         raise InternalInvariantViolation(
             "cancellation law disagrees with generator injectivity"
@@ -132,8 +133,8 @@ def classify(sys, t):
     if group and not cancellative:
         raise InternalInvariantViolation("group but not cancellative")
 
-    trichotomy = laws.trichotomy(t.np_op) is None
-    zero_sum_free = laws.zero_sum_free(t.np_op, t.zero) is None
+    trichotomy = laws.trichotomy(t.op) is None
+    zero_sum_free = laws.zero_sum_free(t.op, t.zero) is None
     image = set()
     for f in sys.maps:
         image.update(f.table)
@@ -153,7 +154,7 @@ def cayley_embedding(t):
     # the unit law, checked when the table was built, makes the translations
     # distinct (a + zero = a) and zero's the identity; translation by a + b
     # is the composite of those by a and b iff (a + b) + c = a + (b + c)
-    return laws.associative(t.np_op) is None
+    return laws.associative(t.op) is None
 
 
 def submonoid_closure(t, gens):

@@ -1,82 +1,97 @@
-"""The laws of finite operation tables, checked exhaustively.
+"""The laws of finite operation tables, in plain Python.
 
 This is the one module that evaluates a table law.  A table is an n x n grid
-of element indices (tuple-of-tuples or array), a map a length-n sequence of
-them.  Every predicate returns None when its law holds, and otherwise the
-first failing index in row-major order, so that a caller reports the witness
-a cell-by-cell loop would find.  Laws over triples are evaluated one row at a
-time: no temporary has more than n^2 entries.
+of element indices (a sequence of rows), a map a length-n sequence of them.
+Every predicate returns None when its law holds, and otherwise the first
+failing index in row-major order, so that a caller reports the witness a
+cell-by-cell loop would find.  Each law compares whole rows or columns,
+gathered by C-level `itemgetter` and `map` calls, as tuples; no temporary is
+larger than an n x n transpose.
 
-Commutativity and the map law `intertwines` are plain Python: system
-validation and the closure check use no other law, and comparing tuples
-costs less than converting them.  numpy is loaded on the first use of any
-other law, so commands that evaluate none (validate, closure, product,
-morphism, ...) start without it.
+Every law is exhaustive by default.  `associative`, `homomorphism`,
+`sections` and `biadditive` take optional ranges, each a sequence of element
+indices, that restrict an argument position; the witness is then the first
+in row-major order over the ranges.  A restricted check certifies the whole
+law only under a precondition its caller has established.  The derive path
+certifies these laws on the generators x_s = f_s(base):
+
+- addition associative: Light's test at middle = x_s, which generate the
+  table by the unit, shift and minimality checks;
+- extended map a homomorphism: right = generators that generate the source;
+- biadditivity: each section at right = generators that generate the source;
+- distributivity: right = x_s, after zero absorption and commutativity;
+- multiplication associative: generator triples, once it is biadditive.
+
+Every other law, commutativity included, is checked on every cell.
 """
 
-import importlib.util
-import sys
+from itertools import repeat
+from operator import contains, getitem, itemgetter, or_
 
 
-def _lazy(name):
-    """The module `name`, executed on its first attribute access."""
-    if name in sys.modules:
-        return sys.modules[name]
-    spec = importlib.util.find_spec(name)
-    spec.loader = importlib.util.LazyLoader(spec.loader)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module
-    spec.loader.exec_module(module)
-    return module
-
-
-np = _lazy("numpy")
-
-
-def table(x):
-    """x as an intp array; no copy when it already is one."""
-    return np.asarray(x, dtype=np.intp)
-
-
-def _first(bad):
-    """Index of the first True in `bad`: an int for a vector, else a tuple."""
-    if not bad.any():
+def _first(x, y):
+    """First index where the sequences x and y differ, or None."""
+    x, y = tuple(x), tuple(y)
+    if x == y:
         return None
-    i = int(bad.argmax())
-    if bad.ndim == 1:
-        return i
-    return tuple(int(k) for k in np.unravel_index(i, bad.shape))
+    return next(i for i, (p, q) in enumerate(zip(x, y)) if p != q)
 
 
-def _by_row(rows, law):
-    """First (a, *w) where law(rows[a]) returns the witness w."""
-    for a, row in enumerate(rows):
-        w = law(row)
-        if w is not None:
-            return (a, *w)
-    return None
+def _gather(seq, idx):
+    """tuple(seq[i] for i in idx), in one C-level call when idx has more
+    than one entry (itemgetter of one index returns the bare item)."""
+    if len(idx) < 2:
+        return tuple(seq[i] for i in idx)
+    return itemgetter(*idx)(seq)
+
+
+def _every(t, idx):
+    """The range `idx`, or every index of t when it is None."""
+    return range(len(t)) if idx is None else idx
+
+
+def _column(t, j):
+    return tuple(map(itemgetter(j), t))
+
+
+def _pick(row, idx):
+    """row restricted to the indices idx (all of them when None)."""
+    return row if idx is None else _gather(row, idx)
 
 
 def translation(op, a, f):
-    """First x with op[a, x] != f[x]: adding a on the left is the map f."""
-    return _first(table(op)[a] != table(f))
+    """First x with op[a][x] != f[x]: adding a on the left is the map f."""
+    return _first(op[a], f)
 
 
 def unit(op, e):
-    """First x with op[e, x] != x or op[x, e] != x."""
-    op = table(op)
-    ident = np.arange(len(op))
-    return _first((op[e] != ident) | (op[:, e] != ident))
+    """First x with op[e][x] != x or op[x][e] != x."""
+    every = range(len(op))
+    bad = [x for x in (_first(op[e], every), _first(_column(op, e), every))
+           if x is not None]
+    return min(bad, default=None)
 
 
-def associative(op):
-    """First (a, b, c) with op[op[a, b], c] != op[a, op[b, c]]."""
-    op = table(op)
-    return _by_row(op, lambda row: _first(op[row] != row[op]))
+def associative(op, left=None, middle=None, right=None):
+    """First (a, b, c) with op[op[a][b]][c] != op[a][op[b][c]].
+
+    Light's test: when op has a two-sided unit and adding elements of
+    `middle` on the left reaches every element from it, middle alone
+    certifies the law (the b it holds for are closed under op).  Generator
+    triples certify it for a multiplication biadditive over an addition
+    that the generators generate: both sides are then tri-additive."""
+    for a in _every(op, left):
+        row = op[a]
+        for b in _every(op, middle):
+            c = _first(_pick(op[row[b]], right),
+                       _gather(row, _pick(op[b], right)))
+            if c is not None:
+                return a, b, _every(op, right)[c]
+    return None
 
 
 def commutative(op):
-    """First (a, b) with op[a, b] != op[b, a]; then a < b."""
+    """First (a, b) with op[a][b] != op[b][a]; then a < b."""
     for a, (row, col) in enumerate(zip(op, zip(*op))):
         row = tuple(row)
         if row != col:
@@ -84,84 +99,127 @@ def commutative(op):
     return None
 
 
-def homomorphism(src, dst, h):
-    """First (a, b) with h[src[a, b]] != dst[h[a], h[b]]."""
-    dst, h = table(dst), table(h)
-    return _first(h[table(src)] != dst[h[:, None], h[None, :]])
+def _additive(src_col, dst_col, h, right):
+    """First (a, b), b in `right`, with h[src[a][b]] != dst[h[a]][h[b]],
+    where src_col(b) and dst_col(b) are the columns b of src and dst.
+    Evaluated a column at a time: the row-major first is the first column's
+    failure with the least a."""
+    best = None
+    for b in right:
+        a = _first(_gather(h, src_col(b)), _gather(dst_col(h[b]), h))
+        if a is not None and (best is None or a < best[0]):
+            best = a, b
+    return best
 
 
-def sections(src, dst, mu):
+def homomorphism(src, dst, h, right=None):
+    """First (a, b) with h[src[a][b]] != dst[h[a]][h[b]].
+
+    When both tables are associative with units, h sends src's unit to
+    dst's, and adding elements of `right` on the left reaches every element
+    of src from its unit, right alone certifies the law: the b it holds for
+    form a submonoid."""
+    return _additive(lambda b: _column(src, b), lambda b: _column(dst, b),
+                     h, _every(src, right))
+
+
+def sections(src, dst, mu, right=None):
     """First (a, b, c) where the row section mu[a] is not additive:
-    mu[a, src[b, c]] != dst[mu[a, b], mu[a, c]].  For a multiplication mu
-    over the addition src = dst, this is distributivity."""
-    src, dst = table(src), table(dst)
-    return _by_row(table(mu), lambda row: homomorphism(src, dst, row))
+    mu[a][src[b][c]] != dst[mu[a][b]][mu[a][c]].  For a multiplication mu
+    over the addition src = dst, this is distributivity.  `right` restricts
+    c as in `homomorphism`, under its preconditions for every row."""
+    src_t, dst_t = tuple(zip(*src)), tuple(zip(*dst))
+    right = _every(src, right)
+    for a, row in enumerate(mu):
+        w = _additive(src_t.__getitem__, dst_t.__getitem__, row, right)
+        if w is not None:
+            return (a, *w)
+    return None
 
 
-def biadditive(src, dst, mu, zero, dst_zero):
+def biadditive(src, dst, mu, zero, dst_zero, right=None):
     """First section of mu that is not a homomorphism src -> dst sending
-    `zero` to `dst_zero`: (0, a) for the row mu[a, :], else (1, a) for the
-    column mu[:, a]."""
-    src, dst, mu = table(src), table(dst), table(mu)
-    for side, m in enumerate((mu, mu.T)):
+    `zero` to `dst_zero`: (0, a) for the row mu[a], else (1, a) for the
+    column mu[.][a].  `right` restricts the second argument of each section
+    as in `homomorphism`."""
+    src_t, dst_t = tuple(zip(*src)), tuple(zip(*dst))
+    right = _every(src, right)
+    for side, m in enumerate((mu, zip(*mu))):
         for a, row in enumerate(m):
-            w = homomorphism(src, dst, row)
-            if row[zero] != dst_zero or w is not None:
-                return (side, a)
+            if row[zero] != dst_zero or _additive(
+                src_t.__getitem__, dst_t.__getitem__, row, right
+            ) is not None:
+                return side, a
     return None
 
 
 def shift(op, f, g):
-    """First (x1, x2) with op[f[x1], x2] != g[x2][op[x1, x2]].
+    """First (x1, x2) with op[f[x1]][x2] != g[x2][op[x1][x2]].
 
     `g` is a map applied in every column, or a table whose row x2 is applied
     in column x2.  With g = f this is the shift axiom of an addition,
     f(x1) + x2 = f(x1 + x2); with op a multiplication and g the addition it is
     the successor law, f(x1) * x2 = x2 + x1 * x2."""
-    op = table(op)
-    g = np.broadcast_to(table(g), op.shape)
-    return _first(op[table(f)] != g[np.arange(len(op))[None, :], op])
+    table = isinstance(g[0], (tuple, list))
+    for x1, row in enumerate(op):
+        after = map(getitem, g, row) if table else _gather(g, row)
+        x2 = _first(op[f[x1]], after)
+        if x2 is not None:
+            return x1, x2
+    return None
 
 
 def intertwines(h, f, g):
     """First x with h[f[x]] != g[h[x]]: h carries the map f onto g."""
-    hf, gh = list(map(h.__getitem__, f)), list(map(g.__getitem__, h))
-    if hf == gh:
-        return None
-    return next(x for x, (a, b) in enumerate(zip(hf, gh)) if a != b)
+    return _first(_gather(h, f), _gather(g, h))
 
 
 def difference(x, y):
     """First index where two tables of the same shape differ."""
-    return _first(table(x) != table(y))
+    for a, (p, q) in enumerate(zip(x, y)):
+        b = _first(p, q)
+        if b is not None:
+            return a, b
+    return None
 
 
-def _not_permutation(op):
-    return (np.sort(op, axis=1) != np.arange(len(op))).any(axis=1)
+def _not_permutation(rows):
+    """First row that is not a permutation of the indices."""
+    n = len(rows)
+    return next((a for a, row in enumerate(rows) if len(set(row)) != n), None)
 
 
 def group(op):
     """First a whose row is not a permutation.  None means every translation
     is a bijection, which for a finite monoid makes it a group."""
-    return _first(_not_permutation(table(op)))
+    return _not_permutation(op)
 
 
 def cancellative(op):
     """First a whose row or column is not a permutation."""
-    op = table(op)
-    return _first(_not_permutation(op) | _not_permutation(op.T))
+    bad = [a for a in (_not_permutation(op), _not_permutation(tuple(zip(*op))))
+           if a is not None]
+    return min(bad, default=None)
 
 
 def trichotomy(op):
     """First (x1, x2) where neither is a sum with the other: x1 is not
     y + x2 and x2 is not y + x1 for any y."""
-    op = table(op)
-    in_column = np.zeros(op.shape, dtype=bool)  # [v, c]: v = y + c for some y
-    in_column[op, np.arange(len(op))[None, :]] = True
-    return _first(~(in_column | in_column.T))
+    sums = [set(col) for col in zip(*op)]  # sums[c]: every y + c
+    every = range(len(op))
+    for x1, col in enumerate(sums):
+        x2 = _first(map(or_, map(contains, sums, repeat(x1)),
+                        map(col.__contains__, every)), repeat(True, len(op)))
+        if x2 is not None:
+            return x1, x2
+    return None
 
 
 def zero_sum_free(op, zero):
     """First (x1, x2) with x1 + x2 = zero but x2 != zero."""
-    op = table(op)
-    return _first((op == zero) & (np.arange(len(op)) != zero)[None, :])
+    for x1, row in enumerate(op):
+        row = list(row)
+        row[zero] = None  # x2 = zero is allowed
+        if zero in row:
+            return x1, row.index(zero)
+    return None

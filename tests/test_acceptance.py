@@ -490,13 +490,13 @@ def test_criterion_8_bridge_theorem(minimal_single_4):
     cand_cache = {}
     for src, t_src, f_np in data:
         n = src.size
-        src_op = t_src.np_op
+        src_op = np.asarray(t_src.op)
         for dst, t_dst, g_np in data:
             m = dst.size
             if (m, n) not in cand_cache:
                 cand_cache[(m, n)] = all_maps(m, n)
             cand = cand_cache[(m, n)]
-            dst_op = t_dst.np_op
+            dst_op = np.asarray(t_dst.op)
             morph = (cand[:, src.base] == dst.base) & (
                 cand[:, f_np] == g_np[cand]
             ).all(axis=1)

@@ -28,7 +28,7 @@ from countsys.errors import (
     LimitExceeded,
 )
 from countsys.fixtures import cyc, one_point, rho, zpair
-from test_laws import FIXTURES, _enumeration, _system
+from test_laws import FIXTURES, _enumeration, _power, _system
 
 
 def oracle_comp(tm):
@@ -157,12 +157,6 @@ def test_lazy_comp_matches_the_pairwise_oracle():
     for sys in systems:
         tm = monoid_closure(sys)
         assert tm.comp == oracle_comp(tm)
-
-
-def _power(f, e, x):
-    for _ in range(e):
-        x = f[x]
-    return x
 
 
 @st.composite

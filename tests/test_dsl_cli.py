@@ -8,7 +8,7 @@ import subprocess
 import sys as _sys
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import countsys
 from countsys.cli import run_cli
@@ -181,13 +181,18 @@ def test_cli_validate_ok(tmp_path):
     assert "cyc3" in out
 
 
-@pytest.mark.parametrize("command, loads_numpy", [
-    ("validate", False), ("closure", False), ("add", True),
-])
-def test_cli_loads_numpy_only_for_table_laws(tmp_path, command, loads_numpy):
-    """validate and closure evaluate only the plain-Python laws, so a fresh
-    interpreter running them never executes numpy; add does."""
+@pytest.mark.parametrize("command, flags", [
+    ("validate", []), ("closure", []), ("add", []), ("mul", []),
+    ("mul", ["--odot"]), ("free-report", []), ("initial", []),
+    ("analyze", []),
+], ids=["validate", "closure", "add", "mul", "mul-odot", "free-report",
+        "initial", "analyze"])
+def test_cli_never_loads_numpy(tmp_path, command, flags):
+    """Every law is plain Python, so a fresh interpreter running a command of
+    the derive path never executes numpy."""
     path = write(tmp_path, "c.csys", CYC3)
+    if flags:
+        flags.append(write(tmp_path, "s.odot", "odot\ns s = s\nunit s\n"))
     probe = (
         "import sys\n"
         "from countsys.cli import run_cli\n"
@@ -196,11 +201,11 @@ def test_cli_loads_numpy_only_for_table_laws(tmp_path, command, loads_numpy):
     )
     src = os.path.dirname(os.path.dirname(countsys.__file__))
     proc = subprocess.run(
-        [_sys.executable, "-c", probe, command, path],
+        [_sys.executable, "-c", probe, command, path, *flags],
         capture_output=True, text=True, check=True,
         env=dict(os.environ, PYTHONPATH=src),
     )
-    assert proc.stdout.splitlines()[-1] == f"0 {loads_numpy}"
+    assert proc.stdout.splitlines()[-1] == "0 False"
 
 
 def test_cli_parse_error_exits_2(tmp_path):
@@ -446,3 +451,54 @@ def test_cli_bad_arguments_exit_2():
     assert code == 2
     code, out, err = run([])
     assert code == 2
+
+
+# -- CLI fuzzing --------------------------------------------------------------
+
+SUBCOMMANDS = (
+    "validate", "analyze", "core", "closure", "add", "mul", "morphism",
+    "product", "omega", "free-eval", "initial", "free-report",
+)
+FLAGS = ("--auto-core", "--json", "--full", "--odot", "--relabel",
+         "--multiset", "-h")
+JUNK = ("", "-", "--", "s:3", "+:1,-:2", "(s,s):5", "s:-1", "s=+,t=-",
+        "+=-,-=+", "s", "no-such-file.csys", "nul\0.csys")
+
+
+@pytest.fixture(scope="module")
+def corpus(tmp_path_factory):
+    """The golden corpus written to a directory: its files, a file that is
+    not UTF-8 and the directory itself."""
+    from test_golden import INPUTS
+
+    root = tmp_path_factory.mktemp("corpus")
+    for name, text in INPUTS.items():
+        (root / name).write_text(text, encoding="utf-8")
+    (root / "latin1.csys").write_bytes(b"system \xe9\n")
+    files = [str(root / name) for name in (*INPUTS, "latin1.csys")]
+    return files + [str(root)]
+
+
+def argvs(files):
+    token = st.one_of(
+        st.sampled_from(SUBCOMMANDS), st.sampled_from(FLAGS),
+        st.sampled_from(files), st.sampled_from(JUNK), st.text(max_size=6),
+    )
+    command = st.tuples(
+        st.lists(st.just("--auto-core"), max_size=1),
+        st.sampled_from(SUBCOMMANDS).map(lambda c: [c]),
+        st.lists(st.one_of(st.sampled_from(files), token), max_size=5),
+    ).map(lambda parts: [t for part in parts for t in part])
+    return st.one_of(command, st.lists(token, max_size=6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_cli_fuzz_exits_0_1_or_2_without_a_traceback(corpus, data):
+    argv = data.draw(argvs(corpus))
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        code = run_cli(argv, out=out, err=err)
+    except SystemExit as exc:  # argparse's --help and usage errors
+        pytest.fail(f"SystemExit({exc.code}) escaped run_cli for {argv!r}")
+    assert code in (0, 1, 2), argv

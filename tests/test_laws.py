@@ -5,13 +5,16 @@ module, kept here as the reference: each scans its cells in row-major order
 and returns the first failing index, or None.  Every law must give the same
 verdict and the same witness as its oracle on every table derived from the
 acceptance enumerations and the fixtures, and on every single-cell tampering
-of a few small tables.
+of a few small tables.  The checks restricted to generators must give the
+oracle's verdict wherever their preconditions hold.
 """
 
+import functools
 import itertools
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from countsys import laws
 from countsys.biadd import derive_multiplication_single
@@ -21,6 +24,7 @@ from countsys.core import (
     CountingSystem,
     EndoMap,
     is_minimal,
+    minimal_core,
     new_system,
     product,
 )
@@ -279,6 +283,12 @@ def test_laws_agree_with_oracles_on_enumerations_and_fixtures():
     }
 
 
+def _power(f, e, x):
+    for _ in range(e):
+        x = f[x]
+    return x
+
+
 def _tamperings(op):
     n = len(op)
     for a, b in _cells(n, 2):
@@ -311,6 +321,226 @@ def test_every_law_rejects_a_tampered_cell_at_the_oracle_witness(sys):
         for mu in _tamperings(mult):
             rejected |= set(check_all(t.op, t.zero, maps, mu))
     assert rejected == set(ORACLES)
+
+
+# -- generator certificates ---------------------------------------------------
+#
+# The derive path checks five laws on the generators only.  Each restricted
+# call must give the exhaustive oracle's verdict whenever the preconditions
+# that the law's docstring states hold; the witnesses may differ.
+
+CERTIFICATES = (
+    "light", "homomorphism", "sections", "biadditive", "mult_associative",
+)
+
+
+def _reaches_all(op, zero, gens):
+    """Every element is reached from zero by adding generators on the left:
+    the oracle of require_generates."""
+    seen, todo = {zero}, [zero]
+    while todo:
+        x = todo.pop()
+        for g in gens:
+            if op[g][x] not in seen:
+                seen.add(op[g][x])
+                todo.append(op[g][x])
+    return len(seen) == len(op)
+
+
+def certificate_cases(op, zero, gens, rng, homs=(), mu=None):
+    """(certificate, preconditions hold, restricted verdict, oracle verdict):
+    the preconditions are taken with the generators `gens`, the restricted
+    calls with the range `rng`."""
+    generated = oracle_unit(op, zero) is None and _reaches_all(op, zero, gens)
+    monoid = generated and oracle_associative(op) is None
+    yield ("light", generated, laws.associative(op, middle=rng),
+           oracle_associative(op))
+    for h in homs:
+        yield ("homomorphism", monoid and h[zero] == zero,
+               laws.homomorphism(op, op, h, right=rng),
+               oracle_homomorphism(op, op, h))
+    if mu is None:
+        return
+    yield ("sections", monoid and all(row[zero] == zero for row in mu),
+           laws.sections(op, op, mu, right=rng), oracle_sections(op, op, mu))
+    biadditive = oracle_biadditive(op, op, mu, zero, zero)
+    yield ("biadditive", monoid,
+           laws.biadditive(op, op, mu, zero, zero, right=rng), biadditive)
+    yield ("mult_associative", generated and biadditive is None,
+           laws.associative(mu, rng, rng, rng), oracle_associative(mu))
+
+
+def verdicts(cases):
+    """{certificate: (cases whose preconditions hold, disagreements, oracle
+    rejections among those)}"""
+    out = {name: [0, 0, 0] for name in CERTIFICATES}
+    for name, holds, got, want in cases:
+        if holds:
+            out[name][0] += 1
+            out[name][1] += (got is None) != (want is None)
+            out[name][2] += want is not None
+    return {name: tuple(v) for name, v in out.items()}
+
+
+def assert_agree(cases):
+    counts = verdicts(cases)
+    assert all(bad == 0 for _, bad, _ in counts.values()), counts
+    return counts
+
+
+def _homs(op, zero, mu):
+    """Maps to check as homomorphisms: the identity, doubling, the constant
+    zero and the sections of the multiplication."""
+    n = len(op)
+    return [tuple(range(n)), tuple(op[x][x] for x in range(n)), (zero,) * n,
+            *(tuple(row) for row in mu or ())]
+
+
+def derived_cases(sys, drop=False):
+    """The certificate cases of a minimal system's derived tables; with
+    `drop`, the range lacks the last generator."""
+    t = derive_addition(sys)
+    gens = tuple(f(sys.base) for f in sys.maps)
+    mu = None
+    if len(sys.maps) == 1:
+        mu = derive_multiplication_single(sys, t).op
+    return certificate_cases(t.op, t.zero, gens, gens[:-1] if drop else gens,
+                             _homs(t.op, t.zero, mu), mu)
+
+
+def _minimal_systems():
+    for sys in FIXTURES:
+        yield sys
+    for tables in _enumeration():
+        for base in range(len(tables[0])):
+            sys = _system(base, tables)
+            if is_minimal(sys):
+                yield sys
+
+
+def test_certificates_agree_with_oracles_on_enumerations_and_fixtures():
+    counts = assert_agree(
+        case for sys in _minimal_systems() for case in derived_cases(sys)
+    )
+    assert all(held for held, _, _ in counts.values()), counts
+
+
+def _rho_map(draw, n):
+    """A random map on n points and a start whose orbit is all n: a tail
+    feeding a cycle, relabelled by a random permutation."""
+    perm = draw(st.permutations(range(n)))
+    tail = draw(st.integers(0, n - 1))
+    f = [0] * n
+    for i in range(n):
+        f[perm[i]] = perm[i + 1] if i + 1 < n else perm[tail]
+    return f, perm[0]
+
+
+@st.composite
+def minimal_systems(draw):
+    """A minimal system on at most 64 points: one map, or the minimal core
+    of the commuting maps a x b^j and a^i x b on A x B."""
+    if draw(st.booleans()):
+        f, base = _rho_map(draw, draw(st.integers(1, 64)))
+        maps = [f]
+    else:
+        p, q = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+        (a, x0), (b, y0) = _rho_map(draw, p), _rho_map(draw, q)
+        i, j = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+        cells = list(itertools.product(range(p), range(q)))
+        maps = [[a[x] * q + _power(b, j, y) for x, y in cells],
+                [_power(a, i, x) * q + b[y] for x, y in cells]]
+        base = x0 * q + y0
+    n = len(maps[0])
+    sys = new_system(
+        Carrier(tuple(f"e{x}" for x in range(n))), base,
+        ("s", "t")[:len(maps)], tuple(EndoMap(tuple(f)) for f in maps),
+    )
+    return minimal_core(sys)
+
+
+@settings(max_examples=30, deadline=None)
+@given(minimal_systems())
+def test_certificates_agree_with_oracles_on_random_minimal_systems(sys):
+    assert_agree(derived_cases(sys))
+
+
+def _tampered_maps(h, zero):
+    """Every map differing from h in one entry other than zero's."""
+    for x, v in itertools.product(range(len(h)), range(len(h))):
+        if x != zero and v != h[x]:
+            yield h[:x] + (v,) + h[x + 1:]
+
+
+def tampered_cases(sys, drop=False):
+    """Certificate cases on every single-cell tampering of the addition
+    table, of the multiplication table (single-map systems) and of the
+    identity and doubling maps."""
+    t = derive_addition(sys)
+    gens = tuple(f(sys.base) for f in sys.maps)
+    rng = gens[:-1] if drop else gens
+    for op in _tamperings(t.op):
+        yield from certificate_cases(op, t.zero, gens, rng)
+    homs = _homs(t.op, t.zero, None)[:2]
+    tampered_homs = [g for h in homs for g in _tampered_maps(h, t.zero)]
+    yield from certificate_cases(t.op, t.zero, gens, rng, tampered_homs)
+    if len(sys.maps) == 1:
+        for mu in _tamperings(derive_multiplication_single(sys, t).op):
+            yield from certificate_cases(t.op, t.zero, gens, rng, (), mu)
+
+
+# Z2 x Z2 under +e1 and +e2: every bilinear table, mu(ei, ej) = c[i][j],
+# some of them not associative (c = [[e2, 0], [0, e1]]).
+Z2SQ = new_system(
+    Carrier(("00", "01", "10", "11")), 0, ("s", "t"),
+    (EndoMap((1, 0, 3, 2)), EndoMap((2, 3, 0, 1))),
+)
+
+
+def bilinear_cases(drop=False):
+    t = derive_addition(Z2SQ)
+    gens = (1, 2)
+    for c in itertools.product(range(4), repeat=4):
+        mu = tuple(
+            tuple(
+                # bits of a and b pick the generator products to add up
+                functools.reduce(
+                    t.add, [c[2 * i + j] for i in range(2) for j in range(2)
+                            if a >> i & 1 and b >> j & 1], 0,
+                )
+                for b in range(4)
+            )
+            for a in range(4)
+        )
+        yield from certificate_cases(
+            t.op, 0, gens, gens[:-1] if drop else gens, (), mu
+        )
+
+
+@pytest.mark.parametrize("sys", [cyc(4), rho(1, 3), zpair(3)],
+                         ids=["cyc4", "rho13", "zpair3"])
+def test_certificates_reject_a_tampered_cell_exactly_when_the_oracle_does(sys):
+    counts = assert_agree(tampered_cases(sys))
+    # where a tampering keeps a certificate's preconditions, some tampering
+    # is rejected
+    assert all(rejected for held, _, rejected in counts.values() if held)
+
+
+def test_mult_associativity_certificate_on_every_bilinear_table():
+    counts = assert_agree(bilinear_cases())
+    assert counts["mult_associative"][2], counts
+
+
+def test_a_range_missing_one_generator_is_caught():
+    """Mutation check: with one generator dropped from every range, each
+    certificate disagrees with its oracle on some case above."""
+    cases = itertools.chain(
+        bilinear_cases(drop=True),
+        *(tampered_cases(sys, drop=True)
+          for sys in (cyc(4), rho(1, 3), zpair(3))),
+    )
+    counts = verdicts(cases)
+    assert all(bad for _, bad, _ in counts.values()), counts
 
 
 # -- the public checks built on the laws ---------------------------------------
@@ -377,15 +607,14 @@ def test_classify_matches_the_seed_loops():
 
 
 def test_triple_laws_allocate_no_cube():
-    # 64^3 intp entries would be 2 MB; a row at a time is 32 KB
+    # 64^3 8-byte entries would be 2 MB; a 64 x 64 transpose is 36 KB
     t = derive_addition(cyc(64))
-    mult = derive_multiplication_single(cyc(64), t)
-    mu = laws.table(mult.op)
+    mu = derive_multiplication_single(cyc(64), t).op
     tracemalloc.start()
     try:
-        assert laws.associative(t.np_op) is None
-        assert laws.sections(t.np_op, t.np_op, mu) is None
-        assert laws.biadditive(t.np_op, t.np_op, mu, 0, 0) is None
+        assert laws.associative(t.op) is None
+        assert laws.sections(t.op, t.op, mu) is None
+        assert laws.biadditive(t.op, t.op, mu, 0, 0) is None
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
