@@ -43,7 +43,7 @@ PER_SYSTEM = (
     ["validate"], ["analyze"], ["analyze", "--json"], ["core"], ["closure"],
     ["closure", "--full"], ["closure", "--json"], ["add"], ["mul"],
     ["initial"], ["initial", "--json"], ["free-report"],
-    ["free-report", "--json"], ["omega"],
+    ["free-report", "--json"], ["omega"], ["closure", "--full", "--json"],
 )
 
 
