@@ -25,10 +25,12 @@ class AnalysisReport:
 
 def analyze(sys):
     minimal = is_minimal(sys)
-    flags = {
-        lab: MapFlags(f.is_injective(), f.is_surjective(), f.is_bijective())
-        for lab, f in zip(sys.index_set, sys.maps)
-    }
+    # a self-map of a finite carrier is injective iff it is surjective, so
+    # injectivity decides all three flags
+    flags = {}
+    for lab, f in zip(sys.index_set, sys.maps):
+        injective = f.is_injective()
+        flags[lab] = MapFlags(injective, injective, injective)
     dedekind = is_dedekind(sys) if len(sys.index_set) == 1 else None
     if minimal:
         rep = initiality_report(sys)

@@ -9,6 +9,7 @@ failure (a bug), which is reported with a `bug:` prefix instead of `error:`.
 import argparse
 import json
 import sys as _sys
+from dataclasses import asdict
 
 from .analysis import analyze
 from .biadd import (
@@ -79,9 +80,20 @@ def _tsv_table(labels, table, out):
         print(labels[i] + "\t" + "\t".join(labels[j] for j in row), file=out)
 
 
-def _report_lines(pairs, out):
-    for key, value in pairs:
-        print(f"{key}: {value}", file=out)
+def _emit(payload, as_json, out, head="", rows=None, keys=()):
+    """Print a report as JSON, or as text: one `key: value` line per scalar
+    field that is not None, in insertion order, then one
+    `<head> <label>: k=v ...` line per entry of `rows` (label -> row) over
+    `keys`.  Fields that are neither scalars nor rows appear only in JSON."""
+    if as_json:
+        print(json.dumps(payload, indent=2, sort_keys=True), file=out)
+        return
+    for key, value in payload.items():
+        if isinstance(value, (bool, int, str)):
+            print(f"{key}: {value}", file=out)
+    for label, row in (rows or {}).items():
+        fields = " ".join(f"{k}={row[k]}" for k in keys)
+        print(f"{head} {label}: {fields}", file=out)
 
 
 def _cmd_validate(args, out, err):
@@ -94,49 +106,27 @@ def _cmd_validate(args, out, err):
 def _cmd_analyze(args, out, err):
     doc = _load(args.file, args.auto_core)
     rep = analyze(doc.system)
-    if args.json:
-        payload = {
-            "name": doc.name,
-            "minimal": rep.minimal,
-            "core_size": rep.core_size,
-            "dedekind": rep.dedekind,
-            "initial": rep.initial,
-            "maps": {
-                lab: {
-                    "injective": fl.injective,
-                    "surjective": fl.surjective,
-                    "bijective": fl.bijective,
-                }
-                for lab, fl in rep.map_flags.items()
-            },
-        }
-        if rep.initial_diagnostics is not None:
-            payload["initial_conditions"] = [
-                {
-                    "label": c.label,
-                    "morphism_to_padded": c.morphism_to_padded,
-                    "core_size": c.core_size,
-                    "core_dedekind": c.core_dedekind,
-                }
-                for c in rep.initial_diagnostics.conditions
-            ]
-        print(json.dumps(payload, indent=2, sort_keys=True), file=out)
-        return EXIT_OK
-    pairs = [
-        ("name", doc.name),
-        ("minimal", rep.minimal),
-        ("core_size", rep.core_size),
-    ]
-    if rep.dedekind is not None:
-        pairs.append(("dedekind", rep.dedekind))
-    pairs.append(("initial", rep.initial))
-    for lab, fl in rep.map_flags.items():
-        pairs.append(
-            (f"map {lab}",
-             f"injective={fl.injective} surjective={fl.surjective} "
-             f"bijective={fl.bijective}")
-        )
-    _report_lines(pairs, out)
+    maps = {lab: asdict(fl) for lab, fl in rep.map_flags.items()}
+    payload = {
+        "name": doc.name,
+        "minimal": rep.minimal,
+        "core_size": rep.core_size,
+        "dedekind": rep.dedekind,
+        "initial": rep.initial,
+        "maps": maps,
+    }
+    if rep.initial_diagnostics is not None:
+        payload["initial_conditions"] = [
+            {
+                "label": c.label,
+                "morphism_to_padded": c.morphism_to_padded,
+                "core_size": c.core_size,
+                "core_dedekind": c.core_dedekind,
+            }
+            for c in rep.initial_diagnostics.conditions
+        ]
+    _emit(payload, args.json, out, "map", maps,
+          ("injective", "surjective", "bijective"))
     return EXIT_OK
 
 
@@ -150,24 +140,19 @@ def _cmd_core(args, out, err):
 def _cmd_closure(args, out, err):
     doc = _load(args.file, args.auto_core)
     tm = monoid_closure(doc.system)
-    # the table is built, or refused, before anything is printed
-    comp = tm.comp if args.full else None
+    payload = {"size": tm.size, "generators": tm.gen_index}
     if args.json:
-        payload = {
-            "size": tm.size,
-            "generators": tm.gen_index,
-            "words": [list(w) for w in tm.words],
-        }
-        if args.full:
-            payload["comp"] = [list(row) for row in comp]
-        print(json.dumps(payload, indent=2, sort_keys=True), file=out)
-        return EXIT_OK
-    _report_lines([("size", tm.size)], out)
-    for lab, idx in tm.gen_index.items():
-        print(f"generator {lab}: {idx}", file=out)
+        # a cyclic closure's words hold m^2 / 2 labels; text never builds them
+        payload["words"] = tm.words
     if args.full:
-        labels = [str(i) for i in range(tm.size)]
-        _tsv_table(labels, comp, out)
+        # the table is built, or refused, before anything is printed
+        payload["comp"] = tm.comp
+    _emit(payload, args.json, out)
+    if not args.json:
+        for lab, idx in tm.gen_index.items():
+            print(f"generator {lab}: {idx}", file=out)
+        if args.full:
+            _tsv_table([str(i) for i in range(tm.size)], tm.comp, out)
     return EXIT_OK
 
 
@@ -262,32 +247,12 @@ def _cmd_free_eval(args, out, err):
 def _cmd_initial(args, out, err):
     doc = _load(args.file, args.auto_core)
     rep = initiality_report(doc.system)
-    if args.json:
-        payload = {
-            "initial": rep.initial,
-            "conditions": [
-                {
-                    "label": c.label,
-                    "morphism_to_padded": c.morphism_to_padded,
-                    "core_size": c.core_size,
-                    "core_injective": c.core_injective,
-                    "base_in_core_image": c.base_in_core_image,
-                    "core_dedekind": c.core_dedekind,
-                }
-                for c in rep.conditions
-            ],
-        }
-        print(json.dumps(payload, indent=2, sort_keys=True), file=out)
-        return EXIT_OK
-    _report_lines([("initial", rep.initial)], out)
-    for c in rep.conditions:
-        print(
-            f"label {c.label}: morphism_to_padded={c.morphism_to_padded} "
-            f"core_size={c.core_size} core_dedekind={c.core_dedekind} "
-            f"core_injective={c.core_injective} "
-            f"base_in_core_image={c.base_in_core_image}",
-            file=out,
-        )
+    conditions = [asdict(c) for c in rep.conditions]
+    payload = {"initial": rep.initial, "conditions": conditions}
+    _emit(payload, args.json, out, "label",
+          {c["label"]: c for c in conditions},
+          ("morphism_to_padded", "core_size", "core_dedekind",
+           "core_injective", "base_in_core_image"))
     return EXIT_OK
 
 
@@ -297,34 +262,24 @@ def _cmd_free_report(args, out, err):
     t = derive_addition(sys_)
     gens = tuple(f(sys_.base) for f in sys_.maps)
     rep = is_free_report(t, gens)
-    if args.json:
-        payload = {
-            "free": rep.free,
-            "direct_sum": rep.direct_sum.ok,
-            "cyclic": [
-                {
-                    "label": sys_.index_set[c.label_index],
-                    "generator": c.generator,
-                    "submonoid_size": len(c.submonoid),
-                    "free": c.free,
-                    "injective": c.injective,
-                    "zero_in_image": c.zero_in_image,
-                }
-                for c in rep.cyclic
-            ],
+    cyclic = [
+        {
+            "label": sys_.index_set[c.label_index],
+            "generator": c.generator,
+            "submonoid_size": len(c.submonoid),
+            "free": c.free,
+            "injective": c.injective,
+            "zero_in_image": c.zero_in_image,
         }
-        print(json.dumps(payload, indent=2, sort_keys=True), file=out)
-        return EXIT_OK
-    _report_lines(
-        [("free", rep.free), ("direct_sum", rep.direct_sum.ok)], out
-    )
-    for c in rep.cyclic:
-        lab = sys_.index_set[c.label_index]
-        print(
-            f"label {lab}: free={c.free} submonoid_size={len(c.submonoid)} "
-            f"injective={c.injective} zero_in_image={c.zero_in_image}",
-            file=out,
-        )
+        for c in rep.cyclic
+    ]
+    payload = {
+        "free": rep.free,
+        "direct_sum": rep.direct_sum.ok,
+        "cyclic": cyclic,
+    }
+    _emit(payload, args.json, out, "label", {c["label"]: c for c in cyclic},
+          ("free", "submonoid_size", "injective", "zero_in_image"))
     return EXIT_OK
 
 

@@ -84,9 +84,6 @@ class EndoMap:
     def is_injective(self):
         return len(set(self.table)) == len(self.table)
 
-    def is_surjective(self):
-        return len(set(self.table)) == len(self.table)
-
     def is_bijective(self):
         return self.is_injective()
 
@@ -192,16 +189,6 @@ def propagate(start, value, edges, sort_levels=False, limit=None, depth=None):
                 order.append(y)
         level += 1
     return Propagation(order, values, parent, None)
-
-
-def words(prop, labels):
-    """element -> the labels of the edges on its parent path from the start;
-    `labels[k]` names edge k."""
-    out = {prop.order[0]: ()}
-    for y in prop.order[1:]:
-        x, k = prop.parent[y]
-        out[y] = out[x] + (labels[k],)
-    return out
 
 
 def reach(sys):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from . import laws
 from .closure import evaluation, monoid_closure
-from .core import propagate, require_minimal, words
+from .core import propagate, require_minimal
 from .errors import GensDoNotGenerate, InternalInvariantViolation
 
 
@@ -77,23 +77,20 @@ def derive_addition(sys):
 def reconstruct_addition(sys):
     """Rebuild the table from the unit and shift axioms alone.
 
-    Each element is represented by a generator word discovered by BFS from the
-    base; a + b is that word applied to b.  Independent of the closure-based
-    transfer; used to establish uniqueness.
+    Row base is the identity (unit).  Every other element a was discovered
+    by the carrier BFS as f_k(p) for its parent p, so by the shift axiom
+    a + b = f_k(p + b): row a is row p mapped through f_k.  Independent of
+    the closure-based transfer; used to establish uniqueness.
     """
     n = sys.size
-    word = words(require_minimal(sys), sorted(sys.index_set))
-    maps = dict(zip(sys.index_set, sys.maps))
-    op = []
-    for a in range(n):
-        row = []
-        for b in range(n):
-            v = b
-            for lab in word[a]:
-                v = maps[lab](v)
-            row.append(v)
-        op.append(tuple(row))
-    return MonoidTable(n, tuple(op), sys.base)
+    prop = require_minimal(sys)
+    maps = [f for _lab, f in sorted(zip(sys.index_set, sys.maps))]
+    rows = [None] * n
+    rows[sys.base] = tuple(range(n))
+    for a in prop.order[1:]:
+        p, k = prop.parent[a]
+        rows[a] = tuple(map(maps[k].table.__getitem__, rows[p]))
+    return MonoidTable(n, tuple(rows), sys.base)
 
 
 def verify_plus_axioms(sys, t):

@@ -23,7 +23,6 @@ from .errors import DuplicateLabel, ParseError
 class SystemDocument:
     name: str
     system: object
-    line_of: dict  # declaration keyword -> source line number
 
 
 def _logical_lines(text):
@@ -34,57 +33,39 @@ def _logical_lines(text):
         yield lineno, line
 
 
-def _col_of(line, token_index):
-    # column of the token with the given index (1-based best effort)
-    col = 1
-    seen = 0
-    in_tok = False
-    for i, ch in enumerate(line):
-        if ch.isspace():
-            in_tok = False
-        else:
-            if not in_tok:
-                if seen == token_index:
-                    return i + 1
-                seen += 1
-                in_tok = True
-    return col
-
-
 def parse_system(text):
     name = None
     elements = None
-    base_label = None
-    map_lines = []  # (lineno, label, images)
-    line_of = {}
+    base = None  # (lineno, column, label)
+    map_lines = []  # (lineno, column of the label, label, images)
     for lineno, line in _logical_lines(text):
         tokens = line.split()
         head = tokens[0]
+        rest = line.lstrip()[len(head):].lstrip()
+        col = len(line) - len(rest) + 1  # column of tokens[1]
         if head == "system":
             if name is not None:
                 raise ParseError(lineno, 1, "duplicate 'system' declaration")
             if len(tokens) != 2:
                 raise ParseError(lineno, 1, "'system' takes exactly one name")
             name = tokens[1]
-            line_of["system"] = lineno
         elif head == "elements":
             if elements is not None:
                 raise ParseError(lineno, 1, "duplicate 'elements' declaration")
             if len(tokens) < 2:
                 raise ParseError(lineno, 1, "'elements' needs at least one label")
             elements = tokens[1:]
-            line_of["elements"] = lineno
+            elements_line = lineno
         elif head == "base":
-            if base_label is not None:
+            if base is not None:
                 raise ParseError(lineno, 1, "duplicate 'base' declaration")
             if len(tokens) != 2:
                 raise ParseError(lineno, 1, "'base' takes exactly one label")
-            base_label = tokens[1]
-            line_of["base"] = lineno
+            base = (lineno, col, tokens[1])
         elif head == "map":
             if len(tokens) < 4 or tokens[2] != "=":
                 raise ParseError(lineno, 1, "expected 'map <s> = <images...>'")
-            map_lines.append((lineno, tokens[1], tokens[3:]))
+            map_lines.append((lineno, col, tokens[1], tokens[3:]))
         else:
             raise ParseError(lineno, 1, f"unknown declaration {head!r}")
 
@@ -92,7 +73,7 @@ def parse_system(text):
         raise ParseError(1, 1, "missing 'system' declaration")
     if elements is None:
         raise ParseError(1, 1, "missing 'elements' declaration")
-    if base_label is None:
+    if base is None:
         raise ParseError(1, 1, "missing 'base' declaration")
     if not map_lines:
         raise ParseError(1, 1, "missing 'map' declarations")
@@ -101,22 +82,22 @@ def parse_system(text):
         carrier = Carrier(tuple(elements))
     except DuplicateLabel as exc:
         raise ParseError(
-            line_of["elements"], 1, f"duplicate element label {exc.label!r}"
+            elements_line, 1, f"duplicate element label {exc.label!r}"
         ) from None
-    if base_label not in elements:
+    index = {lab: i for i, lab in enumerate(elements)}
+    base_line, base_col, base_label = base
+    if base_label not in index:
         raise ParseError(
-            line_of["base"], _col_of("base " + base_label, 1),
+            base_line, base_col,
             f"base {base_label!r} is not a declared element",
         )
-    base = elements.index(base_label)
 
     index_set = []
     maps = []
     seen = set()
-    for lineno, s, images in map_lines:
+    for lineno, col, s, images in map_lines:
         if s in seen:
-            raise ParseError(lineno, _col_of(f"map {s}", 1),
-                             f"duplicate map label {s!r}")
+            raise ParseError(lineno, col, f"duplicate map label {s!r}")
         seen.add(s)
         if len(images) != len(elements):
             raise ParseError(
@@ -124,17 +105,16 @@ def parse_system(text):
                 f"map {s!r} lists {len(images)} images for "
                 f"{len(elements)} elements",
             )
-        table = []
-        for k, img in enumerate(images):
-            if img not in elements:
-                raise ParseError(
-                    lineno, 1, f"image {img!r} is not a declared element"
-                )
-            table.append(elements.index(img))
+        try:
+            table = tuple(index[img] for img in images)
+        except KeyError as exc:
+            raise ParseError(
+                lineno, 1, f"image {exc.args[0]!r} is not a declared element"
+            ) from None
         index_set.append(s)
-        maps.append(EndoMap(tuple(table)))
-    sys = new_system(carrier, base, tuple(index_set), tuple(maps))
-    return SystemDocument(name, sys, line_of)
+        maps.append(EndoMap(table))
+    sys = new_system(carrier, index[base_label], tuple(index_set), tuple(maps))
+    return SystemDocument(name, sys)
 
 
 def emit_system(doc_or_sys, name=None):

@@ -2,7 +2,14 @@
 
 import pytest
 
-from countsys.core import Carrier, CountingSystem, EndoMap
+from countsys.core import (
+    Carrier,
+    CountingSystem,
+    EndoMap,
+    minimal_core,
+    product,
+    reach,
+)
 from countsys.derive import (
     cayley_embedding,
     classify,
@@ -53,6 +60,39 @@ def test_derive_addition_requires_minimality():
 def test_reconstruction_agrees_with_transfer():
     for sys in [cyc(7), rho(2, 4), zpair(6), one_point()]:
         assert reconstruct_addition(sys).op == derive_addition(sys).op
+
+
+def word_applying_addition(sys):
+    """The reference reconstruction: each element's whole generator word, read
+    off its carrier-BFS parent path (maps in sorted-label order), applied to
+    every b.  O(n^2 * depth)."""
+    prop = reach(sys)
+    labels = sorted(sys.index_set)
+    word = {sys.base: ()}
+    for y in prop.order[1:]:
+        x, k = prop.parent[y]
+        word[y] = word[x] + (labels[k],)
+    maps = dict(zip(sys.index_set, sys.maps))
+    op = []
+    for a in range(sys.size):
+        row = []
+        for b in range(sys.size):
+            v = b
+            for lab in word[a]:
+                v = maps[lab](v)
+            row.append(v)
+        op.append(tuple(row))
+    return tuple(op)
+
+
+@pytest.mark.parametrize(
+    "sys",
+    [cyc(1), cyc(9), rho(3, 4), rho(1, 1), zpair(7),
+     product(cyc(2), cyc(3)), minimal_core(product(zpair(4), zpair(6)))],
+    ids=["cyc1", "cyc9", "rho34", "rho11", "zpair7", "c2xc3", "zz_core"],
+)
+def test_reconstruction_matches_the_word_applying_oracle(sys):
+    assert reconstruct_addition(sys).op == word_applying_addition(sys)
 
 
 def test_verify_plus_axioms_passes_on_fixtures():

@@ -85,6 +85,16 @@ def test_parse_rejects_duplicate_map_label():
     assert exc.value.line == 5
 
 
+@pytest.mark.parametrize("text, line, col", [
+    ("system x\nelements a b\n   base    q\nmap s = a b\n", 3, 12),
+    ("system x\nelements a b\nbase a\nmap s = b a\n  map   s = a b\n", 5, 9),
+], ids=["unknown-base", "duplicate-map-label"])
+def test_parse_error_column_is_the_tokens_column_in_the_source(text, line, col):
+    with pytest.raises(ParseError) as exc:
+        parse_system(text)
+    assert (exc.value.line, exc.value.col) == (line, col)
+
+
 def test_parse_validation_errors_pass_through():
     # two well-formed but non-commuting maps: the structural error is not a
     # parse error
