@@ -2,7 +2,7 @@
 
 from dataclasses import dataclass
 
-from .core import is_dedekind, is_minimal, reachable_set
+from .core import is_dedekind, reachable_set
 from .morphisms import initiality_report
 
 
@@ -24,7 +24,8 @@ class AnalysisReport:
 
 
 def analyze(sys):
-    minimal = is_minimal(sys)
+    core_size = len(reachable_set(sys))
+    minimal = core_size == sys.size
     # a self-map of a finite carrier is injective iff it is surjective, so
     # injectivity decides all three flags
     flags = {}
@@ -40,7 +41,7 @@ def analyze(sys):
         initial = False
     return AnalysisReport(
         minimal=minimal,
-        core_size=len(reachable_set(sys)),
+        core_size=core_size,
         map_flags=flags,
         dedekind=dedekind,
         initial=initial,

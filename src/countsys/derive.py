@@ -1,16 +1,19 @@
 """Derived addition tables and their verification.
 
-The addition on a minimal system's carrier is obtained by transferring the
-closure's composition through the evaluation bijection: row a of the table is
-the closure element that evaluates to a.  The table is checked from two
-independent directions: the transfer itself, and a reconstruction that uses
-only the unit axiom and the shift axiom along generator words.
+The paper defines the addition on a minimal system's carrier by transferring
+the closure's composition through the evaluation bijection: a + b = u_a(b),
+where u_a is the closure element with u_a(base) = a.  That element needs no
+closure to find.  Key lemma: in a minimal commuting system, u(base) = v(base)
+implies u = v, since every x is w(base) for a generator word w, so
+u(x) = w(u(base)) = w(v(base)) = v(x).  So u_a is the composite of the maps
+along a's carrier-BFS parent path, and row a of the table is row parent(a)
+mapped through the discovering generator; derive_addition then certifies
+the table.
 """
 
 from dataclasses import dataclass
 
 from . import laws
-from .closure import evaluation, monoid_closure
 from .core import propagate, require_minimal
 from .errors import GensDoNotGenerate, InternalInvariantViolation
 
@@ -43,22 +46,20 @@ class Classification:
 
 
 def derive_addition(sys):
-    """Addition transferred through the evaluation bijection; zero is the base.
+    """The transferred addition; zero is the base.
 
-    Raises MinimalityRequired (with the unreachable witness set) before the
-    closure is built when the system is not minimal.
+    Built by reconstruct_addition (the key lemma in the module docstring
+    makes its rows the closure elements u_a), then certified: the unit law
+    (MonoidTable), row x_s = f_s for each generator x_s = f_s(base), Light's
+    test on the x_s, and commutativity.  Rows x_s = f_s give
+    a = f_k(p) = x_k + p along every BFS edge, so the x_s generate the table
+    from zero and Light's test certifies associativity; then the shift axiom
+    f_s(a + b) = x_s + (a + b) = (x_s + a) + b = f_s(a) + b holds.
+
+    Raises MinimalityRequired, with the unreachable witness set, when the
+    system is not minimal.
     """
-    require_minimal(sys)
-    tm = monoid_closure(sys)
-    ev = evaluation(tm, sys)
-    if not ev.bijective:
-        raise InternalInvariantViolation(
-            "evaluation not bijective on a minimal system"
-        )
-    # with u_a the element evaluating to a: a + b = (u_a . u_b)(base) = u_a(b)
-    op = tuple(tm.elements[i].table for i in ev.inverse)
-    t = MonoidTable(sys.size, op, sys.base)
-    # shift property: f_s(x) = x_s + x for every generator and element
+    t = reconstruct_addition(sys)
     gens = tuple(f(sys.base) for f in sys.maps)
     for g, f in zip(gens, sys.maps):
         x = laws.translation(t.op, g, f.table)
@@ -66,7 +67,6 @@ def derive_addition(sys):
             raise InternalInvariantViolation(
                 f"shift property fails at element {x}"
             )
-    # Light's test: unit, shift (above) and minimality make the x_s generate t
     if laws.associative(t.op, middle=gens) is not None:
         raise InternalInvariantViolation("derived table not associative")
     if laws.commutative(t.op) is not None:
@@ -79,8 +79,8 @@ def reconstruct_addition(sys):
 
     Row base is the identity (unit).  Every other element a was discovered
     by the carrier BFS as f_k(p) for its parent p, so by the shift axiom
-    a + b = f_k(p + b): row a is row p mapped through f_k.  Independent of
-    the closure-based transfer; used to establish uniqueness.
+    a + b = f_k(p + b): row a is row p mapped through f_k.  Any table with
+    the unit and shift axioms is this one, which establishes uniqueness.
     """
     n = sys.size
     prop = require_minimal(sys)

@@ -57,6 +57,8 @@ def test_hom_add_is_pointwise():
     assert doubled.map == tuple((2 * i) % 5 for i in range(5))
     assert is_hom(z5, z5, doubled.map)
     assert hom_add(ident, zero_hom(z5, z5)).map == ident.map
+    z1 = derive_addition(cyc(1))
+    assert hom_add(identity_hom(z1), identity_hom(z1)).map == (0,)
 
 
 def test_hom_extend_finds_the_unique_extension():
@@ -204,7 +206,12 @@ def test_free_report_never_free_on_finite_data():
     assert rep.direct_sum.ok
     assert not rep.free
     for c in rep.cyclic:
-        assert c.minimal
+        # the submonoid is the orbit of zero under +g, hence minimal
+        orbit, a = [], z6.zero
+        while a not in orbit:
+            orbit.append(a)
+            a = z6.op[c.generator][a]
+        assert c.submonoid == tuple(sorted(orbit))
         assert not c.free
 
 

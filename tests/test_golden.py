@@ -7,10 +7,13 @@ After an intended change of output, regenerate the files with
 """
 
 import io
+import re
+import sys
 from pathlib import Path
 
 import pytest
 
+from countsys import closure
 from countsys.cli import run_cli
 from countsys.core import product
 from countsys.dsl import emit_system
@@ -77,26 +80,65 @@ GROUPS = {
 }
 
 
-def transcript(group, workdir):
-    """Every case of the group run through the CLI, as one text."""
+def write_inputs(workdir):
     for fname, text in INPUTS.items():
         (workdir / fname).write_text(text, encoding="utf-8")
-    parts = []
-    for argv in GROUPS[group]:
-        out, err = io.StringIO(), io.StringIO()
-        resolved = [str(workdir / a) if a in INPUTS else a for a in argv]
-        code = run_cli(resolved, out=out, err=err)
-        parts.append(
-            f"$ countsys {' '.join(argv)}\nexit {code}\n"
-            f"--- stdout\n{out.getvalue()}--- stderr\n{err.getvalue()}"
-        )
-    return "".join(parts)
+
+
+def case(argv, workdir):
+    """One CLI run as a transcript block."""
+    out, err = io.StringIO(), io.StringIO()
+    resolved = [str(workdir / a) if a in INPUTS else a for a in argv]
+    code = run_cli(resolved, out=out, err=err)
+    return (
+        f"$ countsys {' '.join(argv)}\nexit {code}\n"
+        f"--- stdout\n{out.getvalue()}--- stderr\n{err.getvalue()}"
+    )
+
+
+def transcript(group, workdir):
+    """Every case of the group run through the CLI, as one text."""
+    write_inputs(workdir)
+    return "".join(case(argv, workdir) for argv in GROUPS[group])
 
 
 @pytest.mark.parametrize("group", sorted(GROUPS))
 def test_cli_matches_golden(group, tmp_path):
     expected = (GOLDEN / f"{group}.txt").read_bytes()
     assert transcript(group, tmp_path).encode("utf-8") == expected
+
+
+def _derives(argv):
+    """The cases that derive a table: add, mul (with or without --odot),
+    and free-report, initial and analyze with --json."""
+    cmd = argv[1] if argv[0] == "--auto-core" else argv[0]
+    return cmd in ("add", "mul") or (
+        cmd in ("free-report", "initial", "analyze") and "--json" in argv
+    )
+
+
+def test_derive_path_builds_no_closure(monkeypatch, tmp_path):
+    def refuse(*args, **kwargs):
+        raise AssertionError("closure built on the derive path")
+
+    guarded = (closure.monoid_closure, closure.evaluation)
+    for name, mod in list(sys.modules.items()):
+        if name == "countsys" or name.startswith("countsys."):
+            for attr, obj in list(vars(mod).items()):
+                if any(obj is g for g in guarded):
+                    monkeypatch.setattr(mod, attr, refuse)
+    assert closure.monoid_closure is refuse and closure.evaluation is refuse
+    write_inputs(tmp_path)
+    checked = 0
+    for group in sorted(GROUPS):
+        text = (GOLDEN / f"{group}.txt").read_text(encoding="utf-8")
+        blocks = re.split(r"(?m)^(?=\$ countsys )", text)
+        expected = {b.split("\n", 1)[0]: b for b in blocks if b}
+        for argv in filter(_derives, GROUPS[group]):
+            block = case(argv, tmp_path)
+            assert block == expected[block.split("\n", 1)[0]]
+            checked += 1
+    assert checked == 6 * 5 + 2  # five per system group, two mul --odot
 
 
 if __name__ == "__main__":

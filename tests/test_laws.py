@@ -7,6 +7,10 @@ verdict and the same witness as its oracle on every table derived from the
 acceptance enumerations and the fixtures, and on every single-cell tampering
 of a few small tables.  The checks restricted to generators must give the
 oracle's verdict wherever their preconditions hold.
+
+The constructions the derive path no longer makes are kept here as oracles
+too: the closure transfer of the addition, the biadditive build behind the
+direct-sum verdict and the cyclic submonoids behind the initiality report.
 """
 
 import functools
@@ -17,8 +21,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from countsys import laws
-from countsys.biadd import derive_multiplication_single
-from countsys.closure import monoid_closure
+from countsys.biadd import (
+    DirectSumReport,
+    biadditive_extend,
+    derive_multiplication_single,
+    direct_sum_report,
+    hom_extend_report,
+    projections,
+)
+from countsys.closure import evaluation, monoid_closure
 from countsys.core import (
     Carrier,
     CountingSystem,
@@ -27,13 +38,18 @@ from countsys.core import (
     minimal_core,
     new_system,
     product,
+    reachable_set,
+    single_map_subsystem,
 )
 from countsys.derive import (
     MonoidTable,
     cayley_embedding,
     classify,
     derive_addition,
+    generates,
+    product_table,
     reconstruct_addition,
+    submonoid_closure,
     verify_plus_axioms,
 )
 from countsys.fixtures import cyc, one_point, rho, zpair
@@ -619,3 +635,109 @@ def test_triple_laws_allocate_no_cube():
     finally:
         tracemalloc.stop()
     assert peak < 64 ** 3 * 8 // 4
+
+
+# -- the constructions the derive path dropped ---------------------------------
+
+
+def closure_transfer(sys):
+    """The paper's addition: row a is the closure element evaluating to a.
+
+    derive_addition builds the same rows along the carrier BFS tree.  In a
+    minimal commuting system u(base) = v(base) implies u = v (every x is
+    w(base) for a generator word w, so u(x) = w(u(base)) = w(v(base)) =
+    v(x)), and the composite of the maps on a's parent path evaluates to a.
+    """
+    tm = monoid_closure(sys)
+    ev = evaluation(tm, sys)
+    assert ev.bijective
+    return tuple(tm.elements[i].table for i in ev.inverse)
+
+
+def diagonal_direct_sum_report(t, gens):
+    """The direct-sum decision with the diagonal table built: projections,
+    their biadditive extension, its generator values and the glueing
+    homomorphism a_s -> diagonal(a_s, a_s).
+
+    direct_sum_report stops after the projections.  Once they exist, the
+    extension exists (applying delta_j to sum n_i g_i = sum m_i g_i gives
+    n_j g_j = m_j g_j, so the section sums agree on the generators), its
+    value at (g_s, g_t) is delta_s(g_t), and the glueing map is the
+    identity; so the rest cannot change the verdict.
+    """
+    gens = tuple(gens)
+    deltas, failing, conflict = projections(t, gens)
+    if deltas is None:
+        return DirectSumReport(False, failing, conflict)
+    tri = biadditive_extend(t, t, gens, deltas, deltas)
+    for i, g in enumerate(gens):
+        for j, h in enumerate(gens):
+            assert tri.op[g][h] == (g if i == j or g == h else t.zero)
+    glue, conflict = hom_extend_report(
+        t, t, gens, tuple(tri.op[g][g] for g in gens)
+    )
+    assert glue is not None, conflict
+    return DirectSumReport(True)
+
+
+def test_derive_addition_is_the_closure_transfer():
+    for sys in _minimal_systems():
+        assert derive_addition(sys).op == closure_transfer(sys)
+
+
+@settings(max_examples=30, deadline=None)
+@given(minimal_systems())
+def test_derive_addition_is_the_closure_transfer_on_random_systems(sys):
+    assert derive_addition(sys).op == closure_transfer(sys)
+
+
+def _generating_sets(t, gens):
+    """The generator images, and every generating set of one or two
+    elements of a table on at most five elements."""
+    yield gens
+    if t.size <= 5:
+        for k in (1, 2):
+            for sub in itertools.permutations(range(t.size), k):
+                if generates(t, sub):
+                    yield sub
+
+
+def _product_shapes():
+    """Criterion 11: products of cyclic and rho tables, coordinate
+    generators."""
+    shapes = [cyc(n) for n in range(1, 5)]
+    shapes += [
+        rho(tail, ell) for tail in range(1, 4) for ell in range(1, 5 - tail)
+    ]
+    for a, b in itertools.product(shapes, repeat=2):
+        ta, tb = derive_addition(a), derive_addition(b)
+        ga = a.maps[0](a.base) * tb.size + tb.zero
+        gb = ta.zero * tb.size + b.maps[0](b.base)
+        yield product_table(ta, tb), tuple(dict.fromkeys((ga, gb)))
+
+
+def test_direct_sum_report_agrees_with_the_diagonal_build():
+    cases, seen = [], set()
+    for sys in _minimal_systems():
+        t = derive_addition(sys)
+        for gens in _generating_sets(t, tuple(f(sys.base) for f in sys.maps)):
+            if (t.op, gens) not in seen:
+                seen.add((t.op, gens))
+                cases.append((t, gens))
+    cases.extend(_product_shapes())
+    verdicts = set()
+    for t, gens in cases:
+        want = diagonal_direct_sum_report(t, gens)
+        assert direct_sum_report(t, gens) == want
+        verdicts.add(want.ok)
+    assert verdicts == {True, False}
+
+
+def test_initiality_cores_are_the_cyclic_submonoids():
+    # initiality_report's single-map core at s, as a subset of the carrier,
+    # is the submonoid of the derived table that x_s generates
+    for sys in _minimal_systems():
+        t = derive_addition(sys)
+        for lab, f in zip(sys.index_set, sys.maps):
+            assert submonoid_closure(t, (f(sys.base),)) == \
+                reachable_set(single_map_subsystem(sys, lab))
