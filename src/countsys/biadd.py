@@ -8,7 +8,6 @@ them into a two-argument table.
 """
 
 from dataclasses import dataclass
-from operator import getitem, itemgetter
 
 from . import laws
 from .core import propagate, require_single_map
@@ -70,10 +69,10 @@ def zero_hom(src, dst):
 
 def hom_add(a, b):
     """Pointwise sum of two homomorphisms into the same commutative table."""
-    op = a.dst.op
-    # itemgetter of a single index returns the bare row, not a 1-tuple
-    rows = itemgetter(*a.map)(op) if len(a.map) > 1 else (op[a.map[0]],)
-    return HomTable(a.src, a.dst, tuple(map(getitem, rows, b.map)))
+    dst = a.dst
+    return HomTable(
+        a.src, dst, tuple(dst.op[x][y] for x, y in zip(a.map, b.map))
+    )
 
 
 def hom_extend_report(src, dst, gens, targets):
