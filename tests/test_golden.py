@@ -32,6 +32,18 @@ map s = v1 v0 v3 v4 v2 z
 map t = v4 v3 v1 v2 v0 z
 """
 
+# Z5 with two labels for the same map x -> x+1, so every odot on {a, b}
+# prescribes x_a = x_b = 1 and gives the mod-5 multiplication.  `left` is
+# associative but not commutative; `twisted` is commutative, not associative
+# ((a a) b = b b = a, a (a b) = a a = b) and has no unit.
+TWIN5 = """\
+system twin5
+elements e0 e1 e2 e3 e4
+base e0
+map a = e1 e2 e3 e4 e0
+map b = e1 e2 e3 e4 e0
+"""
+
 INPUTS = {
     "cyc6.csys": emit_system(cyc(6), name="cyc6"),
     "rho23.csys": emit_system(rho(2, 3), name="rho23"),
@@ -40,6 +52,9 @@ INPUTS = {
     "nonmin.csys": NONMIN,
     "sign.odot": "\n".join(SIGN_ODOT_LINES) + "\n",
     "bad.odot": "odot\n+ + = +\n+ - = +\n- + = +\n- - = -\n",
+    "twin5.csys": TWIN5,
+    "left.odot": "odot\na a = a\na b = a\nb a = b\nb b = b\n",
+    "twisted.odot": "odot\na a = b\na b = a\nb a = a\nb b = a\n",
 }
 
 PER_SYSTEM = (
@@ -76,6 +91,10 @@ GROUPS = {
          "--relabel", "s=+,t=-"],
         ["product", "cyc6.csys", "rho23.csys"],
         ["product", "zpair5.csys", "c2xc3.csys"],
+    ],
+    "twin5": [
+        ["mul", "twin5.csys", "--odot", "left.odot"],
+        ["mul", "twin5.csys", "--odot", "twisted.odot"],
     ],
 }
 
@@ -138,7 +157,7 @@ def test_derive_path_builds_no_closure(monkeypatch, tmp_path):
             block = case(argv, tmp_path)
             assert block == expected[block.split("\n", 1)[0]]
             checked += 1
-    assert checked == 6 * 5 + 2  # five per system group, two mul --odot
+    assert checked == 6 * 5 + 4  # five per system group, four mul --odot
 
 
 if __name__ == "__main__":
