@@ -8,25 +8,24 @@ cell-by-cell loop would find.  Each law compares whole rows or columns,
 gathered by C-level `itemgetter` and `map` calls, as tuples; no temporary is
 larger than an n x n transpose.
 
-Every law is exhaustive by default.  `associative`, `homomorphism`,
-`sections` and `biadditive` take optional ranges, each a sequence of element
-indices, that restrict an argument position; the witness is then the first
-in row-major order over the ranges.  A restricted check certifies the whole
-law only under a precondition its caller has established.  The derive path
-certifies these laws on the generators x_s = f_s(base):
+Every law is exhaustive by default.  `associative`, `homomorphism` and
+`biadditive` take an optional range, a sequence of element indices, that
+restricts one argument position; the witness is then the first in row-major
+order over the range.  A restricted check certifies the whole law only under
+a precondition its caller has established.  The derive path certifies these
+laws on the generators x_s = f_s(base):
 
 - addition associative: Light's test at middle = x_s, which generate the
   table by the unit, shift and minimality checks;
 - extended map a homomorphism: right = generators that generate the source;
-- biadditivity: each section at right = generators that generate the source;
-- distributivity: right = x_s, after zero absorption and commutativity;
-- multiplication associative: generator triples, once it is biadditive.
+- biadditivity: each section at right = generators that generate the source.
 
-Every other law, commutativity included, is checked on every cell.
+Every other law, commutativity included, is checked on every cell.  The
+multiplication laws follow from biadditivity (see biadd.biadditive_extend).
 """
 
 from itertools import repeat
-from operator import contains, getitem, itemgetter, or_
+from operator import contains, itemgetter, or_
 
 
 def _first(x, y):
@@ -54,11 +53,6 @@ def _column(t, j):
     return tuple(map(itemgetter(j), t))
 
 
-def _pick(row, idx):
-    """row restricted to the indices idx (all of them when None)."""
-    return row if idx is None else _gather(row, idx)
-
-
 def translation(op, a, f):
     """First x with op[a][x] != f[x]: adding a on the left is the map f."""
     return _first(op[a], f)
@@ -72,21 +66,17 @@ def unit(op, e):
     return min(bad, default=None)
 
 
-def associative(op, left=None, middle=None, right=None):
+def associative(op, middle=None):
     """First (a, b, c) with op[op[a][b]][c] != op[a][op[b][c]].
 
     Light's test: when op has a two-sided unit and adding elements of
     `middle` on the left reaches every element from it, middle alone
-    certifies the law (the b it holds for are closed under op).  Generator
-    triples certify it for a multiplication biadditive over an addition
-    that the generators generate: both sides are then tri-additive."""
-    for a in _every(op, left):
-        row = op[a]
+    certifies the law (the b it holds for are closed under op)."""
+    for a, row in enumerate(op):
         for b in _every(op, middle):
-            c = _first(_pick(op[row[b]], right),
-                       _gather(row, _pick(op[b], right)))
+            c = _first(op[row[b]], _gather(row, op[b]))
             if c is not None:
-                return a, b, _every(op, right)[c]
+                return a, b, c
     return None
 
 
@@ -123,20 +113,6 @@ def homomorphism(src, dst, h, right=None):
                      h, _every(src, right))
 
 
-def sections(src, dst, mu, right=None):
-    """First (a, b, c) where the row section mu[a] is not additive:
-    mu[a][src[b][c]] != dst[mu[a][b]][mu[a][c]].  For a multiplication mu
-    over the addition src = dst, this is distributivity.  `right` restricts
-    c as in `homomorphism`, under its preconditions for every row."""
-    src_t, dst_t = tuple(zip(*src)), tuple(zip(*dst))
-    right = _every(src, right)
-    for a, row in enumerate(mu):
-        w = _additive(src_t.__getitem__, dst_t.__getitem__, row, right)
-        if w is not None:
-            return (a, *w)
-    return None
-
-
 def biadditive(src, dst, mu, zero, dst_zero, right=None):
     """First section of mu that is not a homomorphism src -> dst sending
     `zero` to `dst_zero`: (0, a) for the row mu[a], else (1, a) for the
@@ -154,16 +130,12 @@ def biadditive(src, dst, mu, zero, dst_zero, right=None):
 
 
 def shift(op, f, g):
-    """First (x1, x2) with op[f[x1]][x2] != g[x2][op[x1][x2]].
+    """First (x1, x2) with op[f[x1]][x2] != g[op[x1][x2]].
 
-    `g` is a map applied in every column, or a table whose row x2 is applied
-    in column x2.  With g = f this is the shift axiom of an addition,
-    f(x1) + x2 = f(x1 + x2); with op a multiplication and g the addition it is
-    the successor law, f(x1) * x2 = x2 + x1 * x2."""
-    table = isinstance(g[0], (tuple, list))
+    With g = f this is the shift axiom of an addition,
+    f(x1) + x2 = f(x1 + x2)."""
     for x1, row in enumerate(op):
-        after = map(getitem, g, row) if table else _gather(g, row)
-        x2 = _first(op[f[x1]], after)
+        x2 = _first(op[f[x1]], _gather(g, row))
         if x2 is not None:
             return x1, x2
     return None
@@ -172,15 +144,6 @@ def shift(op, f, g):
 def intertwines(h, f, g):
     """First x with h[f[x]] != g[h[x]]: h carries the map f onto g."""
     return _first(_gather(h, f), _gather(g, h))
-
-
-def difference(x, y):
-    """First index where two tables of the same shape differ."""
-    for a, (p, q) in enumerate(zip(x, y)):
-        b = _first(p, q)
-        if b is not None:
-            return a, b
-    return None
 
 
 def _not_permutation(rows):

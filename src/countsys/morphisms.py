@@ -12,7 +12,6 @@ from . import laws
 from .biadd import is_hom
 from .core import (
     CountingSystem,
-    is_dedekind,
     minimal_core,
     pad_single,
     propagate,
@@ -255,14 +254,16 @@ def initiality_report(sys):
         has_morphism = morphism_find(sys, padded) is not None
         core = minimal_core(single_map_subsystem(sys, lab))
         f = core.maps[0]
+        injective = f.is_injective()
+        base_in_image = core.base in set(f.table)
         report.conditions.append(
             InitialityCondition(
                 label=lab,
                 morphism_to_padded=has_morphism,
                 core_size=core.size,
-                core_injective=f.is_injective(),
-                base_in_core_image=core.base in set(f.table),
-                core_dedekind=is_dedekind(core),
+                core_injective=injective,
+                base_in_core_image=base_in_image,
+                core_dedekind=injective and not base_in_image,  # core minimal
             )
         )
     return report

@@ -172,7 +172,7 @@ def test_parse_odot_sign_table():
     od = parse_odot("\n".join(SIGN_ODOT_LINES))
     assert od.unit == "+"
     assert od.op[("-", "-")] == "+"
-    assert od.is_commutative()
+    assert od.op[("+", "-")] == od.op[("-", "+")] == "-"
 
 
 def test_parse_odot_rejects_missing_header_and_duplicates():

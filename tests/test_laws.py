@@ -11,6 +11,9 @@ oracle's verdict wherever their preconditions hold.
 The constructions the derive path no longer makes are kept here as oracles
 too: the closure transfer of the addition, the biadditive build behind the
 direct-sum verdict and the cyclic submonoids behind the initiality report.
+So are the checks the package no longer makes: the multiplication laws
+checked after the biadditive extension, which its certificate implies, and
+the generator values checked after a homomorphism extension.
 """
 
 import functools
@@ -20,10 +23,14 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from countsys import laws
+from countsys import biadd, laws
 from countsys.biadd import (
     DirectSumReport,
+    ExtensionConflict,
+    HomTable,
+    OdotTable,
     biadditive_extend,
+    derive_multiplication_indexed,
     derive_multiplication_single,
     direct_sum_report,
     hom_extend_report,
@@ -38,6 +45,7 @@ from countsys.core import (
     minimal_core,
     new_system,
     product,
+    propagate,
     reachable_set,
     single_map_subsystem,
 )
@@ -49,10 +57,13 @@ from countsys.derive import (
     generates,
     product_table,
     reconstruct_addition,
+    require_generates,
     submonoid_closure,
     verify_plus_axioms,
 )
-from countsys.fixtures import cyc, one_point, rho, zpair
+from countsys.dsl import parse_odot
+from countsys.errors import InternalInvariantViolation
+from countsys.fixtures import SIGN_ODOT_LINES, cyc, one_point, rho, zpair
 
 # -- oracles -------------------------------------------------------------------
 
@@ -172,10 +183,14 @@ def oracle_zero_sum_free(op, zero):
     return None
 
 
+# Oracles of checks that `laws` no longer has, kept as the reference for the
+# multiplication laws and the table reconstruction below.
+RETIRED = ("sections", "difference")
+
 ORACLES = {
     name[len("oracle_"):]: fn
     for name, fn in globals().items()
-    if name.startswith("oracle_")
+    if name.startswith("oracle_") and name[len("oracle_"):] not in RETIRED
 }
 
 
@@ -207,11 +222,9 @@ def law_cases(op, zero, maps, mult=None):
         yield "intertwines", (rows[1 % n], f, g)
     yield "associative", (op,)
     yield "commutative", (op,)
-    yield "sections", (op, op, op)
     yield "biadditive", (op, op, op, zero, zero)
     # every row the identity: the rows pass, the (constant) columns fail
     yield "biadditive", (op, op, (ident,) * n, zero, zero)
-    yield "difference", (op, tuple(reversed(rows)))
     yield "group", (op,)
     yield "cancellative", (op,)
     yield "trichotomy", (op,)
@@ -221,10 +234,9 @@ def law_cases(op, zero, maps, mult=None):
         yield "translation", (mult, zero, (zero,) * n)
         yield "associative", (mult,)
         yield "commutative", (mult,)
-        yield "sections", (op, op, mult)
         yield "biadditive", (op, op, mult, zero, zero)
         for f in maps:
-            yield "shift", (mult, f, op)
+            yield "shift", (mult, f, f)
 
 
 def check_all(op, zero, maps, mult=None):
@@ -294,8 +306,7 @@ def test_laws_agree_with_oracles_on_enumerations_and_fixtures():
     # tables can fail
     assert failing >= {
         "unit", "translation", "homomorphism", "shift", "intertwines",
-        "sections", "biadditive", "difference", "group", "cancellative",
-        "trichotomy", "zero_sum_free",
+        "biadditive", "group", "cancellative", "trichotomy", "zero_sum_free",
     }
 
 
@@ -341,13 +352,11 @@ def test_every_law_rejects_a_tampered_cell_at_the_oracle_witness(sys):
 
 # -- generator certificates ---------------------------------------------------
 #
-# The derive path checks five laws on the generators only.  Each restricted
+# The derive path checks three laws on the generators only.  Each restricted
 # call must give the exhaustive oracle's verdict whenever the preconditions
 # that the law's docstring states hold; the witnesses may differ.
 
-CERTIFICATES = (
-    "light", "homomorphism", "sections", "biadditive", "mult_associative",
-)
+CERTIFICATES = ("light", "homomorphism", "biadditive")
 
 
 def _reaches_all(op, zero, gens):
@@ -377,13 +386,9 @@ def certificate_cases(op, zero, gens, rng, homs=(), mu=None):
                oracle_homomorphism(op, op, h))
     if mu is None:
         return
-    yield ("sections", monoid and all(row[zero] == zero for row in mu),
-           laws.sections(op, op, mu, right=rng), oracle_sections(op, op, mu))
-    biadditive = oracle_biadditive(op, op, mu, zero, zero)
     yield ("biadditive", monoid,
-           laws.biadditive(op, op, mu, zero, zero, right=rng), biadditive)
-    yield ("mult_associative", generated and biadditive is None,
-           laws.associative(mu, rng, rng, rng), oracle_associative(mu))
+           laws.biadditive(op, op, mu, zero, zero, right=rng),
+           oracle_biadditive(op, op, mu, zero, zero))
 
 
 def verdicts(cases):
@@ -513,11 +518,10 @@ Z2SQ = new_system(
 )
 
 
-def bilinear_cases(drop=False):
+def bilinear_tables():
     t = derive_addition(Z2SQ)
-    gens = (1, 2)
     for c in itertools.product(range(4), repeat=4):
-        mu = tuple(
+        yield tuple(
             tuple(
                 # bits of a and b pick the generator products to add up
                 functools.reduce(
@@ -528,6 +532,12 @@ def bilinear_cases(drop=False):
             )
             for a in range(4)
         )
+
+
+def bilinear_cases(drop=False):
+    t = derive_addition(Z2SQ)
+    gens = (1, 2)
+    for mu in bilinear_tables():
         yield from certificate_cases(
             t.op, 0, gens, gens[:-1] if drop else gens, (), mu
         )
@@ -542,9 +552,26 @@ def test_certificates_reject_a_tampered_cell_exactly_when_the_oracle_does(sys):
     assert all(rejected for held, _, rejected in counts.values() if held)
 
 
-def test_mult_associativity_certificate_on_every_bilinear_table():
-    counts = assert_agree(bilinear_cases())
-    assert counts["mult_associative"][2], counts
+def test_generator_products_decide_the_laws_of_every_bilinear_table():
+    """The lemma behind biadd's multiplication proofs: a biadditive table is
+    associative iff it is on generator triples, and commutative iff it is on
+    generator pairs.  All four verdict pairs occur over Z2 x Z2."""
+    t = derive_addition(Z2SQ)
+    gens = (1, 2)
+    seen = set()
+    for mu in bilinear_tables():
+        assert oracle_biadditive(t.op, t.op, mu, 0, 0) is None
+        associative = oracle_associative(mu) is None
+        commutative = oracle_commutative(mu) is None
+        assert associative == all(
+            mu[mu[a][b]][c] == mu[a][mu[b][c]]
+            for a, b, c in itertools.product(gens, repeat=3)
+        )
+        assert commutative == all(
+            mu[a][b] == mu[b][a] for a, b in itertools.product(gens, repeat=2)
+        )
+        seen.add((associative, commutative))
+    assert len(seen) == 4
 
 
 def test_a_range_missing_one_generator_is_caught():
@@ -602,8 +629,11 @@ def test_verify_plus_axioms_and_cayley_match_the_seed_loops(sys):
         if laws.unit(op, t.zero) is not None:
             continue  # not a MonoidTable
         tampered = MonoidTable(t.size, op, t.zero)
-        assert verify_plus_axioms(sys, tampered) == \
-            seed_verify_plus_axioms(sys, tampered)
+        verdict = verify_plus_axioms(sys, tampered)
+        assert verdict == seed_verify_plus_axioms(sys, tampered)
+        # the unit and shift axioms alone fix the table
+        if verdict[0]:
+            assert oracle_difference(reconstruct_addition(sys).op, op) is None
         assert cayley_embedding(tampered) == seed_cayley_embedding(tampered)
 
 
@@ -629,7 +659,6 @@ def test_triple_laws_allocate_no_cube():
     tracemalloc.start()
     try:
         assert laws.associative(t.op) is None
-        assert laws.sections(t.op, t.op, mu) is None
         assert laws.biadditive(t.op, t.op, mu, 0, 0) is None
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -741,3 +770,202 @@ def test_initiality_cores_are_the_cyclic_submonoids():
         for lab, f in zip(sys.index_set, sys.maps):
             assert submonoid_closure(t, (f(sys.base),)) == \
                 reachable_set(single_map_subsystem(sys, lab))
+
+
+# -- the checks the multiplication no longer makes -----------------------------
+
+
+def seed_hom_extend_report(src, dst, gens, targets):
+    """hom_extend_report with its final pass over the generator values, which
+    the first propagation level makes dead."""
+    gens = tuple(gens)
+    targets = tuple(targets)
+    require_generates(src, gens)
+    prop = propagate(src.zero, dst.zero, [
+        (src.op[g].__getitem__, dst.op[b].__getitem__)
+        for g, b in zip(gens, targets)
+    ])
+    if prop.conflict is not None:
+        return None, ExtensionConflict(*prop.conflict)
+    img = prop.value
+    mapping = tuple(img[a] for a in range(src.size))
+    w = laws.homomorphism(src.op, dst.op, mapping, right=gens)
+    if w is not None:
+        a, b = w
+        ab = src.op[a][b]
+        return None, ExtensionConflict(
+            ab, mapping[ab], dst.op[mapping[a]][mapping[b]]
+        )
+    for g, b in zip(gens, targets):
+        if mapping[g] != b:
+            return None, ExtensionConflict(g, b, mapping[g])
+    return HomTable(src, dst, mapping), None
+
+
+def test_hom_extend_report_matches_the_seed_with_its_generator_pass():
+    tables = {}
+    for sys in _minimal_systems():
+        t = derive_addition(sys)
+        tables.setdefault(t.op, (t, tuple(f(sys.base) for f in sys.maps)))
+    fixtures = [derive_addition(sys) for sys in FIXTURES]
+    found = set()
+    for t, gens in tables.values():
+        for dst in [t] + (fixtures if t in fixtures else []):
+            for targets in itertools.product(range(dst.size),
+                                             repeat=len(gens)):
+                want = seed_hom_extend_report(t, dst, gens, targets)
+                assert hom_extend_report(t, dst, gens, targets) == want
+                found.add(want[0] is not None)
+    assert found == {True, False}
+
+
+def oracle_mult_laws(sys, t, mu):
+    """The laws derive_multiplication_single used to check after the
+    extension, on every cell: the first one mu fails, or None."""
+    n = sys.size
+    x0 = sys.base
+    if oracle_translation(mu, x0, (x0,) * n) is not None:
+        return "zero absorption"
+    for f in sys.maps:
+        if oracle_shift(mu, f.table, t.op) is not None:
+            return "successor"
+    if oracle_commutative(mu) is not None:
+        return "commutative"
+    if oracle_sections(t.op, t.op, mu) is not None:
+        return "distributive"
+    if oracle_associative(mu) is not None:
+        return "associative"
+    if oracle_translation(mu, sys.maps[0](x0), range(n)) is not None:
+        return "unit"
+    return None
+
+
+def _odot_grid(odot):
+    pos = {s: i for i, s in enumerate(odot.index_set)}
+    return [[pos[odot.op[(s, u)]] for u in odot.index_set]
+            for s in odot.index_set]
+
+
+def oracle_indexed_laws(sys, t, odot, mu):
+    """The checks derive_multiplication_indexed and biadditive_extend used
+    to make after the extension, on every cell: the first one mu fails, or
+    None.  Returns the odot laws that applied as well."""
+    grid = _odot_grid(odot)
+    x = {s: sys.map_for(s)(sys.base) for s in sys.index_set}
+    applied = set()
+    for s, u in itertools.product(sys.index_set, repeat=2):
+        if mu[x[s]][x[u]] != x[odot.op[(s, u)]]:
+            return "generator values", applied
+    if oracle_associative(grid) is None:
+        applied.add("associative")
+        if oracle_associative(mu) is not None:
+            return "associative", applied
+    if oracle_commutative(grid) is None:
+        applied.add("commutative")
+        if oracle_commutative(mu) is not None:
+            return "commutative", applied
+    for i, u in enumerate(odot.index_set):
+        if oracle_translation(grid, i, range(len(grid))) is None:
+            applied.add("unit")
+            if oracle_translation(mu, x[u], range(t.size)) is not None:
+                return "unit", applied
+    return None, applied
+
+
+def test_single_map_multiplications_pass_the_dropped_checks():
+    count = 0
+    for sys in _minimal_systems():
+        if len(sys.maps) == 1:
+            t = derive_addition(sys)
+            mu = derive_multiplication_single(sys, t).op
+            assert oracle_mult_laws(sys, t, mu) is None, sys
+            count += 1
+    assert count > 700
+
+
+def twin(n):
+    """Z_n with two labels for the map x -> x + 1."""
+    f = cyc(n).maps[0]
+    return CountingSystem(cyc(n).carrier, 0, ("a", "b"), (f, f))
+
+
+def _two_label_systems():
+    for n in range(1, 6):
+        yield zpair(n)
+        yield twin(n)
+    shapes = [cyc(1), cyc(2), cyc(3), rho(1, 1), rho(1, 2), rho(2, 1)]
+    for a, b in itertools.product([zpair(2), zpair(3), twin(2)], shapes):
+        yield minimal_core(product(a, b))
+
+
+def _odots(labels):
+    """All 16 operations on a two-label set."""
+    for values in itertools.product(labels, repeat=4):
+        yield OdotTable(labels, dict(zip(
+            itertools.product(labels, repeat=2), values)))
+
+
+def test_indexed_multiplications_pass_the_dropped_checks():
+    applied, outcomes = set(), set()
+    for sys in _two_label_systems():
+        t = derive_addition(sys)
+        for odot in _odots(sys.index_set):
+            res = derive_multiplication_indexed(sys, t, odot)
+            outcomes.add(res.ok)
+            if res.ok:
+                failed, laws_applied = oracle_indexed_laws(
+                    sys, t, odot, res.table.op
+                )
+                assert failed is None, (sys, odot)
+                applied |= laws_applied
+    assert outcomes == {True, False}
+    assert applied == {"associative", "commutative", "unit"}
+
+
+@pytest.mark.parametrize("sys, odot", [
+    (cyc(4), None), (rho(1, 3), None),
+    (zpair(3), parse_odot("\n".join(SIGN_ODOT_LINES))),
+], ids=["cyc4", "rho13", "zpair3-sign"])
+def test_a_section_corrupted_in_one_cell_is_caught(sys, odot, monkeypatch):
+    """Mutation check: biadditive_extend raises when any one section that
+    propagation computes has one wrong cell, the generator rows included,
+    without the generator-value pass it used to end with.
+
+    Not so on every table: on rho(2, 1) and rho(2, 3) a corrupted row a0 can
+    be another biadditive table, which that pass caught.  The certificate
+    relies on hom_add's pointwise sum for the generator rows."""
+    t = derive_addition(sys)
+
+    def build():
+        if odot is None:
+            return derive_multiplication_single(sys, t)
+        return derive_multiplication_indexed(sys, t, odot)
+
+    honest = biadd.hom_add
+    sections = []  # the honest sum of every hom_add call, in call order
+
+    def record(a, b):
+        out = honest(a, b)
+        sections.append(out.map)
+        return out
+
+    monkeypatch.setattr(biadd, "hom_add", record)
+    build()
+    assert sections
+    for k, sec in enumerate(sections):
+        for cell, v in itertools.product(range(t.size), range(t.size)):
+            if v == sec[cell]:
+                continue
+            calls = []
+
+            def corrupt(a, b):
+                out = honest(a, b)
+                calls.append(None)
+                if len(calls) - 1 == k:
+                    out = HomTable(out.src, out.dst,
+                                   sec[:cell] + (v,) + sec[cell + 1:])
+                return out
+
+            monkeypatch.setattr(biadd, "hom_add", corrupt)
+            with pytest.raises(InternalInvariantViolation):
+                build()
