@@ -133,7 +133,8 @@ def test_rho_multiplication_matches_collapse_oracle():
 def test_odot_validate_and_properties():
     od = sign_odot()
     od.validate()
-    assert od.unit == "+"
+    with pytest.raises(OdotNotTotal):
+        OdotTable(od.index_set, od.op, unit="0").validate()
     partial = OdotTable(("+", "-"), {("+", "+"): "+"})
     with pytest.raises(OdotNotTotal):
         partial.validate()
