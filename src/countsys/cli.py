@@ -4,31 +4,16 @@ Exit codes: 0 for success or a positive verdict, 1 for a well-formed negative
 verdict or structured absence (no morphism, no extension), 2 for parse or
 validation errors and violated preconditions, and for an internal invariant
 failure (a bug), which is reported with a `bug:` prefix instead of `error:`.
+
+Each command imports what it runs in its own body, so a run loads only the
+modules of its command.
 """
 
 import argparse
-import json
 import sys as _sys
-from dataclasses import asdict
 
-from .analysis import analyze
-from .biadd import (
-    derive_multiplication_indexed,
-    derive_multiplication_single,
-    is_free_report,
-)
-from .closure import monoid_closure
-from .core import adjoin_omega, minimal_core, product
-from .derive import derive_addition
 from .dsl import emit_system, parse_odot, parse_system
 from .errors import CountingSystemError, InternalInvariantViolation, ParseError
-from .morphisms import (
-    FreeElement,
-    free_eval,
-    initiality_report,
-    morphism_find,
-    relabel_index_set,
-)
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -46,6 +31,7 @@ def _read(path):
 
 
 def _load(path, auto_core=False):
+    from .core import minimal_core
     doc = parse_system(_read(path))
     if auto_core:
         doc.system = minimal_core(doc.system)
@@ -77,7 +63,7 @@ def _pairs(text, sep, option, form):
 def _tsv_table(labels, table, out):
     print("\t" + "\t".join(labels), file=out)
     for i, row in enumerate(table):
-        print(labels[i] + "\t" + "\t".join(labels[j] for j in row), file=out)
+        print(labels[i] + "\t" + "\t".join([labels[j] for j in row]), file=out)
 
 
 def _emit(payload, as_json, out, head="", rows=None, keys=()):
@@ -86,6 +72,7 @@ def _emit(payload, as_json, out, head="", rows=None, keys=()):
     `<head> <label>: k=v ...` line per entry of `rows` (label -> row) over
     `keys`.  Fields that are neither scalars nor rows appear only in JSON."""
     if as_json:
+        import json
         print(json.dumps(payload, indent=2, sort_keys=True), file=out)
         return
     for key, value in payload.items():
@@ -104,6 +91,8 @@ def _cmd_validate(args, out, err):
 
 
 def _cmd_analyze(args, out, err):
+    from dataclasses import asdict
+    from .analysis import analyze
     doc = _load(args.file, args.auto_core)
     rep = analyze(doc.system)
     maps = {lab: asdict(fl) for lab, fl in rep.map_flags.items()}
@@ -131,6 +120,7 @@ def _cmd_analyze(args, out, err):
 
 
 def _cmd_core(args, out, err):
+    from .core import minimal_core
     doc = _load(args.file)
     core = minimal_core(doc.system)
     out.write(emit_system(core, name=doc.name + "_core"))
@@ -138,6 +128,7 @@ def _cmd_core(args, out, err):
 
 
 def _cmd_closure(args, out, err):
+    from .closure import monoid_closure
     doc = _load(args.file, args.auto_core)
     tm = monoid_closure(doc.system)
     payload = {"size": tm.size, "generators": tm.gen_index}
@@ -157,6 +148,7 @@ def _cmd_closure(args, out, err):
 
 
 def _cmd_add(args, out, err):
+    from .derive import derive_addition
     doc = _load(args.file, args.auto_core)
     t = derive_addition(doc.system)
     _tsv_table(doc.system.carrier.labels, t.op, out)
@@ -164,6 +156,9 @@ def _cmd_add(args, out, err):
 
 
 def _cmd_mul(args, out, err):
+    from .biadd import (
+        derive_multiplication_indexed, derive_multiplication_single)
+    from .derive import derive_addition
     doc = _load(args.file, args.auto_core)
     sys_ = doc.system
     t = derive_addition(sys_)
@@ -188,6 +183,7 @@ def _cmd_mul(args, out, err):
 
 
 def _cmd_morphism(args, out, err):
+    from .morphisms import morphism_find, relabel_index_set
     src_doc = _load(args.src, args.auto_core)
     dst_doc = _load(args.dst)
     src = src_doc.system
@@ -209,6 +205,7 @@ def _cmd_morphism(args, out, err):
 
 
 def _cmd_product(args, out, err):
+    from .core import product
     a = _load(args.a)
     b = _load(args.b)
     sys_ = product(a.system, b.system)
@@ -217,12 +214,14 @@ def _cmd_product(args, out, err):
 
 
 def _cmd_omega(args, out, err):
+    from .core import adjoin_omega
     doc = _load(args.file)
     out.write(emit_system(adjoin_omega(doc.system), name=doc.name + "_omega"))
     return EXIT_OK
 
 
 def _cmd_free_eval(args, out, err):
+    from .morphisms import FreeElement, free_eval
     doc = _load(args.file, args.auto_core)
     counts = {}
     if args.multiset.strip():
@@ -245,6 +244,8 @@ def _cmd_free_eval(args, out, err):
 
 
 def _cmd_initial(args, out, err):
+    from dataclasses import asdict
+    from .morphisms import initiality_report
     doc = _load(args.file, args.auto_core)
     rep = initiality_report(doc.system)
     conditions = [asdict(c) for c in rep.conditions]
@@ -257,6 +258,8 @@ def _cmd_initial(args, out, err):
 
 
 def _cmd_free_report(args, out, err):
+    from .biadd import is_free_report
+    from .derive import derive_addition
     doc = _load(args.file, args.auto_core)
     sys_ = doc.system
     t = derive_addition(sys_)

@@ -51,12 +51,6 @@ class Carrier:
     def size(self):
         return len(self.labels)
 
-    def index_of(self, label):
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise UnknownLabel(label, self.labels) from None
-
 
 @dataclass(frozen=True)
 class EndoMap:

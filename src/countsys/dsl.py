@@ -9,12 +9,11 @@ A system document:
 
 `#` starts a comment; blank lines are ignored.  An odot document starts with
 an `odot` header, then `<s> <t> = <u>` lines covering the whole square, plus
-an optional `unit <s>` line.
+an optional `unit <s>` line naming a two-sided unit of the table.
 """
 
 from dataclasses import dataclass
 
-from .biadd import OdotTable
 from .core import Carrier, EndoMap, new_system
 from .errors import DuplicateLabel, ParseError
 
@@ -134,6 +133,7 @@ def emit_system(doc_or_sys, name=None):
 
 
 def parse_odot(text, index_set=None):
+    from .biadd import OdotTable
     header_seen = False
     op = {}
     unit = None
@@ -150,7 +150,7 @@ def parse_odot(text, index_set=None):
                 raise ParseError(lineno, 1, "'unit' takes exactly one label")
             if unit is not None:
                 raise ParseError(lineno, 1, "duplicate 'unit' declaration")
-            unit = tokens[1]
+            unit, unit_line = tokens[1], lineno
             labels.add(unit)
             continue
         if len(tokens) != 4 or tokens[2] != "=":
@@ -166,4 +166,11 @@ def parse_odot(text, index_set=None):
         index_set = tuple(sorted(labels))
     table = OdotTable(tuple(index_set), op, unit)
     table.validate()
+    for s in table.index_set if unit is not None else ():
+        for a, b in ((unit, s), (s, unit)):
+            if op[(a, b)] != s:
+                raise ParseError(
+                    unit_line, 1, f"{unit!r} is not a two-sided unit: "
+                    f"{a} {b} = {op[(a, b)]}"
+                )
     return table

@@ -9,7 +9,6 @@ elements are sparse multisets over the index labels.
 from dataclasses import dataclass, field
 
 from . import laws
-from .biadd import is_hom
 from .core import (
     CountingSystem,
     minimal_core,
@@ -88,6 +87,7 @@ def bridge_check(m, t_src, t_dst):
     """Monoid-homomorphism formulation of the morphism property: the map is a
     homomorphism of the derived tables sending each generator image to the
     matching one."""
+    from .biadd import is_hom
     pairs = _paired_maps(m.src, m.dst)
     if not is_hom(t_src, t_dst, m.map):
         return False

@@ -1,5 +1,6 @@
 """Text formats and the command-line front end."""
 
+import importlib
 import io
 import json
 import os
@@ -41,6 +42,15 @@ def write(tmp_path, name, text):
     p = tmp_path / name
     p.write_text(text)
     return str(p)
+
+
+def fresh_stdout(probe, *argv):
+    """What `python -c probe argv...` prints, run on this countsys."""
+    src = os.path.dirname(os.path.dirname(countsys.__file__))
+    return subprocess.run(
+        [_sys.executable, "-c", probe, *argv], capture_output=True, text=True,
+        check=True, env=dict(os.environ, PYTHONPATH=src),
+    ).stdout
 
 
 def test_parse_system_basic():
@@ -218,6 +228,61 @@ def test_cli_never_loads_numpy(tmp_path, command, flags):
     assert proc.stdout.splitlines()[-1] == "0 False"
 
 
+@pytest.mark.parametrize("argv, extra", [
+    (["validate", "{c}"], set()),
+    (["core", "{c}"], set()),
+    (["omega", "{c}"], set()),
+    (["product", "{c}", "{c}"], set()),
+    (["morphism", "{c}", "{c}"], {"morphisms"}),
+    (["free-eval", "{c}", "--multiset", "s:2"], {"morphisms"}),
+    (["initial", "{c}"], {"morphisms"}),
+    (["analyze", "{c}"], {"analysis", "morphisms"}),
+    (["closure", "{c}"], {"closure"}),
+    (["add", "{c}"], {"derive"}),
+    (["mul", "{c}"], {"derive", "biadd"}),
+    (["mul", "{c}", "--odot", "{o}"], {"derive", "biadd"}),
+    (["free-report", "{c}"], {"derive", "biadd"}),
+], ids=["validate", "core", "omega", "product", "morphism", "free-eval",
+        "initial", "analyze", "closure", "add", "mul", "mul-odot",
+        "free-report"])
+def test_cli_loads_only_the_modules_of_its_command(tmp_path, argv, extra):
+    """A fresh interpreter running one command imports the parser's modules
+    and those of that command, and no other countsys module."""
+    files = {"c": write(tmp_path, "c.csys", CYC3),
+             "o": write(tmp_path, "s.odot", "odot\ns s = s\nunit s\n")}
+    probe = (
+        "import io, sys\n"
+        "from countsys.cli import run_cli\n"
+        "code = run_cli(sys.argv[1:], out=io.StringIO())\n"
+        "print(code, *sorted(m.split('.', 1)[1] for m in sys.modules\n"
+        "                    if m.startswith('countsys.')))\n"
+    )
+    out = fresh_stdout(probe, *(a.format(**files) for a in argv))
+    code, *loaded = out.split()
+    assert code == "0"
+    assert set(loaded) == {"cli", "dsl", "core", "laws", "errors"} | extra
+
+
+def test_package_names_resolve_lazily_to_their_submodules():
+    assert len(countsys.__all__) == 49
+    for name in countsys.__all__:
+        obj = getattr(countsys, name)
+        assert obj is getattr(importlib.import_module(obj.__module__), name)
+        assert name in dir(countsys)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        countsys.no_such_name
+    probe = (
+        "import sys\n"
+        "import countsys\n"
+        "loaded = [m for m in sys.modules if m.startswith('countsys.')]\n"
+        "names = {}\n"
+        "exec('from countsys import *', names)\n"
+        "print(loaded, sorted(set(names) - {'__builtins__'})\n"
+        "      == sorted(countsys.__all__))\n"
+    )
+    assert fresh_stdout(probe) == "[] True\n"
+
+
 def test_cli_parse_error_exits_2(tmp_path):
     path = write(tmp_path, "bad.csys", "system x\nwhat\n")
     code, out, err = run(["validate", path])
@@ -264,6 +329,20 @@ def test_cli_mul_indexed(tmp_path):
     assert code == 0
     # row e2: e2 * e3 = e1 (mod 5)
     assert out.splitlines()[3].split("\t")[4] == "e1"
+
+
+@pytest.mark.parametrize("table, message", [
+    (SIGN_ODOT_LINES[:-1] + ("unit -",),
+     "'-' is not a two-sided unit: - + = -"),
+    (("odot", "+ + = +", "+ - = -", "- + = +", "- - = -", "unit +"),
+     "'+' is not a two-sided unit: - + = +"),
+], ids=["not-a-unit", "left-unit-only"])
+def test_cli_mul_rejects_a_false_odot_unit(tmp_path, table, message):
+    sys_path = write(tmp_path, "z.csys", emit_system(zpair(5), name="z5"))
+    od_path = write(tmp_path, "u.odot", "\n".join(table) + "\n")
+    code, out, err = run(["mul", sys_path, "--odot", od_path])
+    assert (code, out, err) == (
+        2, "", f"parse error: line 6, col 1: {message}\n")
 
 
 def test_cli_mul_multi_map_without_odot_exits_2(tmp_path):
@@ -422,7 +501,7 @@ def test_cli_reports_an_internal_invariant_failure_as_a_bug(
     def broken(sys):
         raise InternalInvariantViolation("derived table not associative")
 
-    monkeypatch.setattr("countsys.cli.derive_addition", broken)
+    monkeypatch.setattr("countsys.derive.derive_addition", broken)
     path = write(tmp_path, "c.csys", CYC3)
     code, out, err = run(["add", path])
     assert (code, out, err) == (
