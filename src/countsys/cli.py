@@ -132,12 +132,12 @@ def _cmd_closure(args, out, err):
     doc = _load(args.file, args.auto_core)
     tm = monoid_closure(doc.system)
     payload = {"size": tm.size, "generators": tm.gen_index}
+    if args.full:
+        # built, or refused, before the words and before any output
+        payload["comp"] = tm.comp
     if args.json:
         # a cyclic closure's words hold m^2 / 2 labels; text never builds them
         payload["words"] = tm.words
-    if args.full:
-        # the table is built, or refused, before anything is printed
-        payload["comp"] = tm.comp
     _emit(payload, args.json, out)
     if not args.json:
         for lab, idx in tm.gen_index.items():

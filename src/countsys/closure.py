@@ -1,24 +1,29 @@
 """Transformation-monoid closure of a commuting family, and its evaluation map.
 
 The closure is built breadth-first from the identity, composing with the
-generators in index-set order and deduplicating by the full image table.  It
-keeps the left Cayley graph (the index of f_k . u for every generator f_k and
-element u) and the edge that discovered each element, as in Froidure & Pin,
-"Algorithms for computing finite semigroups" (1997).  The composition table
-is lazy: it is built from the graph by index lookups, never by composing
-maps, and only when read (`closure --full`).  The evaluation map sends each
-closure element u to u(base).
+generators in index-set order and deduplicating by the full image table.  The
+same pass keeps the left Cayley graph (the index of f_k . u for every
+generator f_k and element u) and the edge that discovered each element, as in
+Froidure & Pin, "Algorithms for computing finite semigroups" (1997).  The
+composition table is lazy: it is built from the graph by index lookups, never
+by composing maps, and only when read (`closure --full`).  The evaluation map
+sends each closure element u to u(base).
 """
 
 from dataclasses import dataclass
 from functools import cached_property
 
-from . import laws
-from .core import EndoMap, propagate
-from .errors import CompositionTableTooLarge, InternalInvariantViolation
+from .core import EndoMap, noncommuting
+from .errors import (
+    ClosureTooLarge,
+    CompositionTableTooLarge,
+    InternalInvariantViolation,
+    WordsTooLarge,
+)
 
 MAX_CLOSURE_SIZE = 1 << 16
 MAX_COMPOSITION_TABLE_SIZE = 1 << 12  # largest closure whose `comp` is built
+MAX_WORD_LABELS = 1 << 22  # most labels that `words` (closure --json) holds
 
 
 @dataclass
@@ -36,7 +41,14 @@ class TransformationMonoid:
     def words(self):
         """One witness generator word (labels) per element: the labels of
         the edges on its parent path from the identity.  Built only when
-        read, since the words of a cyclic closure hold m^2 / 2 labels."""
+        read: they hold as many labels as the BFS depths add up to (m^2 / 2
+        on a cyclic closure), and above MAX_WORD_LABELS WordsTooLarge is
+        raised before any word is built."""
+        depth = [0]
+        for p, _k in self.parent[1:]:
+            depth.append(depth[p] + 1)
+        if sum(depth) > MAX_WORD_LABELS:
+            raise WordsTooLarge(sum(depth), MAX_WORD_LABELS)
         labels = tuple(self.gen_index)
         out = [()]
         for p, k in self.parent[1:]:
@@ -70,41 +82,42 @@ class EvaluationMap:
 
 
 def monoid_closure(sys, limit=MAX_CLOSURE_SIZE):
-    """Least composition-closed set of self-maps containing the generators."""
-    # each step is a bound `compose`, so that a wrapper on EndoMap.compose
-    # (bench/tracing.py) counts every composition the closure makes
-    prop = propagate(
-        EndoMap.identity(sys.size), None,
-        [(f.compose, None) for f in sys.maps], limit=limit,
-    )
-    elements = prop.order
-    index = {u.table: i for i, u in enumerate(elements)}
-    cayley = []
-    for lab, f in zip(sys.index_set, sys.maps):
-        row = [index.get(tuple(map(f.table.__getitem__, u.table)))
-               for u in elements]
-        if None in row:
-            raise InternalInvariantViolation(
-                f"closure not closed under {lab!r} at element {row.index(None)}"
-            )
-        cayley.append(tuple(row))
-    gen_index = {
-        lab: index[f.table] for lab, f in zip(sys.index_set, sys.maps)
-    }
-    # every element commutes with every generator iff the closure commutes:
-    # the generators generate it
-    for i, u in enumerate(elements):
-        for lab, f in zip(sys.index_set, sys.maps):
-            if laws.intertwines(u.table, f.table, f.table) is not None:
-                raise InternalInvariantViolation(
-                    f"closure not commutative at ({i}, {gen_index[lab]})"
-                )
-    parent = (None,) + tuple(
-        (index[prop.parent[u][0].table], prop.parent[u][1])
-        for u in elements[1:]
-    )
+    """Least composition-closed set of self-maps containing the generators.
+
+    One breadth-first pass composes each element u_i, in order, once with
+    each generator f_k.  A new image table is appended with parent (i, k),
+    or ClosureTooLarge raised past `limit`; its index is cayley[k][i].
+
+    Checking that the generators commute (noncommuting) checks every
+    (element, generator) pair: generators are elements, and if they commute
+    then along u_i = f_k . u_p, f_j . u_i = f_k . f_j . u_p = f_k . u_p . f_j
+    = u_i . f_j.  Only a CountingSystem built without new_system, which runs
+    the same check, can fail it.
+    """
+    w = noncommuting(sys.index_set, sys.maps)
+    if w is not None:
+        raise InternalInvariantViolation(
+            "closure not commutative: {!r} and {!r} at {}".format(*w)
+        )
+    elements = [EndoMap.identity(sys.size)]
+    index = {elements[0].table: 0}
+    parent = [None]
+    cayley = tuple([] for _ in sys.maps)
+    for i, u in enumerate(elements):  # the list grows as it is walked
+        for k, f in enumerate(sys.maps):
+            v = f.compose(u)  # a wrapper on it counts compositions (bench)
+            j = index.get(v.table)
+            if j is None:
+                if len(elements) >= limit:
+                    raise ClosureTooLarge(limit)
+                j = index[v.table] = len(elements)
+                elements.append(v)
+                parent.append((i, k))
+            cayley[k].append(j)
+    # element 0 is the identity, so f_k is element cayley[k][0]
+    gen_index = {s: cayley[k][0] for k, s in enumerate(sys.index_set)}
     return TransformationMonoid(
-        tuple(elements), tuple(cayley), parent, gen_index
+        tuple(elements), tuple(map(tuple, cayley)), tuple(parent), gen_index
     )
 
 

@@ -11,7 +11,6 @@ from . import laws
 from .errors import (
     BadIndex,
     CarrierTooLarge,
-    ClosureTooLarge,
     DuplicateLabel,
     EmptyIndexSet,
     IndexSetTooLarge,
@@ -106,6 +105,17 @@ class CountingSystem:
         return self.carrier.size
 
 
+def noncommuting(index_set, maps):
+    """The first (s, t, x), s before t, with f_s(f_t(x)) != f_t(f_s(x)), or
+    None when the maps commute pairwise."""
+    for i, (s, fs) in enumerate(zip(index_set, maps)):
+        for t, ft in zip(index_set[i + 1:], maps[i + 1:]):
+            x = laws.intertwines(fs.table, ft.table, ft.table)
+            if x is not None:
+                return s, t, x
+    return None
+
+
 def new_system(carrier, base, index_set, maps):
     """Validate and build a counting system.
 
@@ -127,11 +137,9 @@ def new_system(carrier, base, index_set, maps):
     for f in maps:
         if f.carrier_size != n:
             raise BadIndex(f.carrier_size, n)
-    for i, (s, fs) in enumerate(zip(index_set, maps)):
-        for t, ft in zip(index_set[i + 1:], maps[i + 1:]):
-            x = laws.intertwines(fs.table, ft.table, ft.table)
-            if x is not None:
-                raise NonCommuting(s, t, x)
+    w = noncommuting(index_set, maps)
+    if w is not None:
+        raise NonCommuting(*w)
     return CountingSystem(carrier, base, index_set, maps)
 
 
@@ -145,7 +153,7 @@ class Propagation:
     conflict: tuple | None  # (element, kept, forced) where the run stopped
 
 
-def propagate(start, value, edges, sort_levels=False, limit=None, depth=None):
+def propagate(start, value, edges, sort_levels=False, depth=None):
     """Forced propagation: breadth-first from `start`, level by level.
 
     Each edge is a `(step, push)` pair: `step(x)` is the next element and
@@ -153,9 +161,8 @@ def propagate(start, value, edges, sort_levels=False, limit=None, depth=None):
     itself).  Edges are taken in the given order; a level is expanded in
     discovery order, or ascending when `sort_levels` is set.  The first value
     forced on an element is kept; a different one forced later stops the run
-    and is reported as `conflict`.  With `limit`, ClosureTooLarge is raised
-    before a discovery would make more than `limit` elements; with `depth`,
-    elements `depth` steps from the start are reached but not expanded.
+    and is reported as `conflict`.  With `depth`, elements `depth` steps
+    from the start are reached but not expanded.
     """
     order = [start]
     values = {start: value}
@@ -176,8 +183,6 @@ def propagate(start, value, edges, sort_levels=False, limit=None, depth=None):
                             order, values, parent, (y, values[y], forced)
                         )
                     continue
-                if limit is not None and len(order) >= limit:
-                    raise ClosureTooLarge(limit)
                 values[y] = forced
                 parent[y] = (x, k)
                 order.append(y)
@@ -305,14 +310,11 @@ def is_dedekind(sys):
 
 def pad_single(sys, label):
     """Keep the map at `label`, replace every other map by the identity."""
-    k = None
-    for i, lab in enumerate(sys.index_set):
-        if lab == label:
-            k = i
-    if k is None:
+    if label not in sys.index_set:
         raise UnknownLabel(label, sys.index_set)
     ident = EndoMap.identity(sys.size)
-    maps = tuple(f if i == k else ident for i, f in enumerate(sys.maps))
+    maps = tuple(f if lab == label else ident
+                 for lab, f in zip(sys.index_set, sys.maps))
     return CountingSystem(sys.carrier, sys.base, sys.index_set, maps)
 
 

@@ -90,6 +90,16 @@ class CompositionTableTooLarge(LimitExceeded):
         self.limit = limit
 
 
+class WordsTooLarge(LimitExceeded):
+    def __init__(self, size, limit):
+        super().__init__(
+            f"closure words (closure --json) would hold {size} labels; "
+            f"limit is {limit}"
+        )
+        self.size = size
+        self.limit = limit
+
+
 class MinimalityRequired(CountingSystemError):
     """A derivation step needs a minimal system; carries the unreachable set."""
 

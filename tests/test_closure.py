@@ -6,8 +6,10 @@ import tracemalloc
 import pytest
 from hypothesis import given, strategies as st
 
+from countsys import laws
 from countsys.closure import (
     MAX_COMPOSITION_TABLE_SIZE,
+    MAX_WORD_LABELS,
     TransformationMonoid,
     evaluation,
     is_invariant,
@@ -19,6 +21,7 @@ from countsys.core import (
     EndoMap,
     is_minimal,
     new_system,
+    propagate,
 )
 from countsys.derive import derive_addition
 from countsys.errors import (
@@ -26,6 +29,7 @@ from countsys.errors import (
     CompositionTableTooLarge,
     InternalInvariantViolation,
     LimitExceeded,
+    WordsTooLarge,
 )
 from countsys.fixtures import cyc, one_point, rho, zpair
 from test_laws import FIXTURES, _enumeration, _power, _system
@@ -39,6 +43,46 @@ def oracle_comp(tm):
         tuple(index[ui.compose(uj).table] for uj in tm.elements)
         for ui in tm.elements
     )
+
+
+def seed_monoid_closure(sys):
+    """The closure as it was built in two passes: `propagate` finds the
+    elements, then every (generator, element) pair is composed again to fill
+    the Cayley graph and the parents are re-indexed by image table.  Its
+    size limit, a `propagate` option, is left out."""
+    prop = propagate(
+        EndoMap.identity(sys.size), None, [(f.compose, None) for f in sys.maps]
+    )
+    elements = prop.order
+    index = {u.table: i for i, u in enumerate(elements)}
+    cayley = []
+    for lab, f in zip(sys.index_set, sys.maps):
+        row = [index.get(tuple(map(f.table.__getitem__, u.table)))
+               for u in elements]
+        assert None not in row
+        cayley.append(tuple(row))
+    gen_index = {
+        lab: index[f.table] for lab, f in zip(sys.index_set, sys.maps)
+    }
+    for u in elements:
+        for f in sys.maps:
+            assert laws.intertwines(u.table, f.table, f.table) is None
+    parent = (None,) + tuple(
+        (index[prop.parent[u][0].table], prop.parent[u][1])
+        for u in elements[1:]
+    )
+    return TransformationMonoid(
+        tuple(elements), tuple(cayley), parent, gen_index
+    )
+
+
+def assert_matches_the_seed(sys):
+    tm, seed = monoid_closure(sys), seed_monoid_closure(sys)
+    assert [u.table for u in tm.elements] == [u.table for u in seed.elements]
+    assert tm.cayley == seed.cayley
+    assert tm.parent == seed.parent
+    assert list(tm.gen_index.items()) == list(seed.gen_index.items())
+    assert tm.words == seed.words
 
 
 def cycles(lengths):
@@ -113,6 +157,16 @@ def test_words_witness_their_elements():
 def test_closure_limit_is_enforced():
     with pytest.raises(ClosureTooLarge):
         monoid_closure(cyc(10), limit=5)
+
+
+def test_closure_limit_raises_before_it_is_exceeded(monkeypatch):
+    assert monoid_closure(cyc(10), limit=10).size == 10
+    calls = _count_composes(monkeypatch)
+    with pytest.raises(ClosureTooLarge):
+        monoid_closure(cyc(10), limit=9)
+    # raised on discovering the tenth element, f . u_8; none is expanded
+    # after it
+    assert len(calls) == 9
 
 
 def test_evaluation_bijective_on_minimal_systems():
@@ -201,14 +255,26 @@ def _count_composes(monkeypatch):
     return calls
 
 
-def test_closure_composes_at_most_once_per_cayley_edge(monkeypatch):
+def test_closure_composes_once_per_cayley_edge(monkeypatch):
     calls = _count_composes(monkeypatch)
     for sys in FIXTURES + [rho(5, 4), zpair(7), cycles([3, 4, 5])]:
         calls.clear()
         tm = monoid_closure(sys)
-        assert len(calls) <= len(sys.maps) * tm.size
+        assert len(calls) == len(sys.maps) * tm.size
         tm.comp
-        assert len(calls) <= len(sys.maps) * tm.size
+        assert len(calls) == len(sys.maps) * tm.size
+
+
+def test_closure_matches_the_two_pass_seed():
+    systems = FIXTURES + [cycles([3, 4, 5])]
+    systems += [_system(0, tables) for tables in _enumeration()]
+    for sys in systems:
+        assert_matches_the_seed(sys)
+
+
+@given(non_minimal_two_map_systems())
+def test_closure_matches_the_two_pass_seed_on_random_systems(sys):
+    assert_matches_the_seed(sys)
 
 
 def test_derive_addition_never_reads_comp(monkeypatch):
@@ -244,3 +310,21 @@ def test_full_table_is_refused_above_its_limit_before_allocating():
     assert "closure --full" in str(exc.value)
     assert peak < 1 << 16
 
+
+def test_words_are_refused_above_their_limit_before_allocating():
+    tm = monoid_closure(cycles([5, 7, 9, 16]))
+    # element i is the i-th power, at BFS depth i
+    labels = tm.size * (tm.size - 1) // 2
+    assert labels > MAX_WORD_LABELS
+    tracemalloc.start()
+    try:
+        with pytest.raises(WordsTooLarge) as exc:
+            tm.words
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert isinstance(exc.value, LimitExceeded)
+    assert (exc.value.size, exc.value.limit) == (labels, MAX_WORD_LABELS)
+    assert "closure --json" in str(exc.value)
+    # the words would hold a pointer per label
+    assert peak < 1 << 20

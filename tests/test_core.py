@@ -20,7 +20,6 @@ from countsys.core import (
 )
 from countsys.errors import (
     BadIndex,
-    ClosureTooLarge,
     DuplicateLabel,
     EmptyIndexSet,
     NonCommuting,
@@ -206,21 +205,6 @@ def test_propagate_consistent_values_and_parents():
     assert prop.order == [1, 2, 3, 4]
     assert prop.value == {1: 1, 2: 2, 3: 3, 4: 4}
     assert prop.parent == {2: (1, 0), 3: (1, 1), 4: (2, 0)}
-
-
-def test_propagate_limit_raises_before_it_is_exceeded():
-    seen = []
-
-    def step(x):
-        seen.append(x)
-        return (x + 1) % 10
-
-    assert len(propagate(0, None, [(step, None)], limit=10).order) == 10
-    seen.clear()
-    with pytest.raises(ClosureTooLarge):
-        propagate(0, None, [(step, None)], limit=9)
-    # raised on discovering the tenth element, which is never expanded
-    assert seen == list(range(9))
 
 
 def test_propagate_depth_bound():

@@ -407,6 +407,17 @@ def test_cli_closure_full_refuses_a_table_above_its_limit(tmp_path):
                        "5040\n")
 
 
+def test_cli_closure_json_refuses_words_above_their_limit(tmp_path):
+    # the 5040 powers' words would hold 5040 * 5039 / 2 labels
+    path = write(tmp_path, "c.csys", emit_system(cycles([5, 7, 9, 16])))
+    code, out, err = run(["closure", path, "--json"])
+    assert (code, out) == (2, "")
+    assert err == ("error: closure words (closure --json) would hold "
+                   "12698280 labels; limit is 4194304\n")
+    code, out, err = run(["closure", path])
+    assert (code, out.splitlines()[0]) == (0, "size: 5040")
+
+
 def test_cli_add_refuses_a_non_minimal_system_before_its_closure(tmp_path):
     # the closure has lcm(5, 7, 9, 11, 13, 16) = 720720 elements, above its
     # 65536 limit; minimality is checked first

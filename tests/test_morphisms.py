@@ -1,11 +1,12 @@
 """System morphisms, the free multiset monoid and initiality diagnostics."""
 
+import itertools
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
-from countsys.core import CountingSystem
+from countsys.core import CountingSystem, is_minimal, propagate
 from countsys.derive import derive_addition
 from countsys.errors import (
     DuplicateLabel,
@@ -20,7 +21,6 @@ from countsys.morphisms import (
     bridge_check,
     free_add,
     free_eval,
-    free_remove_one,
     free_uniqueness_probe,
     free_unit,
     free_zero,
@@ -30,6 +30,7 @@ from countsys.morphisms import (
     morphism_find,
     relabel_index_set,
 )
+from test_laws import _system
 
 
 def test_morphism_cyc6_to_cyc3_is_reduction():
@@ -48,6 +49,42 @@ def test_morphism_rho_to_its_cycle():
     m = morphism_find(rho(2, 3), cyc(3))
     assert m is not None
     assert m.map == tuple(i % 3 for i in range(5))
+    assert is_morphism(m)
+
+
+def inverse(m):
+    """The inverse of a bijective morphism, as a map dst -> src."""
+    inv = [0] * m.dst.size
+    for x, y in enumerate(m.map):
+        inv[y] = x
+    return SystemMorphism(m.dst, m.src, tuple(inv))
+
+
+def test_found_morphisms_pass_the_exhaustive_check():
+    # morphism_find and is_isomorphism no longer re-check what their
+    # construction implies; is_morphism is the oracle, and a brute-force
+    # search over all maps confirms each None
+    sources = [
+        _system(0, [f]) for n in range(1, 5)
+        for f in itertools.product(range(n), repeat=n)
+    ]
+    targets = [
+        _system(base, [f]) for n in range(1, 4)
+        for f in itertools.product(range(n), repeat=n)
+        for base in range(n)
+    ]
+    for src in filter(is_minimal, sources):
+        for dst in targets:
+            m = morphism_find(src, dst)
+            if m is not None:
+                assert is_morphism(m)
+                if is_isomorphism(m):
+                    assert is_morphism(inverse(m))
+                continue
+            assert not any(
+                is_morphism(SystemMorphism(src, dst, h))
+                for h in itertools.product(range(dst.size), repeat=src.size)
+            )
 
 
 def test_morphism_requires_matching_index_sets():
@@ -83,6 +120,7 @@ def test_identity_is_isomorphism():
     sys = zpair(5)
     ident = SystemMorphism(sys, sys, tuple(range(5)))
     assert is_isomorphism(ident)
+    assert is_morphism(inverse(ident))
 
 
 def test_reduction_is_not_isomorphism():
@@ -101,6 +139,7 @@ def test_nontrivial_automorphism_of_zpair():
     assert m is not None
     assert m.map == (0, 4, 3, 2, 1)
     assert is_isomorphism(m)
+    assert is_morphism(inverse(m))
 
 
 def test_bridge_theorem_on_examples():
@@ -124,6 +163,7 @@ def test_maps_are_paired_by_label_not_position():
     assert m is not None
     assert m.map == tuple(range(5))
     assert is_isomorphism(m)
+    assert is_morphism(inverse(m))
     t = derive_addition(z)
     assert bridge_check(m, t, derive_addition(swapped))
     assert morphism_find(swapped, z).map == tuple(range(5))
@@ -156,6 +196,16 @@ def test_free_add_associative(e1, e2, e3):
 @given(free_elements)
 def test_free_add_unit(e):
     assert free_add(e, free_zero()) == e
+
+
+def free_remove_one(e, label):
+    """e less one unit at `label` (the step down of `way_down_probe`);
+    UnknownLabel if e holds none."""
+    counts = dict(e.multiplicity)
+    if counts.get(label, 0) < 1:
+        raise UnknownLabel(label, tuple(counts))
+    counts[label] -= 1
+    return FreeElement.of(counts)
 
 
 @given(free_elements, labels)
@@ -201,9 +251,30 @@ def test_free_eval_reduces_counts_along_tail_and_cycle():
     assert free_eval(z, e) == 3
 
 
+def way_down_probe(target, bound):
+    """The probe with its deleted pass: every way down by one unit from an
+    element of degree <= bound gives the value propagation forced on it."""
+    prop = propagate(free_zero(), target.base, [
+        (lambda e, u=free_unit(lab): free_add(e, u), target.map_for(lab))
+        for lab in target.index_set
+    ], depth=bound)
+    if prop.conflict is not None:
+        return False
+    values = prop.value
+    for e, v in values.items():
+        if v != free_eval(target, e):
+            return False
+        for lab, _count in e.multiplicity:
+            prev = free_remove_one(e, lab)
+            if target.map_for(lab)(values[prev]) != v:
+                return False
+    return True
+
+
 def test_free_uniqueness_probe_on_fixtures():
     for sys in [cyc(4), rho(2, 2), zpair(4), one_point()]:
         assert free_uniqueness_probe(sys, 8)
+        assert way_down_probe(sys, 8)
 
 
 def test_free_uniqueness_probe_requires_minimality():
