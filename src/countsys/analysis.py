@@ -1,26 +1,30 @@
 """Aggregate structural report for a counting system."""
 
-from dataclasses import dataclass
-
-from .core import is_dedekind, reachable_set
+from .core import _Value, is_dedekind, reachable_set
 from .morphisms import initiality_report
 
 
-@dataclass
-class MapFlags:
-    injective: bool
-    surjective: bool
-    bijective: bool
+class MapFlags(_Value):
+    __slots__ = ("injective", "surjective", "bijective")
+
+    def __init__(self, injective, surjective, bijective):
+        self.injective = injective
+        self.surjective = surjective
+        self.bijective = bijective
 
 
-@dataclass
-class AnalysisReport:
-    minimal: bool
-    core_size: int
-    map_flags: dict  # label -> MapFlags
-    dedekind: bool | None  # single-map systems only
-    initial: bool
-    initial_diagnostics: object | None = None
+class AnalysisReport(_Value):
+    __slots__ = ("minimal", "core_size", "map_flags", "dedekind", "initial",
+                 "initial_diagnostics")
+
+    def __init__(self, minimal, core_size, map_flags, dedekind, initial,
+                 initial_diagnostics=None):
+        self.minimal = minimal
+        self.core_size = core_size
+        self.map_flags = map_flags  # label -> MapFlags
+        self.dedekind = dedekind  # single-map systems only, else None
+        self.initial = initial
+        self.initial_diagnostics = initial_diagnostics
 
 
 def analyze(sys):
@@ -33,17 +37,6 @@ def analyze(sys):
         injective = f.is_injective()
         flags[lab] = MapFlags(injective, injective, injective)
     dedekind = is_dedekind(sys) if len(sys.index_set) == 1 else None
-    if minimal:
-        rep = initiality_report(sys)
-        initial = rep.initial
-    else:
-        rep = None
-        initial = False
-    return AnalysisReport(
-        minimal=minimal,
-        core_size=core_size,
-        map_flags=flags,
-        dedekind=dedekind,
-        initial=initial,
-        initial_diagnostics=rep,
-    )
+    rep = initiality_report(sys) if minimal else None
+    initial = rep is not None and rep.initial
+    return AnalysisReport(minimal, core_size, flags, dedekind, initial, rep)

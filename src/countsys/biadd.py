@@ -2,18 +2,16 @@
 
 A homomorphism out of a finitely generated table is determined by its values
 on the generators; extension proceeds by forced propagation along generator
-words, with conflict detection, followed by a verification pass on the
-generators.  The biadditive extension builds one section homomorphism per
-element and glues them into a two-argument table; its certificate implies
-every law of the multiplications built on it, which are not checked again.
+words, and a run without conflict is the extension.  The biadditive
+extension builds one section homomorphism per element and glues them into a
+two-argument table; its certificate implies every law of the
+multiplications built on it, which are not checked again.
 A table `t` passed with a system `sys` must be derive_addition(sys).
 """
 
-from dataclasses import dataclass
-
 from . import laws
-from .core import propagate, require_single_map
-from .derive import MonoidTable, require_generates, submonoid_closure
+from .core import _Value, propagate, require_single_map
+from .derive import require_generates, submonoid_closure
 from .errors import (
     CompatibilityViolated,
     IndexSetMismatch,
@@ -22,24 +20,28 @@ from .errors import (
 )
 
 
-@dataclass
-class HomTable:
-    src: MonoidTable
-    dst: MonoidTable
-    map: tuple  # per-element image index
+class HomTable(_Value):
+    __slots__ = ("src", "dst", "map")
+
+    def __init__(self, src, dst, map):
+        self.src = src  # MonoidTable
+        self.dst = dst  # MonoidTable
+        self.map = map  # per-element image index
 
     def __call__(self, a):
         return self.map[a]
 
 
-@dataclass
-class ExtensionConflict:
+class ExtensionConflict(_Value):
     """Where forced propagation broke down: the element whose image was forced
     two different ways, with both candidate images."""
 
-    element: int
-    expected: int
-    got: int
+    __slots__ = ("element", "expected", "got")
+
+    def __init__(self, element, expected, got):
+        self.element = element
+        self.expected = expected
+        self.got = got
 
     def describe(self):
         return (
@@ -78,12 +80,15 @@ def hom_add(a, b):
 
 
 def hom_extend_report(src, dst, gens, targets):
-    """Try to extend generator assignments a_s -> b_s to a homomorphism.
+    """Try to extend generator assignments g_s -> b_s to a homomorphism.
 
     Returns (hom, conflict): the unique extension when it exists, otherwise
-    None together with a conflict witness where propagation or the final
-    verification failed.  The extension sends g_s to b_s: propagation first
-    forces b_s + zero = b_s on g_s + zero = g_s, or reports a conflict there.
+    None together with the element where propagation forced two images.
+    A conflict-free propagation is the extension, for commutative src and
+    dst (derive_addition's tables): it sets h(zero) = zero and reaches and
+    expands every x (gens generate src), forcing h(g_s + x) = b_s + h(x).
+    So h(g_s) = b_s + zero = b_s, and h(x + g_s) = h(x) + h(g_s) by
+    commutativity, which is the homomorphism law at right = gens.
     """
     gens = tuple(gens)
     targets = tuple(targets)
@@ -95,17 +100,7 @@ def hom_extend_report(src, dst, gens, targets):
     if prop.conflict is not None:
         return None, ExtensionConflict(*prop.conflict)
     img = prop.value
-    mapping = tuple(img[a] for a in range(src.size))
-    # propagation sent zero to zero, so only additivity can fail
-    # right=gens: gens generate src (above), src and dst are MonoidTables
-    w = laws.homomorphism(src.op, dst.op, mapping, right=gens)
-    if w is not None:
-        a, b = w
-        ab = src.op[a][b]
-        return None, ExtensionConflict(
-            ab, mapping[ab], dst.op[mapping[a]][mapping[b]]
-        )
-    return HomTable(src, dst, mapping), None
+    return HomTable(src, dst, tuple(img[a] for a in range(src.size))), None
 
 
 def hom_extend(src, dst, gens, targets):
@@ -113,11 +108,13 @@ def hom_extend(src, dst, gens, targets):
     return hom
 
 
-@dataclass
-class BiadditiveTable:
-    src: MonoidTable
-    dst: MonoidTable
-    op: tuple  # |src| x |src| table of dst indices
+class BiadditiveTable(_Value):
+    __slots__ = ("src", "dst", "op")
+
+    def __init__(self, src, dst, op):
+        self.src = src  # MonoidTable
+        self.dst = dst  # MonoidTable
+        self.op = op  # |src| x |src| table of dst indices
 
     def __call__(self, a, b):
         return self.op[a][b]
@@ -189,13 +186,15 @@ def derive_multiplication_single(sys, t):
     )
 
 
-@dataclass
-class OdotTable:
+class OdotTable(_Value):
     """A total binary operation on the index-set labels, with optional unit."""
 
-    index_set: tuple
-    op: dict  # (s, t) -> label
-    unit: str | None = None
+    __slots__ = ("index_set", "op", "unit")
+
+    def __init__(self, index_set, op, unit=None):
+        self.index_set = index_set
+        self.op = op  # (s, t) -> label
+        self.unit = unit
 
     def validate(self):
         for s in self.index_set:
@@ -208,14 +207,16 @@ class OdotTable:
             raise OdotNotTotal(self.unit, self.unit)
 
 
-@dataclass
-class IndexedMultiplication:
+class IndexedMultiplication(_Value):
     """Result of the index-table-driven extension: either a table, or the
     first label whose required endomorphism does not exist, with a witness."""
 
-    table: BiadditiveTable | None
-    failing_label: str | None = None
-    conflict: ExtensionConflict | None = None
+    __slots__ = ("table", "failing_label", "conflict")
+
+    def __init__(self, table, failing_label=None, conflict=None):
+        self.table = table  # BiadditiveTable, or None
+        self.failing_label = failing_label
+        self.conflict = conflict  # ExtensionConflict, or None
 
     @property
     def ok(self):
@@ -276,11 +277,13 @@ def projections(t, gens):
     return out, None, None
 
 
-@dataclass
-class DirectSumReport:
-    ok: bool
-    failing_gen: int | None = None
-    conflict: ExtensionConflict | None = None
+class DirectSumReport(_Value):
+    __slots__ = ("ok", "failing_gen", "conflict")
+
+    def __init__(self, ok, failing_gen=None, conflict=None):
+        self.ok = ok
+        self.failing_gen = failing_gen
+        self.conflict = conflict  # ExtensionConflict, or None
 
 
 def direct_sum_report(t, gens):
@@ -302,13 +305,17 @@ def direct_sum_check(t, gens):
     return direct_sum_report(t, gens).ok
 
 
-@dataclass
-class CyclicFreeness:
-    label_index: int
-    generator: int
-    submonoid: tuple  # sorted element indices
-    injective: bool
-    zero_in_image: bool
+class CyclicFreeness(_Value):
+    __slots__ = ("label_index", "generator", "submonoid", "injective",
+                 "zero_in_image")
+
+    def __init__(self, label_index, generator, submonoid, injective,
+                 zero_in_image):
+        self.label_index = label_index
+        self.generator = generator
+        self.submonoid = submonoid  # sorted element indices
+        self.injective = injective
+        self.zero_in_image = zero_in_image
 
     @property
     def free(self):
@@ -316,10 +323,12 @@ class CyclicFreeness:
         return self.injective and not self.zero_in_image
 
 
-@dataclass
-class FreeReport:
-    direct_sum: DirectSumReport
-    cyclic: list  # CyclicFreeness per generator
+class FreeReport(_Value):
+    __slots__ = ("direct_sum", "cyclic")
+
+    def __init__(self, direct_sum, cyclic):
+        self.direct_sum = direct_sum  # DirectSumReport
+        self.cyclic = cyclic  # CyclicFreeness per generator
 
     @property
     def free(self):

@@ -91,11 +91,12 @@ def _cmd_validate(args, out, err):
 
 
 def _cmd_analyze(args, out, err):
-    from dataclasses import asdict
     from .analysis import analyze
     doc = _load(args.file, args.auto_core)
     rep = analyze(doc.system)
-    maps = {lab: asdict(fl) for lab, fl in rep.map_flags.items()}
+    keys = ("injective", "surjective", "bijective")
+    maps = {lab: {k: getattr(fl, k) for k in keys}
+            for lab, fl in rep.map_flags.items()}
     payload = {
         "name": doc.name,
         "minimal": rep.minimal,
@@ -105,17 +106,12 @@ def _cmd_analyze(args, out, err):
         "maps": maps,
     }
     if rep.initial_diagnostics is not None:
+        fields = ("label", "morphism_to_padded", "core_size", "core_dedekind")
         payload["initial_conditions"] = [
-            {
-                "label": c.label,
-                "morphism_to_padded": c.morphism_to_padded,
-                "core_size": c.core_size,
-                "core_dedekind": c.core_dedekind,
-            }
+            {k: getattr(c, k) for k in fields}
             for c in rep.initial_diagnostics.conditions
         ]
-    _emit(payload, args.json, out, "map", maps,
-          ("injective", "surjective", "bijective"))
+    _emit(payload, args.json, out, "map", maps, keys)
     return EXIT_OK
 
 
@@ -244,16 +240,16 @@ def _cmd_free_eval(args, out, err):
 
 
 def _cmd_initial(args, out, err):
-    from dataclasses import asdict
     from .morphisms import initiality_report
     doc = _load(args.file, args.auto_core)
     rep = initiality_report(doc.system)
-    conditions = [asdict(c) for c in rep.conditions]
+    keys = ("morphism_to_padded", "core_size", "core_dedekind",
+            "core_injective", "base_in_core_image")
+    conditions = [{"label": c.label, **{k: getattr(c, k) for k in keys}}
+                  for c in rep.conditions]
     payload = {"initial": rep.initial, "conditions": conditions}
     _emit(payload, args.json, out, "label",
-          {c["label"]: c for c in conditions},
-          ("morphism_to_padded", "core_size", "core_dedekind",
-           "core_injective", "base_in_core_image"))
+          {c["label"]: c for c in conditions}, keys)
     return EXIT_OK
 
 
@@ -344,10 +340,7 @@ def run_cli(argv, out=None, err=None):
     except InternalInvariantViolation as exc:
         print(f"bug: {exc}", file=err)
         return EXIT_ERROR
-    except CountingSystemError as exc:
-        print(f"error: {exc}", file=err)
-        return EXIT_ERROR
-    except OSError as exc:
+    except (CountingSystemError, OSError) as exc:
         print(f"error: {exc}", file=err)
         return EXIT_ERROR
 

@@ -10,10 +10,9 @@ by composing maps, and only when read (`closure --full`).  The evaluation map
 sends each closure element u to u(base).
 """
 
-from dataclasses import dataclass
 from functools import cached_property
 
-from .core import EndoMap, noncommuting
+from .core import EndoMap, _Value, noncommuting
 from .errors import (
     ClosureTooLarge,
     CompositionTableTooLarge,
@@ -26,12 +25,16 @@ MAX_COMPOSITION_TABLE_SIZE = 1 << 12  # largest closure whose `comp` is built
 MAX_WORD_LABELS = 1 << 22  # most labels that `words` (closure --json) holds
 
 
-@dataclass
 class TransformationMonoid:
-    elements: tuple  # EndoMaps; elements[0] is the identity
-    cayley: tuple  # cayley[k][i] = index of maps[k] . elements[i]
-    parent: tuple  # parent[i] = (p, k): elements[i] = maps[k] . elements[p]
-    gen_index: dict  # label -> element index, in index-set order
+    # no __slots__: cached_property stores in the instance __dict__
+    __hash__ = None
+
+    def __init__(self, elements, cayley, parent, gen_index):
+        self.elements = elements  # EndoMaps; elements[0] is the identity
+        self.cayley = cayley  # cayley[k][i] = index of maps[k] . elements[i]
+        # parent[i] = (p, k): elements[i] = maps[k] . elements[p]
+        self.parent = parent
+        self.gen_index = gen_index  # label -> element index, index-set order
 
     @property
     def size(self):
@@ -74,11 +77,13 @@ class TransformationMonoid:
         return tuple(rows)
 
 
-@dataclass
-class EvaluationMap:
-    to_carrier: tuple  # element index -> carrier element u(base)
-    bijective: bool
-    inverse: tuple | None  # carrier element -> element index, when bijective
+class EvaluationMap(_Value):
+    __slots__ = ("to_carrier", "bijective", "inverse")
+
+    def __init__(self, to_carrier, bijective, inverse):
+        self.to_carrier = to_carrier  # element index -> carrier point u(base)
+        self.bijective = bijective
+        self.inverse = inverse  # carrier point -> element index, or None
 
 
 def monoid_closure(sys, limit=MAX_CLOSURE_SIZE):

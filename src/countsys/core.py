@@ -1,11 +1,9 @@
 """Carriers, commuting families and counting systems.
 
 A counting system is a finite carrier, a base point and a non-empty family of
-pairwise-commuting total self-maps indexed by string labels.  Everything here
-is immutable after construction; all functions are pure.
+pairwise-commuting total self-maps indexed by string labels.  Carriers, maps
+and systems are immutable after construction; all functions are pure.
 """
-
-from dataclasses import dataclass
 
 from . import laws
 from .errors import (
@@ -33,35 +31,75 @@ def require_distinct(labels):
         seen.add(lab)
 
 
-@dataclass(frozen=True)
-class Carrier:
+class _Value:
+    """A record whose fields are its `__slots__`: equal to an instance of the
+    same class with equal fields, printed as `Name(field=value, ...)`, and
+    unhashable, since its fields may be reassigned."""
+
+    __slots__ = ()
+    __hash__ = None
+
+    def _fields(self):
+        return tuple(map(self.__getattribute__, self.__slots__))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self):
+        fields = (f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__qualname__}({', '.join(fields)})"
+
+
+class _Frozen(_Value):
+    """A _Value hashed by its fields, which cannot be reassigned; __init__
+    sets them through object.__setattr__."""
+
+    __slots__ = ()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):  # pickle and copy rebuild through __init__
+        return self.__class__, self._fields()
+
+
+class Carrier(_Frozen):
     """A finite set of n elements with distinct display labels."""
 
-    labels: tuple
+    __slots__ = ("labels",)
 
-    def __post_init__(self):
-        if len(self.labels) < 1:
+    def __init__(self, labels):
+        if len(labels) < 1:
             raise BadIndex(0, 0)
-        if len(self.labels) > MAX_CARRIER_SIZE:
-            raise CarrierTooLarge(len(self.labels), MAX_CARRIER_SIZE)
-        require_distinct(self.labels)
+        if len(labels) > MAX_CARRIER_SIZE:
+            raise CarrierTooLarge(len(labels), MAX_CARRIER_SIZE)
+        require_distinct(labels)
+        object.__setattr__(self, "labels", labels)
 
     @property
     def size(self):
         return len(self.labels)
 
 
-@dataclass(frozen=True)
-class EndoMap:
+class EndoMap(_Frozen):
     """A total self-map of a carrier, stored as an image table on indices."""
 
-    table: tuple
+    __slots__ = ("table",)
 
-    def __post_init__(self):
-        n = len(self.table)
-        for img in self.table:
+    def __init__(self, table):
+        n = len(table)
+        for img in table:
             if not isinstance(img, int) or not 0 <= img < n:
                 raise BadIndex(img, n)
+        object.__setattr__(self, "table", table)
 
     @property
     def carrier_size(self):
@@ -85,14 +123,16 @@ class EndoMap:
         return EndoMap(tuple(range(n)))
 
 
-@dataclass(frozen=True)
-class CountingSystem:
+class CountingSystem(_Frozen):
     """Carrier + base point + commuting family of self-maps, one per label."""
 
-    carrier: Carrier
-    base: int
-    index_set: tuple
-    maps: tuple  # EndoMap per label, aligned with index_set
+    __slots__ = ("carrier", "base", "index_set", "maps")
+
+    def __init__(self, carrier, base, index_set, maps):
+        object.__setattr__(self, "carrier", carrier)
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "index_set", index_set)
+        object.__setattr__(self, "maps", maps)  # an EndoMap per label
 
     def map_for(self, label):
         try:
@@ -143,14 +183,16 @@ def new_system(carrier, base, index_set, maps):
     return CountingSystem(carrier, base, index_set, maps)
 
 
-@dataclass
-class Propagation:
+class Propagation(_Value):
     """The outcome of `propagate`."""
 
-    order: list  # elements in discovery order, start first
-    value: dict  # element -> the first value forced on it
-    parent: dict  # element -> (previous element, edge index); start absent
-    conflict: tuple | None  # (element, kept, forced) where the run stopped
+    __slots__ = ("order", "value", "parent", "conflict")
+
+    def __init__(self, order, value, parent, conflict):
+        self.order = order  # elements in discovery order, start first
+        self.value = value  # element -> the first value forced on it
+        self.parent = parent  # element -> (previous, edge index); no start
+        self.conflict = conflict  # (element, kept, forced) at a stop, or None
 
 
 def propagate(start, value, edges, sort_levels=False, depth=None):

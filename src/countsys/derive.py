@@ -11,25 +11,23 @@ mapped through the discovering generator; derive_addition then certifies
 the table.
 """
 
-from dataclasses import dataclass
-
 from . import laws
-from .core import propagate, require_minimal
+from .core import _Value, propagate, require_minimal
 from .errors import GensDoNotGenerate, InternalInvariantViolation
 
 
-@dataclass
-class MonoidTable:
+class MonoidTable(_Value):
     """An associative table with unit `zero`.  The unit is checked here;
     derive_addition verifies associativity and product_table preserves it,
     and the generator certificates in biadd rely on it."""
 
-    size: int
-    op: tuple  # n x n tuple-of-tuples of element indices
-    zero: int
+    __slots__ = ("size", "op", "zero")
 
-    def __post_init__(self):
-        x = laws.unit(self.op, self.zero)
+    def __init__(self, size, op, zero):
+        self.size = size
+        self.op = op  # n x n tuple-of-tuples of element indices
+        self.zero = zero
+        x = laws.unit(op, zero)
         if x is not None:
             raise InternalInvariantViolation(f"unit law fails at element {x}")
 
@@ -37,12 +35,14 @@ class MonoidTable:
         return self.op[a][b]
 
 
-@dataclass
-class Classification:
-    group: bool
-    cancellative: bool
-    zero_sum_free: bool
-    trichotomy: bool
+class Classification(_Value):
+    __slots__ = ("group", "cancellative", "zero_sum_free", "trichotomy")
+
+    def __init__(self, group, cancellative, zero_sum_free, trichotomy):
+        self.group = group
+        self.cancellative = cancellative
+        self.zero_sum_free = zero_sum_free
+        self.trichotomy = trichotomy
 
 
 def derive_addition(sys):

@@ -12,16 +12,16 @@ an `odot` header, then `<s> <t> = <u>` lines covering the whole square, plus
 an optional `unit <s>` line naming a two-sided unit of the table.
 """
 
-from dataclasses import dataclass
-
-from .core import Carrier, EndoMap, new_system
+from .core import Carrier, EndoMap, _Value, new_system
 from .errors import DuplicateLabel, ParseError
 
 
-@dataclass
-class SystemDocument:
-    name: str
-    system: object
+class SystemDocument(_Value):
+    __slots__ = ("name", "system")
+
+    def __init__(self, name, system):
+        self.name = name
+        self.system = system
 
 
 def _logical_lines(text):

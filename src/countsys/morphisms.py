@@ -6,11 +6,11 @@ search is a breadth-first propagation with conflict detection.  Free-monoid
 elements are sparse multisets over the index labels.
 """
 
-from dataclasses import dataclass, field
-
 from . import laws
 from .core import (
     CountingSystem,
+    _Frozen,
+    _Value,
     minimal_core,
     pad_single,
     propagate,
@@ -21,11 +21,13 @@ from .core import (
 from .errors import IndexSetMismatch, UnknownLabel
 
 
-@dataclass
-class SystemMorphism:
-    src: object
-    dst: object
-    map: tuple  # per-element image index
+class SystemMorphism(_Value):
+    __slots__ = ("src", "dst", "map")
+
+    def __init__(self, src, dst, map):
+        self.src = src
+        self.dst = dst
+        self.map = map  # per-element image index
 
 
 def _paired_maps(src, dst):
@@ -84,11 +86,14 @@ def bridge_check(m, t_src, t_dst):
     return True
 
 
-@dataclass(frozen=True)
-class FreeElement:
+class FreeElement(_Frozen):
     """A finite multiset over index labels, in canonical sparse form."""
 
-    multiplicity: tuple  # sorted tuple of (label, count), counts > 0
+    __slots__ = ("multiplicity",)
+
+    def __init__(self, multiplicity):
+        # sorted tuple of (label, count), counts > 0
+        object.__setattr__(self, "multiplicity", multiplicity)
 
     @staticmethod
     def of(mapping=(), **kwargs):
@@ -179,23 +184,29 @@ def free_uniqueness_probe(target, bound):
     return all(v == free_eval(target, e) for e, v in prop.value.items())
 
 
-@dataclass
-class InitialityCondition:
-    label: str
-    morphism_to_padded: bool
-    core_size: int
-    core_injective: bool
-    base_in_core_image: bool
-    core_dedekind: bool
+class InitialityCondition(_Value):
+    __slots__ = ("label", "morphism_to_padded", "core_size", "core_injective",
+                 "base_in_core_image", "core_dedekind")
+
+    def __init__(self, label, morphism_to_padded, core_size, core_injective,
+                 base_in_core_image, core_dedekind):
+        self.label = label
+        self.morphism_to_padded = morphism_to_padded
+        self.core_size = core_size
+        self.core_injective = core_injective
+        self.base_in_core_image = base_in_core_image
+        self.core_dedekind = core_dedekind
 
     @property
     def holds(self):
         return self.morphism_to_padded and self.core_dedekind
 
 
-@dataclass
-class InitialityReport:
-    conditions: list = field(default_factory=list)
+class InitialityReport(_Value):
+    __slots__ = ("conditions",)
+
+    def __init__(self, conditions):
+        self.conditions = conditions  # InitialityCondition per label
 
     @property
     def initial(self):
@@ -218,7 +229,7 @@ def initiality_report(sys):
     adding x_s is f_s, so that submonoid is the orbit of the base under f_s.
     """
     require_minimal(sys)
-    report = InitialityReport()
+    conditions = []
     for lab in sys.index_set:
         padded = pad_single(sys, lab)
         has_morphism = morphism_find(sys, padded) is not None
@@ -226,17 +237,11 @@ def initiality_report(sys):
         f = core.maps[0]
         injective = f.is_injective()
         base_in_image = core.base in set(f.table)
-        report.conditions.append(
-            InitialityCondition(
-                label=lab,
-                morphism_to_padded=has_morphism,
-                core_size=core.size,
-                core_injective=injective,
-                base_in_core_image=base_in_image,
-                core_dedekind=injective and not base_in_image,  # core minimal
-            )
-        )
-    return report
+        dedekind = injective and not base_in_image  # the core is minimal
+        conditions.append(InitialityCondition(
+            lab, has_morphism, core.size, injective, base_in_image, dedekind
+        ))
+    return InitialityReport(conditions)
 
 
 def relabel_index_set(sys, mapping):

@@ -1,5 +1,8 @@
 """Carrier, map and system construction, minimality and core extraction."""
 
+import copy
+import pickle
+
 import pytest
 
 from countsys.core import (
@@ -227,3 +230,77 @@ def test_sorted_levels_differ_from_discovery_order():
     assert reachable_set(sys) == {0, 1, 2, 3, 4}
     core = minimal_core(sys)
     assert core.carrier.labels == tuple("aebdc")
+
+
+def test_endomap_names_the_first_bad_image():
+    for table, bad in [
+        ((0, "a", 7, 1), "a"),  # a str before an out-of-range int
+        ((0, 7, "a", 1), 7),
+        ((1, 0, -1, 2), -1),
+        ((1.0, 0), 1.0),
+        ((0, 1, 2, 4), 4),
+    ]:
+        with pytest.raises(BadIndex) as info:
+            EndoMap(table)
+        assert info.value.value == bad
+        assert type(info.value.value) is type(bad)
+        assert info.value.size == len(table)
+    assert EndoMap((True, 0)).table == (1, 0)
+    assert EndoMap(()).table == ()
+
+
+def _value_cases():
+    """(make, field): make(i) builds an instance from field values chosen by
+    i, equal for equal i and different in one field for different i; field
+    names a field of a frozen class, None for a mutable one."""
+    from countsys.biadd import DirectSumReport, ExtensionConflict, HomTable
+    from countsys.derive import MonoidTable
+    from countsys.morphisms import FreeElement
+
+    def table(i):
+        return MonoidTable(2, ((0, 1), (1, i)), 0)
+
+    return [
+        (lambda i: EndoMap((i, 1)), "table"),
+        (lambda i: Carrier(("a", f"b{i}")), "labels"),
+        (lambda i: CountingSystem(
+            Carrier(("a",)), 0, (f"s{i}",), (EndoMap((0,)),)), "index_set"),
+        (lambda i: FreeElement.of(s=i + 1), "multiplicity"),
+        (table, None),
+        (lambda i: HomTable(table(0), table(0), (0, i)), None),
+        (lambda i: DirectSumReport(False, i), None),
+        (lambda i: ExtensionConflict(1, i, 0), None),
+    ]
+
+
+def test_value_classes_compare_hash_and_print_by_field():
+    for make, field in _value_cases():
+        a, b, c = make(0), make(0), make(1)
+        assert a is not b
+        assert a == b and not a != b
+        assert a != c and not a == c
+        assert a != (0, 1) and a != object()
+        assert pickle.loads(pickle.dumps(a)) == a == copy.deepcopy(a)
+        if field is None:
+            with pytest.raises(TypeError):
+                hash(a)
+        else:
+            assert hash(a) == hash(b)
+            assert {a, b, c} == {a, c}
+            with pytest.raises(AttributeError):
+                setattr(a, field, getattr(c, field))
+            assert a == b
+    assert repr(EndoMap((1, 0))) == "EndoMap(table=(1, 0))"
+    assert repr(Carrier(("a",))) == "Carrier(labels=('a',))"
+    assert repr(CountingSystem(Carrier(("a",)), 0, ("s",), (EndoMap((0,)),))) \
+        == ("CountingSystem(carrier=Carrier(labels=('a',)), base=0, "
+            "index_set=('s',), maps=(EndoMap(table=(0,)),))")
+    reprs = [repr(make(1)) for make, _field in _value_cases()[3:]]
+    assert reprs == [
+        "FreeElement(multiplicity=(('s', 2),))",
+        "MonoidTable(size=2, op=((0, 1), (1, 1)), zero=0)",
+        "HomTable(src=MonoidTable(size=2, op=((0, 1), (1, 0)), zero=0), "
+        "dst=MonoidTable(size=2, op=((0, 1), (1, 0)), zero=0), map=(0, 1))",
+        "DirectSumReport(ok=False, failing_gen=1, conflict=None)",
+        "ExtensionConflict(element=1, expected=1, got=0)",
+    ]

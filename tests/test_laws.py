@@ -34,6 +34,7 @@ from countsys.biadd import (
     derive_multiplication_single,
     direct_sum_report,
     hom_extend_report,
+    is_hom,
     projections,
 )
 from countsys.closure import evaluation, monoid_closure
@@ -41,6 +42,7 @@ from countsys.core import (
     Carrier,
     CountingSystem,
     EndoMap,
+    Propagation,
     is_minimal,
     minimal_core,
     new_system,
@@ -775,9 +777,10 @@ def test_initiality_cores_are_the_cyclic_submonoids():
 # -- the checks the multiplication no longer makes -----------------------------
 
 
-def seed_hom_extend_report(src, dst, gens, targets):
-    """hom_extend_report with its final pass over the generator values, which
-    the first propagation level makes dead."""
+def checked_hom_extend_report(src, dst, gens, targets):
+    """hom_extend_report with its final homomorphism check on the
+    generators, which a conflict-free propagation makes dead on
+    commutative tables."""
     gens = tuple(gens)
     targets = tuple(targets)
     require_generates(src, gens)
@@ -796,27 +799,72 @@ def seed_hom_extend_report(src, dst, gens, targets):
         return None, ExtensionConflict(
             ab, mapping[ab], dst.op[mapping[a]][mapping[b]]
         )
-    for g, b in zip(gens, targets):
-        if mapping[g] != b:
-            return None, ExtensionConflict(g, b, mapping[g])
     return HomTable(src, dst, mapping), None
 
 
-def test_hom_extend_report_matches_the_seed_with_its_generator_pass():
+def seed_hom_extend_report(src, dst, gens, targets):
+    """checked_hom_extend_report with a last pass over the generator values,
+    which the first propagation level makes dead."""
+    hom, conflict = checked_hom_extend_report(src, dst, gens, targets)
+    for g, b in zip(gens, targets) if hom is not None else ():
+        if hom.map[g] != b:
+            return None, ExtensionConflict(g, b, hom.map[g])
+    return hom, conflict
+
+
+def _extension_cases():
+    """(src, dst, gens, targets) over every derived table of the
+    enumerations, into itself and, for the fixtures, into each fixture."""
     tables = {}
     for sys in _minimal_systems():
         t = derive_addition(sys)
         tables.setdefault(t.op, (t, tuple(f(sys.base) for f in sys.maps)))
     fixtures = [derive_addition(sys) for sys in FIXTURES]
-    found = set()
     for t, gens in tables.values():
         for dst in [t] + (fixtures if t in fixtures else []):
             for targets in itertools.product(range(dst.size),
                                              repeat=len(gens)):
-                want = seed_hom_extend_report(t, dst, gens, targets)
-                assert hom_extend_report(t, dst, gens, targets) == want
-                found.add(want[0] is not None)
+                yield t, dst, gens, targets
+
+
+def test_hom_extend_report_matches_the_seed_with_its_generator_pass():
+    found = set()
+    for case in _extension_cases():
+        want = seed_hom_extend_report(*case)
+        assert checked_hom_extend_report(*case) == want
+        assert hom_extend_report(*case) == want
+        found.add(want[0] is not None)
     assert found == {True, False}
+
+
+def propagate_without_conflicts(start, value, edges):
+    """propagate with its conflict check dropped: the first value forced
+    on an element is kept and a different later one is ignored."""
+    order, values = [start], {start: value}
+    for x in order:
+        for step, push in edges:
+            values.setdefault(step(x), push(values[x]))
+            if len(values) > len(order):
+                order.append(step(x))
+    return Propagation(order, values, {}, None)
+
+
+def test_hom_extend_report_without_the_conflict_check_is_caught(monkeypatch):
+    """Mutation: with nothing after the propagation, its conflict check
+    alone rejects the assignments that extend to no homomorphism.  Dropping
+    it returns maps that are no extension, which the oracle catches."""
+    monkeypatch.setattr(biadd, "propagate", propagate_without_conflicts)
+    caught = 0
+    for src, dst, gens, targets in _extension_cases():
+        hom, _ = hom_extend_report(src, dst, gens, targets)
+        want, _ = checked_hom_extend_report(src, dst, gens, targets)
+        if hom is not None and want is None:
+            caught += 1
+            assert not is_hom(src, dst, hom.map) or any(
+                hom.map[g] != b for g, b in zip(gens, targets))
+        else:
+            assert hom == want
+    assert caught > 0
 
 
 def oracle_mult_laws(sys, t, mu):
