@@ -841,11 +841,12 @@ def propagate_without_conflicts(start, value, edges):
     """propagate with its conflict check dropped: the first value forced
     on an element is kept and a different later one is ignored."""
     order, values = [start], {start: value}
-    for x in order:
+    for x in order:  # the list grows as it is walked
         for step, push in edges:
-            values.setdefault(step(x), push(values[x]))
-            if len(values) > len(order):
-                order.append(step(x))
+            y = step(x)
+            if y not in values:
+                values[y] = push(values[x])
+                order.append(y)
     return Propagation(order, values, {}, None)
 
 
