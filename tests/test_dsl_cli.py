@@ -201,6 +201,28 @@ def test_cli_validate_ok(tmp_path):
     assert "cyc3" in out
 
 
+@pytest.mark.parametrize("command, flags", [
+    ("validate", []), ("closure", []), ("add", []), ("mul", []),
+    ("mul", ["--odot"]), ("free-report", []), ("initial", []),
+    ("analyze", []),
+], ids=["validate", "closure", "add", "mul", "mul-odot", "free-report",
+        "initial", "analyze"])
+def test_cli_never_loads_numpy(tmp_path, command, flags):
+    """Every law is plain Python, so a fresh interpreter running a command of
+    the derive path never executes numpy."""
+    path = write(tmp_path, "c.csys", CYC3)
+    if flags:
+        flags = [*flags, write(tmp_path, "s.odot", "odot\ns s = s\nunit s\n")]
+    probe = (
+        "import sys\n"
+        "from countsys.cli import run_cli\n"
+        "code = run_cli(sys.argv[1:])\n"
+        "print(code, any(m.startswith('numpy.') for m in sys.modules))\n"
+    )
+    out = fresh_stdout(probe, command, path, *flags)
+    assert out.splitlines()[-1] == "0 False"
+
+
 @pytest.mark.parametrize("argv, extra", [
     (["validate", "{c}"], set()),
     (["core", "{c}"], set()),
