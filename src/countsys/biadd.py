@@ -3,9 +3,9 @@
 A homomorphism out of a finitely generated table is determined by its values
 on the generators; extension proceeds by forced propagation along generator
 words, and a run without conflict is the extension.  The biadditive
-extension builds one section homomorphism per element and glues them into a
-two-argument table; its certificate implies every law of the
-multiplications built on it, which are not checked again.
+extension builds its rows along the generation tree and certifies them at
+the generators; that certificate implies every law of the multiplications
+built on it, which are not checked again.
 A table `t` passed with a system `sys` must be derive_addition(sys).
 """
 
@@ -120,12 +120,9 @@ class BiadditiveTable(_Value):
         return self.op[a][b]
 
 
-def is_biadditive(M, N, op, gens=None):
-    """Every row section and every column section is a homomorphism M -> N.
-
-    With `gens`, which the caller has checked generate M, each section is
-    checked on the generators only (see laws.homomorphism)."""
-    return laws.biadditive(M.op, N.op, op, M.zero, N.zero, right=gens) is None
+def is_biadditive(M, N, op):
+    """Every row section and every column section is a homomorphism M -> N."""
+    return laws.biadditive(M.op, N.op, op, M.zero, N.zero) is None
 
 
 def biadditive_extend(M, N, gens, lambdas, lambda_primes):
@@ -133,37 +130,41 @@ def biadditive_extend(M, N, gens, lambdas, lambda_primes):
 
     lambdas[i] prescribes the row section at generator gens[i], lambda_primes
     the column section.  Compatibility lambda_s(a_t) = lambda'_t(a_s) is
-    checked up front; a propagation conflict afterwards is impossible on valid
+    checked up front; a failed certificate afterwards is impossible on valid
     input and raises InternalInvariantViolation.
 
-    The certificate (M, N monoids, gens generating M): propagation sets the
-    section at g_s + a to lambda_s + (section at a), and every row and column
-    section sends zero to zero and is additive at each generator, so is a
-    homomorphism (laws.homomorphism).  Hence row g_s is lambda_s.  And
-    biadditive tables agreeing on generator pairs are equal: homomorphisms
-    agreeing on the generators agree on all they generate, so the rows at
-    each g_s agree, and then every column does.  Likewise maps additive in
-    each of three arguments are fixed by their values on generator triples.
+    Row zero is zero and row a is lambda_k + row p along the edge
+    a = g_k + p of require_generates' tree.  Certificate (M, N commutative
+    monoids, gens generating M): each lambda_s is a homomorphism, row g_s
+    is lambda_s, and each column sends zero to zero and is additive at the
+    g_s, so is a homomorphism (laws.homomorphism).  Then row a + b is the
+    sum of rows a and b, off the tree too, so each row is a sum of rows
+    g_s: a homomorphism, as sums of homomorphisms into a commutative table
+    are.  So the table is biadditive, and column g_t is lambda'_t on the
+    generators.  Biadditive tables agreeing on generator pairs are equal:
+    homomorphisms agreeing on the generators agree on all they generate, so
+    the rows at each g_s agree, and then every column does.  Likewise maps
+    additive in each of three arguments are fixed by their values on
+    generator triples.
     """
     gens = tuple(gens)
-    require_generates(M, gens)
+    tree = require_generates(M, gens)
     for i, (g_s, lam_s) in enumerate(zip(gens, lambdas)):
         for j, (g_t, lamp_t) in enumerate(zip(gens, lambda_primes)):
             if lam_s(g_t) != lamp_t(g_s):
                 raise CompatibilityViolated(i, j, lam_s(g_t), lamp_t(g_s))
+    maps = [lam.map for lam in lambdas]
+    if laws.homomorphisms(M.op, N.op, maps, M.zero, N.zero, gens) is not None:
+        raise InternalInvariantViolation("a row section is no homomorphism")
 
-    prop = propagate(M.zero, zero_hom(M, N), [
-        (M.op[g].__getitem__, lambda sec, lam=lam: hom_add(lam, sec))
-        for g, lam in zip(gens, lambdas)
-    ])
-    if prop.conflict is not None:
-        raise InternalInvariantViolation(
-            f"section conflict at element {prop.conflict[0]}"
-        )
-    sections = prop.value
-    op = tuple(sections[a].map for a in range(M.size))
-    # gens=gens: they generate M (above), M and N are MonoidTables
-    if not is_biadditive(M, N, op, gens=gens):
+    rows = [zero_hom(M, N)] * M.size
+    for a in tree.order[1:]:
+        p, k = tree.parent[a]
+        rows[a] = hom_add(lambdas[k], rows[p])
+    op = tuple(r.map for r in rows)
+    if [op[g] for g in gens] != maps or laws.homomorphisms(
+        M.op, N.op, zip(*op), M.zero, N.zero, gens
+    ) is not None:
         raise InternalInvariantViolation("extension is not biadditive")
     return BiadditiveTable(M, N, op)
 
@@ -172,18 +173,17 @@ def derive_multiplication_single(sys, t):
     """Multiplication for a minimal single-map system: the unique biadditive
     table whose row at a0 = f(base) is the identity.
 
-    With t = derive_addition(sys), biadditive_extend's certificate gives
-    every law: zero absorption (sections fix zero); distributivity (rows are
+    With t = derive_addition(sys), biadditive_extend certifies that the
+    table is biadditive with row a0 the identity, which gives every law:
+    zero absorption (sections fix zero); distributivity (rows are
     additive); the successor law f(x1) * x2 = x2 + x1 * x2 (f(x1) = a0 + x1,
     column x2 is additive, row a0 is the identity); a0 a unit; and, as
     (a, b) -> b * a and both bracketings of a * b * c are additive in each
     argument and agree at a0, commutativity and associativity.
     """
     require_single_map(sys)
-    a0 = sys.maps[0](sys.base)
-    return biadditive_extend(
-        t, t, (a0,), (identity_hom(t),), (identity_hom(t),)
-    )
+    a0, ident = sys.maps[0](sys.base), identity_hom(t)
+    return biadditive_extend(t, t, (a0,), (ident,), (ident,))
 
 
 class OdotTable(_Value):
@@ -199,10 +199,8 @@ class OdotTable(_Value):
     def validate(self):
         for s in self.index_set:
             for t in self.index_set:
-                if (s, t) not in self.op:
-                    raise OdotNotTotal(s, t)
-                if self.op[(s, t)] not in self.index_set:
-                    raise OdotNotTotal(s, t)
+                if self.op.get((s, t)) not in self.index_set:
+                    raise OdotNotTotal(s, t)  # missing, or not a label
         if self.unit is not None and self.unit not in self.index_set:
             raise OdotNotTotal(self.unit, self.unit)
 
@@ -230,8 +228,9 @@ def derive_multiplication_indexed(sys, t, odot):
     x_t -> x_{t odot s}) are searched by homomorphism extension; a missing one
     is reported as a structured absence, never a partial table.
 
-    With t = derive_addition(sys), mu[x_s][x_t] = lambda_s(x_t) = x_{s odot t}
-    (biadditive_extend, hom_extend_report), so the laws of odot carry over:
+    With t = derive_addition(sys), mu is biadditive with row x_s = lambda_s
+    (biadditive_extend's certificate), and lambda_s(x_t) = x_{s odot t}
+    (hom_extend_report), so the laws of odot carry over:
     if it is commutative, mu and (a, b) -> mu[b][a] agree on generator
     pairs; if associative, both bracketings agree on generator triples; a
     left unit u makes lambda_u, so row x_u, the identity.
@@ -340,8 +339,7 @@ def is_free_report(t, gens):
     data: the direct-sum condition plus, per generator, the Peano conditions
     for its cyclic submonoid (which always fail on a finite carrier)."""
     gens = tuple(gens)
-    require_generates(t, gens)
-    ds = direct_sum_report(t, gens)
+    ds = direct_sum_report(t, gens)  # raises unless gens generate t
     cyclic = []
     for i, g in enumerate(gens):
         sub = sorted(submonoid_closure(t, (g,)))

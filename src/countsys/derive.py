@@ -165,11 +165,12 @@ def generates(t, gens):
 
 
 def require_generates(t, gens):
-    """Raise GensDoNotGenerate, with the missing elements, unless the
-    generators reach every element of the table."""
-    closure = submonoid_closure(t, gens)
-    if len(closure) != t.size:
-        raise GensDoNotGenerate(gens, set(range(t.size)) - closure)
+    """The breadth-first pass from zero adding gens[k] on edge k; raises
+    GensDoNotGenerate, with the missing elements, unless it reaches all."""
+    prop = propagate(t.zero, None, [(t.op[g].__getitem__, None) for g in gens])
+    if len(prop.order) != t.size:
+        raise GensDoNotGenerate(gens, set(range(t.size)) - set(prop.order))
+    return prop
 
 
 def product_table(a, b):

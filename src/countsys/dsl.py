@@ -145,7 +145,8 @@ def parse_odot(text, index_set=None):
                 raise ParseError(lineno, 1, "expected 'odot' header")
             header_seen = True
             continue
-        if tokens[0] == "unit":
+        entry = len(tokens) == 4 and tokens[2] == "="
+        if tokens[0] == "unit" and not entry:  # a map may be named unit
             if len(tokens) != 2:
                 raise ParseError(lineno, 1, "'unit' takes exactly one label")
             if unit is not None:
@@ -153,7 +154,7 @@ def parse_odot(text, index_set=None):
             unit, unit_line = tokens[1], lineno
             labels.add(unit)
             continue
-        if len(tokens) != 4 or tokens[2] != "=":
+        if not entry:
             raise ParseError(lineno, 1, "expected '<s> <t> = <u>'")
         s, t, u = tokens[0], tokens[1], tokens[3]
         if (s, t) in op:

@@ -9,7 +9,7 @@ gathered by C-level `itemgetter` and `map` calls, as tuples; no temporary is
 larger than an n x n transpose.
 
 Every law is exhaustive by default.  `associative`, `homomorphism` and
-`biadditive` take an optional range, a sequence of element indices, that
+`homomorphisms` take an optional range, a sequence of element indices, that
 restricts one argument position; the witness is then the first in row-major
 order over the range.  A restricted check certifies the whole law only under
 a precondition its caller has established.  The derive path certifies these
@@ -17,11 +17,10 @@ laws on the generators x_s = f_s(base):
 
 - addition associative: Light's test at middle = x_s, which generate the
   table by the unit, shift and minimality checks;
-- extended map a homomorphism: right = generators that generate the source;
-- biadditivity: each section at right = generators that generate the source.
+- multiplication biadditive: the prescribed row sections and every column
+  are homomorphisms at right = x_s (see biadd.biadditive_extend).
 
-Every other law, commutativity included, is checked on every cell.  The
-multiplication laws follow from biadditivity (see biadd.biadditive_extend).
+Every other law, commutativity included, is checked on every cell.
 """
 
 from itertools import repeat
@@ -45,8 +44,9 @@ def _gather(seq, idx):
 
 
 def _every(t, idx):
-    """The range `idx`, or every index of t when it is None."""
-    return range(len(t)) if idx is None else idx
+    """The range `idx` without repeats (a repeat finds no earlier witness),
+    or every index of t when it is None."""
+    return range(len(t)) if idx is None else dict.fromkeys(idx)
 
 
 def _column(t, j):
@@ -113,19 +113,26 @@ def homomorphism(src, dst, h, right=None):
                      h, _every(src, right))
 
 
-def biadditive(src, dst, mu, zero, dst_zero, right=None):
+def homomorphisms(src, dst, maps, zero, dst_zero, right=None):
+    """First i such that maps[i] is not a homomorphism src -> dst sending
+    `zero` to `dst_zero`, with `right` as in `homomorphism`.  src and dst
+    must be commutative: their rows are read as their columns.  `maps` may
+    be an iterator, such as zip(*mu) over the columns of mu."""
+    right = _every(src, right)
+    src_col, dst_col = src.__getitem__, dst.__getitem__
+    return next((i for i, h in enumerate(maps) if h[zero] != dst_zero
+                 or _additive(src_col, dst_col, h, right) is not None), None)
+
+
+def biadditive(src, dst, mu, zero, dst_zero):
     """First section of mu that is not a homomorphism src -> dst sending
     `zero` to `dst_zero`: (0, a) for the row mu[a], else (1, a) for the
-    column mu[.][a].  `right` restricts the second argument of each section
-    as in `homomorphism`."""
+    column mu[.][a]."""
     src_t, dst_t = tuple(zip(*src)), tuple(zip(*dst))
-    right = _every(src, right)
     for side, m in enumerate((mu, zip(*mu))):
-        for a, row in enumerate(m):
-            if row[zero] != dst_zero or _additive(
-                src_t.__getitem__, dst_t.__getitem__, row, right
-            ) is not None:
-                return side, a
+        a = homomorphisms(src_t, dst_t, m, zero, dst_zero)
+        if a is not None:
+            return side, a
     return None
 
 

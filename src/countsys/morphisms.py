@@ -78,12 +78,8 @@ def bridge_check(m, t_src, t_dst):
     matching one."""
     from .biadd import is_hom
     pairs = _paired_maps(m.src, m.dst)
-    if not is_hom(t_src, t_dst, m.map):
-        return False
-    for f, g in pairs:
-        if m.map[f(m.src.base)] != g(m.dst.base):
-            return False
-    return True
+    return is_hom(t_src, t_dst, m.map) and all(
+        m.map[f(m.src.base)] == g(m.dst.base) for f, g in pairs)
 
 
 class FreeElement(_Frozen):
@@ -107,10 +103,7 @@ class FreeElement(_Frozen):
         )
 
     def count(self, label):
-        for lab, c in self.multiplicity:
-            if lab == label:
-                return c
-        return 0
+        return dict(self.multiplicity).get(label, 0)
 
     def degree(self):
         return sum(c for _, c in self.multiplicity)

@@ -1,10 +1,12 @@
 """Homomorphism extension, biadditive tables and derived multiplication."""
 
 import itertools
+import tracemalloc
 
 import pytest
 
 from countsys.biadd import (
+    HomTable,
     OdotTable,
     biadditive_extend,
     derive_multiplication_indexed,
@@ -110,6 +112,37 @@ def test_biadditive_extend_rejects_incompatible_sections():
         "incompatible section homomorphisms at generator positions (0, 0): "
         "1 != 3"
     )
+
+
+def test_biadditive_extend_rejects_a_row_section_that_is_no_homomorphism():
+    """(0, 1, 3, 2) is no endomorphism of Z4.  The rows built from it along
+    the generation tree, ((0,0,0,0), (0,1,3,2), (0,2,2,0), (0,3,1,2)), have
+    additive columns and row 1 is the section: only the check of the input
+    sections rejects them."""
+    z4 = derive_addition(cyc(4))
+    bad = HomTable(z4, z4, (0, 1, 3, 2))
+    with pytest.raises(InternalInvariantViolation):
+        biadditive_extend(z4, z4, (1,), (bad,), (identity_hom(z4),))
+
+
+@pytest.mark.parametrize("sys, odot", [
+    (cyc(256), None), (zpair(256), sign_odot()),
+], ids=["cyc256", "zpair256-sign"])
+def test_multiplication_peaks_below_twice_its_table(sys, odot):
+    """The certificate reads the columns one at a time and the addition's
+    rows as its columns: no n x n transpose is built beside the result."""
+    t = derive_addition(sys)
+    tracemalloc.start()
+    try:
+        if odot is None:
+            mu = derive_multiplication_single(sys, t)
+        else:
+            mu = derive_multiplication_indexed(sys, t, odot).table
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(mu.op) == sys.size
+    assert peak < 2 * held
 
 
 def test_single_map_multiplication_is_modular():

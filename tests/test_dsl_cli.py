@@ -345,6 +345,19 @@ def test_cli_mul_rejects_a_false_odot_unit(tmp_path, table, message):
         2, "", f"parse error: line 6, col 1: {message}\n")
 
 
+def test_cli_mul_odot_names_a_map_called_unit(tmp_path):
+    # '<s> <t> = <u>' is a table entry even when s is 'unit'
+    sys_path = write(tmp_path, "u.csys", "system c3\nelements e0 e1 e2\n"
+                     "base e0\nmap unit = e1 e2 e0\n")
+    od_path = write(tmp_path, "u.odot", "odot\nunit unit = unit\nunit unit\n")
+    code, out, err = run(["mul", sys_path, "--odot", od_path])
+    assert (code, err) == (0, "")
+    assert out.splitlines()[3] == "e2\te0\te2\te1"
+    bad = write(tmp_path, "bad.odot", "odot\nunit unit = unit\nunit a b\n")
+    assert run(["mul", sys_path, "--odot", bad]) == (
+        2, "", "parse error: line 3, col 1: 'unit' takes exactly one label\n")
+
+
 def test_cli_mul_multi_map_without_odot_exits_2(tmp_path):
     path = write(tmp_path, "z.csys", emit_system(zpair(4), name="z4"))
     code, out, err = run(["mul", path])

@@ -10,21 +10,25 @@ oracle's verdict wherever their preconditions hold.
 
 The constructions the derive path no longer makes are kept here as oracles
 too: the closure transfer of the addition, the biadditive build behind the
-direct-sum verdict and the cyclic submonoids behind the initiality report.
-So are the checks the package no longer makes: the multiplication laws
-checked after the biadditive extension, which its certificate implies, and
-the generator values checked after a homomorphism extension.
+direct-sum verdict, the cyclic submonoids behind the initiality report and
+the biadditive extension propagated along every generator edge.  So are the
+checks the package no longer makes: the multiplication laws checked after
+the biadditive extension, which its certificate implies, every row and
+column of that extension checked as a homomorphism, and the generator
+values checked after a homomorphism extension.
 """
 
 import functools
 import itertools
 import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from countsys import biadd, laws
 from countsys.biadd import (
+    BiadditiveTable,
     DirectSumReport,
     ExtensionConflict,
     HomTable,
@@ -34,8 +38,11 @@ from countsys.biadd import (
     derive_multiplication_single,
     direct_sum_report,
     hom_extend_report,
+    identity_hom,
+    is_biadditive,
     is_hom,
     projections,
+    zero_hom,
 )
 from countsys.closure import evaluation, monoid_closure
 from countsys.core import (
@@ -64,7 +71,7 @@ from countsys.derive import (
     verify_plus_axioms,
 )
 from countsys.dsl import parse_odot
-from countsys.errors import InternalInvariantViolation
+from countsys.errors import CompatibilityViolated, InternalInvariantViolation
 from countsys.fixtures import SIGN_ODOT_LINES, cyc, one_point, rho, zpair
 
 # -- oracles -------------------------------------------------------------------
@@ -388,9 +395,18 @@ def certificate_cases(op, zero, gens, rng, homs=(), mu=None):
                oracle_homomorphism(op, op, h))
     if mu is None:
         return
-    yield ("biadditive", monoid,
-           laws.biadditive(op, op, mu, zero, zero, right=rng),
+    yield ("biadditive", monoid and oracle_commutative(op) is None,
+           generator_certificate(op, mu, zero, rng),
            oracle_biadditive(op, op, mu, zero, zero))
+
+
+def generator_certificate(op, mu, zero, rng):
+    """biadditive_extend's certificate, with the rows at the range in place
+    of its input sections: those rows and every column are homomorphisms
+    at the range.  None, or the first failing row and column indices."""
+    rows = laws.homomorphisms(op, op, [mu[g] for g in rng], zero, zero, rng)
+    cols = laws.homomorphisms(op, op, zip(*mu), zero, zero, rng)
+    return None if rows is None and cols is None else (rows, cols)
 
 
 def verdicts(cases):
@@ -971,18 +987,94 @@ def test_indexed_multiplications_pass_the_dropped_checks():
     assert applied == {"associative", "commutative", "unit"}
 
 
-@pytest.mark.parametrize("sys, odot", [
-    (cyc(4), None), (rho(1, 3), None),
-    (zpair(3), parse_odot("\n".join(SIGN_ODOT_LINES))),
-], ids=["cyc4", "rho13", "zpair3-sign"])
-def test_a_section_corrupted_in_one_cell_is_caught(sys, odot, monkeypatch):
-    """Mutation check: biadditive_extend raises when any one section that
-    propagation computes has one wrong cell, the generator rows included,
-    without the generator-value pass it used to end with.
+def propagated_biadditive_extend(M, N, gens, lambdas, lambda_primes):
+    """biadditive_extend as it was: every section forced along every one of
+    the k x n generator edges by propagate, a conflict an internal error,
+    then every row and every column checked to be a homomorphism (on the
+    generators there, exhaustively here: the same verdict, as they
+    generate M).  The build along the generation tree and the certificate
+    at the generators replace it."""
+    gens = tuple(gens)
+    require_generates(M, gens)
+    for i, (g_s, lam_s) in enumerate(zip(gens, lambdas)):
+        for j, (g_t, lamp_t) in enumerate(zip(gens, lambda_primes)):
+            if lam_s(g_t) != lamp_t(g_s):
+                raise CompatibilityViolated(i, j, lam_s(g_t), lamp_t(g_s))
+    prop = propagate(M.zero, zero_hom(M, N), [
+        (M.op[g].__getitem__, lambda sec, lam=lam: biadd.hom_add(lam, sec))
+        for g, lam in zip(gens, lambdas)
+    ])
+    if prop.conflict is not None:
+        raise InternalInvariantViolation(
+            f"section conflict at element {prop.conflict[0]}"
+        )
+    op = tuple(prop.value[a].map for a in range(M.size))
+    if not is_biadditive(M, N, op):
+        raise InternalInvariantViolation("extension is not biadditive")
+    return BiadditiveTable(M, N, op)
 
-    Not so on every table: on rho(2, 1) and rho(2, 3) a corrupted row a0 can
-    be another biadditive table, which that pass caught.  The certificate
-    relies on hom_add's pointwise sum for the generator rows."""
+
+def _tree_and_propagated(build):
+    """build() with biadditive_extend, then with the propagated oracle."""
+    got = build()
+    with mock.patch.object(biadd, "biadditive_extend",
+                           propagated_biadditive_extend):
+        return got, build()
+
+
+def _multiply(sys, odot=None):
+    t = derive_addition(sys)
+    if odot is None:
+        return lambda: derive_multiplication_single(sys, t)
+    return lambda: derive_multiplication_indexed(sys, t, odot)
+
+
+def _same_indexed(got, want):
+    assert got.ok == want.ok
+    if got.ok:
+        assert got.table.op == want.table.op
+    else:
+        assert got == want
+    return got.ok
+
+
+def test_tree_build_matches_the_propagated_extension():
+    count = 0
+    for sys in _minimal_systems():
+        if len(sys.maps) == 1:
+            got, want = _tree_and_propagated(_multiply(sys))
+            assert got.op == want.op
+            count += 1
+    outcomes = set()
+    for sys in _two_label_systems():
+        for odot in _odots(sys.index_set):
+            outcomes.add(_same_indexed(*_tree_and_propagated(
+                _multiply(sys, odot))))
+    assert count > 700 and outcomes == {True, False}
+
+
+@settings(max_examples=30, deadline=None)
+@given(minimal_systems(), st.integers(0, 15))
+def test_tree_build_matches_the_propagated_extension_on_random_systems(
+    sys, which
+):
+    if len(sys.maps) == 1:
+        got, want = _tree_and_propagated(_multiply(sys))
+        assert got.op == want.op
+    else:
+        odot = list(_odots(sys.index_set))[which]
+        _same_indexed(*_tree_and_propagated(_multiply(sys, odot)))
+
+
+@pytest.mark.parametrize("sys, odot", [
+    (cyc(4), None), (rho(1, 3), None), (rho(2, 1), None), (rho(2, 3), None),
+    (zpair(3), parse_odot("\n".join(SIGN_ODOT_LINES))),
+], ids=["cyc4", "rho13", "rho21", "rho23", "zpair3-sign"])
+def test_a_section_corrupted_in_one_cell_is_caught(sys, odot, monkeypatch):
+    """Mutation check: biadditive_extend raises when any one row that it
+    builds along the generation tree has one wrong cell, the generator
+    rows included.  On rho(2, 1) and rho(2, 3) a corrupted row a0 can be
+    another biadditive table, which the generator-row check catches."""
     t = derive_addition(sys)
 
     def build():
@@ -1000,7 +1092,7 @@ def test_a_section_corrupted_in_one_cell_is_caught(sys, odot, monkeypatch):
 
     monkeypatch.setattr(biadd, "hom_add", record)
     build()
-    assert sections
+    assert len(sections) == t.size - 1  # one sum per generation-tree edge
     for k, sec in enumerate(sections):
         for cell, v in itertools.product(range(t.size), range(t.size)):
             if v == sec[cell]:
