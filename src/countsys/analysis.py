@@ -7,24 +7,13 @@ from .morphisms import initiality_report
 class MapFlags(_Value):
     __slots__ = ("injective", "surjective", "bijective")
 
-    def __init__(self, injective, surjective, bijective):
-        self.injective = injective
-        self.surjective = surjective
-        self.bijective = bijective
-
 
 class AnalysisReport(_Value):
+    """`map_flags`: label -> MapFlags; `dedekind`: None unless one map."""
+
     __slots__ = ("minimal", "core_size", "map_flags", "dedekind", "initial",
                  "initial_diagnostics")
-
-    def __init__(self, minimal, core_size, map_flags, dedekind, initial,
-                 initial_diagnostics=None):
-        self.minimal = minimal
-        self.core_size = core_size
-        self.map_flags = map_flags  # label -> MapFlags
-        self.dedekind = dedekind  # single-map systems only, else None
-        self.initial = initial
-        self.initial_diagnostics = initial_diagnostics
+    _defaults = {"initial_diagnostics": None}
 
 
 def analyze(sys):

@@ -21,12 +21,9 @@ from .errors import (
 
 
 class HomTable(_Value):
-    __slots__ = ("src", "dst", "map")
+    """MonoidTable src -> dst; `map` holds the per-element image index."""
 
-    def __init__(self, src, dst, map):
-        self.src = src  # MonoidTable
-        self.dst = dst  # MonoidTable
-        self.map = map  # per-element image index
+    __slots__ = ("src", "dst", "map")
 
     def __call__(self, a):
         return self.map[a]
@@ -37,11 +34,6 @@ class ExtensionConflict(_Value):
     two different ways, with both candidate images."""
 
     __slots__ = ("element", "expected", "got")
-
-    def __init__(self, element, expected, got):
-        self.element = element
-        self.expected = expected
-        self.got = got
 
     def describe(self):
         return (
@@ -89,14 +81,23 @@ def hom_extend_report(src, dst, gens, targets):
     expands every x (gens generate src), forcing h(g_s + x) = b_s + h(x).
     So h(g_s) = b_s + zero = b_s, and h(x + g_s) = h(x) + h(g_s) by
     commutativity, which is the homomorphism law at right = gens.
+
+    The same pass is the generation check.  Without a conflict it expands
+    every element it reaches along every g_s, so it reaches exactly the
+    elements that gens generate from zero, as require_generates does: all
+    n iff gens generate src.  A run that falls short, or that stops on a
+    conflict and so decides nothing, runs require_generates, which raises
+    GensDoNotGenerate with the same missing elements whether or not the
+    assignment conflicts.
     """
     gens = tuple(gens)
     targets = tuple(targets)
-    require_generates(src, gens)
     prop = propagate(src.zero, dst.zero, [
         (src.op[g].__getitem__, dst.op[b].__getitem__)
         for g, b in zip(gens, targets)
     ])
+    if prop.conflict is not None or len(prop.order) != src.size:
+        require_generates(src, gens)
     if prop.conflict is not None:
         return None, ExtensionConflict(*prop.conflict)
     img = prop.value
@@ -109,12 +110,10 @@ def hom_extend(src, dst, gens, targets):
 
 
 class BiadditiveTable(_Value):
-    __slots__ = ("src", "dst", "op")
+    """MonoidTables src x src -> dst; `op` is the |src| x |src| table of dst
+    indices."""
 
-    def __init__(self, src, dst, op):
-        self.src = src  # MonoidTable
-        self.dst = dst  # MonoidTable
-        self.op = op  # |src| x |src| table of dst indices
+    __slots__ = ("src", "dst", "op")
 
     def __call__(self, a, b):
         return self.op[a][b]
@@ -187,14 +186,11 @@ def derive_multiplication_single(sys, t):
 
 
 class OdotTable(_Value):
-    """A total binary operation on the index-set labels, with optional unit."""
+    """A total binary operation on the index-set labels, with optional unit;
+    `op` maps (s, t) -> label."""
 
     __slots__ = ("index_set", "op", "unit")
-
-    def __init__(self, index_set, op, unit=None):
-        self.index_set = index_set
-        self.op = op  # (s, t) -> label
-        self.unit = unit
+    _defaults = {"unit": None}
 
     def validate(self):
         for s in self.index_set:
@@ -207,14 +203,12 @@ class OdotTable(_Value):
 
 class IndexedMultiplication(_Value):
     """Result of the index-table-driven extension: either a table, or the
-    first label whose required endomorphism does not exist, with a witness."""
+    first label whose required endomorphism does not exist, with a witness.
+    `table` is a BiadditiveTable, or None; `conflict` an ExtensionConflict,
+    or None."""
 
     __slots__ = ("table", "failing_label", "conflict")
-
-    def __init__(self, table, failing_label=None, conflict=None):
-        self.table = table  # BiadditiveTable, or None
-        self.failing_label = failing_label
-        self.conflict = conflict  # ExtensionConflict, or None
+    _defaults = {"failing_label": None, "conflict": None}
 
     @property
     def ok(self):
@@ -277,12 +271,10 @@ def projections(t, gens):
 
 
 class DirectSumReport(_Value):
-    __slots__ = ("ok", "failing_gen", "conflict")
+    """`conflict` is an ExtensionConflict, or None."""
 
-    def __init__(self, ok, failing_gen=None, conflict=None):
-        self.ok = ok
-        self.failing_gen = failing_gen
-        self.conflict = conflict  # ExtensionConflict, or None
+    __slots__ = ("ok", "failing_gen", "conflict")
+    _defaults = {"failing_gen": None, "conflict": None}
 
 
 def direct_sum_report(t, gens):
@@ -305,16 +297,10 @@ def direct_sum_check(t, gens):
 
 
 class CyclicFreeness(_Value):
+    """`submonoid` holds sorted element indices."""
+
     __slots__ = ("label_index", "generator", "submonoid", "injective",
                  "zero_in_image")
-
-    def __init__(self, label_index, generator, submonoid, injective,
-                 zero_in_image):
-        self.label_index = label_index
-        self.generator = generator
-        self.submonoid = submonoid  # sorted element indices
-        self.injective = injective
-        self.zero_in_image = zero_in_image
 
     @property
     def free(self):
@@ -323,11 +309,9 @@ class CyclicFreeness(_Value):
 
 
 class FreeReport(_Value):
-    __slots__ = ("direct_sum", "cyclic")
+    """A DirectSumReport and a CyclicFreeness per generator."""
 
-    def __init__(self, direct_sum, cyclic):
-        self.direct_sum = direct_sum  # DirectSumReport
-        self.cyclic = cyclic  # CyclicFreeness per generator
+    __slots__ = ("direct_sum", "cyclic")
 
     @property
     def free(self):

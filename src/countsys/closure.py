@@ -78,12 +78,10 @@ class TransformationMonoid:
 
 
 class EvaluationMap(_Value):
-    __slots__ = ("to_carrier", "bijective", "inverse")
+    """`to_carrier`: element index -> carrier point u(base); `inverse`:
+    carrier point -> element index, or None."""
 
-    def __init__(self, to_carrier, bijective, inverse):
-        self.to_carrier = to_carrier  # element index -> carrier point u(base)
-        self.bijective = bijective
-        self.inverse = inverse  # carrier point -> element index, or None
+    __slots__ = ("to_carrier", "bijective", "inverse")
 
 
 def monoid_closure(sys, limit=MAX_CLOSURE_SIZE):

@@ -3,7 +3,14 @@
 A counting system is a finite carrier, a base point and a non-empty family of
 pairwise-commuting total self-maps indexed by string labels.  Carriers, maps
 and systems are immutable after construction; all functions are pure.
+
+Every record subclasses `_Value`: its fields are its `__slots__`, and one
+constructor builds it from them, positionally or by keyword; only the fields
+named in the class's `_defaults` may be left out.  `Carrier`, `EndoMap` and
+`derive.MonoidTable` validate their input in constructors of their own.
 """
+
+import operator
 
 from . import laws
 from .errors import (
@@ -32,20 +39,34 @@ def require_distinct(labels):
 
 
 class _Value:
-    """A record whose fields are its `__slots__`: equal to an instance of the
-    same class with equal fields, printed as `Name(field=value, ...)`, and
-    unhashable, since its fields may be reassigned."""
+    """A record (see above): equal to an instance of the same class with
+    equal fields, printed as `Name(field=value, ...)`, and unhashable (it
+    defines __eq__ only), since its fields may be reassigned."""
 
     __slots__ = ()
-    __hash__ = None
+    _defaults = {}  # field -> its value when left out
 
-    def _fields(self):
-        return tuple(map(self.__getattribute__, self.__slots__))
+    def __init_subclass__(cls):
+        names = cls.__slots__
+        get = operator.attrgetter(*names) if names else (lambda self: ())
+        if len(names) == 1:  # attrgetter of one name gives the bare value
+            get = (lambda one: lambda self: (one(self),))(get)
+        cls._fields = staticmethod(get)  # the field tuple of an instance
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        values = {**self._defaults, **dict(zip(names, args)), **kwargs}
+        if (len(args) > len(names) or values.keys() != set(names)
+                or not kwargs.keys().isdisjoint(names[:len(args)])):
+            raise TypeError(f"{type(self).__name__}({', '.join(names)}) got "
+                            f"{len(args)} positional and {sorted(kwargs)}")
+        for name in names:
+            object.__setattr__(self, name, values[name])
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._fields() == other._fields()
+        return self._fields(self) == other._fields(other)
 
     def __repr__(self):
         fields = (f"{f}={getattr(self, f)!r}" for f in self.__slots__)
@@ -53,13 +74,12 @@ class _Value:
 
 
 class _Frozen(_Value):
-    """A _Value hashed by its fields, which cannot be reassigned; __init__
-    sets them through object.__setattr__."""
+    """A _Value hashed by its fields, which cannot be reassigned."""
 
     __slots__ = ()
 
     def __hash__(self):
-        return hash(self._fields())
+        return hash(self._fields(self))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -68,7 +88,7 @@ class _Frozen(_Value):
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self):  # pickle and copy rebuild through __init__
-        return self.__class__, self._fields()
+        return self.__class__, self._fields(self)
 
 
 class Carrier(_Frozen):
@@ -124,15 +144,10 @@ class EndoMap(_Frozen):
 
 
 class CountingSystem(_Frozen):
-    """Carrier + base point + commuting family of self-maps, one per label."""
+    """Carrier + base point + commuting family of self-maps: `maps` holds an
+    EndoMap per label."""
 
     __slots__ = ("carrier", "base", "index_set", "maps")
-
-    def __init__(self, carrier, base, index_set, maps):
-        object.__setattr__(self, "carrier", carrier)
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "index_set", index_set)
-        object.__setattr__(self, "maps", maps)  # an EndoMap per label
 
     def map_for(self, label):
         try:
@@ -184,15 +199,12 @@ def new_system(carrier, base, index_set, maps):
 
 
 class Propagation(_Value):
-    """The outcome of `propagate`."""
+    """The outcome of `propagate`: `order` holds the elements in discovery
+    order, start first; `value` maps element -> the first value forced on
+    it; `parent` element -> (previous, edge index), for all but the start;
+    `conflict` is (element, kept, forced) at a stop, or None."""
 
     __slots__ = ("order", "value", "parent", "conflict")
-
-    def __init__(self, order, value, parent, conflict):
-        self.order = order  # elements in discovery order, start first
-        self.value = value  # element -> the first value forced on it
-        self.parent = parent  # element -> (previous, edge index); no start
-        self.conflict = conflict  # (element, kept, forced) at a stop, or None
 
 
 def propagate(start, value, edges, sort_levels=False, depth=None):

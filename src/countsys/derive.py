@@ -19,14 +19,13 @@ from .errors import GensDoNotGenerate, InternalInvariantViolation
 class MonoidTable(_Value):
     """An associative table with unit `zero`.  The unit is checked here;
     derive_addition verifies associativity and product_table preserves it,
-    and the generator certificates in biadd rely on it."""
+    and the generator certificates in biadd rely on it.  `op` is an n x n
+    tuple-of-tuples of element indices."""
 
     __slots__ = ("size", "op", "zero")
 
     def __init__(self, size, op, zero):
-        self.size = size
-        self.op = op  # n x n tuple-of-tuples of element indices
-        self.zero = zero
+        super().__init__(size, op, zero)
         x = laws.unit(op, zero)
         if x is not None:
             raise InternalInvariantViolation(f"unit law fails at element {x}")
@@ -37,12 +36,6 @@ class MonoidTable(_Value):
 
 class Classification(_Value):
     __slots__ = ("group", "cancellative", "zero_sum_free", "trichotomy")
-
-    def __init__(self, group, cancellative, zero_sum_free, trichotomy):
-        self.group = group
-        self.cancellative = cancellative
-        self.zero_sum_free = zero_sum_free
-        self.trichotomy = trichotomy
 
 
 def derive_addition(sys):

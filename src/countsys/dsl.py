@@ -19,10 +19,6 @@ from .errors import DuplicateLabel, ParseError
 class SystemDocument(_Value):
     __slots__ = ("name", "system")
 
-    def __init__(self, name, system):
-        self.name = name
-        self.system = system
-
 
 def _logical_lines(text):
     for lineno, raw in enumerate(text.splitlines(), start=1):

@@ -1,36 +1,48 @@
-"""Exception hierarchy for counting-system construction and derivation."""
+"""Exception hierarchy for counting-system construction and derivation.
+
+An error class declares `fields`, its argument names in order, and a
+`message` template over them; the base constructor formats the message and
+stores each argument under its field name.  A class without a template
+passes its arguments to Exception unchanged.
+"""
 
 
 class CountingSystemError(Exception):
     """Base class for all structured errors raised by this package."""
 
+    fields = ()
+    message = None
+
+    def __init__(self, *args):
+        if self.message is None:
+            super().__init__(*args)
+        elif len(args) != len(self.fields):
+            raise TypeError(f"{type(self).__name__} takes the fields "
+                            f"{', '.join(self.fields)}; got {len(args)}")
+        else:
+            self.__dict__.update(zip(self.fields, args))
+            super().__init__(self.message.format_map(self.__dict__))
+
 
 class BadIndex(CountingSystemError):
-    def __init__(self, value, size):
-        super().__init__(f"index {value!r} out of range for carrier of size {size}")
-        self.value = value
-        self.size = size
+    fields = ("value", "size")
+    message = "index {value!r} out of range for carrier of size {size}"
 
 
 class EmptyIndexSet(CountingSystemError):
-    def __init__(self):
-        super().__init__("index set must be non-empty")
+    message = "index set must be non-empty"
 
 
 class DuplicateLabel(CountingSystemError):
-    def __init__(self, label):
-        super().__init__(f"duplicate label {label!r}")
-        self.label = label
+    fields = ("label",)
+    message = "duplicate label {label!r}"
 
 
 class NonCommuting(CountingSystemError):
     """Two generator maps disagree on some element: f_s(f_t(x)) != f_t(f_s(x))."""
 
-    def __init__(self, s, t, x):
-        super().__init__(f"maps {s!r} and {t!r} do not commute at element {x}")
-        self.s = s
-        self.t = t
-        self.x = x
+    fields = ("s", "t", "x")
+    message = "maps {s!r} and {t!r} do not commute at element {x}"
 
 
 class UnknownLabel(CountingSystemError):
@@ -49,11 +61,8 @@ class IndexSetMismatch(CountingSystemError):
 
 
 class SingleMapRequired(CountingSystemError):
-    def __init__(self, count):
-        super().__init__(
-            f"a single-map system is required; this one has {count} maps"
-        )
-        self.count = count
+    fields = ("count",)
+    message = "a single-map system is required; this one has {count} maps"
 
 
 class LimitExceeded(CountingSystemError):
@@ -61,43 +70,30 @@ class LimitExceeded(CountingSystemError):
 
 
 class CarrierTooLarge(LimitExceeded):
-    def __init__(self, size, limit):
-        super().__init__(f"carrier would have {size} elements; limit is {limit}")
-        self.size = size
-        self.limit = limit
+    fields = ("size", "limit")
+    message = "carrier would have {size} elements; limit is {limit}"
 
 
 class IndexSetTooLarge(LimitExceeded):
-    def __init__(self, size, limit):
-        super().__init__(f"index set would have {size} labels; limit is {limit}")
-        self.size = size
-        self.limit = limit
+    fields = ("size", "limit")
+    message = "index set would have {size} labels; limit is {limit}"
 
 
 class ClosureTooLarge(LimitExceeded):
-    def __init__(self, limit):
-        super().__init__(f"transformation-monoid closure exceeds {limit} elements")
-        self.limit = limit
+    fields = ("limit",)
+    message = "transformation-monoid closure exceeds {limit} elements"
 
 
 class CompositionTableTooLarge(LimitExceeded):
-    def __init__(self, size, limit):
-        super().__init__(
-            f"composition table (closure --full) needs a closure of at most "
-            f"{limit} elements; this one has {size}"
-        )
-        self.size = size
-        self.limit = limit
+    fields = ("size", "limit")
+    message = ("composition table (closure --full) needs a closure of at most "
+               "{limit} elements; this one has {size}")
 
 
 class WordsTooLarge(LimitExceeded):
-    def __init__(self, size, limit):
-        super().__init__(
-            f"closure words (closure --json) would hold {size} labels; "
-            f"limit is {limit}"
-        )
-        self.size = size
-        self.limit = limit
+    fields = ("size", "limit")
+    message = ("closure words (closure --json) would hold {size} labels; "
+               "limit is {limit}")
 
 
 class MinimalityRequired(CountingSystemError):
@@ -105,40 +101,30 @@ class MinimalityRequired(CountingSystemError):
 
     def __init__(self, unreachable):
         self.unreachable = tuple(sorted(unreachable))
-        super().__init__(
-            "system is not minimal; unreachable elements: "
-            + ", ".join(str(i) for i in self.unreachable)
-        )
+        super().__init__("system is not minimal; unreachable elements: "
+                         + ", ".join(str(i) for i in self.unreachable))
 
 
 class GensDoNotGenerate(CountingSystemError):
     def __init__(self, gens, missing):
         self.gens = tuple(gens)
         self.missing = tuple(sorted(missing))
-        super().__init__(
-            f"elements {list(self.gens)} do not generate; "
-            f"missing {list(self.missing)}"
-        )
+        super().__init__(f"elements {list(self.gens)} do not generate; "
+                         f"missing {list(self.missing)}")
 
 
 class CompatibilityViolated(CountingSystemError):
     """lambda_s(a_t) != lambda'_t(a_s) for some pair (s, t) of positions in
     the generator tuple."""
 
-    def __init__(self, s, t, left, right):
-        super().__init__(
-            f"incompatible section homomorphisms at generator positions "
-            f"({s}, {t}): {left} != {right}"
-        )
-        self.s = s
-        self.t = t
+    fields = ("s", "t", "left", "right")
+    message = ("incompatible section homomorphisms at generator positions "
+               "({s}, {t}): {left} != {right}")
 
 
 class OdotNotTotal(CountingSystemError):
-    def __init__(self, s, t):
-        super().__init__(f"index-set operation undefined at ({s!r}, {t!r})")
-        self.s = s
-        self.t = t
+    fields = ("s", "t")
+    message = "index-set operation undefined at ({s!r}, {t!r})"
 
 
 class InternalInvariantViolation(CountingSystemError):
@@ -146,8 +132,5 @@ class InternalInvariantViolation(CountingSystemError):
 
 
 class ParseError(CountingSystemError):
-    def __init__(self, line, col, message):
-        super().__init__(f"line {line}, col {col}: {message}")
-        self.line = line
-        self.col = col
-        self.reason = message
+    fields = ("line", "col", "reason")
+    message = "line {line}, col {col}: {reason}"

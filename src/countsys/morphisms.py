@@ -22,12 +22,9 @@ from .errors import IndexSetMismatch, UnknownLabel
 
 
 class SystemMorphism(_Value):
-    __slots__ = ("src", "dst", "map")
+    """`map` holds the per-element image index."""
 
-    def __init__(self, src, dst, map):
-        self.src = src
-        self.dst = dst
-        self.map = map  # per-element image index
+    __slots__ = ("src", "dst", "map")
 
 
 def _paired_maps(src, dst):
@@ -83,13 +80,10 @@ def bridge_check(m, t_src, t_dst):
 
 
 class FreeElement(_Frozen):
-    """A finite multiset over index labels, in canonical sparse form."""
+    """A finite multiset over index labels, in canonical sparse form:
+    `multiplicity` is a sorted tuple of (label, count), counts > 0."""
 
     __slots__ = ("multiplicity",)
-
-    def __init__(self, multiplicity):
-        # sorted tuple of (label, count), counts > 0
-        object.__setattr__(self, "multiplicity", multiplicity)
 
     @staticmethod
     def of(mapping=(), **kwargs):
@@ -181,25 +175,15 @@ class InitialityCondition(_Value):
     __slots__ = ("label", "morphism_to_padded", "core_size", "core_injective",
                  "base_in_core_image", "core_dedekind")
 
-    def __init__(self, label, morphism_to_padded, core_size, core_injective,
-                 base_in_core_image, core_dedekind):
-        self.label = label
-        self.morphism_to_padded = morphism_to_padded
-        self.core_size = core_size
-        self.core_injective = core_injective
-        self.base_in_core_image = base_in_core_image
-        self.core_dedekind = core_dedekind
-
     @property
     def holds(self):
         return self.morphism_to_padded and self.core_dedekind
 
 
 class InitialityReport(_Value):
-    __slots__ = ("conditions",)
+    """`conditions` holds an InitialityCondition per label."""
 
-    def __init__(self, conditions):
-        self.conditions = conditions  # InitialityCondition per label
+    __slots__ = ("conditions",)
 
     @property
     def initial(self):

@@ -1,6 +1,7 @@
 """Carrier, map and system construction, minimality and core extraction."""
 
 import copy
+import importlib
 import pickle
 
 import pytest
@@ -252,13 +253,35 @@ def test_endomap_names_the_first_bad_image():
 def _value_cases():
     """(make, field): make(i) builds an instance from field values chosen by
     i, equal for equal i and different in one field for different i; field
-    names a field of a frozen class, None for a mutable one."""
-    from countsys.biadd import DirectSumReport, ExtensionConflict, HomTable
-    from countsys.derive import MonoidTable
-    from countsys.morphisms import FreeElement
+    names a field of a frozen class, None for a mutable one.  One case per
+    record class, the first eight in a fixed order."""
+    from countsys.analysis import AnalysisReport, MapFlags
+    from countsys.biadd import (
+        BiadditiveTable,
+        CyclicFreeness,
+        DirectSumReport,
+        ExtensionConflict,
+        FreeReport,
+        HomTable,
+        IndexedMultiplication,
+        OdotTable,
+    )
+    from countsys.closure import EvaluationMap
+    from countsys.core import Propagation
+    from countsys.derive import Classification, MonoidTable
+    from countsys.dsl import SystemDocument
+    from countsys.morphisms import (
+        FreeElement,
+        InitialityCondition,
+        InitialityReport,
+        SystemMorphism,
+    )
 
     def table(i):
         return MonoidTable(2, ((0, 1), (1, i)), 0)
+
+    def condition(i):
+        return InitialityCondition("s", i == 0, 1, True, True, False)
 
     return [
         (lambda i: EndoMap((i, 1)), "table"),
@@ -270,7 +293,49 @@ def _value_cases():
         (lambda i: HomTable(table(0), table(0), (0, i)), None),
         (lambda i: DirectSumReport(False, i), None),
         (lambda i: ExtensionConflict(1, i, 0), None),
+        (lambda i: MapFlags(True, True, i == 0), None),
+        (lambda i: AnalysisReport(True, 1, {"s": MapFlags(i, i, i)}, None,
+                                  False), None),
+        (lambda i: BiadditiveTable(table(0), table(0), ((0, 0), (0, i))),
+         None),
+        (lambda i: OdotTable(("s",), {("s", "s"): f"s{i}"}), None),
+        (lambda i: IndexedMultiplication(
+            None, "s", ExtensionConflict(1, i, 0)), None),
+        (lambda i: CyclicFreeness(0, 1, (0, 1), True, i == 1), None),
+        (lambda i: FreeReport(DirectSumReport(i == 0), ()), None),
+        (lambda i: EvaluationMap((0, 1), True, (i, 1 - i)), None),
+        (lambda i: Propagation([0, 1], {0: i, 1: i}, {1: (0, 0)}, None),
+         None),
+        (lambda i: Classification(False, False, True, i == 0), None),
+        (lambda i: SystemDocument(f"c{i}", one_point()), None),
+        (lambda i: SystemMorphism(one_point(), one_point(), (i,)), None),
+        (condition, None),
+        (lambda i: InitialityReport([condition(i)]), None),
     ]
+
+
+# The fields a record may be built without, and the value each then holds.
+OMITTED = {
+    "OdotTable": {"unit": None},
+    "IndexedMultiplication": {"failing_label": None, "conflict": None},
+    "DirectSumReport": {"failing_gen": None, "conflict": None},
+    "AnalysisReport": {"initial_diagnostics": None},
+}
+
+
+def _record_classes():
+    """Every public subclass of core._Value in the package."""
+    from countsys.core import _Value
+
+    for mod in ("analysis", "biadd", "closure", "derive", "dsl", "morphisms"):
+        importlib.import_module(f"countsys.{mod}")
+    found, todo = set(), [_Value]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            todo.append(sub)
+            if not sub.__name__.startswith("_"):
+                found.add(sub)
+    return found
 
 
 def test_value_classes_compare_hash_and_print_by_field():
@@ -295,7 +360,7 @@ def test_value_classes_compare_hash_and_print_by_field():
     assert repr(CountingSystem(Carrier(("a",)), 0, ("s",), (EndoMap((0,)),))) \
         == ("CountingSystem(carrier=Carrier(labels=('a',)), base=0, "
             "index_set=('s',), maps=(EndoMap(table=(0,)),))")
-    reprs = [repr(make(1)) for make, _field in _value_cases()[3:]]
+    reprs = [repr(make(1)) for make, _field in _value_cases()[3:8]]
     assert reprs == [
         "FreeElement(multiplicity=(('s', 2),))",
         "MonoidTable(size=2, op=((0, 1), (1, 1)), zero=0)",
@@ -304,3 +369,122 @@ def test_value_classes_compare_hash_and_print_by_field():
         "DirectSumReport(ok=False, failing_gen=1, conflict=None)",
         "ExtensionConflict(element=1, expected=1, got=0)",
     ]
+
+
+def test_value_records_build_from_their_field_list():
+    """Every record is built from its fields, positionally or by keyword,
+    in `__slots__` order; only the fields in OMITTED may be left out, and
+    a missing, unknown, repeated or surplus argument is a TypeError."""
+    records = [make(1) for make, _field in _value_cases()]
+    assert [type(a) for a in records] == list(
+        dict.fromkeys(type(a) for a in records))
+    assert {type(a) for a in records} == _record_classes()
+    for a in records:
+        cls, names = type(a), type(a).__slots__
+        fields = {name: getattr(a, name) for name in names}
+        values = list(fields.values())
+        assert cls(*values) == a == cls(**fields)
+        assert repr(a) == "{}({})".format(cls.__qualname__, ", ".join(
+            f"{name}={value!r}" for name, value in fields.items()))
+        omitted = OMITTED.get(cls.__name__, {})
+        required = [name for name in names if name not in omitted]
+        assert list(names) == required + list(omitted)
+        short = cls(**{name: fields[name] for name in required})
+        assert short == cls(*values[:len(required)]) == cls(
+            *values[:len(required)], *omitted.values())
+        assert {name: getattr(short, name) for name in omitted} == omitted
+        for args, kwargs in [
+            (values[:len(required) - 1], {}),
+            (values + [None], {}),
+            (values, {"no_such_field": None}),
+            (values, {names[0]: values[0]}),
+            ([], {name: fields[name] for name in required[1:]}),
+        ]:
+            with pytest.raises(TypeError):
+                cls(*args, **kwargs)
+
+
+ERROR_CASES = [
+    # (class, arguments, message, public attributes)
+    ("CountingSystemError", ("plain",), "plain", {}),
+    ("BadIndex", (5, 3), "index 5 out of range for carrier of size 3",
+     {"value": 5, "size": 3}),
+    ("EmptyIndexSet", (), "index set must be non-empty", {}),
+    ("DuplicateLabel", ("a",), "duplicate label 'a'", {"label": "a"}),
+    ("NonCommuting", ("s", "t", 2),
+     "maps 's' and 't' do not commute at element 2",
+     {"s": "s", "t": "t", "x": 2}),
+    ("UnknownLabel", ("u", ["s", "t"]), "unknown label 'u' (known: s, t)",
+     {"label": "u"}),
+    ("IndexSetMismatch", (["s"], ("t", "s")),
+     "index sets differ: ['s'] vs ['t', 's']",
+     {"src_labels": ("s",), "dst_labels": ("t", "s")}),
+    ("SingleMapRequired", (2,),
+     "a single-map system is required; this one has 2 maps", {"count": 2}),
+    ("LimitExceeded", ("too big",), "too big", {}),
+    ("CarrierTooLarge", (5000, 4096),
+     "carrier would have 5000 elements; limit is 4096",
+     {"size": 5000, "limit": 4096}),
+    ("IndexSetTooLarge", (17, 16),
+     "index set would have 17 labels; limit is 16",
+     {"size": 17, "limit": 16}),
+    ("ClosureTooLarge", (65536,),
+     "transformation-monoid closure exceeds 65536 elements",
+     {"limit": 65536}),
+    ("CompositionTableTooLarge", (5000, 4096),
+     "composition table (closure --full) needs a closure of at most 4096 "
+     "elements; this one has 5000", {"size": 5000, "limit": 4096}),
+    ("WordsTooLarge", (9, 8),
+     "closure words (closure --json) would hold 9 labels; limit is 8",
+     {"size": 9, "limit": 8}),
+    ("MinimalityRequired", ({3, 1},),
+     "system is not minimal; unreachable elements: 1, 3",
+     {"unreachable": (1, 3)}),
+    ("GensDoNotGenerate", ([2], {3, 1}),
+     "elements [2] do not generate; missing [1, 3]",
+     {"gens": (2,), "missing": (1, 3)}),
+    ("CompatibilityViolated", (0, 1, 4, 5),
+     "incompatible section homomorphisms at generator positions (0, 1): "
+     "4 != 5", {"s": 0, "t": 1, "left": 4, "right": 5}),
+    ("OdotNotTotal", ("s", "t"),
+     "index-set operation undefined at ('s', 't')", {"s": "s", "t": "t"}),
+    ("InternalInvariantViolation", ("bug",), "bug", {}),
+    ("ParseError", (3, 7, "bad"), "line 3, col 7: bad",
+     {"line": 3, "col": 7, "reason": "bad"}),
+]
+LIMITS = {"LimitExceeded", "CarrierTooLarge", "IndexSetTooLarge",
+          "ClosureTooLarge", "CompositionTableTooLarge", "WordsTooLarge"}
+# The classes that take any arguments and pass them to Exception as given.
+PASS_THROUGH = {"CountingSystemError", "LimitExceeded",
+                "InternalInvariantViolation"}
+
+
+def test_error_cases_cover_every_error_class():
+    from countsys import errors
+
+    classes = {
+        name for name, obj in vars(errors).items()
+        if isinstance(obj, type) and issubclass(obj, Exception)
+    }
+    assert {case[0] for case in ERROR_CASES} == classes
+    assert {name for name in classes if issubclass(
+        getattr(errors, name), errors.LimitExceeded)} == LIMITS
+
+
+@pytest.mark.parametrize("name, args, message, attrs", ERROR_CASES,
+                         ids=[case[0] for case in ERROR_CASES])
+def test_errors_build_their_message_and_attributes(name, args, message,
+                                                    attrs):
+    from countsys import errors
+
+    cls = getattr(errors, name)
+    exc = cls(*args)
+    assert str(exc) == message
+    assert exc.args == (message,)
+    assert {attr: value for attr, value in vars(exc).items()
+            if not attr.startswith("_")} == attrs
+    assert isinstance(exc, errors.CountingSystemError)
+    assert isinstance(exc, errors.LimitExceeded) == (name in LIMITS)
+    if name not in PASS_THROUGH:
+        with pytest.raises(TypeError):
+            cls(*args, None)

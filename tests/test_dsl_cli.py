@@ -243,8 +243,9 @@ def test_cli_never_loads_numpy(tmp_path, command, flags):
 def test_cli_loads_only_the_modules_of_its_command(tmp_path, argv, extra):
     """A fresh interpreter running one command imports the parser's modules
     and those of that command, and no other countsys module.  Every law is
-    plain Python and every record a plain class, so it imports neither
-    numpy nor dataclasses."""
+    plain Python and every record is built from its field list by a plain
+    constructor, so it imports neither numpy nor dataclasses, nor the
+    introspection modules (inspect, ast, dis, tokenize)."""
     files = {"c": write(tmp_path, "c.csys", CYC3),
              "o": write(tmp_path, "s.odot", "odot\ns s = s\nunit s\n")}
     probe = (
@@ -254,7 +255,8 @@ def test_cli_loads_only_the_modules_of_its_command(tmp_path, argv, extra):
         "code = run_cli(sys.argv[1:], out=io.StringIO())\n"
         "new = set(sys.modules) - before\n"
         "print(code, *sorted(m for m in new if m.split('.')[0] in\n"
-        "                    ('countsys', 'numpy', 'dataclasses')))\n"
+        "                    ('countsys', 'numpy', 'dataclasses', 'inspect',\n"
+        "                     'ast', 'dis', 'tokenize')))\n"
     )
     out = fresh_stdout(probe, *(a.format(**files) for a in argv))
     code, *loaded = out.split()

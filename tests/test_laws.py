@@ -15,9 +15,11 @@ the biadditive extension propagated along every generator edge.  So are the
 checks the package no longer makes: the multiplication laws checked after
 the biadditive extension, which its certificate implies, every row and
 column of that extension checked as a homomorphism, and the generator
-values checked after a homomorphism extension.
+values checked after a homomorphism extension and the generation pass made
+before it.
 """
 
+import collections
 import functools
 import itertools
 import tracemalloc
@@ -71,7 +73,11 @@ from countsys.derive import (
     verify_plus_axioms,
 )
 from countsys.dsl import parse_odot
-from countsys.errors import CompatibilityViolated, InternalInvariantViolation
+from countsys.errors import (
+    CompatibilityViolated,
+    GensDoNotGenerate,
+    InternalInvariantViolation,
+)
 from countsys.fixtures import SIGN_ODOT_LINES, cyc, one_point, rho, zpair
 
 # -- oracles -------------------------------------------------------------------
@@ -793,10 +799,10 @@ def test_initiality_cores_are_the_cyclic_submonoids():
 # -- the checks the multiplication no longer makes -----------------------------
 
 
-def checked_hom_extend_report(src, dst, gens, targets):
-    """hom_extend_report with its final homomorphism check on the
-    generators, which a conflict-free propagation makes dead on
-    commutative tables."""
+def generation_first_hom_extend_report(src, dst, gens, targets):
+    """hom_extend_report with a require_generates pass before its
+    propagation, which a conflict-free propagation that reaches every
+    element makes redundant."""
     gens = tuple(gens)
     targets = tuple(targets)
     require_generates(src, gens)
@@ -807,15 +813,25 @@ def checked_hom_extend_report(src, dst, gens, targets):
     if prop.conflict is not None:
         return None, ExtensionConflict(*prop.conflict)
     img = prop.value
-    mapping = tuple(img[a] for a in range(src.size))
-    w = laws.homomorphism(src.op, dst.op, mapping, right=gens)
+    return HomTable(src, dst, tuple(img[a] for a in range(src.size))), None
+
+
+def checked_hom_extend_report(src, dst, gens, targets):
+    """generation_first_hom_extend_report with its final homomorphism check
+    on the generators, which a conflict-free propagation makes dead on
+    commutative tables."""
+    hom, conflict = generation_first_hom_extend_report(src, dst, gens, targets)
+    if hom is None:
+        return hom, conflict
+    mapping = hom.map
+    w = laws.homomorphism(src.op, dst.op, mapping, right=tuple(gens))
     if w is not None:
         a, b = w
         ab = src.op[a][b]
         return None, ExtensionConflict(
             ab, mapping[ab], dst.op[mapping[a]][mapping[b]]
         )
-    return HomTable(src, dst, mapping), None
+    return hom, None
 
 
 def seed_hom_extend_report(src, dst, gens, targets):
@@ -851,6 +867,91 @@ def test_hom_extend_report_matches_the_seed_with_its_generator_pass():
         assert hom_extend_report(*case) == want
         found.add(want[0] is not None)
     assert found == {True, False}
+
+
+def conflict_unchecked_hom_extend_report(src, dst, gens, targets):
+    """Mutant of hom_extend_report: its generation check runs only after a
+    conflict-free run that falls short, not after a conflict."""
+    gens = tuple(gens)
+    prop = propagate(src.zero, dst.zero, [
+        (src.op[g].__getitem__, dst.op[b].__getitem__)
+        for g, b in zip(gens, targets)
+    ])
+    if prop.conflict is None and len(prop.order) != src.size:
+        require_generates(src, gens)
+    if prop.conflict is not None:
+        return None, ExtensionConflict(*prop.conflict)
+    img = prop.value
+    return HomTable(src, dst, tuple(img[a] for a in range(src.size))), None
+
+
+def _non_generating_cases():
+    """(src, src, gens, targets, conflicts) for every tuple of one or two
+    elements that does not generate a derived table of at most four
+    elements, with the first target tuple whose propagation stops on a
+    conflict and the first whose does not, as `conflicts` tells."""
+    tables = {}
+    for sys in _minimal_systems():
+        t = derive_addition(sys)
+        if t.size <= 4:
+            tables.setdefault(t.op, t)
+    for t in tables.values():
+        for k in (1, 2):
+            for gens in itertools.permutations(range(t.size), k):
+                if generates(t, gens):
+                    continue
+                first = {}
+                for targets in itertools.product(range(t.size), repeat=k):
+                    prop = propagate(t.zero, t.zero, [
+                        (t.op[g].__getitem__, t.op[b].__getitem__)
+                        for g, b in zip(gens, targets)
+                    ])
+                    first.setdefault(prop.conflict is not None, targets)
+                for conflicts, targets in first.items():
+                    yield t, t, gens, targets, conflicts
+
+
+def _extension_outcome(report, case):
+    try:
+        return report(*case)
+    except GensDoNotGenerate as exc:
+        return "GensDoNotGenerate", exc.gens, exc.missing
+
+
+def _generation_disagreements(report):
+    """The cases, with and without generating gens, on which `report` and
+    the generation-first oracle differ, and the count of cases of each
+    kind: (generating, assignment conflicts)."""
+    cases = [(*case, None) for case in _extension_cases()]
+    cases += _non_generating_cases()
+    kinds, differ = collections.Counter(), []
+    for *case, conflicts in cases:
+        want = _extension_outcome(generation_first_hom_extend_report, case)
+        if conflicts is None:
+            kinds[True, want[0] is None] += 1
+        else:
+            assert want[0] == "GensDoNotGenerate"
+            kinds[False, conflicts] += 1
+        if _extension_outcome(report, case) != want:
+            differ.append((*case, conflicts))
+    return differ, kinds
+
+
+def test_hom_extend_report_matches_the_generation_first_oracle():
+    differ, kinds = _generation_disagreements(hom_extend_report)
+    assert differ == []
+    assert set(kinds) == {(True, False), (True, True), (False, False),
+                          (False, True)}
+
+
+def test_hom_extend_report_without_the_conflict_path_check_is_caught():
+    """Mutation: dropping the generation check after a conflict returns
+    the conflict for gens that do not generate, which the oracle
+    rejects with GensDoNotGenerate."""
+    differ, _ = _generation_disagreements(
+        conflict_unchecked_hom_extend_report)
+    assert differ
+    assert all(conflicts for *_case, conflicts in differ)
 
 
 def propagate_without_conflicts(start, value, edges):
