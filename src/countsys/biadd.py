@@ -17,6 +17,7 @@ from .errors import (
     IndexSetMismatch,
     InternalInvariantViolation,
     OdotNotTotal,
+    TargetCountMismatch,
 )
 
 
@@ -88,10 +89,13 @@ def hom_extend_report(src, dst, gens, targets):
     n iff gens generate src.  A run that falls short, or that stops on a
     conflict and so decides nothing, runs require_generates, which raises
     GensDoNotGenerate with the same missing elements whether or not the
-    assignment conflicts.
+    assignment conflicts.  Unequal numbers of gens and targets are a
+    TargetCountMismatch.
     """
     gens = tuple(gens)
     targets = tuple(targets)
+    if len(gens) != len(targets):
+        raise TargetCountMismatch(len(gens), len(targets))
     prop = propagate(src.zero, dst.zero, [
         (src.op[g].__getitem__, dst.op[b].__getitem__)
         for g, b in zip(gens, targets)

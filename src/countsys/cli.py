@@ -6,11 +6,14 @@ validation errors and violated preconditions, and for an internal invariant
 failure (a bug), which is reported with a `bug:` prefix instead of `error:`.
 
 Each command imports what it runs in its own body, so a run loads only the
-modules of its command.
+modules of its command.  The command line is read against one table,
+`_COMMANDS`, in the forms argparse accepted, without argparse and the
+gettext and locale modules it loads.
 """
 
-import argparse
+import re
 import sys as _sys
+from types import SimpleNamespace
 
 from .dsl import emit_system, parse_odot, parse_system
 from .errors import CountingSystemError, InternalInvariantViolation, ParseError
@@ -282,58 +285,131 @@ def _cmd_free_report(args, out, err):
     return EXIT_OK
 
 
-def build_parser():
-    p = argparse.ArgumentParser(
-        prog="countsys",
-        description="derive and verify the algebra of finite counting systems",
-    )
-    p.add_argument(
-        "--auto-core",
-        action="store_true",
-        help="replace a non-minimal input by its minimal core",
-    )
-    sub = p.add_subparsers(dest="command", required=True)
+# command: (handler, usage); in a usage, an option in brackets may be left
+# out, one with "=" takes a value, and a word without "-" is a positional
+_COMMANDS = {
+    "validate": (_cmd_validate, "file"),
+    "analyze": (_cmd_analyze, "[--json] file"),
+    "core": (_cmd_core, "file"),
+    "closure": (_cmd_closure, "[--full] [--json] file"),
+    "add": (_cmd_add, "file"),
+    "mul": (_cmd_mul, "[--odot=ODOT] file"),
+    "morphism": (_cmd_morphism, "[--relabel=OLD=NEW,...] src dst"),
+    "product": (_cmd_product, "a b"),
+    "omega": (_cmd_omega, "file"),
+    "free-eval": (_cmd_free_eval, "--multiset=LABEL:COUNT,... file"),
+    "initial": (_cmd_initial, "[--json] file"),
+    "free-report": (_cmd_free_report, "[--json] file"),
+}
+# before the command; --auto-core replaces a non-minimal input by its core
+_GLOBAL = (None, "[--auto-core] COMMAND ...")
 
-    def add(name, fn, **files):
-        sp = sub.add_parser(name)
-        for arg in files.get("files", ["file"]):
-            sp.add_argument(arg)
-        sp.set_defaults(fn=fn)
-        return sp
 
-    add("validate", _cmd_validate)
-    sp = add("analyze", _cmd_analyze)
-    sp.add_argument("--json", action="store_true")
-    add("core", _cmd_core)
-    sp = add("closure", _cmd_closure)
-    sp.add_argument("--full", action="store_true")
-    sp.add_argument("--json", action="store_true")
-    add("add", _cmd_add)
-    sp = add("mul", _cmd_mul)
-    sp.add_argument("--odot")
-    sp = add("morphism", _cmd_morphism, files=["src", "dst"])
-    sp.add_argument("--relabel", help="old=new[,old=new...] for SRC labels")
-    add("product", _cmd_product, files=["a", "b"])
-    add("omega", _cmd_omega)
-    sp = add("free-eval", _cmd_free_eval)
-    sp.add_argument("--multiset", required=True, help='e.g. "s:3,t:1"')
-    sp = add("initial", _cmd_initial)
-    sp.add_argument("--json", action="store_true")
-    sp = add("free-report", _cmd_free_report)
-    sp.add_argument("--json", action="store_true")
-    return p
+class _Stop(Exception):
+    """Ends a parse: (command or "", usage error or None for help)."""
+
+
+def _usage(command):
+    usage = _COMMANDS.get(command, _GLOBAL)[1]
+    return f"usage: countsys {command} [-h] {usage}".replace("  ", " ")
+
+
+def _scan(tokens, takes, command):
+    """argparse's reading of tokens against the long options `takes`: a
+    letter each, "O" (option), "A" (argument) or "-" (the first "--"), and
+    for each "O" (option or None if unknown, value after "=" or None)."""
+    pattern, found = "", {}
+    for i, token in enumerate(tokens):
+        if token == "--":  # every token after it is an argument
+            return pattern + "-" + "A" * (len(tokens) - i - 1), found
+        name, eq, value = token.partition("=")
+        if token[:2] == "-h":  # -h, -hh, -h=h; -hx is -h with the value x
+            rest = value if name == "-h" and eq else token[2:] or None
+            found[i] = "--help", None if rest and not rest.strip("h") else rest
+        elif token[:2] == "--" and (
+                matches := [opt for opt in takes if opt.startswith(name)]):
+            if len(matches) > 1:  # an error before any token is acted on
+                raise _Stop(command, f"ambiguous option: {token}")
+            found[i] = matches[0], value if eq else None
+        elif (token[:1] == "-" != token and " " not in token
+              and not re.match(r"-\d+$|-\d*\.\d+$", token)):
+            found[i] = None, None  # an unknown option, not a negative number
+        pattern += "O" if i in found else "A"
+    return pattern, found
+
+
+def _parse_args(argv):
+    """The namespace for a handler, read from argv by the table as argparse
+    read it with `build_parser` (tests/ keeps it as the oracle), or _Stop
+    where argparse stopped, so -h wins where it won.  An unknown option, a
+    surplus or missing argument, or one whose only token is "--" (argparse
+    passed an empty list), is an error at the end."""
+    args = SimpleNamespace(auto_core=False)
+    command, tokens, extras = "", list(argv), []
+    while True:  # the options before the command, then the command's
+        args.fn, usage = _COMMANDS.get(command, _GLOBAL)
+        takes, missing = {"--help": False}, {}
+        for word in usage.split():
+            name, eq, _ = word.strip("[]").partition("=")
+            if name[:2] == "--":
+                takes[name] = bool(eq)
+                setattr(args, name[2:].replace("-", "_"), None if eq else False)
+            missing[name] = word[0] != "["
+        todo = [name for name in missing if name[0] != "-"]
+        pattern, found = _scan(tokens, takes, command)
+        j = 0
+        while j < len(tokens) and (command or pattern[j] == "O"):
+            name, value = found.get(j, (None, None))
+            sep = False
+            if name:  # the last value of an option wins
+                j += 1
+                if takes[name] and value is None and pattern[j:j + 1] == "A":
+                    value, j = tokens[j], j + 1
+                if (value is None) == takes[name]:
+                    raise _Stop(command, f"{name} takes "
+                                + ("one value" if takes[name] else "no value"))
+                if name == "--help":
+                    raise _Stop(command, None)
+                attr = name[2:].replace("-", "_")
+            elif todo and pattern.startswith("A", k := j + (pattern[j] == "-")):
+                name = attr = todo.pop(0)  # with a "--" just before or after
+                value, sep = tokens[k], k > j
+                j = k + 1 + pattern.startswith("-", k + 1)
+            else:  # an unknown option or a surplus argument
+                extras.append(tokens[j])
+                j += 1
+                continue
+            setattr(args, attr, True if value is None else value)
+            missing[name] = value == "--" and not sep  # argparse passed []
+        if command:
+            break
+        if j == len(tokens) or tokens[j] not in _COMMANDS:
+            raise _Stop("", f"invalid command {tokens[j]!r}"
+                        if j < len(tokens) else "missing COMMAND")
+        command, tokens = tokens[j], tokens[j + 1:]
+    missing = [name for name, lacks in missing.items() if lacks]
+    if missing or extras:
+        raise _Stop(command, f"missing {', '.join(missing)}" if missing
+                    else f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 def run_cli(argv, out=None, err=None):
     out = out if out is not None else _sys.stdout
     err = err if err is not None else _sys.stderr
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_ERROR if exc.code else EXIT_OK
-    try:
+        args = _parse_args(argv)
         return args.fn(args, out, err)
+    except _Stop as stop:
+        command, error = stop.args
+        if error:
+            print(_usage(command), f"countsys: error: {error}", sep="\n",
+                  file=err)
+            return EXIT_ERROR
+        lines = [] if command else [
+            _usage(c).removeprefix("usage: ") for c in _COMMANDS]
+        print(_usage(command), *lines, sep="\n  ", file=out)  # -h or --help
+        return EXIT_OK
     except ParseError as exc:
         print(f"parse error: {exc}", file=err)
         return EXIT_ERROR

@@ -3,7 +3,8 @@
 An error class declares `fields`, its argument names in order, and a
 `message` template over them; the base constructor formats the message and
 stores each argument under its field name.  A class without a template
-passes its arguments to Exception unchanged.
+passes its arguments to Exception unchanged.  Every error keeps the
+arguments it was constructed from, and pickle and copy rebuild it from them.
 """
 
 
@@ -12,6 +13,14 @@ class CountingSystemError(Exception):
 
     fields = ()
     message = None
+
+    def __new__(cls, *args):
+        self = super().__new__(cls, *args)
+        self._arguments = args
+        return self
+
+    def __reduce__(self):
+        return type(self), self._arguments
 
     def __init__(self, *args):
         if self.message is None:
@@ -111,6 +120,11 @@ class GensDoNotGenerate(CountingSystemError):
         self.missing = tuple(sorted(missing))
         super().__init__(f"elements {list(self.gens)} do not generate; "
                          f"missing {list(self.missing)}")
+
+
+class TargetCountMismatch(CountingSystemError):
+    fields = ("gens", "targets")
+    message = "{gens} generators but {targets} targets"
 
 
 class CompatibilityViolated(CountingSystemError):

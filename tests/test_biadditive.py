@@ -31,6 +31,7 @@ from countsys.errors import (
     IndexSetMismatch,
     InternalInvariantViolation,
     OdotNotTotal,
+    TargetCountMismatch,
 )
 from countsys.fixtures import SIGN_ODOT_LINES, cyc, rho, rho_collapse, zpair
 
@@ -83,6 +84,16 @@ def test_hom_extend_requires_generators():
     z6 = derive_addition(cyc(6))
     with pytest.raises(GensDoNotGenerate):
         hom_extend(z6, z6, (2,), (2,))
+
+
+@pytest.mark.parametrize("gens, targets", [
+    ((1,), ()), ((), (1,)), ((1, 2), (1,)),
+], ids=["no-targets", "no-gens", "one-target-short"])
+def test_hom_extend_refuses_unequal_gens_and_targets(gens, targets):
+    z3 = derive_addition(cyc(3))
+    with pytest.raises(TargetCountMismatch) as exc:
+        hom_extend_report(z3, z3, gens, targets)
+    assert (exc.value.gens, exc.value.targets) == (len(gens), len(targets))
 
 
 def test_is_biadditive_on_modular_multiplication():

@@ -443,6 +443,8 @@ ERROR_CASES = [
     ("GensDoNotGenerate", ([2], {3, 1}),
      "elements [2] do not generate; missing [1, 3]",
      {"gens": (2,), "missing": (1, 3)}),
+    ("TargetCountMismatch", (2, 1), "2 generators but 1 targets",
+     {"gens": 2, "targets": 1}),
     ("CompatibilityViolated", (0, 1, 4, 5),
      "incompatible section homomorphisms at generator positions (0, 1): "
      "4 != 5", {"s": 0, "t": 1, "left": 4, "right": 5}),
@@ -483,6 +485,10 @@ def test_errors_build_their_message_and_attributes(name, args, message,
     assert exc.args == (message,)
     assert {attr: value for attr, value in vars(exc).items()
             if not attr.startswith("_")} == attrs
+    for back in (pickle.loads(pickle.dumps(exc)), copy.copy(exc)):
+        assert type(back) is cls and back.args == exc.args
+        assert {attr: value for attr, value in vars(back).items()
+                if not attr.startswith("_")} == attrs
     assert isinstance(exc, errors.CountingSystemError)
     assert isinstance(exc, errors.LimitExceeded) == (name in LIMITS)
     if name not in PASS_THROUGH:

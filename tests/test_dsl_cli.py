@@ -1,5 +1,7 @@
 """Text formats and the command-line front end."""
 
+import argparse
+import contextlib
 import importlib
 import io
 import json
@@ -12,7 +14,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import countsys
-from countsys.cli import run_cli
+from countsys.cli import (
+    _cmd_add, _cmd_analyze, _cmd_closure, _cmd_core, _cmd_free_eval,
+    _cmd_free_report, _cmd_initial, _cmd_morphism, _cmd_mul, _cmd_omega,
+    _cmd_product, _cmd_validate, _parse_args, _Stop, run_cli,
+)
 from countsys.core import Carrier, EndoMap, new_system, product
 from countsys.dsl import emit_system, parse_odot, parse_system
 from countsys.errors import (
@@ -245,7 +251,9 @@ def test_cli_loads_only_the_modules_of_its_command(tmp_path, argv, extra):
     and those of that command, and no other countsys module.  Every law is
     plain Python and every record is built from its field list by a plain
     constructor, so it imports neither numpy nor dataclasses, nor the
-    introspection modules (inspect, ast, dis, tokenize)."""
+    introspection modules (inspect, ast, dis, tokenize).  The command line
+    is read by the command table, so neither argparse nor the gettext and
+    locale modules it pulls in are loaded."""
     files = {"c": write(tmp_path, "c.csys", CYC3),
              "o": write(tmp_path, "s.odot", "odot\ns s = s\nunit s\n")}
     probe = (
@@ -256,7 +264,8 @@ def test_cli_loads_only_the_modules_of_its_command(tmp_path, argv, extra):
         "new = set(sys.modules) - before\n"
         "print(code, *sorted(m for m in new if m.split('.')[0] in\n"
         "                    ('countsys', 'numpy', 'dataclasses', 'inspect',\n"
-        "                     'ast', 'dis', 'tokenize')))\n"
+        "                     'ast', 'dis', 'tokenize', 'argparse', 'gettext',\n"
+        "                     'locale')))\n"
     )
     out = fresh_stdout(probe, *(a.format(**files) for a in argv))
     code, *loaded = out.split()
@@ -614,6 +623,170 @@ def test_cli_fuzz_exits_0_1_or_2_without_a_traceback(corpus, data):
     out, err = io.StringIO(), io.StringIO()
     try:
         code = run_cli(argv, out=out, err=err)
-    except SystemExit as exc:  # argparse's --help and usage errors
+    except SystemExit as exc:  # help and usage errors must return
         pytest.fail(f"SystemExit({exc.code}) escaped run_cli for {argv!r}")
     assert code in (0, 1, 2), argv
+
+
+def test_cli_usage_errors_and_help_go_to_its_streams(capsys):
+    out, err = io.StringIO(), io.StringIO()
+    assert run_cli(["no-such-command"], out=out, err=err) == 2
+    assert out.getvalue() == ""
+    usage, error = err.getvalue().splitlines()
+    assert usage.startswith("usage: countsys [-h] [--auto-core] COMMAND")
+    assert error == "countsys: error: invalid command 'no-such-command'"
+    out = io.StringIO()
+    assert run_cli(["-h"], out=out) == 0
+    assert [line.split()[:2] for line in out.getvalue().splitlines()[1:]] \
+        == [["countsys", command] for command in SUBCOMMANDS]
+    out = io.StringIO()
+    assert run_cli(["morphism", "--help"], out=out) == 0
+    assert out.getvalue() == (
+        "usage: countsys morphism [-h] [--relabel=OLD=NEW,...] src dst\n")
+    assert capsys.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["free-eval", "{c}", "--multiset=--"], "--multiset"),
+    (["mul", "{c}", "--odot=--"], "--odot"),
+    (["morphism", "{c}", "--", "--"], "dst"),
+], ids=["multiset", "odot", "positional"])
+def test_cli_an_argument_read_as_nothing_is_a_usage_error(tmp_path, argv,
+                                                          option):
+    """argparse dropped the first "--" of an argument's tokens and passed
+    the empty rest to the handler: free-eval and morphism then failed with
+    a traceback, and mul ran without its --odot."""
+    c = write(tmp_path, "c.csys", CYC3)
+    code, out, err = run([a.format(c=c) for a in argv])
+    assert (code, out) == (2, "")
+    assert err.splitlines()[1] == f"countsys: error: missing {option}"
+
+
+# -- the command table against argparse ---------------------------------------
+
+# The argparse parser that read the command line before the command table;
+# the table must read every argv as it did.
+def build_parser():
+    p = argparse.ArgumentParser(
+        prog="countsys",
+        description="derive and verify the algebra of finite counting systems",
+    )
+    p.add_argument(
+        "--auto-core",
+        action="store_true",
+        help="replace a non-minimal input by its minimal core",
+    )
+    sub = p.add_subparsers(dest="command", required=True)
+
+    def add(name, fn, **files):
+        sp = sub.add_parser(name)
+        for arg in files.get("files", ["file"]):
+            sp.add_argument(arg)
+        sp.set_defaults(fn=fn)
+        return sp
+
+    add("validate", _cmd_validate)
+    sp = add("analyze", _cmd_analyze)
+    sp.add_argument("--json", action="store_true")
+    add("core", _cmd_core)
+    sp = add("closure", _cmd_closure)
+    sp.add_argument("--full", action="store_true")
+    sp.add_argument("--json", action="store_true")
+    add("add", _cmd_add)
+    sp = add("mul", _cmd_mul)
+    sp.add_argument("--odot")
+    sp = add("morphism", _cmd_morphism, files=["src", "dst"])
+    sp.add_argument("--relabel", help="old=new[,old=new...] for SRC labels")
+    add("product", _cmd_product, files=["a", "b"])
+    add("omega", _cmd_omega)
+    sp = add("free-eval", _cmd_free_eval)
+    sp.add_argument("--multiset", required=True, help='e.g. "s:3,t:1"')
+    sp = add("initial", _cmd_initial)
+    sp.add_argument("--json", action="store_true")
+    sp = add("free-report", _cmd_free_report)
+    sp.add_argument("--json", action="store_true")
+    return p
+
+
+ORACLE = build_parser()
+# the attributes that run_cli and the handlers read
+READ = ("fn", "file", "src", "dst", "a", "b", "auto_core", "json", "full",
+        "odot", "relabel", "multiset")
+
+
+def argparse_outcome(argv):
+    """0 for help, 2 for a usage error, else the attributes read."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            args = ORACLE.parse_args(argv)
+    except SystemExit as exc:
+        return exc.code
+    read = {key: getattr(args, key) for key in READ if hasattr(args, key)}
+    # an argument whose only token is "--" read as [] here; the table
+    # reports it as missing (see the test above)
+    return 2 if [] in read.values() else read
+
+
+def table_outcome(argv):
+    try:
+        args = _parse_args(argv)
+    except _Stop as stop:
+        return 0 if stop.args[1] is None else 2
+    return {key: getattr(args, key) for key in READ if hasattr(args, key)}
+
+
+@settings(max_examples=1000, deadline=None)
+@given(data=st.data())
+def test_table_parser_agrees_with_argparse(corpus, data):
+    argv = data.draw(argvs(corpus))
+    assert table_outcome(argv) == argparse_outcome(argv), argv
+
+
+@pytest.mark.parametrize("argv", [
+    # abbreviations
+    ["--auto", "add", "F"], ["--a", "add", "F"], ["--h"], ["add", "F", "--he"],
+    ["closure", "F", "--j", "--fu"], ["mul", "F", "--od", "O"],
+    ["free-eval", "F", "--m", "s:1"], ["add", "F", "--=x"], ["--=", "add"],
+    # --opt=value
+    ["mul", "F", "--odot=O"], ["mul", "F", "--od=O=P"], ["mul", "F", "--odot="],
+    ["morphism", "F", "G", "--rel=s=t"], ["closure", "F", "--json=x"],
+    ["closure", "F", "--json="], ["--auto-core=", "add", "F"],
+    ["add", "F", "--help=x"],
+    # --
+    ["add", "--", "F"], ["add", "F", "--"], ["add", "--", "--"], ["add", "--"],
+    ["--"], ["--", "add", "F"], ["--auto-core", "--", "add", "F"],
+    ["morphism", "F", "--", "G"], ["morphism", "--", "F", "G"],
+    ["morphism", "F", "G", "--"], ["morphism", "F", "--", "--"],
+    ["mul", "F", "--odot", "O", "--"], ["mul", "--odot", "O", "F", "--"],
+    ["mul", "F", "--odot", "--", "O"], ["add", "--", "-h"],
+    ["add", "F", "--", "--json"], ["mul", "F", "--odot=--"],
+    # -
+    ["add", "-"], ["-", "add"], ["mul", "F", "--odot", "-"], ["product", "-", "-"],
+    # repeated options; the last value wins
+    ["mul", "F", "--odot", "O", "--odot", "P"], ["closure", "F", "--json", "--j"],
+    ["--auto-core", "--auto-core", "add", "F"], ["mul", "F", "--odot", "--odot"],
+    ["mul", "F", "--odot=O", "--odot=--"], ["mul", "F", "--odot=--", "--odot=O"],
+    # an option value that starts with "-"
+    ["mul", "F", "--odot", "-5"], ["mul", "F", "--odot", "-1.5"],
+    ["mul", "F", "--odot", "-.5\n"], ["mul", "F", "--odot", "-x"],
+    ["mul", "F", "--odot", "- x"], ["mul", "F", "--odot", "--json"],
+    ["free-eval", "F", "--multiset", "-s:1"], ["add", "-5"], ["add", "-x"],
+    ["morphism", "F", "G", "--relabel", "--x=y z"],
+    # -h after an invalid token
+    ["--bogus", "-h"], ["bogus", "-h"], ["add", "F", "G", "-h"],
+    ["add", "--bogus", "-h"], ["mul", "F", "--odot", "-h"],
+    ["closure", "F", "--json=x", "-h"], ["free-eval", "-h"],
+    ["add", "-h", "--=x"], ["add", "F", "-hx"], ["add", "F", "-h="],
+    ["-hh"], ["-h=h"], ["-h="], ["-hx"], ["add", "-hhh"], ["add", "-h=hh"],
+    # --auto-core after the command
+    ["add", "F", "--auto-core"], ["add", "--auto-core", "F"],
+    ["add", "F", "--auto"],
+    # options and positionals interleaved, and missing ones
+    ["morphism", "--relabel", "s=t", "F", "G"],
+    ["morphism", "F", "--relabel", "s=t", "G"],
+    ["free-eval", "--multiset", "s:1", "F"], ["free-eval", "F"],
+    [], ["add"], ["morphism", "F"], ["--auto-core"], ["", "F"],
+], ids=repr)
+def test_table_parser_agrees_with_argparse_on(argv):
+    assert table_outcome(argv) == argparse_outcome(argv)
