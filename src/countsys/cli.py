@@ -11,6 +11,8 @@ modules of its command.  The command line is read against one table,
 gettext and locale modules it loads.
 """
 
+import atexit
+import os
 import re
 import sys as _sys
 from types import SimpleNamespace
@@ -64,9 +66,13 @@ def _pairs(text, sep, option, form):
 
 
 def _tsv_table(labels, table, out):
-    print("\t" + "\t".join(labels), file=out)
-    for i, row in enumerate(table):
-        print(labels[i] + "\t" + "\t".join([labels[j] for j in row]), file=out)
+    """Header and rows, 256 rows to a write (6 MB of text at 4096 rows)."""
+    text = "\t" + "\t".join(labels) + "\n"
+    for k in range(0, len(table), 256):
+        out.write(text + "".join([
+            labels[i] + "\t" + "\t".join([labels[j] for j in row]) + "\n"
+            for i, row in enumerate(table[k:k + 256], k)]))
+        text = ""
 
 
 def _emit(payload, as_json, out, head="", rows=None, keys=()):
@@ -398,18 +404,23 @@ def run_cli(argv, out=None, err=None):
     out = out if out is not None else _sys.stdout
     err = err if err is not None else _sys.stderr
     try:
-        args = _parse_args(argv)
-        return args.fn(args, out, err)
-    except _Stop as stop:
-        command, error = stop.args
-        if error:
-            print(_usage(command), f"countsys: error: {error}", sep="\n",
-                  file=err)
-            return EXIT_ERROR
-        lines = [] if command else [
-            _usage(c).removeprefix("usage: ") for c in _COMMANDS]
-        print(_usage(command), *lines, sep="\n  ", file=out)  # -h or --help
-        return EXIT_OK
+        if out is None:  # file descriptor 1 was closed
+            raise OSError("no standard output")
+        try:
+            args = _parse_args(argv)
+            code = args.fn(args, out, err)
+        except _Stop as stop:
+            command, error = stop.args
+            if error:
+                print(_usage(command), f"countsys: error: {error}", sep="\n",
+                      file=err)
+                return EXIT_ERROR
+            lines = [] if command else [
+                _usage(c).removeprefix("usage: ") for c in _COMMANDS]
+            print(_usage(command), *lines, sep="\n  ", file=out)  # -h
+            code = EXIT_OK
+        out.flush()  # a failed write of the last output is an error too
+        return code
     except ParseError as exc:
         print(f"parse error: {exc}", file=err)
         return EXIT_ERROR
@@ -422,7 +433,16 @@ def run_cli(argv, out=None, err=None):
 
 
 def main():
-    raise SystemExit(run_cli(_sys.argv[1:]))
+    """run_cli, the atexit callbacks, a flush of stdout and stderr, and
+    os._exit: the interpreter's teardown frees only what the OS reclaims."""
+    code = run_cli(_sys.argv[1:])
+    atexit._run_exitfuncs()
+    for stream in (_sys.stdout, _sys.stderr):
+        try:  # what the callbacks wrote; run_cli reported its own failures
+            stream.flush()
+        except (AttributeError, OSError):  # a stream that is None, or failed
+            pass
+    os._exit(code)
 
 
 if __name__ == "__main__":

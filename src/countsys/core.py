@@ -129,8 +129,15 @@ class EndoMap(_Frozen):
         return self.table[i]
 
     def compose(self, other):
-        """self after other: (self . other)(x) = self(other(x))."""
-        return EndoMap(tuple(self.table[j] for j in other.table))
+        """self after other: (self . other)(x) = self(other(x)).  On tables of
+        one length n, other's images index self's, and self's lie in range(n),
+        so the result is valid unchecked; unequal lengths are checked."""
+        table = tuple(map(self.table.__getitem__, other.table))
+        if len(table) != len(self.table):
+            return EndoMap(table)
+        new = object.__new__(EndoMap)
+        object.__setattr__(new, "table", table)
+        return new
 
     def is_injective(self):
         return len(set(self.table)) == len(self.table)

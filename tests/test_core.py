@@ -56,6 +56,32 @@ def test_endomap_compose_order():
     assert g.compose(f).table == (0, 1, 0)
 
 
+def test_endomap_compose_equals_the_checked_construction():
+    """compose builds its table without EndoMap's per-image check; on one
+    carrier it is the map the checked constructor builds, and it stays a
+    frozen, hashable EndoMap."""
+    for n in (1, 2, 5, 17):
+        maps = [EndoMap(tuple((a * x + b) % n for x in range(n)))
+                for a in range(3) for b in range(3)]
+        for f in maps:
+            for g in maps:
+                fg = f.compose(g)
+                checked = EndoMap(tuple(f.table[j] for j in g.table))
+                assert type(fg) is EndoMap and fg == checked
+                assert hash(fg) == hash(checked)
+                assert type(fg.table) is tuple
+                with pytest.raises(AttributeError):
+                    fg.table = checked.table
+
+
+def test_endomap_compose_checks_tables_of_unequal_length():
+    # (2, 2, 2) after (0, 1) is (2, 2): image 2 on a carrier of size 2
+    with pytest.raises(BadIndex) as info:
+        EndoMap((2, 2, 2)).compose(EndoMap((0, 1)))
+    assert (info.value.value, info.value.size) == (2, 2)
+    assert EndoMap((1, 0, 0)).compose(EndoMap((0, 1))) == EndoMap((1, 0))
+
+
 def test_endomap_injective_iff_surjective_on_finite_carrier():
     for table in [(0, 1, 2), (1, 2, 0), (0, 0, 1), (2, 2, 2)]:
         f = EndoMap(table)

@@ -2,6 +2,8 @@
 
 import argparse
 import contextlib
+import errno
+import functools
 import importlib
 import io
 import json
@@ -9,6 +11,7 @@ import os
 import string
 import subprocess
 import sys as _sys
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,7 +20,7 @@ import countsys
 from countsys.cli import (
     _cmd_add, _cmd_analyze, _cmd_closure, _cmd_core, _cmd_free_eval,
     _cmd_free_report, _cmd_initial, _cmd_morphism, _cmd_mul, _cmd_omega,
-    _cmd_product, _cmd_validate, _parse_args, _Stop, run_cli,
+    _cmd_product, _cmd_validate, _parse_args, _Stop, _tsv_table, run_cli,
 )
 from countsys.core import Carrier, EndoMap, new_system, product
 from countsys.dsl import emit_system, parse_odot, parse_system
@@ -50,13 +53,25 @@ def write(tmp_path, name, text):
     return str(p)
 
 
+def process(args, unbuffered=False, stdout=subprocess.PIPE, **kwargs):
+    """(exit code, stdout, stderr) of `python args...` on this countsys, with
+    stdout block-buffered unless `unbuffered` (PYTHONUNBUFFERED=1)."""
+    src = os.path.dirname(os.path.dirname(countsys.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.run([_sys.executable, *args], stdout=stdout,
+                          stderr=subprocess.PIPE, env=env, timeout=120,
+                          **kwargs)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
 def fresh_stdout(probe, *argv):
     """What `python -c probe argv...` prints, run on this countsys."""
-    src = os.path.dirname(os.path.dirname(countsys.__file__))
-    return subprocess.run(
-        [_sys.executable, "-c", probe, *argv], capture_output=True, text=True,
-        check=True, env=dict(os.environ, PYTHONPATH=src),
-    ).stdout
+    code, out, err = process(["-c", probe, *argv])
+    assert code == 0, err.decode()
+    return out.decode()
 
 
 def test_parse_system_basic():
@@ -660,6 +675,129 @@ def test_cli_an_argument_read_as_nothing_is_a_usage_error(tmp_path, argv,
     code, out, err = run([a.format(c=c) for a in argv])
     assert (code, out) == (2, "")
     assert err.splitlines()[1] == f"countsys: error: missing {option}"
+
+
+@pytest.mark.parametrize("n", [1, 255, 256, 257, 600])
+def test_tsv_table_writes_each_block_of_256_rows_at_once(n):
+    """The text is the one of a print per line, in one write per block of
+    256 rows (a system call each on an unbuffered stream)."""
+    labels = [f"e{i}" for i in range(n)]
+    table = [[(i * j + 1) % n for j in range(n)] for i in range(n)]
+    expected = io.StringIO()
+    print("\t" + "\t".join(labels), file=expected)
+    for i, row in enumerate(table):
+        print(labels[i] + "\t" + "\t".join([labels[j] for j in row]),
+              file=expected)
+    writes = []
+    _tsv_table(labels, table, SimpleNamespace(write=writes.append))
+    assert "".join(writes) == expected.getvalue()
+    assert len(writes) == -(-n // 256)
+
+
+def test_cli_without_stdout_exits_2_for_every_command(tmp_path, monkeypatch):
+    """With file descriptor 1 closed, sys.stdout is None: every command,
+    and -h, exits 2 with one error line instead of writing nowhere."""
+    path = write(tmp_path, "c.csys", CYC3)
+    monkeypatch.setattr(_sys, "stdout", None)
+    for argv in [[command, path] for command in SUBCOMMANDS] + [["-h"]]:
+        err = io.StringIO()
+        assert run_cli(argv, err=err) == 2, argv
+        assert err.getvalue() == "error: no standard output\n"
+
+
+def test_cli_reports_a_failed_write_of_the_help():
+    """A failed write of the help is reported like a failed write of a
+    command's output, not raised out of run_cli."""
+    def full(text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+    err = io.StringIO()
+    assert run_cli(["-h"], out=SimpleNamespace(write=full), err=err) == 2
+    assert err.getvalue() == (
+        f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n")
+
+
+# -- the process entry point --------------------------------------------------
+
+@pytest.mark.parametrize("unbuffered", [False, True],
+                         ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("case, code", [
+    ("ok", 0), ("negative", 1), ("error", 2), ("large", 0),
+])
+def test_main_prints_what_run_cli_prints(tmp_path, case, code, unbuffered):
+    """`python -m countsys.cli` ends with os._exit: its exit code, stdout
+    and stderr are byte for byte those of run_cli in this process, also for
+    an `add` table larger than a pipe's buffer."""
+    c3 = write(tmp_path, "c3.csys", CYC3)
+    argv = {
+        "ok": ["analyze", c3],
+        "negative": ["morphism", c3, write(tmp_path, "c6.csys",
+                                           emit_system(cyc(6), name="c6"))],
+        "error": ["validate", write(tmp_path, "bad.csys", "system x\nwhat\n")],
+        "large": ["add", write(tmp_path, "c256.csys",
+                               emit_system(cyc(256), name="c256"))],
+    }[case]
+    expected = run(argv)
+    assert expected[0] == code
+    assert case != "large" or len(expected[1]) > 2 ** 17
+    got = process(["-m", "countsys.cli", *argv], unbuffered)
+    assert got == (code, expected[1].encode(), expected[2].encode())
+
+
+@pytest.mark.parametrize("sink", ["full-device", "pipe-without-reader"])
+def test_main_reports_a_failed_final_flush(tmp_path, sink):
+    """`validate`'s one line stays in stdout's buffer until the final flush;
+    when that write fails, the process exits 2 with one `error:` line, not
+    with the interpreter's `Exception ignored` message and exit 120."""
+    path = write(tmp_path, "c.csys", CYC3)
+    if sink == "full-device":
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full on this system")
+        with open("/dev/full", "wb") as full:
+            code, _, err = process(["-m", "countsys.cli", "validate", path],
+                                   stdout=full)
+        num = errno.ENOSPC
+    else:
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # a write to the pipe fails with EPIPE
+        try:
+            code, _, err = process(["-m", "countsys.cli", "validate", path],
+                                   stdout=write_end)
+        finally:
+            os.close(write_end)
+        num = errno.EPIPE
+    assert code == 2
+    assert err.decode() == f"error: [Errno {num}] {os.strerror(num)}\n"
+
+
+def test_main_without_stdout_exits_2(tmp_path):
+    """`core` wrote its system with out.write, which raised AttributeError
+    on a closed stdout and exited 1, the code of a negative verdict."""
+    path = write(tmp_path, "c.csys", CYC3)
+    got = process(["-m", "countsys.cli", "core", path], stdout=None,
+                  preexec_fn=functools.partial(os.close, 1))
+    assert got == (2, None, b"error: no standard output\n")
+
+
+def test_main_runs_the_atexit_callbacks_and_skips_teardown(tmp_path):
+    """main() runs the atexit callbacks and flushes what they print, then
+    ends the process before the interpreter's teardown would delete the
+    probe's module globals and run their __del__."""
+    probe = (
+        "import atexit, sys\n"
+        "class Guard:\n"
+        "    def __del__(self):\n"
+        "        print('teardown ran')\n"
+        "guard = Guard()\n"
+        "atexit.register(print, 'atexit ran')\n"
+        "import countsys.cli\n"
+        "countsys.cli.main()\n"
+        "print('main returned')\n"
+    )
+    path = write(tmp_path, "c.csys", CYC3)
+    code, out, err = process(["-c", probe, "validate", path])
+    assert (code, err) == (0, b"")
+    assert out.decode().splitlines() == [
+        "ok: cyc3 (3 elements, 1 maps)", "atexit ran"]
 
 
 # -- the command table against argparse ---------------------------------------
