@@ -7,13 +7,12 @@ failure (a bug), which is reported with a `bug:` prefix instead of `error:`.
 
 Each command imports what it runs in its own body, so a run loads only the
 modules of its command.  The command line is read against one table,
-`_COMMANDS`, in the forms argparse accepted, without argparse and the
-gettext and locale modules it loads.
+`_COMMANDS`, by the grammar README states: `--auto-core` before the command,
+then its options, named in full, and its positionals in any order.
 """
 
 import atexit
 import os
-import re
 import sys as _sys
 from types import SimpleNamespace
 
@@ -204,8 +203,8 @@ def _cmd_morphism(args, out, err):
         return EXIT_NEGATIVE
     src_labels = src.carrier.labels
     dst_labels = dst_doc.system.carrier.labels
-    for i, j in enumerate(m.map):
-        print(f"{src_labels[i]}\t{dst_labels[j]}", file=out)
+    out.write("".join([f"{src_labels[i]}\t{dst_labels[j]}\n"
+                       for i, j in enumerate(m.map)]))  # one write
     return EXIT_OK
 
 
@@ -292,7 +291,8 @@ def _cmd_free_report(args, out, err):
 
 
 # command: (handler, usage); in a usage, an option in brackets may be left
-# out, one with "=" takes a value, and a word without "-" is a positional
+# out, one with "=" takes a value, and a word without "-" is a positional;
+# argv is read against it by the grammar README states
 _COMMANDS = {
     "validate": (_cmd_validate, "file"),
     "analyze": (_cmd_analyze, "[--json] file"),
@@ -311,8 +311,8 @@ _COMMANDS = {
 _GLOBAL = (None, "[--auto-core] COMMAND ...")
 
 
-class _Stop(Exception):
-    """Ends a parse: (command or "", usage error or None for help)."""
+class _UsageError(Exception):
+    """A command line outside the grammar: (command or "", message)."""
 
 
 def _usage(command):
@@ -320,83 +320,61 @@ def _usage(command):
     return f"usage: countsys {command} [-h] {usage}".replace("  ", " ")
 
 
-def _scan(tokens, takes, command):
-    """argparse's reading of tokens against the long options `takes`: a
-    letter each, "O" (option), "A" (argument) or "-" (the first "--"), and
-    for each "O" (option or None if unknown, value after "=" or None)."""
-    pattern, found = "", {}
-    for i, token in enumerate(tokens):
-        if token == "--":  # every token after it is an argument
-            return pattern + "-" + "A" * (len(tokens) - i - 1), found
-        name, eq, value = token.partition("=")
-        if token[:2] == "-h":  # -h, -hh, -h=h; -hx is -h with the value x
-            rest = value if name == "-h" and eq else token[2:] or None
-            found[i] = "--help", None if rest and not rest.strip("h") else rest
-        elif token[:2] == "--" and (
-                matches := [opt for opt in takes if opt.startswith(name)]):
-            if len(matches) > 1:  # an error before any token is acted on
-                raise _Stop(command, f"ambiguous option: {token}")
-            found[i] = matches[0], value if eq else None
-        elif (token[:1] == "-" != token and " " not in token
-              and not re.match(r"-\d+$|-\d*\.\d+$", token)):
-            found[i] = None, None  # an unknown option, not a negative number
-        pattern += "O" if i in found else "A"
-    return pattern, found
+def _help(args, out, err):
+    """The command's usage, or with no command every command's usage."""
+    lines = [] if args.command else [
+        _usage(c).removeprefix("usage: ") for c in _COMMANDS]
+    print(_usage(args.command), *lines, sep="\n  ", file=out)
+    return EXIT_OK
 
 
 def _parse_args(argv):
-    """The namespace for a handler, read from argv by the table as argparse
-    read it with `build_parser` (tests/ keeps it as the oracle), or _Stop
-    where argparse stopped, so -h wins where it won.  An unknown option, a
-    surplus or missing argument, or one whose only token is "--" (argparse
-    passed an empty list), is an error at the end."""
+    """The namespace for a handler, read from argv; -h or --help before the
+    first "--" reads as `_help` whatever else argv holds."""
+    end = argv.index("--") if "--" in argv else len(argv)
+    if {"-h", "--help"} & set(argv[:end]):
+        command = next((t for t in argv[:end] if t in _COMMANDS), "")
+        return SimpleNamespace(fn=_help, command=command)
     args = SimpleNamespace(auto_core=False)
-    command, tokens, extras = "", list(argv), []
-    while True:  # the options before the command, then the command's
-        args.fn, usage = _COMMANDS.get(command, _GLOBAL)
-        takes, missing = {"--help": False}, {}
-        for word in usage.split():
-            name, eq, _ = word.strip("[]").partition("=")
-            if name[:2] == "--":
+    command, takes, required, todo = "", {"--auto-core": False}, {}, []
+    tokens = iter(enumerate(argv))
+    for i, token in tokens:
+        name, eq, value = token.partition("=")
+        if i == end:
+            continue
+        if i < end and token[:1] == "-" != token:  # an option
+            if name not in takes or eq and not takes[name]:
+                raise _UsageError(command, f"unrecognized arguments: {token}")
+            if takes[name] and not eq:  # the next token, whatever it is
+                value = next(tokens, (i, None))[1]
+                if value is None:
+                    raise _UsageError(command, f"{name} takes one value")
+            setattr(args, name[2:].replace("-", "_"),
+                    value if takes[name] else True)
+            required.pop(name, None)
+        elif command:
+            if not todo:
+                raise _UsageError(command, f"unrecognized arguments: {token}")
+            setattr(args, todo.pop(0), token)
+        elif token in _COMMANDS:
+            command, (args.fn, usage) = token, _COMMANDS[token]
+            takes = {}
+            for word in usage.split():
+                name, eq, _ = word.strip("[]").partition("=")
+                if name[:2] != "--":
+                    todo.append(name)
+                    continue
                 takes[name] = bool(eq)
-                setattr(args, name[2:].replace("-", "_"), None if eq else False)
-            missing[name] = word[0] != "["
-        todo = [name for name in missing if name[0] != "-"]
-        pattern, found = _scan(tokens, takes, command)
-        j = 0
-        while j < len(tokens) and (command or pattern[j] == "O"):
-            name, value = found.get(j, (None, None))
-            sep = False
-            if name:  # the last value of an option wins
-                j += 1
-                if takes[name] and value is None and pattern[j:j + 1] == "A":
-                    value, j = tokens[j], j + 1
-                if (value is None) == takes[name]:
-                    raise _Stop(command, f"{name} takes "
-                                + ("one value" if takes[name] else "no value"))
-                if name == "--help":
-                    raise _Stop(command, None)
-                attr = name[2:].replace("-", "_")
-            elif todo and pattern.startswith("A", k := j + (pattern[j] == "-")):
-                name = attr = todo.pop(0)  # with a "--" just before or after
-                value, sep = tokens[k], k > j
-                j = k + 1 + pattern.startswith("-", k + 1)
-            else:  # an unknown option or a surplus argument
-                extras.append(tokens[j])
-                j += 1
-                continue
-            setattr(args, attr, True if value is None else value)
-            missing[name] = value == "--" and not sep  # argparse passed []
-        if command:
-            break
-        if j == len(tokens) or tokens[j] not in _COMMANDS:
-            raise _Stop("", f"invalid command {tokens[j]!r}"
-                        if j < len(tokens) else "missing COMMAND")
-        command, tokens = tokens[j], tokens[j + 1:]
-    missing = [name for name, lacks in missing.items() if lacks]
-    if missing or extras:
-        raise _Stop(command, f"missing {', '.join(missing)}" if missing
-                    else f"unrecognized arguments: {' '.join(extras)}")
+                setattr(args, name[2:].replace("-", "_"),
+                        None if eq else False)
+                if word[0] != "[":
+                    required[name] = True
+        else:
+            raise _UsageError("", f"invalid command {token!r}")
+    if not command:
+        raise _UsageError("", "missing COMMAND")
+    if required or todo:
+        raise _UsageError(command, f"missing {', '.join([*required, *todo])}")
     return args
 
 
@@ -406,30 +384,24 @@ def run_cli(argv, out=None, err=None):
     try:
         if out is None:  # file descriptor 1 was closed
             raise OSError("no standard output")
-        try:
-            args = _parse_args(argv)
-            code = args.fn(args, out, err)
-        except _Stop as stop:
-            command, error = stop.args
-            if error:
-                print(_usage(command), f"countsys: error: {error}", sep="\n",
-                      file=err)
-                return EXIT_ERROR
-            lines = [] if command else [
-                _usage(c).removeprefix("usage: ") for c in _COMMANDS]
-            print(_usage(command), *lines, sep="\n  ", file=out)  # -h
-            code = EXIT_OK
+        args = _parse_args(argv)
+        code = args.fn(args, out, err)
         out.flush()  # a failed write of the last output is an error too
         return code
+    except _UsageError as exc:
+        command, error = exc.args
+        message = f"{_usage(command)}\ncountsys: error: {error}"
     except ParseError as exc:
-        print(f"parse error: {exc}", file=err)
-        return EXIT_ERROR
+        message = f"parse error: {exc}"
     except InternalInvariantViolation as exc:
-        print(f"bug: {exc}", file=err)
-        return EXIT_ERROR
+        message = f"bug: {exc}"
     except (CountingSystemError, OSError) as exc:
-        print(f"error: {exc}", file=err)
-        return EXIT_ERROR
+        message = f"error: {exc}"
+    try:  # an error that cannot be reported still exits 2
+        err.write(message + "\n")
+    except (AttributeError, OSError):  # stderr is None, or failed
+        pass
+    return EXIT_ERROR
 
 
 def main():
