@@ -1,6 +1,7 @@
 """Aggregate structural report for a counting system."""
 
 from .core import _Value, is_dedekind, reachable_set
+from .dsl import EXIT_OK, _emit, _load
 from .morphisms import initiality_report
 
 
@@ -29,3 +30,22 @@ def analyze(sys):
     rep = initiality_report(sys) if minimal else None
     initial = rep is not None and rep.initial
     return AnalysisReport(minimal, core_size, flags, dedekind, initial, rep)
+
+
+def _cmd_analyze(args, out, err):
+    doc = _load(args.file, args.auto_core)
+    rep = analyze(doc.system)
+    keys = ("injective", "surjective", "bijective")
+    maps = {lab: {k: getattr(fl, k) for k in keys}
+            for lab, fl in rep.map_flags.items()}
+    payload = {"name": doc.name, "minimal": rep.minimal,
+               "core_size": rep.core_size, "dedekind": rep.dedekind,
+               "initial": rep.initial, "maps": maps}
+    if rep.initial_diagnostics is not None:
+        fields = ("label", "morphism_to_padded", "core_size", "core_dedekind")
+        payload["initial_conditions"] = [
+            {k: getattr(c, k) for k in fields}
+            for c in rep.initial_diagnostics.conditions
+        ]
+    _emit(payload, args.json, out, "map", maps, keys)
+    return EXIT_OK

@@ -11,7 +11,11 @@ A table `t` passed with a system `sys` must be derive_addition(sys).
 
 from . import laws
 from .core import _Value, propagate, require_single_map
-from .derive import require_generates, submonoid_closure
+from .derive import derive_addition, require_generates, submonoid_closure
+from .dsl import (
+    EXIT_ERROR, EXIT_NEGATIVE, EXIT_OK, _emit, _load, _read, _tsv_table,
+    parse_odot,
+)
 from .errors import (
     CompatibilityViolated,
     IndexSetMismatch,
@@ -339,3 +343,44 @@ def is_free_report(t, gens):
             CyclicFreeness(i, g, tuple(sub), injective, zero_in_image)
         )
     return FreeReport(ds, cyclic)
+
+
+def _cmd_mul(args, out, err):
+    doc = _load(args.file, args.auto_core)
+    sys_ = doc.system
+    t = derive_addition(sys_)
+    if args.odot:
+        odot = parse_odot(_read(args.odot), index_set=sys_.index_set)
+        res = derive_multiplication_indexed(sys_, t, odot)
+        if not res.ok:
+            msg = "no multiplication: required endomorphism missing " \
+                  f"at label {res.failing_label!r}"
+            if res.conflict is not None:
+                msg += f" ({res.conflict.describe()})"
+            print(msg, file=err)
+            return EXIT_NEGATIVE
+        mult = res.table
+    else:
+        if len(sys_.index_set) != 1:
+            print("error: multi-map system needs --odot", file=err)
+            return EXIT_ERROR
+        mult = derive_multiplication_single(sys_, t)
+    _tsv_table(sys_.carrier.labels, mult.op, out)
+    return EXIT_OK
+
+
+def _cmd_free_report(args, out, err):
+    doc = _load(args.file, args.auto_core)
+    sys_ = doc.system
+    t = derive_addition(sys_)
+    gens = tuple(f(sys_.base) for f in sys_.maps)
+    rep = is_free_report(t, gens)
+    cyclic = [{"label": sys_.index_set[c.label_index],
+               "generator": c.generator, "submonoid_size": len(c.submonoid),
+               "free": c.free, "injective": c.injective,
+               "zero_in_image": c.zero_in_image} for c in rep.cyclic]
+    payload = {"free": rep.free, "direct_sum": rep.direct_sum.ok,
+               "cyclic": cyclic}
+    _emit(payload, args.json, out, "label", {c["label"]: c for c in cyclic},
+          ("free", "submonoid_size", "injective", "zero_in_image"))
+    return EXIT_OK

@@ -10,9 +10,8 @@ named in the class's `_defaults` may be left out.  `Carrier`, `EndoMap` and
 `derive.MonoidTable` validate their input in constructors of their own.
 """
 
-import operator
+from operator import attrgetter, itemgetter
 
-from . import laws
 from .errors import (
     BadIndex,
     CarrierTooLarge,
@@ -48,7 +47,7 @@ class _Value:
 
     def __init_subclass__(cls):
         names = cls.__slots__
-        get = operator.attrgetter(*names) if names else (lambda self: ())
+        get = attrgetter(*names) if names else (lambda self: ())
         if len(names) == 1:  # attrgetter of one name gives the bare value
             get = (lambda one: lambda self: (one(self),))(get)
         cls._fields = staticmethod(get)  # the field tuple of an instance
@@ -172,9 +171,11 @@ def noncommuting(index_set, maps):
     None when the maps commute pairwise."""
     for i, (s, fs) in enumerate(zip(index_set, maps)):
         for t, ft in zip(index_set[i + 1:], maps[i + 1:]):
-            x = laws.intertwines(fs.table, ft.table, ft.table)
-            if x is not None:
-                return s, t, x
+            f, g = fs.table, ft.table
+            # f . g against g . f; on one point, itemgetter gives bare items
+            if itemgetter(*g)(f) != itemgetter(*f)(g):
+                from . import laws  # only to name the witness
+                return s, t, laws.intertwines(f, g, g)
     return None
 
 

@@ -13,6 +13,7 @@ the table.
 
 from . import laws
 from .core import _Value, propagate, require_minimal
+from .dsl import EXIT_OK, _load, _tsv_table
 from .errors import GensDoNotGenerate, InternalInvariantViolation
 
 
@@ -179,3 +180,10 @@ def product_table(a, b):
         for j1 in range(m)
     )
     return MonoidTable(n * m, op, a.zero * m + b.zero)
+
+
+def _cmd_add(args, out, err):
+    doc = _load(args.file, args.auto_core)
+    t = derive_addition(doc.system)
+    _tsv_table(doc.system.carrier.labels, t.op, out)
+    return EXIT_OK

@@ -10,10 +10,19 @@ A system document:
 `#` starts a comment; blank lines are ignored.  An odot document starts with
 an `odot` header, then `<s> <t> = <u>` lines covering the whole square, plus
 an optional `unit <s>` line naming a two-sided unit of the table.
+
+Every command loads this module, so it also holds what their handlers
+share: the exit codes, reading input files and writing reports and tables.
 """
 
-from .core import Carrier, EndoMap, _Value, new_system
+from operator import itemgetter
+
+from .core import Carrier, EndoMap, _Value, minimal_core, new_system
 from .errors import DuplicateLabel, ParseError
+
+EXIT_OK = 0
+EXIT_NEGATIVE = 1
+EXIT_ERROR = 2
 
 
 class SystemDocument(_Value):
@@ -123,7 +132,7 @@ def emit_system(doc_or_sys, name=None):
     lines = [f"system {name}", "elements " + " ".join(labels),
              f"base {labels[sys.base]}"]
     for s, f in zip(sys.index_set, sys.maps):
-        imgs = " ".join(labels[f(i)] for i in range(sys.size))
+        imgs = " ".join(map(labels.__getitem__, f.table))
         lines.append(f"map {s} = {imgs}")
     return "\n".join(lines) + "\n"
 
@@ -171,3 +180,72 @@ def parse_odot(text, index_set=None):
                     f"{a} {b} = {op[(a, b)]}"
                 )
     return table
+
+
+def _read(path):
+    """The text of a file; a path with a NUL byte or a file that is not
+    UTF-8 is an OSError, like a missing file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except ValueError as exc:
+        raise OSError(f"cannot read {path!r}: {exc}") from None
+
+
+def _load(path, auto_core=False):
+    doc = parse_system(_read(path))
+    if auto_core:
+        doc.system = minimal_core(doc.system)
+    return doc
+
+
+def _tsv_table(labels, table, out):
+    """A square table: header and rows, 256 rows to a write (6 MB of text at
+    4096 rows), the labels of a row gathered by one itemgetter call."""
+    text = "\t" + "\t".join(labels) + "\n"
+    # itemgetter of one index returns the bare label, the whole row's text
+    join = "\t".join if len(labels) > 1 else str
+    for k in range(0, len(table), 256):
+        out.write(text + "".join([
+            labels[i] + "\t" + join(itemgetter(*row)(labels)) + "\n"
+            for i, row in enumerate(table[k:k + 256], k)]))
+        text = ""
+
+
+_SCALARS = {str, int, float, bool, type(None)}
+
+
+def _json(value, pad="\n"):
+    """json.dumps(value, indent=2, sort_keys=True) for string-keyed data.
+    json.dumps takes its C encoder only without indent, so the indentation
+    and the key order are built here, and each list of scalars is written
+    by the C encoder with the indentation as its item separator."""
+    import json
+    inner = pad + "  "
+    if isinstance(value, dict) and value:
+        items = [json.dumps(k) + ": " + _json(value[k], inner)
+                 for k in sorted(value)]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if not isinstance(value, (list, tuple)) or not value:
+        return json.dumps(value)  # a scalar, {} or []
+    if set(map(type, value)) <= _SCALARS:
+        items = json.dumps(value, separators=("," + inner, ""))[1:-1]
+    else:
+        items = ("," + inner).join([_json(v, inner) for v in value])
+    return "[" + inner + items + pad + "]"
+
+
+def _emit(payload, as_json, out, head="", rows=None, keys=()):
+    """Print a report as JSON, or as text: one `key: value` line per scalar
+    field that is not None, in insertion order, then one
+    `<head> <label>: k=v ...` line per entry of `rows` (label -> row) over
+    `keys`.  Fields that are neither scalars nor rows appear only in JSON."""
+    if as_json:
+        print(_json(payload), file=out)
+        return
+    for key, value in payload.items():
+        if isinstance(value, (bool, int, str)):
+            print(f"{key}: {value}", file=out)
+    for label, row in (rows or {}).items():
+        fields = " ".join(f"{k}={row[k]}" for k in keys)
+        print(f"{head} {label}: {fields}", file=out)

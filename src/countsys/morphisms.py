@@ -6,7 +6,6 @@ search is a breadth-first propagation with conflict detection.  Free-monoid
 elements are sparse multisets over the index labels.
 """
 
-from . import laws
 from .core import (
     CountingSystem,
     _Frozen,
@@ -18,7 +17,8 @@ from .core import (
     require_minimal,
     single_map_subsystem,
 )
-from .errors import IndexSetMismatch, UnknownLabel
+from .dsl import EXIT_NEGATIVE, EXIT_OK, _emit, _load
+from .errors import IndexSetMismatch, ParseError, UnknownLabel
 
 
 class SystemMorphism(_Value):
@@ -54,6 +54,7 @@ def morphism_find(src, dst):
 
 def is_morphism(m):
     """Exhaustive check: base preserved and every generator intertwined."""
+    from . import laws
     if m.map[m.src.base] != m.dst.base:
         return False
     return all(
@@ -231,3 +232,81 @@ def relabel_index_set(sys, mapping):
         new_labels.append(mapping[lab])
     require_distinct(new_labels)
     return CountingSystem(sys.carrier, sys.base, tuple(new_labels), sys.maps)
+
+
+def _pairs(text, sep, option, form):
+    """(column, key, value) for each comma-separated part of an option value;
+    a part without `sep` is a ParseError at its column.  Commas inside
+    parentheses do not separate, so product labels such as `(s,t)` pass."""
+    pairs = []
+    col = 1
+    depth = 0
+    for end, ch in enumerate(text + ","):  # the last comma ends the text
+        depth += (ch == "(") - (ch == ")")
+        if ch != "," or (depth > 0 and end < len(text)):
+            continue
+        part = text[col - 1:end]
+        key, found, value = part.partition(sep)
+        if not found:
+            raise ParseError(
+                1, col, f"{option} expects {form} items, got {part!r}"
+            )
+        pairs.append((col, key, value))
+        col = end + 2
+    return pairs
+
+
+def _cmd_morphism(args, out, err):
+    src_doc = _load(args.src, args.auto_core)
+    dst_doc = _load(args.dst)
+    src = src_doc.system
+    if args.relabel:
+        mapping = {
+            old: new
+            for _, old, new in _pairs(args.relabel, "=", "--relabel", "old=new")
+        }
+        src = relabel_index_set(src, mapping)
+    m = morphism_find(src, dst_doc.system)
+    if m is None:
+        print("no morphism: image propagation conflicts", file=err)
+        return EXIT_NEGATIVE
+    src_labels = src.carrier.labels
+    dst_labels = dst_doc.system.carrier.labels
+    out.write("".join([f"{src_labels[i]}\t{dst_labels[j]}\n"
+                       for i, j in enumerate(m.map)]))  # one write
+    return EXIT_OK
+
+
+def _cmd_free_eval(args, out, err):
+    doc = _load(args.file, args.auto_core)
+    counts = {}
+    if args.multiset.strip():
+        parts = _pairs(args.multiset, ":", "--multiset", "label:count")
+        for col, lab, text in parts:
+            try:
+                num = int(text)
+            except ValueError:
+                num = -1
+            if num < 0:
+                raise ParseError(
+                    1, col, f"--multiset count {text!r} is not a "
+                    "non-negative integer"
+                )
+            counts[lab.strip()] = counts.get(lab.strip(), 0) + num
+    e = FreeElement.of(counts)
+    idx = free_eval(doc.system, e)
+    print(doc.system.carrier.labels[idx], file=out)
+    return EXIT_OK
+
+
+def _cmd_initial(args, out, err):
+    doc = _load(args.file, args.auto_core)
+    rep = initiality_report(doc.system)
+    keys = ("morphism_to_padded", "core_size", "core_dedekind",
+            "core_injective", "base_in_core_image")
+    conditions = [{"label": c.label, **{k: getattr(c, k) for k in keys}}
+                  for c in rep.conditions]
+    payload = {"initial": rep.initial, "conditions": conditions}
+    _emit(payload, args.json, out, "label",
+          {c["label"]: c for c in conditions}, keys)
+    return EXIT_OK

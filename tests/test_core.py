@@ -2,6 +2,7 @@
 
 import copy
 import importlib
+import itertools
 import pickle
 
 import pytest
@@ -15,6 +16,7 @@ from countsys.core import (
     is_minimal,
     minimal_core,
     new_system,
+    noncommuting,
     pad_single,
     product,
     propagate,
@@ -107,6 +109,22 @@ def test_new_system_rejects_non_commuting_family():
     # the witness element actually distinguishes the two compositions
     x = exc.value.x
     assert f(g(x)) != g(f(x))
+
+
+@pytest.mark.parametrize("n, k", [(1, 2), (2, 2), (3, 2), (2, 3)])
+def test_noncommuting_names_the_first_failing_pair_and_element(n, k):
+    """The composites are compared whole, yet the witness is the first that
+    a cell-by-cell loop finds: over every family of k maps on n points."""
+    labels = ("s", "t", "u")[:k]
+    tables = list(itertools.product(range(n), repeat=n))
+    for family in itertools.product(tables, repeat=k):
+        expected = next((
+            (labels[i], labels[j], x)
+            for i, j in itertools.combinations(range(k), 2)
+            for x in range(n)
+            if family[i][family[j][x]] != family[j][family[i][x]]), None)
+        maps = tuple(map(EndoMap, family))
+        assert noncommuting(labels, maps) == expected, family
 
 
 def test_new_system_accepts_commuting_family():

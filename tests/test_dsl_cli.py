@@ -19,21 +19,25 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import countsys
+from countsys.analysis import _cmd_analyze
+from countsys.biadd import _cmd_free_report, _cmd_mul
 from countsys.cli import (
-    _cmd_add, _cmd_analyze, _cmd_closure, _cmd_core, _cmd_free_eval,
-    _cmd_free_report, _cmd_initial, _cmd_morphism, _cmd_mul, _cmd_omega,
-    _cmd_product, _cmd_validate, _help, _parse_args, _tsv_table,
+    _cmd_core, _cmd_omega, _cmd_product, _cmd_validate, _help, _parse_args,
     _COMMANDS, _UsageError, run_cli,
 )
+from countsys.closure import _cmd_closure
 from countsys.core import Carrier, EndoMap, new_system, product
-from countsys.dsl import emit_system, parse_odot, parse_system
+from countsys.derive import _cmd_add
+from countsys.dsl import _json, _tsv_table, emit_system, parse_odot, parse_system
 from countsys.errors import (
     CountingSystemError,
     InternalInvariantViolation,
     ParseError,
 )
 from countsys.fixtures import SIGN_ODOT_LINES, cyc, rho, zpair
-from countsys.morphisms import morphism_find
+from countsys.morphisms import (
+    _cmd_free_eval, _cmd_initial, _cmd_morphism, morphism_find,
+)
 from test_closure import cycles
 
 CYC3 = """\
@@ -179,9 +183,54 @@ def commuting_systems(draw):
 
 @given(commuting_systems(), _LABEL)
 def test_emit_parse_round_trip_random(sys, name):
-    doc = parse_system(emit_system(sys, name=name))
+    text = emit_system(sys, name=name)
+    assert text == emit_per_element(sys, name)
+    doc = parse_system(text)
     assert doc.name == name
     assert doc.system == sys
+
+
+def emit_per_element(sys, name):
+    """emit_system's text, written one image at a time."""
+    labels = sys.carrier.labels
+    lines = [f"system {name}", "elements " + " ".join(labels),
+             f"base {labels[sys.base]}"]
+    for s, f in zip(sys.index_set, sys.maps):
+        imgs = " ".join(labels[f(i)] for i in range(sys.size))
+        lines.append(f"map {s} = {imgs}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("sys", [cyc(1), cyc(2), rho(2, 3), zpair(3),
+                                 product(cyc(4), zpair(3))],
+                         ids=["cyc1", "cyc2", "rho23", "zpair3", "product"])
+def test_emit_system_matches_the_per_element_text_on_fixtures(sys):
+    assert emit_system(sys, name="x") == emit_per_element(sys, "x")
+
+
+_SCALAR = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(),
+    st.text(alphabet=st.sampled_from('ab"\\/\n\t\x00\x1fé€😀 '), max_size=6),
+    st.text(max_size=6))
+_DATA = st.recursive(
+    _SCALAR,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=4), inner, max_size=4)),
+    max_leaves=20)
+
+
+@given(_DATA)
+def test_json_writes_the_text_of_json_dumps(value):
+    """_json writes what json.dumps(indent=2, sort_keys=True) does: empty
+    and nested containers, bools among ints, and escaped strings."""
+    assert _json(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+def test_json_writes_the_text_of_json_dumps_on_edge_cases():
+    for value in [[], {}, [[]], [{}], {"a": []}, [True, 1, None, 0.5],
+                  ["q\"b\\c\u0001é"], {"b": [1, [2]], "a": {"c": ()}}]:
+        assert _json(value) == json.dumps(value, indent=2, sort_keys=True)
 
 
 _TOKENS = ["system", "elements", "base", "map", "odot", "unit", "=", "a",
@@ -248,7 +297,9 @@ def test_cli_never_loads_numpy(tmp_path, command, flags):
     assert out.splitlines()[-1] == "0 False"
 
 
-@pytest.mark.parametrize("argv, extra", [
+# an argv of each command on {c}, a system, and {o}, an odot, with the
+# countsys modules it loads beyond cli, dsl, core and errors
+COMMAND_MODULES = [
     (["validate", "{c}"], set()),
     (["core", "{c}"], set()),
     (["omega", "{c}"], set()),
@@ -258,16 +309,21 @@ def test_cli_never_loads_numpy(tmp_path, command, flags):
     (["initial", "{c}"], {"morphisms"}),
     (["analyze", "{c}"], {"analysis", "morphisms"}),
     (["closure", "{c}"], {"closure"}),
-    (["add", "{c}"], {"derive"}),
-    (["mul", "{c}"], {"derive", "biadd"}),
-    (["mul", "{c}", "--odot", "{o}"], {"derive", "biadd"}),
-    (["free-report", "{c}"], {"derive", "biadd"}),
-], ids=["validate", "core", "omega", "product", "morphism", "free-eval",
-        "initial", "analyze", "closure", "add", "mul", "mul-odot",
-        "free-report"])
+    (["add", "{c}"], {"derive", "laws"}),
+    (["mul", "{c}"], {"derive", "biadd", "laws"}),
+    (["mul", "{c}", "--odot", "{o}"], {"derive", "biadd", "laws"}),
+    (["free-report", "{c}"], {"derive", "biadd", "laws"}),
+]
+COMMAND_IDS = ["validate", "core", "omega", "product", "morphism",
+               "free-eval", "initial", "analyze", "closure", "add", "mul",
+               "mul-odot", "free-report"]
+
+
+@pytest.mark.parametrize("argv, extra", COMMAND_MODULES, ids=COMMAND_IDS)
 def test_cli_loads_only_the_modules_of_its_command(tmp_path, argv, extra):
     """A fresh interpreter running one command imports the parser's modules
-    and those of that command, and no other countsys module.  Every law is
+    and those of that command, and no other countsys module: only the
+    commands that certify a table load `laws`.  Every law is
     plain Python and every record is built from its field list by a plain
     constructor, so it imports neither numpy nor dataclasses, nor the
     introspection modules (inspect, ast, dis, tokenize).  The command line
@@ -289,8 +345,32 @@ def test_cli_loads_only_the_modules_of_its_command(tmp_path, argv, extra):
     out = fresh_stdout(probe, *(a.format(**files) for a in argv))
     code, *loaded = out.split()
     assert code == "0"
-    names = {"cli", "dsl", "core", "laws", "errors"} | extra
+    names = {"cli", "dsl", "core", "errors"} | extra
     assert set(loaded) == {"countsys"} | {f"countsys.{m}" for m in names}
+
+
+@pytest.mark.parametrize("argv, extra", COMMAND_MODULES, ids=COMMAND_IDS)
+def test_cli_run_as_main_never_imports_countsys_cli(tmp_path, argv, extra):
+    """`python -m countsys.cli` runs cli.py as `__main__`, so a handler that
+    imported `countsys.cli` would compile and run it a second time.  The
+    probe runs the module as `python -m` does and lists the countsys modules
+    loaded when main() ends the process."""
+    files = {"c": write(tmp_path, "c.csys", CYC3),
+             "o": write(tmp_path, "s.odot", "odot\ns s = s\nunit s\n")}
+    probe = (
+        "import os, runpy, sys\n"
+        "def end(code, _exit=os._exit):\n"
+        "    print(code, *sorted(m for m in sys.modules\n"
+        "                        if m.startswith('countsys.')), flush=True)\n"
+        "    _exit(0)\n"
+        "os._exit = end\n"
+        "runpy.run_module('countsys.cli', run_name='__main__', alter_sys=True)\n"
+    )
+    out = fresh_stdout(probe, *(a.format(**files) for a in argv))
+    code, *loaded = out.splitlines()[-1].split()
+    assert code == "0"
+    names = {"dsl", "core", "errors"} | extra
+    assert set(loaded) == {f"countsys.{m}" for m in names}
 
 
 def test_package_names_resolve_lazily_to_their_submodules():
