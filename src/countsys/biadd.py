@@ -10,7 +10,7 @@ A table `t` passed with a system `sys` must be derive_addition(sys).
 """
 
 from . import laws
-from .core import _Value, propagate, require_single_map
+from .core import _Value, _gather, propagate, require_single_map
 from .derive import derive_addition, require_generates, submonoid_closure
 from .dsl import (
     EXIT_ERROR, EXIT_NEGATIVE, EXIT_OK, _emit, _load, _read, _tsv_table,
@@ -108,8 +108,7 @@ def hom_extend_report(src, dst, gens, targets):
         require_generates(src, gens)
     if prop.conflict is not None:
         return None, ExtensionConflict(*prop.conflict)
-    img = prop.value
-    return HomTable(src, dst, tuple(img[a] for a in range(src.size))), None
+    return HomTable(src, dst, _gather(prop.value, range(src.size))), None
 
 
 def hom_extend(src, dst, gens, targets):
@@ -336,7 +335,7 @@ def is_free_report(t, gens):
     for i, g in enumerate(gens):
         sub = sorted(submonoid_closure(t, (g,)))
         pos = {a: k for k, a in enumerate(sub)}
-        tau = [pos[t.op[g][a]] for a in sub]
+        tau = _gather(pos, _gather(t.op[g], sub))
         injective = len(set(tau)) == len(tau)
         zero_in_image = pos[t.zero] in set(tau)
         cyclic.append(

@@ -164,6 +164,8 @@ def run_cli(argv, out=None, err=None):
         message = f"bug: {exc}"
     except (CountingSystemError, OSError) as exc:
         message = f"error: {exc}"
+    except MemoryError:  # where no declared limit fired first
+        message = "error: out of memory"
     try:  # an error that cannot be reported still exits 2
         err.write(message + "\n")
     except (AttributeError, OSError):  # stderr is None, or failed

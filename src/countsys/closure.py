@@ -12,7 +12,7 @@ sends each closure element u to u(base).
 
 from functools import cached_property
 
-from .core import EndoMap, _Value, noncommuting
+from .core import EndoMap, _Value, _gather, noncommuting
 from .dsl import EXIT_OK, _emit, _load, _tsv_table
 from .errors import (
     ClosureTooLarge,
@@ -74,7 +74,7 @@ class TransformationMonoid:
             )
         rows = [tuple(range(self.size))]
         for p, k in self.parent[1:]:
-            rows.append(tuple(map(self.cayley[k].__getitem__, rows[p])))
+            rows.append(_gather(self.cayley[k], rows[p]))
         return tuple(rows)
 
 

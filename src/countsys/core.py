@@ -28,6 +28,15 @@ MAX_CARRIER_SIZE = 4096
 MAX_INDEX_SET_SIZE = 16
 
 
+def _gather(seq, idx):
+    """tuple(seq[i] for i in idx), in one C-level call when idx has two or
+    more entries (itemgetter of one index returns the bare item).  Private,
+    so that tracing, which wraps public functions, adds no span per row."""
+    if len(idx) > 1:
+        return itemgetter(*idx)(seq)
+    return tuple(seq[i] for i in idx)
+
+
 def require_distinct(labels):
     """Raise DuplicateLabel for the first empty or repeated label."""
     seen = set()
@@ -131,7 +140,7 @@ class EndoMap(_Frozen):
         """self after other: (self . other)(x) = self(other(x)).  On tables of
         one length n, other's images index self's, and self's lie in range(n),
         so the result is valid unchecked; unequal lengths are checked."""
-        table = tuple(map(self.table.__getitem__, other.table))
+        table = _gather(self.table, other.table)
         if len(table) != len(self.table):
             return EndoMap(table)
         new = object.__new__(EndoMap)
@@ -172,8 +181,7 @@ def noncommuting(index_set, maps):
     for i, (s, fs) in enumerate(zip(index_set, maps)):
         for t, ft in zip(index_set[i + 1:], maps[i + 1:]):
             f, g = fs.table, ft.table
-            # f . g against g . f; on one point, itemgetter gives bare items
-            if itemgetter(*g)(f) != itemgetter(*f)(g):
+            if _gather(f, g) != _gather(g, f):  # f . g against g . f
                 from . import laws  # only to name the witness
                 return s, t, laws.intertwines(f, g, g)
     return None
@@ -292,9 +300,9 @@ def minimal_core(sys):
         # already minimal; identity relabelling keeps the operation idempotent
         return sys
     new_index = {old: new for new, old in enumerate(order)}
-    labels = tuple(sys.carrier.labels[old] for old in order)
+    labels = _gather(sys.carrier.labels, order)
     maps = tuple(
-        EndoMap(tuple(new_index[f(old)] for old in order)) for f in sys.maps
+        EndoMap(_gather(new_index, _gather(f.table, order))) for f in sys.maps
     )
     return CountingSystem(Carrier(labels), new_index[sys.base], sys.index_set, maps)
 
@@ -348,8 +356,7 @@ def adjoin_omega(sys):
     n = sys.size
     omega = _fresh_label(set(sys.carrier.labels), "omega")
     labels = sys.carrier.labels + (omega,)
-    f = sys.maps[0]
-    table = tuple(f(i) for i in range(n)) + (sys.base,)
+    table = sys.maps[0].table + (sys.base,)
     return CountingSystem(
         Carrier(labels), n, sys.index_set, (EndoMap(table),)
     )

@@ -12,7 +12,7 @@ the table.
 """
 
 from . import laws
-from .core import _Value, propagate, require_minimal
+from .core import _Value, _gather, propagate, require_minimal
 from .dsl import EXIT_OK, _load, _tsv_table
 from .errors import GensDoNotGenerate, InternalInvariantViolation
 
@@ -83,7 +83,7 @@ def reconstruct_addition(sys):
     rows[sys.base] = tuple(range(n))
     for a in prop.order[1:]:
         p, k = prop.parent[a]
-        rows[a] = tuple(map(maps[k].table.__getitem__, rows[p]))
+        rows[a] = _gather(maps[k].table, rows[p])
     return MonoidTable(n, tuple(rows), sys.base)
 
 

@@ -15,14 +15,13 @@ Every command loads this module, so it also holds what their handlers
 share: the exit codes, reading input files and writing reports and tables.
 """
 
-from operator import itemgetter
-
-from .core import Carrier, EndoMap, _Value, minimal_core, new_system
-from .errors import DuplicateLabel, ParseError
+from .core import Carrier, EndoMap, _Value, _gather, minimal_core, new_system
+from .errors import DuplicateLabel, InputTooLarge, ParseError
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_ERROR = 2
+MAX_INPUT_CHARS = 1 << 26  # most characters an input file may hold
 
 
 class SystemDocument(_Value):
@@ -110,7 +109,7 @@ def parse_system(text):
                 f"{len(elements)} elements",
             )
         try:
-            table = tuple(index[img] for img in images)
+            table = _gather(index, images)
         except KeyError as exc:
             raise ParseError(
                 lineno, 1, f"image {exc.args[0]!r} is not a declared element"
@@ -132,7 +131,7 @@ def emit_system(doc_or_sys, name=None):
     lines = [f"system {name}", "elements " + " ".join(labels),
              f"base {labels[sys.base]}"]
     for s, f in zip(sys.index_set, sys.maps):
-        imgs = " ".join(map(labels.__getitem__, f.table))
+        imgs = " ".join(_gather(labels, f.table))
         lines.append(f"map {s} = {imgs}")
     return "\n".join(lines) + "\n"
 
@@ -184,12 +183,22 @@ def parse_odot(text, index_set=None):
 
 def _read(path):
     """The text of a file; a path with a NUL byte or a file that is not
-    UTF-8 is an OSError, like a missing file."""
+    UTF-8 is an OSError, like a missing file.  At most MAX_INPUT_CHARS + 1
+    characters are read, so an endless file such as /dev/zero is an
+    InputTooLarge, not a process that grows until it is killed."""
+    parts, size = [], 0
     try:
         with open(path, encoding="utf-8") as fh:
-            return fh.read()
+            # read(k) allocates k bytes up front, so k is at most 1 MiB
+            while size <= MAX_INPUT_CHARS and (part := fh.read(
+                    min(1 << 20, MAX_INPUT_CHARS + 1 - size))):
+                parts.append(part)
+                size += len(part)
     except ValueError as exc:
         raise OSError(f"cannot read {path!r}: {exc}") from None
+    if size > MAX_INPUT_CHARS:
+        raise InputTooLarge(path, MAX_INPUT_CHARS)
+    return "".join(parts)
 
 
 def _load(path, auto_core=False):
@@ -201,13 +210,11 @@ def _load(path, auto_core=False):
 
 def _tsv_table(labels, table, out):
     """A square table: header and rows, 256 rows to a write (6 MB of text at
-    4096 rows), the labels of a row gathered by one itemgetter call."""
+    4096 rows), the labels of a row gathered by one `_gather` call."""
     text = "\t" + "\t".join(labels) + "\n"
-    # itemgetter of one index returns the bare label, the whole row's text
-    join = "\t".join if len(labels) > 1 else str
     for k in range(0, len(table), 256):
         out.write(text + "".join([
-            labels[i] + "\t" + join(itemgetter(*row)(labels)) + "\n"
+            labels[i] + "\t" + "\t".join(_gather(labels, row)) + "\n"
             for i, row in enumerate(table[k:k + 256], k)]))
         text = ""
 

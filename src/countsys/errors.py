@@ -105,6 +105,11 @@ class WordsTooLarge(LimitExceeded):
                "limit is {limit}")
 
 
+class InputTooLarge(LimitExceeded):
+    fields = ("path", "limit")
+    message = "input {path!r} holds more than {limit} characters"
+
+
 class MinimalityRequired(CountingSystemError):
     """A derivation step needs a minimal system; carries the unreachable set."""
 

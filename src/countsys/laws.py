@@ -5,8 +5,8 @@ of element indices (a sequence of rows), a map a length-n sequence of them.
 Every predicate returns None when its law holds, and otherwise the first
 failing index in row-major order, so that a caller reports the witness a
 cell-by-cell loop would find.  Each law compares whole rows or columns,
-gathered by C-level `itemgetter` and `map` calls, as tuples; no temporary is
-larger than an n x n transpose.
+gathered as tuples by `core._gather` and C-level `map` calls; no temporary
+is larger than an n x n transpose.
 
 Every law is exhaustive by default.  `associative`, `homomorphism` and
 `homomorphisms` take an optional range, a sequence of element indices, that
@@ -26,6 +26,8 @@ Every other law, commutativity included, is checked on every cell.
 from itertools import repeat
 from operator import contains, itemgetter, or_
 
+from .core import _gather
+
 
 def _first(x, y):
     """First index where the sequences x and y differ, or None."""
@@ -33,14 +35,6 @@ def _first(x, y):
     if x == y:
         return None
     return next(i for i, (p, q) in enumerate(zip(x, y)) if p != q)
-
-
-def _gather(seq, idx):
-    """tuple(seq[i] for i in idx), in one C-level call when idx has more
-    than one entry (itemgetter of one index returns the bare item)."""
-    if len(idx) < 2:
-        return tuple(seq[i] for i in idx)
-    return itemgetter(*idx)(seq)
 
 
 def _every(t, idx):

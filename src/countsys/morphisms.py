@@ -10,6 +10,7 @@ from .core import (
     CountingSystem,
     _Frozen,
     _Value,
+    _gather,
     minimal_core,
     pad_single,
     propagate,
@@ -40,16 +41,21 @@ def morphism_find(src, dst):
     forces two different images for some element.  A run without conflict
     is a morphism (is_morphism): value[base] = dst.base, and every x is
     reached and expanded along each s, forcing value[f_s(x)] = g_s(value[x]).
+
+    The same pass is the minimality check: without a conflict it reaches
+    exactly the elements reachable from the base.  A run that falls short,
+    or stops on a conflict and so decides nothing, runs require_minimal,
+    which raises MinimalityRequired whether or not the images conflict.
     """
     pairs = _paired_maps(src, dst)
-    require_minimal(src)
     prop = propagate(src.base, dst.base, [
         (f.table.__getitem__, g.table.__getitem__) for f, g in pairs
     ])
-    if prop.conflict is not None:
-        return None
-    img = prop.value
-    return SystemMorphism(src, dst, tuple(img[x] for x in range(src.size)))
+    if prop.conflict is None and len(prop.order) == src.size:
+        return SystemMorphism(src, dst, _gather(prop.value, range(src.size)))
+    prop = None  # freed before the second pass
+    require_minimal(src)  # returns only when the run stopped on a conflict
+    return None
 
 
 def is_morphism(m):

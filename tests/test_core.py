@@ -2,11 +2,15 @@
 
 import copy
 import importlib
+import inspect
 import itertools
 import pickle
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, strategies as st
 
+from countsys import laws
 from countsys.core import (
     Carrier,
     CountingSystem,
@@ -23,6 +27,7 @@ from countsys.core import (
     reach,
     reachable_set,
     single_map_subsystem,
+    _gather,
 )
 from countsys.errors import (
     BadIndex,
@@ -33,6 +38,55 @@ from countsys.errors import (
     UnknownLabel,
 )
 from countsys.fixtures import cyc, one_point, rho, zpair
+
+
+@st.composite
+def gathers(draw):
+    """(seq, idx): a tuple, list, dict or range, and a tuple or list of its
+    keys, with repeats, of any length from 0."""
+    n = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from((tuple, list, dict, range)))
+    if kind is dict:
+        keys = draw(st.lists(st.text(max_size=2), min_size=n, max_size=n,
+                             unique=True))
+        seq = dict(zip(keys, draw(st.lists(st.integers(), min_size=n,
+                                           max_size=n))))
+    elif kind is range:
+        keys, start = range(n), draw(st.integers(-5, 5))
+        seq = range(start, start + n)
+    else:
+        keys = range(n)
+        seq = kind(draw(st.lists(st.integers(), min_size=n, max_size=n)))
+    idx = draw(st.lists(st.sampled_from(list(keys)), max_size=8))
+    return seq, draw(st.sampled_from((tuple, list)))(idx)
+
+
+@given(gathers())
+@example(((7,), ()))
+@example(((7,), (0,)))
+@example(({"a": 1, "b": 2}, ["b"]))
+@example((["x", "y"], (1, 1, 0)))
+@example((range(3, 6), range(3)))
+def test_gather_is_the_tuple_of_the_indexed_items(case):
+    seq, idx = case
+    got = _gather(seq, idx)
+    assert type(got) is tuple
+    assert got == tuple(seq[i] for i in idx)
+
+
+def test_itemgetter_of_many_indices_appears_only_in_gather():
+    """Every n-cell index gather goes through core._gather, the one place
+    that knows itemgetter's one-index case: `itemgetter(*` appears nowhere
+    else in the package."""
+    body = inspect.getsource(_gather)
+    assert "itemgetter(*" in body
+    assert laws._gather is _gather
+    package = Path(inspect.getsourcefile(_gather)).parent
+    for path in sorted(package.glob("*.py")):
+        text = path.read_text("utf-8")
+        if path.name == "core.py":
+            text = text.replace(body, "", 1)
+        assert "itemgetter(*" not in text, path.name
 
 
 def test_carrier_rejects_duplicate_labels():
@@ -481,6 +535,9 @@ ERROR_CASES = [
     ("WordsTooLarge", (9, 8),
      "closure words (closure --json) would hold 9 labels; limit is 8",
      {"size": 9, "limit": 8}),
+    ("InputTooLarge", ("in.csys", 8),
+     "input 'in.csys' holds more than 8 characters",
+     {"path": "in.csys", "limit": 8}),
     ("MinimalityRequired", ({3, 1},),
      "system is not minimal; unreachable elements: 1, 3",
      {"unreachable": (1, 3)}),
@@ -499,7 +556,8 @@ ERROR_CASES = [
      {"line": 3, "col": 7, "reason": "bad"}),
 ]
 LIMITS = {"LimitExceeded", "CarrierTooLarge", "IndexSetTooLarge",
-          "ClosureTooLarge", "CompositionTableTooLarge", "WordsTooLarge"}
+          "ClosureTooLarge", "CompositionTableTooLarge", "WordsTooLarge",
+          "InputTooLarge"}
 # The classes that take any arguments and pass them to Exception as given.
 PASS_THROUGH = {"CountingSystemError", "LimitExceeded",
                 "InternalInvariantViolation"}

@@ -405,6 +405,83 @@ def test_cli_missing_file_exits_2():
     assert code == 2
 
 
+def test_cli_input_over_the_cap_exits_2(tmp_path, monkeypatch):
+    """An input of MAX_INPUT_CHARS characters is read; one more is an
+    InputTooLarge, exit 2 with one `error:` line."""
+    path = write(tmp_path, "c.csys", CYC3)
+    monkeypatch.setattr(countsys.dsl, "MAX_INPUT_CHARS", len(CYC3))
+    assert run(["validate", path])[0] == 0
+    monkeypatch.setattr(countsys.dsl, "MAX_INPUT_CHARS", len(CYC3) - 1)
+    assert run(["validate", path]) == (
+        2, "", f"error: input {path!r} holds more than {len(CYC3) - 1} "
+        "characters\n")
+
+
+@pytest.mark.parametrize("path", ["/dev/zero", "/dev/stdin"])
+def test_main_an_endless_input_exits_2(path):
+    """/dev/zero, directly or as stdin, is read up to the input cap only."""
+    if not os.path.exists("/dev/zero"):
+        pytest.skip("no /dev/zero on this system")
+    with open("/dev/zero", "rb") as zero:
+        got = process(["-m", "countsys.cli", "validate", path], stdin=zero)
+    limit = countsys.dsl.MAX_INPUT_CHARS
+    assert got == (2, b"", f"error: input {path!r} holds more than {limit} "
+                   "characters\n".encode())
+
+
+MEMORY_PROBE = """\
+import resource, sys
+from countsys.cli import main
+# the address space this process has now, and 32 MiB more: too little to
+# read up to the input cap
+size = int(open("/proc/self/statm").read().split()[0])
+limit = size * resource.getpagesize() + (32 << 20)
+hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+if hard != resource.RLIM_INFINITY:
+    limit = min(limit, hard)
+resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+main()
+"""
+
+
+def test_main_out_of_memory_exits_2():
+    """A MemoryError that no declared limit predicted exits 2 with one
+    `error:` line; the address-space limit is set in the child only."""
+    pytest.importorskip("resource")
+    if not os.path.exists("/proc/self/statm") or not os.path.exists(
+            "/dev/zero"):
+        pytest.skip("needs /proc/self/statm and /dev/zero")
+    got = process(["-c", MEMORY_PROBE, "validate", "/dev/zero"])
+    assert got == (2, b"", b"error: out of memory\n")
+
+
+CYC1_OUTPUT = {
+    ("add",): "\te0\ne0\te0\n",
+    ("mul",): "\te0\ne0\te0\n",
+    ("closure", "--full"): "size: 1\ngenerator s: 0\n\t0\n0\t0\n",
+    ("core",): "system c1_core\nelements e0\nbase e0\nmap s = e0\n",
+    ("omega",): "system c1_omega\nelements e0 omega\nbase omega\n"
+                "map s = e0 e0\n",
+    ("morphism",): "e0\te0\n",
+}
+
+
+@pytest.mark.parametrize("argv", list(CYC1_OUTPUT), ids=" ".join)
+def test_cli_on_one_point(tmp_path, argv):
+    """Every gather of these commands has one index on cyc(1)."""
+    path = write(tmp_path, "c1.csys", emit_system(cyc(1), name="c1"))
+    paths = [path, path] if argv == ("morphism",) else [path]
+    assert run([*argv, *paths]) == (0, CYC1_OUTPUT[argv], "")
+
+
+def test_cli_core_of_one_point(tmp_path):
+    """A core of one element is relabelled through one-index gathers."""
+    text = "system r\nelements a b\nbase b\nmap s = b b\n"
+    path = write(tmp_path, "r.csys", text)
+    assert run(["core", path]) == (
+        0, "system r_core\nelements b\nbase b\nmap s = b\n", "")
+
+
 def test_cli_add_emits_tsv(tmp_path):
     path = write(tmp_path, "c.csys", CYC3)
     code, out, err = run(["add", path])

@@ -93,10 +93,15 @@ def test_morphism_requires_matching_index_sets():
 
 
 def test_morphism_requires_minimal_source():
+    """The source's reachable 3-cycle maps onto cyc(3), and onto cyc(2) only
+    with a conflict; either way the source is not minimal, which is an
+    error, not a missing morphism."""
     r = rho(2, 3)
     shifted = CountingSystem(r.carrier, 3, r.index_set, r.maps)
-    with pytest.raises(MinimalityRequired):
-        morphism_find(shifted, cyc(3))
+    for dst in (cyc(3), cyc(2)):
+        with pytest.raises(MinimalityRequired) as info:
+            morphism_find(shifted, dst)
+        assert info.value.unreachable == (0, 1)
 
 
 def test_relabel_enables_cross_label_search():
