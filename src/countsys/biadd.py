@@ -6,7 +6,9 @@ words, and a run without conflict is the extension.  The biadditive
 extension builds its rows along the generation tree and certifies them at
 the generators; that certificate implies every law of the multiplications
 built on it, which are not checked again.
-A table `t` passed with a system `sys` must be derive_addition(sys).
+A table `t` passed with a system `sys` must be derive_addition(sys), a
+commutative monoid generated by the x_s = f_s(base) by that function's
+proof, not by a check of the table.
 """
 
 from . import laws

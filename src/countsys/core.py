@@ -18,6 +18,7 @@ from .errors import (
     DuplicateLabel,
     EmptyIndexSet,
     IndexSetTooLarge,
+    InternalInvariantViolation,
     MinimalityRequired,
     NonCommuting,
     SingleMapRequired,
@@ -185,6 +186,16 @@ def noncommuting(index_set, maps):
                 from . import laws  # only to name the witness
                 return s, t, laws.intertwines(f, g, g)
     return None
+
+
+def require_commuting(sys):
+    """Raise InternalInvariantViolation at noncommuting's witness; as
+    new_system refuses one, only a system built without it can have one."""
+    w = noncommuting(sys.index_set, sys.maps)
+    if w is not None:
+        raise InternalInvariantViolation(
+            "maps not commutative: {!r} and {!r} at {}".format(*w)
+        )
 
 
 def new_system(carrier, base, index_set, maps):

@@ -7,21 +7,23 @@ closure to find.  Key lemma: in a minimal commuting system, u(base) = v(base)
 implies u = v, since every x is w(base) for a generator word w, so
 u(x) = w(u(base)) = w(v(base)) = v(x).  So u_a is the composite of the maps
 along a's carrier-BFS parent path, and row a of the table is row parent(a)
-mapped through the discovering generator; derive_addition then certifies
-the table.
+mapped through the discovering generator.  derive_addition proves that
+table's laws and checks only their premises: minimality and commuting maps.
 """
 
 from . import laws
-from .core import _Value, _gather, propagate, require_minimal
+from .core import (
+    _Value, _gather, propagate, require_commuting, require_minimal,
+)
 from .dsl import EXIT_OK, _load, _tsv_table
 from .errors import GensDoNotGenerate, InternalInvariantViolation
 
 
 class MonoidTable(_Value):
-    """An associative table with unit `zero`.  The unit is checked here;
-    derive_addition verifies associativity and product_table preserves it,
-    and the generator certificates in biadd rely on it.  `op` is an n x n
-    tuple-of-tuples of element indices."""
+    """An associative table with unit `zero`.  The unit is checked here, and
+    the generator certificates in biadd rely on it; derive_addition's
+    tables are associative by its proof, and product_table preserves it.
+    `op` is an n x n tuple-of-tuples of element indices."""
 
     __slots__ = ("size", "op", "zero")
 
@@ -42,29 +44,29 @@ class Classification(_Value):
 def derive_addition(sys):
     """The transferred addition; zero is the base.
 
-    Built by reconstruct_addition (the key lemma in the module docstring
-    makes its rows the closure elements u_a), then certified: the unit law
-    (MonoidTable), row x_s = f_s for each generator x_s = f_s(base), Light's
-    test on the x_s, and commutativity.  Rows x_s = f_s give
-    a = f_k(p) = x_k + p along every BFS edge, so the x_s generate the table
-    from zero and Light's test certifies associativity; then the shift axiom
-    f_s(a + b) = x_s + (a + b) = (x_s + a) + b = f_s(a) + b holds.
+    reconstruct_addition raises MinimalityRequired, with the unreachable
+    witness set, when the system is not minimal; then require_commuting
+    checks the maps.  Given both, the table's laws are theorems:
 
-    Raises MinimalityRequired, with the unreachable witness set, when the
-    system is not minimal.
+    - row a is u_a, the closure element with u_a(base) = a, by induction
+      along the BFS tree: row base is the identity, and row a = f_k . u_p
+      for a's parent p is a composite of maps with value f_k(p) = a;
+    - so a + b = u_a(b);
+    - u_a . u_b is a closure element with value u_a(b) = a + b at base, so
+      by the key lemma it is u_{a+b}.  That gives associativity,
+      (a + b) + c = u_a(u_b(c)) = a + (b + c), and, as f_s is u_x for
+      x = f_s(base), so that x + a = f_s(a), the shift axiom
+      f_s(a + b) = (x + a) + b = f_s(a) + b;
+    - composites of commuting maps commute, so
+      a + b = u_a(u_b(base)) = u_b(u_a(base)) = b + a;
+    - row base is the identity and a + base = u_a(base) = a, so base is
+      the unit.
+
+    The checks this proof replaced (row f_s(base) = f_s, Light's test and
+    commutativity) stay in the test suite as an oracle of the table.
     """
     t = reconstruct_addition(sys)
-    gens = tuple(f(sys.base) for f in sys.maps)
-    for g, f in zip(gens, sys.maps):
-        x = laws.translation(t.op, g, f.table)
-        if x is not None:
-            raise InternalInvariantViolation(
-                f"shift property fails at element {x}"
-            )
-    if laws.associative(t.op, middle=gens) is not None:
-        raise InternalInvariantViolation("derived table not associative")
-    if laws.commutative(t.op) is not None:
-        raise InternalInvariantViolation("derived table not commutative")
+    require_commuting(sys)
     return t
 
 

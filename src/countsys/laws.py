@@ -8,19 +8,16 @@ cell-by-cell loop would find.  Each law compares whole rows or columns,
 gathered as tuples by `core._gather` and C-level `map` calls; no temporary
 is larger than an n x n transpose.
 
-Every law is exhaustive by default.  `associative`, `homomorphism` and
-`homomorphisms` take an optional range, a sequence of element indices, that
-restricts one argument position; the witness is then the first in row-major
-order over the range.  A restricted check certifies the whole law only under
-a precondition its caller has established.  The derive path certifies these
-laws on the generators x_s = f_s(base):
-
-- addition associative: Light's test at middle = x_s, which generate the
-  table by the unit, shift and minimality checks;
-- multiplication biadditive: the prescribed row sections and every column
-  are homomorphisms at right = x_s (see biadd.biadditive_extend).
-
-Every other law, commutativity included, is checked on every cell.
+Every law is exhaustive by default.  `homomorphism` and `homomorphisms`
+take an optional range, a sequence of element indices, that restricts the
+right argument; the witness is then the first in row-major order over the
+range.  A restricted check certifies the whole law only under a precondition
+its caller has established.  The derive path certifies one law this way, at
+the generators x_s = f_s(base): the multiplication is biadditive when the
+prescribed row sections and every column are homomorphisms at right = x_s
+(see biadd.biadditive_extend).  The derived addition's laws are theorems of
+its construction and are not checked (see derive.derive_addition); every
+other law is checked on every cell.
 """
 
 from itertools import repeat
@@ -60,26 +57,13 @@ def unit(op, e):
     return min(bad, default=None)
 
 
-def associative(op, middle=None):
-    """First (a, b, c) with op[op[a][b]][c] != op[a][op[b][c]].
-
-    Light's test: when op has a two-sided unit and adding elements of
-    `middle` on the left reaches every element from it, middle alone
-    certifies the law (the b it holds for are closed under op)."""
+def associative(op):
+    """First (a, b, c) with op[op[a][b]][c] != op[a][op[b][c]]."""
     for a, row in enumerate(op):
-        for b in _every(op, middle):
+        for b in range(len(op)):
             c = _first(op[row[b]], _gather(row, op[b]))
             if c is not None:
                 return a, b, c
-    return None
-
-
-def commutative(op):
-    """First (a, b) with op[a][b] != op[b][a]; then a < b."""
-    for a, (row, col) in enumerate(zip(op, zip(*op))):
-        row = tuple(row)
-        if row != col:
-            return a, next(b for b, (x, y) in enumerate(zip(row, col)) if x != y)
     return None
 
 

@@ -209,8 +209,9 @@ def initiality_report(sys):
     the informative content.
 
     The single-map core at a label is the cyclic submonoid of the derived
-    table generated by x_s = f_s(base): derive_addition certifies that
-    adding x_s is f_s, so that submonoid is the orbit of the base under f_s.
+    table generated by x_s = f_s(base): adding x_s is f_s (row x_s is the
+    closure element f_s, by derive_addition's proof), so that submonoid is
+    the orbit of the base under f_s.
     """
     require_minimal(sys)
     conditions = []

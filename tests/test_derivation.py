@@ -7,6 +7,7 @@ from countsys.core import (
     CountingSystem,
     EndoMap,
     minimal_core,
+    new_system,
     product,
     reach,
 )
@@ -20,7 +21,11 @@ from countsys.derive import (
     submonoid_closure,
     verify_plus_axioms,
 )
-from countsys.errors import MinimalityRequired
+from countsys.errors import (
+    InternalInvariantViolation,
+    MinimalityRequired,
+    NonCommuting,
+)
 from countsys.fixtures import cyc, one_point, rho, rho_collapse, zpair
 from test_laws import closure_transfer
 
@@ -56,6 +61,36 @@ def test_derive_addition_requires_minimality():
     with pytest.raises(MinimalityRequired) as exc:
         derive_addition(shifted)
     assert exc.value.unreachable == (0, 1)
+
+
+# s . t and t . s differ at a: both send a to b, then t sends b to a and s
+# sends b to c.  Point d is reached by neither map.
+NON_COMMUTING = (EndoMap((1, 2, 0, 3)), EndoMap((1, 0, 2, 3)))
+
+
+def test_derive_addition_refuses_non_commuting_maps_as_a_bug():
+    # built without new_system, which would refuse the pair
+    sys = CountingSystem(Carrier(("a", "b", "c")), 0, ("s", "t"),
+                         tuple(EndoMap(f.table[:3]) for f in NON_COMMUTING))
+    with pytest.raises(InternalInvariantViolation,
+                       match=r"^maps not commutative: 's' and 't' at 0$"):
+        derive_addition(sys)
+
+
+def test_derive_addition_checks_minimality_before_commuting():
+    sys = CountingSystem(Carrier(("a", "b", "c", "d")), 0, ("s", "t"),
+                         NON_COMMUTING)
+    with pytest.raises(MinimalityRequired) as exc:
+        derive_addition(sys)
+    assert exc.value.unreachable == (3,)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_new_system_refuses_the_non_commuting_maps(n):
+    maps = tuple(EndoMap(f.table[:n]) for f in NON_COMMUTING)
+    with pytest.raises(NonCommuting) as exc:
+        new_system(Carrier(("a", "b", "c", "d")[:n]), 0, ("s", "t"), maps)
+    assert (exc.value.s, exc.value.t, exc.value.x) == ("s", "t", 0)
 
 
 def test_reconstruction_agrees_with_transfer():

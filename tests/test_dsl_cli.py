@@ -233,6 +233,31 @@ def test_json_writes_the_text_of_json_dumps_on_edge_cases():
         assert _json(value) == json.dumps(value, indent=2, sort_keys=True)
 
 
+_STRING = st.text(alphabet=st.sampled_from('ab"\\/\n\t\x00\x1fé€😀 +-'),
+                  max_size=4)
+_STRING_LISTS = st.recursive(
+    st.lists(_STRING, max_size=4) | st.lists(_STRING, max_size=4).map(tuple),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(_STRING, inner, max_size=4),
+    max_leaves=12)
+
+
+@given(_STRING_LISTS)
+def test_json_writes_lists_of_strings_as_json_dumps_does(value):
+    """Lists of strings, such as closure --json's words, as json.dumps
+    writes them: nested in lists and objects, empty or of one item, and
+    with strings that need escapes or are not ASCII."""
+    assert _json(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+def test_json_writes_lists_of_strings_as_json_dumps_does_on_edge_cases():
+    for value in [[""], ["a"], ("a", "b"), [[], ["s"], ["s", "t"]],
+                  {"words": [[], ["+"], ["+", "-"]], "size": 3},
+                  ["é", "€😀", "q\"b\\c", "\n\t\x00\x1f", "/"],
+                  [["a", None], ["a", 1], ["a", ["b"]]]]:
+        assert _json(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
 _TOKENS = ["system", "elements", "base", "map", "odot", "unit", "=", "a",
            "b", "s", "t", "+", "-", "#", "a#b", "\t", "(s,s)", "e0", "é"]
 _TEXT = st.one_of(
@@ -705,6 +730,62 @@ def test_cli_names_product_labels(tmp_path):
     assert (code, out, err) == (
         2, "", "parse error: line 1, col 13: --multiset expects label:count "
         "items, got '(x'\n")
+
+
+def _shifts(n, steps):
+    """Z_n with one label per step c, for the map x -> x + c."""
+    maps = tuple(EndoMap(tuple((x + c) % n for x in range(n))) for c in steps)
+    return new_system(cyc(n).carrier, 0, tuple(f"s{c}" for c in steps), maps)
+
+
+def _modular_tsv(n, op):
+    """The TSV text of the table (a, b) -> op(a, b) mod n on e0 ... e{n-1}."""
+    labels = [f"e{i}" for i in range(n)]
+    return "".join("\t".join(row) + "\n" for row in [["", *labels]] + [
+        [labels[a], *(labels[op(a, b) % n] for b in range(n))]
+        for a in range(n)])
+
+
+def _free_report(sys, direct_sum):
+    """free-report --json on a system of unit shifts of Z_n: each generator
+    generates all of it, every map is injective and zero is in its image."""
+    return json.dumps({"free": False, "direct_sum": direct_sum, "cyclic": [
+        {"label": lab, "generator": f(0), "submonoid_size": sys.size,
+         "free": False, "injective": True, "zero_in_image": True}
+        for lab, f in zip(sys.index_set, sys.maps)]},
+        indent=2, sort_keys=True) + "\n"
+
+
+def test_add_mul_and_free_report_run_no_table_law(tmp_path, monkeypatch):
+    """derive_addition proves its table's laws and checks none of them, and
+    the multiplication's certificate checks no table law beyond
+    homomorphisms, so add, mul and free-report never call associative or
+    translation (laws has no commutative any more), and print what they
+    printed when they did.  Z_63 with the shifts by 1, 22 and 43 has the
+    odot of their products."""
+    def refuse(*args):
+        raise AssertionError("a table law ran")
+
+    from countsys import laws
+    assert not hasattr(laws, "commutative")
+    for name in ("associative", "translation"):
+        monkeypatch.setattr("countsys.laws." + name, refuse)
+    c64, z63 = cyc(64), _shifts(63, (1, 22, 43))
+    c = write(tmp_path, "c.csys", emit_system(c64))
+    z = write(tmp_path, "z.csys", emit_system(z63))
+    o = write(tmp_path, "z.odot", "odot\n" + "".join(
+        f"s{a} s{b} = s{a * b % 63}\n" for a in (1, 22, 43)
+        for b in (1, 22, 43)))
+    mod64, mod63 = _modular_tsv(64, int.__add__), _modular_tsv(63, int.__add__)
+    for argv, want in [
+        (["add", c], mod64),
+        (["mul", c], _modular_tsv(64, int.__mul__)),
+        (["free-report", "--json", c], _free_report(c64, True)),
+        (["add", z], mod63),
+        (["mul", z, "--odot", o], _modular_tsv(63, int.__mul__)),
+        (["free-report", "--json", z], _free_report(z63, False)),
+    ]:
+        assert run(argv) == (0, want, ""), argv
 
 
 def test_cli_reports_an_internal_invariant_failure_as_a_bug(

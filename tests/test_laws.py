@@ -12,7 +12,9 @@ The constructions the derive path no longer makes are kept here as oracles
 too: the closure transfer of the addition, the biadditive build behind the
 direct-sum verdict, the cyclic submonoids behind the initiality report and
 the biadditive extension propagated along every generator edge.  So are the
-checks the package no longer makes: the multiplication laws checked after
+checks the package no longer makes: the laws of the derived addition (its
+generator rows, Light's test at the generators, and commutativity), which
+derive_addition's proof implies; the multiplication laws checked after
 the biadditive extension, which its certificate implies, every row and
 column of that extension checked as a homomorphism, and the generator
 values checked after a homomorphism extension and the generation pass made
@@ -28,7 +30,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from countsys import biadd, laws
+from countsys import biadd, derive, laws
 from countsys.biadd import (
     BiadditiveTable,
     DirectSumReport,
@@ -57,6 +59,7 @@ from countsys.core import (
     new_system,
     product,
     propagate,
+    reach,
     reachable_set,
     single_map_subsystem,
 )
@@ -199,8 +202,8 @@ def oracle_zero_sum_free(op, zero):
 
 
 # Oracles of checks that `laws` no longer has, kept as the reference for the
-# multiplication laws and the table reconstruction below.
-RETIRED = ("sections", "difference")
+# multiplication laws, the table reconstruction and the derived addition below.
+RETIRED = ("sections", "difference", "commutative")
 
 ORACLES = {
     name[len("oracle_"):]: fn
@@ -236,7 +239,6 @@ def law_cases(op, zero, maps, mult=None):
     for f, g in itertools.product(maps[:3], repeat=2):
         yield "intertwines", (rows[1 % n], f, g)
     yield "associative", (op,)
-    yield "commutative", (op,)
     yield "biadditive", (op, op, op, zero, zero)
     # every row the identity: the rows pass, the (constant) columns fail
     yield "biadditive", (op, op, (ident,) * n, zero, zero)
@@ -248,7 +250,6 @@ def law_cases(op, zero, maps, mult=None):
     if mult is not None:
         yield "translation", (mult, zero, (zero,) * n)
         yield "associative", (mult,)
-        yield "commutative", (mult,)
         yield "biadditive", (op, op, mult, zero, zero)
         for f in maps:
             yield "shift", (mult, f, f)
@@ -367,11 +368,28 @@ def test_every_law_rejects_a_tampered_cell_at_the_oracle_witness(sys):
 
 # -- generator certificates ---------------------------------------------------
 #
-# The derive path checks three laws on the generators only.  Each restricted
+# Three laws can be checked on the generators only: homomorphism and
+# biadditivity, which the derive path checks so, and associativity by Light's
+# test, which it checked on the derived addition until a proof replaced it
+# (`light` is kept below as part of that table's oracle).  Each restricted
 # call must give the exhaustive oracle's verdict whenever the preconditions
 # that the law's docstring states hold; the witnesses may differ.
 
 CERTIFICATES = ("light", "homomorphism", "biadditive")
+
+
+def light(op, middle):
+    """First (a, b, c), b in `middle`, with op[op[a][b]][c] != op[a][op[b][c]].
+
+    Light's test: when op has a two-sided unit and adding elements of
+    `middle` on the left reaches every element from it, middle alone
+    certifies associativity (the b it holds for are closed under op)."""
+    for a, row in enumerate(op):
+        for b in dict.fromkeys(middle):  # a repeat finds no earlier witness
+            for c, bc in enumerate(op[b]):
+                if op[row[b]][c] != row[bc]:
+                    return a, b, c
+    return None
 
 
 def _reaches_all(op, zero, gens):
@@ -393,7 +411,7 @@ def certificate_cases(op, zero, gens, rng, homs=(), mu=None):
     calls with the range `rng`."""
     generated = oracle_unit(op, zero) is None and _reaches_all(op, zero, gens)
     monoid = generated and oracle_associative(op) is None
-    yield ("light", generated, laws.associative(op, middle=rng),
+    yield ("light", generated, light(op, rng),
            oracle_associative(op))
     for h in homs:
         yield ("homomorphism", monoid and h[zero] == zero,
@@ -742,6 +760,101 @@ def test_derive_addition_is_the_closure_transfer():
 @given(minimal_systems())
 def test_derive_addition_is_the_closure_transfer_on_random_systems(sys):
     assert derive_addition(sys).op == closure_transfer(sys)
+
+
+# -- the checks derive_addition dropped ----------------------------------------
+
+
+def dropped_addition_checks(sys, op):
+    """The checks derive_addition made on its table until its proof replaced
+    them, with exhaustive associativity besides: row x_s is f_s at each
+    generator x_s = f_s(base), Light's test at the x_s, associativity and
+    commutativity.  The first failing check's name and witness, or None."""
+    gens = tuple(f(sys.base) for f in sys.maps)
+    for g, f in zip(gens, sys.maps):
+        x = oracle_translation(op, g, f.table)
+        if x is not None:
+            return "translation", g, x
+    for name, w in [("light", light(op, gens)),
+                    ("associative", oracle_associative(op)),
+                    ("commutative", oracle_commutative(op))]:
+        if w is not None:
+            return name, w
+    return None
+
+
+def test_derive_addition_passes_the_dropped_checks():
+    for sys in _minimal_systems():
+        assert dropped_addition_checks(sys, derive_addition(sys).op) is None
+
+
+@settings(max_examples=30, deadline=None)
+@given(minimal_systems())
+def test_derive_addition_passes_the_dropped_checks_on_random_systems(sys):
+    assert dropped_addition_checks(sys, derive_addition(sys).op) is None
+
+
+def _derived_from(sys, monkeypatch, op):
+    """derive_addition(sys).op with reconstruct_addition returning `op` and
+    MonoidTable's unit check switched off, so that derive_addition checks
+    nothing of the table."""
+    monkeypatch.setattr(laws, "unit", lambda op, e: None)
+    monkeypatch.setattr(derive, "reconstruct_addition",
+                        lambda s: MonoidTable(s.size, op, s.base))
+    return derive_addition(sys).op
+
+
+def _apply(f, xs):
+    return tuple(f[x] for x in xs)
+
+
+def _rows_along_a_wrong_map(sys):
+    """reconstruct_addition's table with the row of one element a taken
+    along a map other than the one that discovered a: another label's map,
+    or the discovering map twice.  The rows below a are built from it."""
+    prop = reach(sys)
+    maps = [f.table for _lab, f in sorted(zip(sys.index_set, sys.maps))]
+    for a in prop.order[1:]:
+        k = prop.parent[a][1]
+        for g in [*maps[:k], *maps[k + 1:], _apply(maps[k], maps[k])]:
+            rows = {sys.base: tuple(range(sys.size))}
+            for y in prop.order[1:]:
+                p, j = prop.parent[y]
+                rows[y] = _apply(g if y == a else maps[j], rows[p])
+            yield tuple(rows[y] for y in range(sys.size))
+
+
+MUTANTS = [cyc(5), rho(2, 3), zpair(4)]
+MUTANT_IDS = ["cyc5", "rho23", "zpair4"]
+
+
+@pytest.mark.parametrize("sys", MUTANTS, ids=MUTANT_IDS)
+def test_a_derived_table_with_one_cell_changed_fails_the_dropped_checks(
+    sys, monkeypatch
+):
+    """Mutation check: with MonoidTable's unit check off, derive_addition
+    returns whatever table reconstruct_addition builds, and the oracle
+    rejects each that differs from the honest one in one cell."""
+    for op in _tamperings(reconstruct_addition(sys).op):
+        assert _derived_from(sys, monkeypatch, op) == op
+        assert dropped_addition_checks(sys, op) is not None
+
+
+@pytest.mark.parametrize("sys", MUTANTS, ids=MUTANT_IDS)
+def test_a_derived_row_along_the_wrong_map_fails_the_dropped_checks(
+    sys, monkeypatch
+):
+    """Mutation check: as above, for a table whose row a is taken along the
+    wrong map g.  On these systems g never sends a's parent to a, which by
+    the key lemma would make the row right, so every such table is wrong."""
+    honest = reconstruct_addition(sys).op
+    count = 0
+    for op in _rows_along_a_wrong_map(sys):
+        assert op != honest
+        assert _derived_from(sys, monkeypatch, op) == op
+        assert dropped_addition_checks(sys, op) is not None
+        count += 1
+    assert count == (sys.size - 1) * len(sys.maps)
 
 
 def _generating_sets(t, gens):
