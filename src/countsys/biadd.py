@@ -3,9 +3,9 @@
 A homomorphism out of a finitely generated table is determined by its values
 on the generators; extension proceeds by forced propagation along generator
 words, and a run without conflict is the extension.  The biadditive
-extension builds its rows along the generation tree and certifies them at
-the generators; that certificate implies every law of the multiplications
-built on it, which are not checked again.
+extension checks its section homomorphisms at the generators and builds its
+rows along the generation tree; its proof gives every law of the table and
+of the multiplications built on it, and none is checked.
 A table `t` passed with a system `sys` must be derive_addition(sys), a
 commutative monoid generated by the x_s = f_s(base) by that function's
 proof, not by a check of the table.
@@ -137,23 +137,24 @@ def biadditive_extend(M, N, gens, lambdas, lambda_primes):
     """Extend compatible section homomorphisms to the unique biadditive table.
 
     lambdas[i] prescribes the row section at generator gens[i], lambda_primes
-    the column section.  Compatibility lambda_s(a_t) = lambda'_t(a_s) is
-    checked up front; a failed certificate afterwards is impossible on valid
-    input and raises InternalInvariantViolation.
-
-    Row zero is zero and row a is lambda_k + row p along the edge
-    a = g_k + p of require_generates' tree.  Certificate (M, N commutative
-    monoids, gens generating M): each lambda_s is a homomorphism, row g_s
-    is lambda_s, and each column sends zero to zero and is additive at the
-    g_s, so is a homomorphism (laws.homomorphism).  Then row a + b is the
-    sum of rows a and b, off the tree too, so each row is a sum of rows
-    g_s: a homomorphism, as sums of homomorphisms into a commutative table
-    are.  So the table is biadditive, and column g_t is lambda'_t on the
-    generators.  Biadditive tables agreeing on generator pairs are equal:
-    homomorphisms agreeing on the generators agree on all they generate, so
-    the rows at each g_s agree, and then every column does.  Likewise maps
-    additive in each of three arguments are fixed by their values on
-    generator triples.
+    the column section.  Compatibility lambda_s(g_t) = lambda'_t(g_s) is
+    checked, and so is each section: additive at the generators, it is a
+    homomorphism (laws.homomorphism).  No caller passes one that is not, so
+    that failure raises InternalInvariantViolation.  The table is not
+    checked.  Row zero is zero and row a is lambda_k + row p along the edge
+    a = g_k + p of require_generates' tree.  Proof that it is biadditive
+    (M, N commutative monoids, gens generating M, sections as checked):
+    - row a, a sum of lambdas along its tree path, is a homomorphism;
+    - row a (g_t) = lambda'_t(a), by induction along the tree from
+      row zero (g_t) = zero = lambda'_t(zero): row a (g_t) is
+      lambda_k(g_t) + row p (g_t) = lambda'_t(g_k) + lambda'_t(p);
+    - so row (a + b) and row a + row b are homomorphisms agreeing on the
+      generators, which generate M: they are equal.  Every column is
+      additive and row zero is zero, so the table is biadditive;
+    - row g_s (g_t) = lambda'_t(g_s) = lambda_s(g_t), so row g_s = lambda_s.
+    Biadditive tables agreeing on generator pairs are equal: the rows at
+    each g_s agree, and then every column does.  Likewise maps additive in
+    each of three arguments are fixed by their values on generator triples.
     """
     gens = tuple(gens)
     tree = require_generates(M, gens)
@@ -161,28 +162,26 @@ def biadditive_extend(M, N, gens, lambdas, lambda_primes):
         for j, (g_t, lamp_t) in enumerate(zip(gens, lambda_primes)):
             if lam_s(g_t) != lamp_t(g_s):
                 raise CompatibilityViolated(i, j, lam_s(g_t), lamp_t(g_s))
-    maps = [lam.map for lam in lambdas]
-    if laws.homomorphisms(M.op, N.op, maps, M.zero, N.zero, gens) is not None:
-        raise InternalInvariantViolation("a row section is no homomorphism")
-
+    for side, sections in (("row", lambdas), ("column", lambda_primes)):
+        i = laws.homomorphisms(M.op, N.op, [lam.map for lam in sections],
+                               M.zero, N.zero, gens)
+        if i is not None:
+            raise InternalInvariantViolation(
+                f"{side} section {i} is no homomorphism")
     rows = [zero_hom(M, N)] * M.size
     for a in tree.order[1:]:
         p, k = tree.parent[a]
         rows[a] = hom_add(lambdas[k], rows[p])
-    op = tuple(r.map for r in rows)
-    if [op[g] for g in gens] != maps or laws.homomorphisms(
-        M.op, N.op, zip(*op), M.zero, N.zero, gens
-    ) is not None:
-        raise InternalInvariantViolation("extension is not biadditive")
-    return BiadditiveTable(M, N, op)
+    return BiadditiveTable(M, N, tuple(r.map for r in rows))
 
 
 def derive_multiplication_single(sys, t):
     """Multiplication for a minimal single-map system: the unique biadditive
     table whose row at a0 = f(base) is the identity.
 
-    With t = derive_addition(sys), biadditive_extend certifies that the
-    table is biadditive with row a0 the identity, which gives every law:
+    With t = derive_addition(sys), the identity is a homomorphism and
+    biadditive_extend's proof makes the table biadditive with row a0 the
+    identity, which gives every law, none of them checked:
     zero absorption (sections fix zero); distributivity (rows are
     additive); the successor law f(x1) * x2 = x2 + x1 * x2 (f(x1) = a0 + x1,
     column x2 is additive, row a0 is the identity); a0 a unit; and, as
@@ -231,9 +230,10 @@ def derive_multiplication_indexed(sys, t, odot):
     x_t -> x_{t odot s}) are searched by homomorphism extension; a missing one
     is reported as a structured absence, never a partial table.
 
-    With t = derive_addition(sys), mu is biadditive with row x_s = lambda_s
-    (biadditive_extend's certificate), and lambda_s(x_t) = x_{s odot t}
-    (hom_extend_report), so the laws of odot carry over:
+    With t = derive_addition(sys), the sections are homomorphisms
+    (hom_extend_report), so mu is biadditive with row x_s = lambda_s by
+    biadditive_extend's proof, and lambda_s(x_t) = x_{s odot t}; none of
+    the laws of mu is checked, and those of odot carry over:
     if it is commutative, mu and (a, b) -> mu[b][a] agree on generator
     pairs; if associative, both bracketings agree on generator triples; a
     left unit u makes lambda_u, so row x_u, the identity.

@@ -21,7 +21,7 @@ from .errors import GensDoNotGenerate, InternalInvariantViolation
 
 class MonoidTable(_Value):
     """An associative table with unit `zero`.  The unit is checked here, and
-    the generator certificates in biadd rely on it; derive_addition's
+    the generator checks in biadd rely on it; derive_addition's
     tables are associative by its proof, and product_table preserves it.
     `op` is an n x n tuple-of-tuples of element indices."""
 

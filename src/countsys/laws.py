@@ -12,12 +12,12 @@ Every law is exhaustive by default.  `homomorphism` and `homomorphisms`
 take an optional range, a sequence of element indices, that restricts the
 right argument; the witness is then the first in row-major order over the
 range.  A restricted check certifies the whole law only under a precondition
-its caller has established.  The derive path certifies one law this way, at
-the generators x_s = f_s(base): the multiplication is biadditive when the
-prescribed row sections and every column are homomorphisms at right = x_s
-(see biadd.biadditive_extend).  The derived addition's laws are theorems of
-its construction and are not checked (see derive.derive_addition); every
-other law is checked on every cell.
+its caller has established.  The derive path checks only the k prescribed
+row and column sections of the multiplication this way, at right = the
+generators x_s = f_s(base); the table built from them is biadditive by
+biadd.biadditive_extend's proof, and the derived addition's laws by
+derive.derive_addition's, so neither table is checked.  Every other law
+is checked on every cell.
 """
 
 from itertools import repeat

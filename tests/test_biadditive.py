@@ -136,12 +136,26 @@ def test_biadditive_extend_rejects_a_row_section_that_is_no_homomorphism():
         biadditive_extend(z4, z4, (1,), (bad,), (identity_hom(z4),))
 
 
+def test_biadditive_extend_rejects_a_column_section_that_is_no_homomorphism():
+    """lambda' = (0, 1, 3, 2) is no endomorphism of Z4 but agrees with the
+    identity at the generator 1, so the sections are compatible.  The rows
+    built from the identity are the modular multiplication, whose column 1
+    is the identity, not lambda': the check of the column sections rejects
+    the input before any row is built."""
+    z4 = derive_addition(cyc(4))
+    bad = HomTable(z4, z4, (0, 1, 3, 2))
+    with pytest.raises(InternalInvariantViolation,
+                       match="column section 0 is no homomorphism"):
+        biadditive_extend(z4, z4, (1,), (identity_hom(z4),), (bad,))
+
+
 @pytest.mark.parametrize("sys, odot", [
     (cyc(256), None), (zpair(256), sign_odot()),
 ], ids=["cyc256", "zpair256-sign"])
 def test_multiplication_peaks_below_twice_its_table(sys, odot):
-    """The certificate reads the columns one at a time and the addition's
-    rows as its columns: no n x n transpose is built beside the result."""
+    """biadditive_extend checks only the k prescribed sections, at the
+    generators, and nothing of the table it builds: no n x n transpose or
+    other temporary of the table's size is built beside the result."""
     t = derive_addition(sys)
     tracemalloc.start()
     try:

@@ -757,12 +757,14 @@ def _free_report(sys, direct_sum):
 
 
 def test_add_mul_and_free_report_run_no_table_law(tmp_path, monkeypatch):
-    """derive_addition proves its table's laws and checks none of them, and
-    the multiplication's certificate checks no table law beyond
-    homomorphisms, so add, mul and free-report never call associative or
-    translation (laws has no commutative any more), and print what they
-    printed when they did.  Z_63 with the shifts by 1, 22 and 43 has the
-    odot of their products."""
+    """derive_addition proves its table's laws and checks none of them, so
+    add, mul and free-report never call associative or translation (laws
+    has no commutative any more).  biadditive_extend proves its table
+    biadditive and checks only the k prescribed row sections and the k
+    column sections: mul makes those two laws.homomorphisms calls of k maps
+    each, and no pass over the n columns of its table.  Each command
+    prints what it printed when the checks ran.  Z_63 with the shifts by 1,
+    22 and 43 has the odot of their products."""
     def refuse(*args):
         raise AssertionError("a table law ran")
 
@@ -770,6 +772,15 @@ def test_add_mul_and_free_report_run_no_table_law(tmp_path, monkeypatch):
     assert not hasattr(laws, "commutative")
     for name in ("associative", "translation"):
         monkeypatch.setattr("countsys.laws." + name, refuse)
+    checked = []  # the number of maps of each laws.homomorphisms call
+    homomorphisms = laws.homomorphisms
+
+    def counted(src, dst, maps, *args):
+        maps = list(maps)
+        checked.append(len(maps))
+        return homomorphisms(src, dst, maps, *args)
+
+    monkeypatch.setattr(laws, "homomorphisms", counted)
     c64, z63 = cyc(64), _shifts(63, (1, 22, 43))
     c = write(tmp_path, "c.csys", emit_system(c64))
     z = write(tmp_path, "z.csys", emit_system(z63))
@@ -777,15 +788,29 @@ def test_add_mul_and_free_report_run_no_table_law(tmp_path, monkeypatch):
         f"s{a} s{b} = s{a * b % 63}\n" for a in (1, 22, 43)
         for b in (1, 22, 43)))
     mod64, mod63 = _modular_tsv(64, int.__add__), _modular_tsv(63, int.__add__)
-    for argv, want in [
-        (["add", c], mod64),
-        (["mul", c], _modular_tsv(64, int.__mul__)),
-        (["free-report", "--json", c], _free_report(c64, True)),
-        (["add", z], mod63),
-        (["mul", z, "--odot", o], _modular_tsv(63, int.__mul__)),
-        (["free-report", "--json", z], _free_report(z63, False)),
+    for argv, want, k in [
+        (["add", c], mod64, 1),
+        (["mul", c], _modular_tsv(64, int.__mul__), 1),
+        (["free-report", "--json", c], _free_report(c64, True), 1),
+        (["add", z], mod63, 3),
+        (["mul", z, "--odot", o], _modular_tsv(63, int.__mul__), 3),
+        (["free-report", "--json", z], _free_report(z63, False), 3),
     ]:
+        checked.clear()
         assert run(argv) == (0, want, ""), argv
+        assert checked == ([k, k] if argv[0] == "mul" else []), argv
+
+
+def test_mul_at_the_label_limit(tmp_path):
+    """16 labels, the declared limit: Z_256 with the shifts by 17^i,
+    i < 16.  17 has order 16 mod 256, so the odot of their products is
+    s_i odot s_j = s_(i + j mod 16), and mul prints Z_256's product."""
+    steps = [pow(17, i, 256) for i in range(16)]
+    z = write(tmp_path, "z.csys", emit_system(_shifts(256, steps)))
+    o = write(tmp_path, "z.odot", "odot\n" + "".join(
+        f"s{a} s{b} = s{a * b % 256}\n" for a in steps for b in steps))
+    assert run(["mul", z, "--odot", o]) == (
+        0, _modular_tsv(256, int.__mul__), "")
 
 
 def test_cli_reports_an_internal_invariant_failure_as_a_bug(

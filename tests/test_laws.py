@@ -14,11 +14,11 @@ direct-sum verdict, the cyclic submonoids behind the initiality report and
 the biadditive extension propagated along every generator edge.  So are the
 checks the package no longer makes: the laws of the derived addition (its
 generator rows, Light's test at the generators, and commutativity), which
-derive_addition's proof implies; the multiplication laws checked after
-the biadditive extension, which its certificate implies, every row and
-column of that extension checked as a homomorphism, and the generator
-values checked after a homomorphism extension and the generation pass made
-before it.
+derive_addition's proof implies; the multiplication laws and the
+certificate of the biadditive extension (its rows and columns
+homomorphisms, its generator rows the prescribed sections), which
+biadditive_extend's proof implies; and the generator values checked after
+a homomorphism extension and the generation pass made before it.
 """
 
 import collections
@@ -368,10 +368,11 @@ def test_every_law_rejects_a_tampered_cell_at_the_oracle_witness(sys):
 
 # -- generator certificates ---------------------------------------------------
 #
-# Three laws can be checked on the generators only: homomorphism and
-# biadditivity, which the derive path checks so, and associativity by Light's
-# test, which it checked on the derived addition until a proof replaced it
-# (`light` is kept below as part of that table's oracle).  Each restricted
+# Three laws can be checked on the generators only: homomorphism, which the
+# derive path checks so on the sections of the multiplication; biadditivity,
+# which it checked so on the multiplication, and associativity by Light's
+# test, which it checked on the derived addition, until proofs replaced
+# both (`light` is kept below as part of that table's oracle).  Each restricted
 # call must give the exhaustive oracle's verdict whenever the preconditions
 # that the law's docstring states hold; the witnesses may differ.
 
@@ -425,9 +426,10 @@ def certificate_cases(op, zero, gens, rng, homs=(), mu=None):
 
 
 def generator_certificate(op, mu, zero, rng):
-    """biadditive_extend's certificate, with the rows at the range in place
-    of its input sections: those rows and every column are homomorphisms
-    at the range.  None, or the first failing row and column indices."""
+    """The certificate biadditive_extend ran until its proof replaced it,
+    with the rows at the range in place of its input sections: those rows
+    and every column are homomorphisms at the range.  None, or the first
+    failing row and column indices."""
     rows = laws.homomorphisms(op, op, [mu[g] for g in rng], zero, zero, rng)
     cols = laws.homomorphisms(op, op, zip(*mu), zero, zero, rng)
     return None if rows is None and cols is None else (rows, cols)
@@ -1206,8 +1208,8 @@ def propagated_biadditive_extend(M, N, gens, lambdas, lambda_primes):
     the k x n generator edges by propagate, a conflict an internal error,
     then every row and every column checked to be a homomorphism (on the
     generators there, exhaustively here: the same verdict, as they
-    generate M).  The build along the generation tree and the certificate
-    at the generators replace it."""
+    generate M).  The build along the generation tree, from sections checked
+    at the generators, replaces it."""
     gens = tuple(gens)
     require_generates(M, gens)
     for i, (g_s, lam_s) in enumerate(zip(gens, lambdas)):
@@ -1280,47 +1282,144 @@ def test_tree_build_matches_the_propagated_extension_on_random_systems(
         _same_indexed(*_tree_and_propagated(_multiply(sys, odot)))
 
 
+def dropped_multiplication_certificate(M, N, gens, lambdas, op):
+    """The certificate biadditive_extend ran on its table until its proof
+    replaced it, made exhaustive: every row and every column of op is a
+    homomorphism (oracle_biadditive), and row g_s is lambda_s.  The first
+    failure and its witness, or None."""
+    w = oracle_biadditive(M.op, N.op, op, M.zero, N.zero)
+    if w is not None:
+        return "biadditive", w
+    return next((("row", g) for g, lam in zip(gens, lambdas)
+                 if op[g] != lam.map), None)
+
+
+def _random_section(draw, t, gens, targets):
+    """The homomorphism sending gens to targets when it exists and `draw`
+    asks for one, else an arbitrary map with those values at gens (the
+    last value wins at a repeated generator)."""
+    if draw(st.booleans()):
+        lam, _conflict = hom_extend_report(t, t, gens, targets)
+        if lam is not None:
+            return lam
+    n = t.size
+    h = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    for g, b in zip(gens, targets):
+        h[g] = b
+    return HomTable(t, t, tuple(h))
+
+
+def _times(t, m, x):
+    """m x in the table t."""
+    y = t.zero
+    for _ in range(m):
+        y = t.op[x][y]
+    return y
+
+
+def _outcome(extend, t, gens, lambdas, lambda_primes):
+    """The table that extend builds, or the class of the error it raises."""
+    try:
+        return extend(t, t, gens, lambdas, lambda_primes).op
+    except (CompatibilityViolated, InternalInvariantViolation) as exc:
+        return type(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(minimal_systems(), st.data())
+def test_biadditive_extend_matches_the_propagated_extension_on_random_sections(
+    sys, data
+):
+    """Row sections are random homomorphisms: the extension of random
+    generator targets, or m x when that does not exist.  Column sections
+    are the homomorphisms compatible with them, or arbitrary maps with the
+    compatible values at the generators.  Where the propagated oracle
+    raises, biadditive_extend raises the same error; where both return, the
+    tables are equal; where only biadditive_extend raises, a column section
+    is no homomorphism."""
+    t = derive_addition(sys)
+    gens = tuple(f(sys.base) for f in sys.maps)
+    element = st.integers(0, t.size - 1)
+    lambdas = []
+    for _g in gens:
+        lam, _conflict = hom_extend_report(
+            t, t, gens, data.draw(st.lists(element, min_size=len(gens),
+                                           max_size=len(gens))))
+        if lam is None:
+            m = data.draw(st.integers(0, t.size))
+            lam = HomTable(t, t, tuple(_times(t, m, x) for x in range(t.size)))
+        lambdas.append(lam)
+    lambda_primes = [
+        _random_section(data.draw, t, gens, [lam(g_t) for lam in lambdas])
+        for g_t in gens
+    ]
+    got = _outcome(biadditive_extend, t, gens, lambdas, lambda_primes)
+    want = _outcome(propagated_biadditive_extend, t, gens, lambdas,
+                    lambda_primes)
+    if isinstance(want, type) or not isinstance(got, type):
+        assert got == want
+    else:
+        assert got is InternalInvariantViolation
+        assert any(lamp(t.zero) != t.zero
+                   or oracle_homomorphism(t.op, t.op, lamp.map) is not None
+                   for lamp in lambda_primes)
+
+
 @pytest.mark.parametrize("sys, odot", [
     (cyc(4), None), (rho(1, 3), None), (rho(2, 1), None), (rho(2, 3), None),
     (zpair(3), parse_odot("\n".join(SIGN_ODOT_LINES))),
 ], ids=["cyc4", "rho13", "rho21", "rho23", "zpair3-sign"])
 def test_a_section_corrupted_in_one_cell_is_caught(sys, odot, monkeypatch):
-    """Mutation check: biadditive_extend raises when any one row that it
-    builds along the generation tree has one wrong cell, the generator
-    rows included.  On rho(2, 1) and rho(2, 3) a corrupted row a0 can be
-    another biadditive table, which the generator-row check catches."""
+    """Mutation check: biadditive_extend checks nothing of the table it
+    builds, so a row built along the generation tree with one wrong cell,
+    the generator rows included, comes back as the multiplication; the
+    dropped certificate, kept above as a test-side oracle, rejects each
+    such table.  On rho(2, 1) and rho(2, 3) a corrupted row a0 can be
+    another biadditive table, which only its row g_s = lambda_s check
+    rejects."""
     t = derive_addition(sys)
 
     def build():
         if odot is None:
-            return derive_multiplication_single(sys, t)
-        return derive_multiplication_indexed(sys, t, odot)
+            return derive_multiplication_single(sys, t).op
+        return derive_multiplication_indexed(sys, t, odot).table.op
 
-    honest = biadd.hom_add
+    honest_extend, honest_add = biadd.biadditive_extend, biadd.hom_add
     sections = []  # the honest sum of every hom_add call, in call order
+    calls = []  # the arguments of every biadditive_extend call
+
+    def spy(*args):
+        calls.append(args)
+        return honest_extend(*args)
 
     def record(a, b):
-        out = honest(a, b)
+        out = honest_add(a, b)
         sections.append(out.map)
         return out
 
+    monkeypatch.setattr(biadd, "biadditive_extend", spy)
     monkeypatch.setattr(biadd, "hom_add", record)
-    build()
+    honest = build()
     assert len(sections) == t.size - 1  # one sum per generation-tree edge
+    M, N, gens, lambdas, _lambda_primes = calls[0]
+    assert dropped_multiplication_certificate(M, N, gens, lambdas,
+                                              honest) is None
     for k, sec in enumerate(sections):
         for cell, v in itertools.product(range(t.size), range(t.size)):
             if v == sec[cell]:
                 continue
-            calls = []
+            count = []
 
             def corrupt(a, b):
-                out = honest(a, b)
-                calls.append(None)
-                if len(calls) - 1 == k:
+                out = honest_add(a, b)
+                count.append(None)
+                if len(count) - 1 == k:
                     out = HomTable(out.src, out.dst,
                                    sec[:cell] + (v,) + sec[cell + 1:])
                 return out
 
             monkeypatch.setattr(biadd, "hom_add", corrupt)
-            with pytest.raises(InternalInvariantViolation):
-                build()
+            op = build()
+            assert op != honest
+            assert dropped_multiplication_certificate(
+                M, N, gens, lambdas, op) is not None
