@@ -12,7 +12,7 @@ sends each closure element u to u(base).
 
 from functools import cached_property
 
-from .core import EndoMap, _Value, _gather, require_commuting
+from .core import EndoMap, _Value, _gather
 from .dsl import EXIT_OK, _emit, _load, _tsv_table
 from .errors import (
     ClosureTooLarge,
@@ -91,12 +91,10 @@ def monoid_closure(sys, limit=MAX_CLOSURE_SIZE):
     each generator f_k.  A new image table is appended with parent (i, k),
     or ClosureTooLarge raised past `limit`; its index is cayley[k][i].
 
-    Checking that the generators commute (require_commuting) checks every
-    (element, generator) pair: generators are elements, and if they commute
-    then along u_i = f_k . u_p, f_j . u_i = f_k . f_j . u_p = f_k . u_p . f_j
-    = u_i . f_j.
+    The closure is commutative: the generators of a CountingSystem commute
+    (its constructor checks them), so along u_i = f_k . u_p,
+    f_j . u_i = f_k . f_j . u_p = f_k . u_p . f_j = u_i . f_j.
     """
-    require_commuting(sys)
     elements = [EndoMap.identity(sys.size)]
     index = {elements[0].table: 0}
     parent = [None]

@@ -6,8 +6,10 @@ and systems are immutable after construction; all functions are pure.
 
 Every record subclasses `_Value`: its fields are its `__slots__`, and one
 constructor builds it from them, positionally or by keyword; only the fields
-named in the class's `_defaults` may be left out.  `Carrier`, `EndoMap` and
-`derive.MonoidTable` validate their input in constructors of their own.
+named in the class's `_defaults` may be left out.  `Carrier`, `EndoMap`,
+`CountingSystem` and `derive.MonoidTable` validate their input in
+constructors of their own.  So the maps of every `CountingSystem` commute:
+that is checked once, when the system is built, and by nothing downstream.
 """
 
 from operator import attrgetter, itemgetter
@@ -18,7 +20,6 @@ from .errors import (
     DuplicateLabel,
     EmptyIndexSet,
     IndexSetTooLarge,
-    InternalInvariantViolation,
     MinimalityRequired,
     NonCommuting,
     SingleMapRequired,
@@ -161,9 +162,31 @@ class EndoMap(_Frozen):
 
 class CountingSystem(_Frozen):
     """Carrier + base point + commuting family of self-maps: `maps` holds an
-    EndoMap per label."""
+    EndoMap per label.  The constructor validates every field, and refuses
+    non-commuting maps last, with NonCommuting at noncommuting's witness."""
 
     __slots__ = ("carrier", "base", "index_set", "maps")
+
+    def __init__(self, carrier, base, index_set, maps):
+        n = carrier.size
+        if not 0 <= base < n:
+            raise BadIndex(base, n)
+        index_set = tuple(index_set)
+        maps = tuple(maps)
+        if not index_set:
+            raise EmptyIndexSet()
+        if len(index_set) > MAX_INDEX_SET_SIZE:
+            raise IndexSetTooLarge(len(index_set), MAX_INDEX_SET_SIZE)
+        require_distinct(index_set)
+        if len(maps) != len(index_set):
+            raise BadIndex(len(maps), len(index_set))
+        for f in maps:
+            if f.carrier_size != n:
+                raise BadIndex(f.carrier_size, n)
+        w = noncommuting(index_set, maps)
+        if w is not None:
+            raise NonCommuting(*w)
+        super().__init__(carrier, base, index_set, maps)
 
     def map_for(self, label):
         try:
@@ -178,50 +201,27 @@ class CountingSystem(_Frozen):
 
 def noncommuting(index_set, maps):
     """The first (s, t, x), s before t, with f_s(f_t(x)) != f_t(f_s(x)), or
-    None when the maps commute pairwise."""
-    for i, (s, fs) in enumerate(zip(index_set, maps)):
-        for t, ft in zip(index_set[i + 1:], maps[i + 1:]):
-            f, g = fs.table, ft.table
+    None when the maps commute pairwise.
+
+    Each distinct table is compared once, under its first label, and the
+    witness is unchanged: if (i, j) is the first failing pair, an earlier
+    f_i' = f_i would make (i', j) fail first; f_j != f_i, as equal maps
+    commute, and an earlier f_j' = f_j would make (j', i) or (i, j') fail
+    first.  So i and j are the first occurrences of their tables."""
+    first = {}  # table -> its first label
+    for s, f in zip(index_set, maps):
+        first.setdefault(f.table, s)
+    tables = tuple(first.items())
+    for i, (f, s) in enumerate(tables):
+        for g, t in tables[i + 1:]:
             if _gather(f, g) != _gather(g, f):  # f . g against g . f
                 from . import laws  # only to name the witness
                 return s, t, laws.intertwines(f, g, g)
     return None
 
 
-def require_commuting(sys):
-    """Raise InternalInvariantViolation at noncommuting's witness; as
-    new_system refuses one, only a system built without it can have one."""
-    w = noncommuting(sys.index_set, sys.maps)
-    if w is not None:
-        raise InternalInvariantViolation(
-            "maps not commutative: {!r} and {!r} at {}".format(*w)
-        )
-
-
 def new_system(carrier, base, index_set, maps):
-    """Validate and build a counting system.
-
-    The commuting invariant is checked exhaustively over all label pairs and
-    all elements; the first failure is reported with its witness element.
-    """
-    n = carrier.size
-    if not 0 <= base < n:
-        raise BadIndex(base, n)
-    index_set = tuple(index_set)
-    maps = tuple(maps)
-    if not index_set:
-        raise EmptyIndexSet()
-    if len(index_set) > MAX_INDEX_SET_SIZE:
-        raise IndexSetTooLarge(len(index_set), MAX_INDEX_SET_SIZE)
-    require_distinct(index_set)
-    if len(maps) != len(index_set):
-        raise BadIndex(len(maps), len(index_set))
-    for f in maps:
-        if f.carrier_size != n:
-            raise BadIndex(f.carrier_size, n)
-    w = noncommuting(index_set, maps)
-    if w is not None:
-        raise NonCommuting(*w)
+    """A validated counting system: the CountingSystem constructor."""
     return CountingSystem(carrier, base, index_set, maps)
 
 

@@ -14,7 +14,6 @@ from .core import (
     minimal_core,
     pad_single,
     propagate,
-    require_distinct,
     require_minimal,
     single_map_subsystem,
 )
@@ -231,14 +230,13 @@ def initiality_report(sys):
 
 def relabel_index_set(sys, mapping):
     """Rename index labels via an explicit old -> new mapping; the new labels
-    must be non-empty and distinct (DuplicateLabel otherwise)."""
+    must be non-empty and distinct (DuplicateLabel from CountingSystem)."""
     new_labels = []
     for lab in sys.index_set:
         if lab not in mapping:
             raise UnknownLabel(lab, tuple(mapping))
         new_labels.append(mapping[lab])
-    require_distinct(new_labels)
-    return CountingSystem(sys.carrier, sys.base, tuple(new_labels), sys.maps)
+    return CountingSystem(sys.carrier, sys.base, new_labels, sys.maps)
 
 
 def _pairs(text, sep, option, form):

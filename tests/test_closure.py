@@ -27,8 +27,8 @@ from countsys.derive import derive_addition
 from countsys.errors import (
     ClosureTooLarge,
     CompositionTableTooLarge,
-    InternalInvariantViolation,
     LimitExceeded,
+    NonCommuting,
     WordsTooLarge,
 )
 from countsys.fixtures import cyc, one_point, rho, zpair
@@ -287,13 +287,13 @@ def test_derive_addition_never_reads_comp(monkeypatch):
 
 
 def test_commutativity_guard_rejects_non_commuting_maps():
-    # built without new_system, which would refuse the pair
-    sys = CountingSystem(
-        Carrier(("a", "b", "c")), 0, ("s", "t"),
-        (EndoMap((1, 2, 0)), EndoMap((1, 0, 2))),
-    )
-    with pytest.raises(InternalInvariantViolation, match="not commutative"):
-        monoid_closure(sys)
+    # monoid_closure's commutativity rests on this guard in the constructor
+    with pytest.raises(NonCommuting) as exc:
+        CountingSystem(
+            Carrier(("a", "b", "c")), 0, ("s", "t"),
+            (EndoMap((1, 2, 0)), EndoMap((1, 0, 2))),
+        )
+    assert (exc.value.s, exc.value.t, exc.value.x) == ("s", "t", 0)
 
 
 def test_full_table_is_refused_above_its_limit_before_allocating():

@@ -8,7 +8,7 @@ import pickle
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from countsys import laws
 from countsys.core import (
@@ -38,6 +38,8 @@ from countsys.errors import (
     UnknownLabel,
 )
 from countsys.fixtures import cyc, one_point, rho, zpair
+from countsys.morphisms import relabel_index_set
+from test_laws import FIXTURES, _enumeration, _system, minimal_systems
 
 
 @st.composite
@@ -165,20 +167,63 @@ def test_new_system_rejects_non_commuting_family():
     assert f(g(x)) != g(f(x))
 
 
-@pytest.mark.parametrize("n, k", [(1, 2), (2, 2), (3, 2), (2, 3)])
+def oracle_noncommuting(labels, tables):
+    """The first (s, t, x) with f_s(f_t(x)) != f_t(f_s(x)), cell by cell
+    over the label pairs in order, or None."""
+    return next((
+        (labels[i], labels[j], x)
+        for i, j in itertools.combinations(range(len(tables)), 2)
+        for x in range(len(tables[i]))
+        if tables[i][tables[j][x]] != tables[j][tables[i][x]]), None)
+
+
+@pytest.mark.parametrize("n, k", [(1, 2), (2, 2), (3, 2), (2, 3), (2, 4)])
 def test_noncommuting_names_the_first_failing_pair_and_element(n, k):
-    """The composites are compared whole, yet the witness is the first that
-    a cell-by-cell loop finds: over every family of k maps on n points."""
-    labels = ("s", "t", "u")[:k]
+    """The composites are compared whole, and each distinct table once, yet
+    the witness is the first that a cell-by-cell loop finds: over every
+    family of k maps on n points, repeated maps among them."""
+    labels = ("s", "t", "u", "v")[:k]
     tables = list(itertools.product(range(n), repeat=n))
     for family in itertools.product(tables, repeat=k):
-        expected = next((
-            (labels[i], labels[j], x)
-            for i, j in itertools.combinations(range(k), 2)
-            for x in range(n)
-            if family[i][family[j][x]] != family[j][family[i][x]]), None)
         maps = tuple(map(EndoMap, family))
-        assert noncommuting(labels, maps) == expected, family
+        assert noncommuting(labels, maps) == oracle_noncommuting(
+            labels, family), family
+
+
+def _constructions(sys, other):
+    """sys, and each system that `core` and `morphisms` build from it: its
+    minimal core, its product with `other`, each label padded and alone,
+    its labels renamed and, for one map, omega adjoined."""
+    yield sys
+    yield minimal_core(sys)
+    yield product(sys, other)
+    yield relabel_index_set(sys, {lab: lab + "'" for lab in sys.index_set})
+    for lab in sys.index_set:
+        yield pad_single(sys, lab)
+        yield single_map_subsystem(sys, lab)
+    if len(sys.maps) == 1:
+        yield adjoin_omega(sys)
+
+
+def _assert_commutes(sys):
+    for built in _constructions(sys, zpair(2)):
+        tables = [f.table for f in built.maps]
+        assert oracle_noncommuting(built.index_set, tables) is None, built
+
+
+def test_every_construction_commutes_on_enumerations_and_fixtures():
+    """Every CountingSystem commutes, whoever builds it: checked against
+    the cell-by-cell oracle, not against the constructor's own check."""
+    for sys in FIXTURES:
+        _assert_commutes(sys)
+    for tables in _enumeration():
+        _assert_commutes(_system(0, tables))
+
+
+@settings(max_examples=30, deadline=None)
+@given(minimal_systems())
+def test_every_construction_commutes_on_random_minimal_systems(sys):
+    _assert_commutes(sys)
 
 
 def test_new_system_accepts_commuting_family():

@@ -2,6 +2,7 @@
 
 import pytest
 
+from countsys import core
 from countsys.core import (
     Carrier,
     CountingSystem,
@@ -21,13 +22,9 @@ from countsys.derive import (
     submonoid_closure,
     verify_plus_axioms,
 )
-from countsys.errors import (
-    InternalInvariantViolation,
-    MinimalityRequired,
-    NonCommuting,
-)
+from countsys.errors import MinimalityRequired, NonCommuting
 from countsys.fixtures import cyc, one_point, rho, rho_collapse, zpair
-from test_laws import closure_transfer
+from test_laws import closure_transfer, dropped_addition_checks
 
 
 def modular_table(n):
@@ -68,21 +65,27 @@ def test_derive_addition_requires_minimality():
 NON_COMMUTING = (EndoMap((1, 2, 0, 3)), EndoMap((1, 0, 2, 3)))
 
 
-def test_derive_addition_refuses_non_commuting_maps_as_a_bug():
-    # built without new_system, which would refuse the pair
+@pytest.mark.parametrize("n", [3, 4])
+def test_counting_system_refuses_the_non_commuting_maps(n):
+    """No system with these maps can be built, so derive_addition never sees
+    one: neither on 3 points, where they reach everything, nor on 4, where
+    point d is unreachable and minimality would be refused too."""
+    maps = tuple(EndoMap(f.table[:n]) for f in NON_COMMUTING)
+    with pytest.raises(NonCommuting) as exc:
+        CountingSystem(Carrier(("a", "b", "c", "d")[:n]), 0, ("s", "t"), maps)
+    assert (exc.value.s, exc.value.t, exc.value.x) == ("s", "t", 0)
+
+
+def test_the_addition_proof_rests_on_the_constructors_commuting_check(
+    monkeypatch
+):
+    """Mutation check: with noncommuting blinded, CountingSystem accepts the
+    3-point maps, and derive_addition, which checks only minimality, returns
+    a table that the checks its proof replaced reject."""
+    monkeypatch.setattr(core, "noncommuting", lambda index_set, maps: None)
     sys = CountingSystem(Carrier(("a", "b", "c")), 0, ("s", "t"),
                          tuple(EndoMap(f.table[:3]) for f in NON_COMMUTING))
-    with pytest.raises(InternalInvariantViolation,
-                       match=r"^maps not commutative: 's' and 't' at 0$"):
-        derive_addition(sys)
-
-
-def test_derive_addition_checks_minimality_before_commuting():
-    sys = CountingSystem(Carrier(("a", "b", "c", "d")), 0, ("s", "t"),
-                         NON_COMMUTING)
-    with pytest.raises(MinimalityRequired) as exc:
-        derive_addition(sys)
-    assert exc.value.unreachable == (3,)
+    assert dropped_addition_checks(sys, derive_addition(sys).op) is not None
 
 
 @pytest.mark.parametrize("n", [3, 4])

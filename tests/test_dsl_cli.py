@@ -801,6 +801,38 @@ def test_add_mul_and_free_report_run_no_table_law(tmp_path, monkeypatch):
         assert checked == ([k, k] if argv[0] == "mul" else []), argv
 
 
+def test_each_system_is_checked_for_commuting_once(tmp_path, monkeypatch):
+    """The maps of a CountingSystem commute by construction, so a command
+    makes the commuting check once per system it builds: once for the
+    input, and once more for its core under --auto-core on a non-minimal
+    input.  Nothing downstream checks again."""
+    from countsys import core
+    calls = []
+    noncommuting = core.noncommuting
+
+    def counted(index_set, maps):
+        calls.append(index_set)
+        return noncommuting(index_set, maps)
+
+    c = write(tmp_path, "c.csys", emit_system(cyc(64)))
+    z = write(tmp_path, "z.csys", emit_system(_shifts(63, (1, 22, 43))))
+    o = write(tmp_path, "z.odot", "odot\n" + "".join(
+        f"s{a} s{b} = s{a * b % 63}\n" for a in (1, 22, 43)
+        for b in (1, 22, 43)))
+    r = write(tmp_path, "r.csys", emit_system(product(cyc(2), cyc(4))))
+    monkeypatch.setattr(core, "noncommuting", counted)
+    for argv, systems in [
+        (["add", c], 1), (["mul", c], 1), (["free-report", c], 1),
+        (["closure", c], 1), (["add", z], 1), (["mul", z, "--odot", o], 1),
+        (["free-report", z], 1), (["closure", z], 1),
+        (["--auto-core", "add", r], 2),
+    ]:
+        calls.clear()
+        code, _out, err = run(argv)
+        assert (code, err) == (0, ""), argv
+        assert len(calls) == systems, argv
+
+
 def test_mul_at_the_label_limit(tmp_path):
     """16 labels, the declared limit: Z_256 with the shifts by 17^i,
     i < 16.  17 has order 16 mod 256, so the odot of their products is
