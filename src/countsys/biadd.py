@@ -12,8 +12,8 @@ proof, not by a check of the table.
 """
 
 from . import laws
-from .core import _Value, _gather, propagate, require_single_map
-from .derive import derive_addition, require_generates, submonoid_closure
+from .core import _Value, _gather, _orbit, propagate, require_single_map
+from .derive import derive_addition, require_generates
 from .dsl import (
     EXIT_ERROR, EXIT_NEGATIVE, EXIT_OK, _emit, _load, _read, _tsv_table,
     parse_odot,
@@ -313,7 +313,8 @@ class CyclicFreeness(_Value):
 
     @property
     def free(self):
-        # the submonoid is the orbit of zero under +g, so it is minimal
+        # the submonoid is the orbit of zero under +g, so it is minimal; both
+        # flags are "its tail is 0" (is_free_report), so this is never true
         return self.injective and not self.zero_in_image
 
 
@@ -330,19 +331,17 @@ class FreeReport(_Value):
 def is_free_report(t, gens):
     """Freeness of the table with respect to its generators, decided on finite
     data: the direct-sum condition plus, per generator, the Peano conditions
-    for its cyclic submonoid (which always fail on a finite carrier)."""
+    for its cyclic submonoid (which always fail on a finite carrier), the
+    orbit of zero under +g: +g is injective on it iff zero is in its image
+    iff its tail is 0 (_orbit)."""
     gens = tuple(gens)
     ds = direct_sum_report(t, gens)  # raises unless gens generate t
     cyclic = []
     for i, g in enumerate(gens):
-        sub = sorted(submonoid_closure(t, (g,)))
-        pos = {a: k for k, a in enumerate(sub)}
-        tau = _gather(pos, _gather(t.op[g], sub))
-        injective = len(set(tau)) == len(tau)
-        zero_in_image = pos[t.zero] in set(tau)
+        points, tail = _orbit(t.op[g], t.zero)
+        closed = tail == 0
         cyclic.append(
-            CyclicFreeness(i, g, tuple(sub), injective, zero_in_image)
-        )
+            CyclicFreeness(i, g, tuple(sorted(points)), closed, closed))
     return FreeReport(ds, cyclic)
 
 

@@ -39,6 +39,24 @@ def _gather(seq, idx):
     return tuple(seq[i] for i in idx)
 
 
+def _orbit(f, x, steps=None):
+    """(points, tail): x, f[x], ... up to the first repeat, with f mapping
+    the last point to points[tail]; with `steps`, at most that many points,
+    and tail None if the walk was cut short.  f moves points[i] to
+    points[i + 1], so f's image of the orbit is points[1:] plus
+    points[tail]: on the orbit, f is injective iff tail == 0 iff x is in
+    that image."""
+    points = []
+    index = {}  # point -> its position in points
+    while x not in index:
+        if len(points) == steps:
+            return points, None
+        index[x] = len(points)
+        points.append(x)
+        x = f[x]
+    return points, index[x]
+
+
 def require_distinct(labels):
     """Raise DuplicateLabel for the first empty or repeated label."""
     seen = set()
@@ -376,16 +394,15 @@ def adjoin_omega(sys):
 def is_dedekind(sys):
     """Minimal, injective map, base outside the image.  Single-map systems only.
 
+    The base's orbit is the carrier BFS, so the system is minimal iff it is
+    the carrier, and then the base is in the image iff its tail is 0.
     Always false on a finite carrier: an injective self-map of a finite set is
     surjective, so the base is in the image.
     """
     require_single_map(sys)
     f = sys.maps[0]
-    return (
-        is_minimal(sys)
-        and f.is_injective()
-        and sys.base not in set(f.table)
-    )
+    points, tail = _orbit(f.table, sys.base)
+    return len(points) == sys.size and f.is_injective() and tail != 0
 
 
 def pad_single(sys, label):

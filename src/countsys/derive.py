@@ -147,16 +147,6 @@ def cayley_embedding(t):
     return laws.associative(t.op) is None
 
 
-def submonoid_closure(t, gens):
-    """Least subset containing zero and closed under adding the generators."""
-    edges = [(t.op[g].__getitem__, None) for g in gens]
-    return set(propagate(t.zero, None, edges).order)
-
-
-def generates(t, gens):
-    return len(submonoid_closure(t, gens)) == t.size
-
-
 def require_generates(t, gens):
     """The breadth-first pass from zero adding gens[k] on edge k; raises
     GensDoNotGenerate, with the missing elements, unless it reaches all."""

@@ -11,11 +11,9 @@ from .core import (
     _Frozen,
     _Value,
     _gather,
-    minimal_core,
-    pad_single,
+    _orbit,
     propagate,
     require_minimal,
-    single_map_subsystem,
 )
 from .dsl import EXIT_NEGATIVE, EXIT_OK, _emit, _load
 from .errors import IndexSetMismatch, ParseError, UnknownLabel
@@ -124,33 +122,23 @@ def free_add(a, b):
     return FreeElement(tuple(sorted(counts.items())))
 
 
-def _iterate(f, y, count):
-    """f applied `count` times to y, in at most n steps: once the orbit of y
-    returns to a point it has visited, the rest of the count is reduced
-    modulo the cycle it has closed."""
-    orbit = []
-    step_of = {}  # point -> the step at which the orbit first reached it
-    for step in range(count):
-        if y in step_of:
-            start = step_of[y]
-            return orbit[start + (count - start) % (step - start)]
-        step_of[y] = step
-        orbit.append(y)
-        y = f(y)
-    return y
-
-
 def free_eval(target, e, order=None):
     """Apply each generator as many times as its multiplicity, starting at the
     target's base.  The result is independent of application order because the
-    family commutes; `order` overrides the default label order for testing."""
+    family commutes; `order` overrides the default label order for testing.
+    f^c(y) is points[c] of y's orbit walked for c + 1 points, or, if it
+    closed sooner, c reduced modulo its cycle points[tail:]."""
     for lab, _ in e.multiplicity:
         if lab not in target.index_set:
             raise UnknownLabel(lab, target.index_set)
     y = target.base
     if order is None:
-        for lab in target.index_set:
-            y = _iterate(target.map_for(lab), y, e.count(lab))
+        for lab, f in zip(target.index_set, target.maps):
+            count = e.count(lab)
+            points, tail = _orbit(f.table, y, count + 1)
+            if count >= len(points):
+                count = tail + (count - tail) % (len(points) - tail)
+            y = points[count]
         return y
     for lab in order:
         y = target.map_for(lab)(y)
@@ -165,7 +153,7 @@ def free_uniqueness_probe(target, bound):
     by induction over degree; every inductive route must agree with free_eval.
     A run without conflict has checked every route, since each e - unit_s
     has degree below `bound` and was expanded along s; the comparison with
-    free_eval cross-checks its count reduction (`_iterate`).
+    free_eval cross-checks its count reduction along the orbit.
     """
     require_minimal(target)
     prop = propagate(free_zero(), target.base, [
@@ -207,24 +195,29 @@ def initiality_report(sys):
     finite carrier the second condition always fails, so the diagnostics are
     the informative content.
 
+    After one minimality check, the search at a label is morphism_find's
+    propagation onto pad_single(sys, label), without building that system:
+    the other maps push the identity (None), and on a minimal source a run
+    without conflict is the morphism.
+
     The single-map core at a label is the cyclic submonoid of the derived
     table generated by x_s = f_s(base): adding x_s is f_s (row x_s is the
     closure element f_s, by derive_addition's proof), so that submonoid is
-    the orbit of the base under f_s.
+    the orbit of the base under f_s, and _orbit gives its facts.
     """
     require_minimal(sys)
     conditions = []
-    for lab in sys.index_set:
-        padded = pad_single(sys, lab)
-        has_morphism = morphism_find(sys, padded) is not None
-        core = minimal_core(single_map_subsystem(sys, lab))
-        f = core.maps[0]
-        injective = f.is_injective()
-        base_in_image = core.base in set(f.table)
+    for lab, f in zip(sys.index_set, sys.maps):
+        prop = propagate(sys.base, sys.base, [
+            (g.table.__getitem__, g.table.__getitem__ if t == lab else None)
+            for t, g in zip(sys.index_set, sys.maps)
+        ])
+        points, tail = _orbit(f.table, sys.base)
+        injective = base_in_image = tail == 0
         dedekind = injective and not base_in_image  # the core is minimal
         conditions.append(InitialityCondition(
-            lab, has_morphism, core.size, injective, base_in_image, dedekind
-        ))
+            lab, prop.conflict is None, len(points), injective,
+            base_in_image, dedekind))
     return InitialityReport(conditions)
 
 

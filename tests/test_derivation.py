@@ -3,6 +3,7 @@
 import pytest
 
 from countsys import core
+from countsys.biadd import is_free_report
 from countsys.core import (
     Carrier,
     CountingSystem,
@@ -16,15 +17,15 @@ from countsys.derive import (
     cayley_embedding,
     classify,
     derive_addition,
-    generates,
     product_table,
     reconstruct_addition,
-    submonoid_closure,
     verify_plus_axioms,
 )
 from countsys.errors import MinimalityRequired, NonCommuting
 from countsys.fixtures import cyc, one_point, rho, rho_collapse, zpair
-from test_laws import closure_transfer, dropped_addition_checks
+from test_laws import (
+    closure_transfer, dropped_addition_checks, generates, submonoid_closure,
+)
 
 
 def modular_table(n):
@@ -182,12 +183,18 @@ def test_cayley_embedding_holds_on_all_fixtures():
 
 
 def test_submonoid_closure_and_generates():
+    # the test-side reference propagation; the cyclic submonoids that
+    # is_free_report reads from the orbit of zero agree with it
     t = derive_addition(cyc(6))
     assert submonoid_closure(t, (2,)) == {0, 2, 4}
     assert submonoid_closure(t, (2, 3)) == set(range(6))
     assert not generates(t, (2,))
     assert generates(t, (1,))
     assert generates(t, (5,))
+    rep = is_free_report(t, (2, 3))
+    assert [c.submonoid for c in rep.cyclic] == [(0, 2, 4), (0, 3)]
+    assert [set(c.submonoid) for c in rep.cyclic] == [
+        submonoid_closure(t, (g,)) for g in (2, 3)]
 
 
 def test_product_table_componentwise():

@@ -805,14 +805,22 @@ def test_each_system_is_checked_for_commuting_once(tmp_path, monkeypatch):
     """The maps of a CountingSystem commute by construction, so a command
     makes the commuting check once per system it builds: once for the
     input, and once more for its core under --auto-core on a non-minimal
-    input.  Nothing downstream checks again."""
+    input.  Nothing downstream checks again.  `initial` reads each label's
+    morphism search and core from the input system itself, and checks its
+    minimality once: one carrier BFS (core.reach)."""
     from countsys import core
     calls = []
+    reaches = []
     noncommuting = core.noncommuting
+    reach = core.reach
 
     def counted(index_set, maps):
         calls.append(index_set)
         return noncommuting(index_set, maps)
+
+    def counted_reach(sys):
+        reaches.append(sys)
+        return reach(sys)
 
     c = write(tmp_path, "c.csys", emit_system(cyc(64)))
     z = write(tmp_path, "z.csys", emit_system(_shifts(63, (1, 22, 43))))
@@ -821,16 +829,21 @@ def test_each_system_is_checked_for_commuting_once(tmp_path, monkeypatch):
         for b in (1, 22, 43)))
     r = write(tmp_path, "r.csys", emit_system(product(cyc(2), cyc(4))))
     monkeypatch.setattr(core, "noncommuting", counted)
+    monkeypatch.setattr(core, "reach", counted_reach)
     for argv, systems in [
         (["add", c], 1), (["mul", c], 1), (["free-report", c], 1),
-        (["closure", c], 1), (["add", z], 1), (["mul", z, "--odot", o], 1),
-        (["free-report", z], 1), (["closure", z], 1),
-        (["--auto-core", "add", r], 2),
+        (["closure", c], 1), (["initial", c], 1), (["analyze", c], 1),
+        (["add", z], 1), (["mul", z, "--odot", o], 1),
+        (["free-report", z], 1), (["closure", z], 1), (["initial", z], 1),
+        (["analyze", z], 1), (["--auto-core", "add", r], 2),
     ]:
         calls.clear()
+        reaches.clear()
         code, _out, err = run(argv)
         assert (code, err) == (0, ""), argv
         assert len(calls) == systems, argv
+        if argv[0] == "initial":
+            assert len(reaches) == 1, argv
 
 
 def test_mul_at_the_label_limit(tmp_path):

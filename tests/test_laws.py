@@ -10,15 +10,17 @@ oracle's verdict wherever their preconditions hold.
 
 The constructions the derive path no longer makes are kept here as oracles
 too: the closure transfer of the addition, the biadditive build behind the
-direct-sum verdict, the cyclic submonoids behind the initiality report and
-the biadditive extension propagated along every generator edge.  So are the
-checks the package no longer makes: the laws of the derived addition (its
-generator rows, Light's test at the generators, and commutativity), which
-derive_addition's proof implies; the multiplication laws and the
-certificate of the biadditive extension (its rows and columns
-homomorphisms, its generator rows the prescribed sections), which
-biadditive_extend's proof implies; and the generator values checked after
-a homomorphism extension and the generation pass made before it.
+direct-sum verdict, the submonoid closure by propagation (the cyclic
+submonoids of the initiality and freeness reports are read from an orbit
+now; test_orbit.py compares them) and the biadditive extension propagated
+along every generator edge.  So are the checks the package no longer
+makes: the laws of the derived addition (its generator rows, Light's test
+at the generators, and commutativity), which derive_addition's proof
+implies; the multiplication laws and the certificate of the biadditive
+extension (its rows and columns homomorphisms, its generator rows the
+prescribed sections), which biadditive_extend's proof implies; and the
+generator values checked after a homomorphism extension and the
+generation pass made before it.
 """
 
 import collections
@@ -54,6 +56,7 @@ from countsys.core import (
     CountingSystem,
     EndoMap,
     Propagation,
+    _orbit,
     is_minimal,
     minimal_core,
     new_system,
@@ -68,11 +71,9 @@ from countsys.derive import (
     cayley_embedding,
     classify,
     derive_addition,
-    generates,
     product_table,
     reconstruct_addition,
     require_generates,
-    submonoid_closure,
     verify_plus_axioms,
 )
 from countsys.dsl import parse_odot
@@ -82,6 +83,7 @@ from countsys.errors import (
     InternalInvariantViolation,
 )
 from countsys.fixtures import SIGN_ODOT_LINES, cyc, one_point, rho, zpair
+from countsys.morphisms import initiality_report
 
 # -- oracles -------------------------------------------------------------------
 
@@ -727,6 +729,18 @@ def closure_transfer(sys):
     return tuple(tm.elements[i].table for i in ev.inverse)
 
 
+def submonoid_closure(t, gens):
+    """The least subset containing zero and closed under adding the
+    generators: the propagation that decided generation and built the
+    cyclic submonoids before they were read from an orbit."""
+    edges = [(t.op[g].__getitem__, None) for g in gens]
+    return set(propagate(t.zero, None, edges).order)
+
+
+def generates(t, gens):
+    return len(submonoid_closure(t, gens)) == t.size
+
+
 def diagonal_direct_sum_report(t, gens):
     """The direct-sum decision with the diagonal table built: projections,
     their biadditive extension, its generator values and the glueing
@@ -903,12 +917,16 @@ def test_direct_sum_report_agrees_with_the_diagonal_build():
 
 def test_initiality_cores_are_the_cyclic_submonoids():
     # initiality_report's single-map core at s, as a subset of the carrier,
-    # is the submonoid of the derived table that x_s generates
+    # is the submonoid of the derived table that x_s generates: the orbit
+    # of the base under f_s, and the carrier of the single-map subsystem
     for sys in _minimal_systems():
         t = derive_addition(sys)
-        for lab, f in zip(sys.index_set, sys.maps):
-            assert submonoid_closure(t, (f(sys.base),)) == \
-                reachable_set(single_map_subsystem(sys, lab))
+        rep = initiality_report(sys)
+        for lab, f, cond in zip(sys.index_set, sys.maps, rep.conditions):
+            sub = submonoid_closure(t, (f(sys.base),))
+            assert sub == set(_orbit(f.table, sys.base)[0])
+            assert sub == reachable_set(single_map_subsystem(sys, lab))
+            assert cond.core_size == len(sub)
 
 
 # -- the checks the multiplication no longer makes -----------------------------
