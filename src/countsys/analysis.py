@@ -1,7 +1,8 @@
 """Aggregate structural report for a counting system."""
 
-from .core import _Value, is_dedekind, reachable_set
+from .core import _Value, is_dedekind
 from .dsl import EXIT_OK, _emit, _load
+from .errors import MinimalityRequired
 from .morphisms import initiality_report
 
 
@@ -18,17 +19,16 @@ class AnalysisReport(_Value):
 
 
 def analyze(sys):
-    core_size = len(reachable_set(sys))
-    minimal = core_size == sys.size
-    # a self-map of a finite carrier is injective iff it is surjective, so
-    # injectivity decides all three flags
-    flags = {}
-    for lab, f in zip(sys.index_set, sys.maps):
-        injective = f.is_injective()
-        flags[lab] = MapFlags(injective, injective, injective)
+    try:  # one carrier BFS; MinimalityRequired names the unreachable set
+        rep, core_size = initiality_report(sys), sys.size
+    except MinimalityRequired as exc:
+        rep, core_size = None, sys.size - len(exc.unreachable)
+    # a self-map of a finite carrier is injective iff it is surjective
+    flags = {lab: MapFlags(*[f.is_injective()] * 3)
+             for lab, f in zip(sys.index_set, sys.maps)}
     dedekind = is_dedekind(sys) if len(sys.index_set) == 1 else None
-    rep = initiality_report(sys) if minimal else None
-    initial = rep is not None and rep.initial
+    minimal = rep is not None
+    initial = minimal and rep.initial
     return AnalysisReport(minimal, core_size, flags, dedekind, initial, rep)
 
 

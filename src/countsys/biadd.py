@@ -3,9 +3,9 @@
 A homomorphism out of a finitely generated table is determined by its values
 on the generators; extension proceeds by forced propagation along generator
 words, and a run without conflict is the extension.  The biadditive
-extension checks its section homomorphisms at the generators and builds its
-rows along the generation tree; its proof gives every law of the table and
-of the multiplications built on it, and none is checked.
+extension checks its sections at the generators and walks each row, a
+homomorphism, along the generation tree; its proof gives every law of the
+table and of the multiplications built on it, and none is checked.
 A table `t` passed with a system `sys` must be derive_addition(sys), a
 commutative monoid generated by the x_s = f_s(base) by that function's
 proof, not by a check of the table.
@@ -64,18 +64,6 @@ def make_hom(src, dst, mapping):
 
 def identity_hom(t):
     return HomTable(t, t, tuple(range(t.size)))
-
-
-def zero_hom(src, dst):
-    return HomTable(src, dst, (dst.zero,) * src.size)
-
-
-def hom_add(a, b):
-    """Pointwise sum of two homomorphisms into the same commutative table."""
-    dst = a.dst
-    return HomTable(
-        a.src, dst, tuple(dst.op[x][y] for x, y in zip(a.map, b.map))
-    )
 
 
 def hom_extend_report(src, dst, gens, targets):
@@ -141,17 +129,22 @@ def biadditive_extend(M, N, gens, lambdas, lambda_primes):
     checked, and so is each section: additive at the generators, it is a
     homomorphism (laws.homomorphism).  No caller passes one that is not, so
     that failure raises InternalInvariantViolation.  The table is not
-    checked.  Row zero is zero and row a is lambda_k + row p along the edge
-    a = g_k + p of require_generates' tree.  Proof that it is biadditive
-    (M, N commutative monoids, gens generating M, sections as checked):
-    - row a, a sum of lambdas along its tree path, is a homomorphism;
-    - row a (g_t) = lambda'_t(a), by induction along the tree from
+    checked.  Row a is walked along require_generates' tree: row a (zero)
+    is zero and row a (g_k + p) = lambda'_k(a) + row a (p) on each edge.
+    Proof (M, N commutative monoids, gens generating M, sections as
+    checked): let S have row zero zero and row c = lambda_k + row p on each
+    edge c = g_k + p; then
+    - row a of S, a sum of lambdas along its tree path, is a homomorphism;
+    - row a of S (g_t) = lambda'_t(a), by induction along the tree from
       row zero (g_t) = zero = lambda'_t(zero): row a (g_t) is
       lambda_k(g_t) + row p (g_t) = lambda'_t(g_k) + lambda'_t(p);
     - so row (a + b) and row a + row b are homomorphisms agreeing on the
       generators, which generate M: they are equal.  Every column is
-      additive and row zero is zero, so the table is biadditive;
-    - row g_s (g_t) = lambda'_t(g_s) = lambda_s(g_t), so row g_s = lambda_s.
+      additive and row zero is zero, so S is biadditive;
+    - row g_s (g_t) = lambda'_t(g_s) = lambda_s(g_t), so row g_s = lambda_s;
+    - the walk gives S, as a homomorphism h is fixed by its values on gens:
+      h(g_k + p) = h(g_k) + h(p), and row a of S has h(g_k) = lambda'_k(a).
+      Nothing new is checked; the lambdas stay checked, as S's premise.
     Biadditive tables agreeing on generator pairs are equal: the rows at
     each g_s agree, and then every column does.  Likewise maps additive in
     each of three arguments are fixed by their values on generator triples.
@@ -168,11 +161,14 @@ def biadditive_extend(M, N, gens, lambdas, lambda_primes):
         if i is not None:
             raise InternalInvariantViolation(
                 f"{side} section {i} is no homomorphism")
-    rows = [zero_hom(M, N)] * M.size
-    for a in tree.order[1:]:
-        p, k = tree.parent[a]
-        rows[a] = hom_add(lambdas[k], rows[p])
-    return BiadditiveTable(M, N, tuple(r.map for r in rows))
+    edges = [(*tree.parent[c], c) for c in tree.order[1:]]
+    rows, row = [], [N.zero] * M.size  # the walk rewrites all but row[zero]
+    for a in range(M.size):
+        u = [N.op[lamp.map[a]] for lamp in lambda_primes]
+        for p, k, c in edges:
+            row[c] = u[k][row[p]]
+        rows.append(tuple(row))
+    return BiadditiveTable(M, N, tuple(rows))
 
 
 def derive_multiplication_single(sys, t):

@@ -156,6 +156,8 @@ def parse_odot(text, index_set=None):
             if unit is not None:
                 raise ParseError(lineno, 1, "duplicate 'unit' declaration")
             unit, unit_line = tokens[1], lineno
+            if index_set is not None and unit not in index_set:
+                raise ParseError(lineno, 1, f"unknown unit label {unit!r}")
             labels.add(unit)
             continue
         if not entry:

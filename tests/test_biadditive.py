@@ -13,7 +13,6 @@ from countsys.biadd import (
     derive_multiplication_single,
     direct_sum_check,
     direct_sum_report,
-    hom_add,
     hom_extend,
     hom_extend_report,
     identity_hom,
@@ -22,7 +21,6 @@ from countsys.biadd import (
     is_hom,
     make_hom,
     projections,
-    zero_hom,
 )
 from countsys.derive import derive_addition, product_table
 from countsys.errors import (
@@ -51,15 +49,6 @@ def test_is_hom_on_cyclic_tables():
     assert not is_hom(z6, z3, tuple([0, 1, 2, 0, 1, 1]))
     with pytest.raises(InternalInvariantViolation):
         make_hom(z6, z3, (0, 1, 2, 0, 1, 1))
-
-
-def test_hom_add_is_pointwise():
-    z5 = derive_addition(cyc(5))
-    ident = identity_hom(z5)
-    doubled = hom_add(ident, ident)
-    assert doubled.map == tuple((2 * i) % 5 for i in range(5))
-    assert is_hom(z5, z5, doubled.map)
-    assert hom_add(ident, zero_hom(z5, z5)).map == ident.map
 
 
 def test_hom_extend_finds_the_unique_extension():

@@ -39,6 +39,7 @@ from countsys.morphisms import (
     _cmd_free_eval, _cmd_initial, _cmd_morphism, morphism_find,
 )
 from test_closure import cycles
+from test_laws import _shifts
 
 CYC3 = """\
 # a three-cycle
@@ -548,7 +549,8 @@ def test_cli_mul_indexed(tmp_path):
      "'-' is not a two-sided unit: - + = -"),
     (("odot", "+ + = +", "+ - = -", "- + = +", "- - = -", "unit +"),
      "'+' is not a two-sided unit: - + = +"),
-], ids=["not-a-unit", "left-unit-only"])
+    (SIGN_ODOT_LINES[:-1] + ("unit q",), "unknown unit label 'q'"),
+], ids=["not-a-unit", "left-unit-only", "not-a-label"])
 def test_cli_mul_rejects_a_false_odot_unit(tmp_path, table, message):
     sys_path = write(tmp_path, "z.csys", emit_system(zpair(5), name="z5"))
     od_path = write(tmp_path, "u.odot", "\n".join(table) + "\n")
@@ -732,12 +734,6 @@ def test_cli_names_product_labels(tmp_path):
         "items, got '(x'\n")
 
 
-def _shifts(n, steps):
-    """Z_n with one label per step c, for the map x -> x + c."""
-    maps = tuple(EndoMap(tuple((x + c) % n for x in range(n))) for c in steps)
-    return new_system(cyc(n).carrier, 0, tuple(f"s{c}" for c in steps), maps)
-
-
 def _modular_tsv(n, op):
     """The TSV text of the table (a, b) -> op(a, b) mod n on e0 ... e{n-1}."""
     labels = [f"e{i}" for i in range(n)]
@@ -807,7 +803,8 @@ def test_each_system_is_checked_for_commuting_once(tmp_path, monkeypatch):
     input, and once more for its core under --auto-core on a non-minimal
     input.  Nothing downstream checks again.  `initial` reads each label's
     morphism search and core from the input system itself, and checks its
-    minimality once: one carrier BFS (core.reach)."""
+    minimality once: one carrier BFS (core.reach).  `analyze` reads its
+    minimality and core size from that same check."""
     from countsys import core
     calls = []
     reaches = []
@@ -842,7 +839,7 @@ def test_each_system_is_checked_for_commuting_once(tmp_path, monkeypatch):
         code, _out, err = run(argv)
         assert (code, err) == (0, ""), argv
         assert len(calls) == systems, argv
-        if argv[0] == "initial":
+        if argv[0] in ("initial", "analyze"):
             assert len(reaches) == 1, argv
 
 

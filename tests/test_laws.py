@@ -12,11 +12,12 @@ The constructions the derive path no longer makes are kept here as oracles
 too: the closure transfer of the addition, the biadditive build behind the
 direct-sum verdict, the submonoid closure by propagation (the cyclic
 submonoids of the initiality and freeness reports are read from an orbit
-now; test_orbit.py compares them) and the biadditive extension propagated
-along every generator edge.  So are the checks the package no longer
-makes: the laws of the derived addition (its generator rows, Light's test
-at the generators, and commutativity), which derive_addition's proof
-implies; the multiplication laws and the certificate of the biadditive
+now; test_orbit.py compares them), the biadditive extension propagated
+along every generator edge, and its build by pointwise row sums along the
+generation tree, which the walk of each row replaced.  So are the checks
+the package no longer makes: the laws of the derived addition (its
+generator rows, Light's test at the generators, and commutativity), which
+derive_addition's proof implies; the multiplication laws and the certificate of the biadditive
 extension (its rows and columns homomorphisms, its generator rows the
 prescribed sections), which biadditive_extend's proof implies; and the
 generator values checked after a homomorphism extension and the
@@ -27,6 +28,7 @@ import collections
 import functools
 import itertools
 import tracemalloc
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -43,12 +45,12 @@ from countsys.biadd import (
     derive_multiplication_indexed,
     derive_multiplication_single,
     direct_sum_report,
+    hom_extend,
     hom_extend_report,
     identity_hom,
     is_biadditive,
     is_hom,
     projections,
-    zero_hom,
 )
 from countsys.closure import evaluation, monoid_closure
 from countsys.core import (
@@ -1221,6 +1223,43 @@ def test_indexed_multiplications_pass_the_dropped_checks():
     assert applied == {"associative", "commutative", "unit"}
 
 
+def zero_hom(src, dst):
+    """The homomorphism sending every element of src to dst's zero."""
+    return HomTable(src, dst, (dst.zero,) * src.size)
+
+
+def hom_add(a, b):
+    """Pointwise sum of two homomorphisms into the same commutative table."""
+    dst = a.dst
+    return HomTable(
+        a.src, dst, tuple(dst.op[x][y] for x, y in zip(a.map, b.map))
+    )
+
+
+def row_sum_biadditive_extend(M, N, gens, lambdas, lambda_primes):
+    """biadditive_extend before its rows were walked: the same checks, then
+    row zero zero and row c = lambda_k + row p, a pointwise hom_add, on each
+    edge c = g_k + p of the generation tree.  The walk gives the same table
+    (biadditive_extend's proof) without a sum of two rows per element."""
+    gens = tuple(gens)
+    tree = require_generates(M, gens)
+    for i, (g_s, lam_s) in enumerate(zip(gens, lambdas)):
+        for j, (g_t, lamp_t) in enumerate(zip(gens, lambda_primes)):
+            if lam_s(g_t) != lamp_t(g_s):
+                raise CompatibilityViolated(i, j, lam_s(g_t), lamp_t(g_s))
+    for side, sections in (("row", lambdas), ("column", lambda_primes)):
+        i = laws.homomorphisms(M.op, N.op, [lam.map for lam in sections],
+                               M.zero, N.zero, gens)
+        if i is not None:
+            raise InternalInvariantViolation(
+                f"{side} section {i} is no homomorphism")
+    rows = [zero_hom(M, N)] * M.size
+    for a in tree.order[1:]:
+        p, k = tree.parent[a]
+        rows[a] = hom_add(lambdas[k], rows[p])
+    return BiadditiveTable(M, N, tuple(r.map for r in rows))
+
+
 def propagated_biadditive_extend(M, N, gens, lambdas, lambda_primes):
     """biadditive_extend as it was: every section forced along every one of
     the k x n generator edges by propagate, a conflict an internal error,
@@ -1235,7 +1274,7 @@ def propagated_biadditive_extend(M, N, gens, lambdas, lambda_primes):
             if lam_s(g_t) != lamp_t(g_s):
                 raise CompatibilityViolated(i, j, lam_s(g_t), lamp_t(g_s))
     prop = propagate(M.zero, zero_hom(M, N), [
-        (M.op[g].__getitem__, lambda sec, lam=lam: biadd.hom_add(lam, sec))
+        (M.op[g].__getitem__, lambda sec, lam=lam: hom_add(lam, sec))
         for g, lam in zip(gens, lambdas)
     ])
     if prop.conflict is not None:
@@ -1248,11 +1287,10 @@ def propagated_biadditive_extend(M, N, gens, lambdas, lambda_primes):
     return BiadditiveTable(M, N, op)
 
 
-def _tree_and_propagated(build):
-    """build() with biadditive_extend, then with the propagated oracle."""
+def _tree_and_propagated(build, oracle=propagated_biadditive_extend):
+    """build() with biadditive_extend, then with the oracle in its place."""
     got = build()
-    with mock.patch.object(biadd, "biadditive_extend",
-                           propagated_biadditive_extend):
+    with mock.patch.object(biadd, "biadditive_extend", oracle):
         return got, build()
 
 
@@ -1335,6 +1373,31 @@ def _times(t, m, x):
     return y
 
 
+def _draw_sections(sys, draw):
+    """(t, gens, lambdas, lambda_primes) on derive_addition(sys) and its
+    generators.  Row sections are random homomorphisms: the extension of
+    random generator targets, or m x when that does not exist.  Column
+    sections are the homomorphisms compatible with them, or arbitrary maps
+    with the compatible values at the generators."""
+    t = derive_addition(sys)
+    gens = tuple(f(sys.base) for f in sys.maps)
+    element = st.integers(0, t.size - 1)
+    lambdas = []
+    for _g in gens:
+        lam, _conflict = hom_extend_report(
+            t, t, gens, draw(st.lists(element, min_size=len(gens),
+                                      max_size=len(gens))))
+        if lam is None:
+            m = draw(st.integers(0, t.size))
+            lam = HomTable(t, t, tuple(_times(t, m, x) for x in range(t.size)))
+        lambdas.append(lam)
+    lambda_primes = [
+        _random_section(draw, t, gens, [lam(g_t) for lam in lambdas])
+        for g_t in gens
+    ]
+    return t, gens, lambdas, lambda_primes
+
+
 def _outcome(extend, t, gens, lambdas, lambda_primes):
     """The table that extend builds, or the class of the error it raises."""
     try:
@@ -1348,29 +1411,11 @@ def _outcome(extend, t, gens, lambdas, lambda_primes):
 def test_biadditive_extend_matches_the_propagated_extension_on_random_sections(
     sys, data
 ):
-    """Row sections are random homomorphisms: the extension of random
-    generator targets, or m x when that does not exist.  Column sections
-    are the homomorphisms compatible with them, or arbitrary maps with the
-    compatible values at the generators.  Where the propagated oracle
+    """Sections drawn by _draw_sections.  Where the propagated oracle
     raises, biadditive_extend raises the same error; where both return, the
     tables are equal; where only biadditive_extend raises, a column section
     is no homomorphism."""
-    t = derive_addition(sys)
-    gens = tuple(f(sys.base) for f in sys.maps)
-    element = st.integers(0, t.size - 1)
-    lambdas = []
-    for _g in gens:
-        lam, _conflict = hom_extend_report(
-            t, t, gens, data.draw(st.lists(element, min_size=len(gens),
-                                           max_size=len(gens))))
-        if lam is None:
-            m = data.draw(st.integers(0, t.size))
-            lam = HomTable(t, t, tuple(_times(t, m, x) for x in range(t.size)))
-        lambdas.append(lam)
-    lambda_primes = [
-        _random_section(data.draw, t, gens, [lam(g_t) for lam in lambdas])
-        for g_t in gens
-    ]
+    t, gens, lambdas, lambda_primes = _draw_sections(sys, data.draw)
     got = _outcome(biadditive_extend, t, gens, lambdas, lambda_primes)
     want = _outcome(propagated_biadditive_extend, t, gens, lambdas,
                     lambda_primes)
@@ -1383,61 +1428,228 @@ def test_biadditive_extend_matches_the_propagated_extension_on_random_sections(
                    for lamp in lambda_primes)
 
 
+
+
+@settings(max_examples=60, deadline=None)
+@given(minimal_systems(), st.data())
+def test_biadditive_extend_matches_the_row_sums_on_random_sections(
+    sys, data
+):
+    """The walk and the row-sum build make the same checks and, where both
+    pass, the same table."""
+    t, gens, lambdas, lambda_primes = _draw_sections(sys, data.draw)
+    assert (_outcome(biadditive_extend, t, gens, lambdas, lambda_primes)
+            == _outcome(row_sum_biadditive_extend, t, gens, lambdas,
+                        lambda_primes))
+
+
+def _shifts(n, steps):
+    """Z_n with one label per step c, for the map x -> x + c."""
+    maps = tuple(EndoMap(tuple((x + c) % n for x in range(n))) for c in steps)
+    return new_system(cyc(n).carrier, 0, tuple(f"s{c}" for c in steps), maps)
+
+
+def _shift_odots(n, steps):
+    """On the labels of _shifts(n, steps): s_c odot s_d = s_(c d mod n), which
+    the steps below close, then both projections and each constant."""
+    labels = tuple(f"s{c}" for c in steps)
+    pairs = list(itertools.product(labels, repeat=2))
+    yield OdotTable(labels, {(f"s{c}", f"s{d}"): f"s{c * d % n}"
+                             for c, d in itertools.product(steps, repeat=2)})
+    yield OdotTable(labels, {(s, u): s for s, u in pairs})
+    yield OdotTable(labels, {(s, u): u for s, u in pairs})
+    for v in labels:
+        yield OdotTable(labels, dict.fromkeys(pairs, v))
+
+
+# Generation trees with three and four generators: x_c x_d = x_(c d) holds
+# for these steps, as 3^2 = 0 mod 9, 21^2 = 0 mod 63 and the odd residues
+# mod 8 are closed under products.
+SHIFTS = [(9, (1, 4, 7)), (8, (1, 3, 5, 7)), (63, (1, 22, 43))]
+
+# The addition of the c2xc3 golden's system, Z2 x Z3 on the indices
+# 3 i + j, here generated by its two coordinates (1, 0) and (0, 1).
+C2XC3 = derive_addition(product(cyc(2), cyc(3)))
+C2XC3_GENS = (3, 1)
+
+
+def _coordinate_sections(t, gens):
+    """(lambdas, lambda_primes) for every matrix of generator products
+    g_s g_t whose row and column sections all exist."""
+    k = len(gens)
+    for values in itertools.product(range(t.size), repeat=k * k):
+        grid = [values[i * k:(i + 1) * k] for i in range(k)]
+        sections = [hom_extend_report(t, t, gens, targets)[0]
+                    for targets in (*grid, *zip(*grid))]
+        if None not in sections:
+            yield sections[:k], sections[k:]
+
+
+def test_multi_generator_walks_match_both_oracles():
+    """Trees with three and four generators, the c2xc3 table generated by
+    its coordinates, and the one-point table, whose tree has no edge: the
+    walk builds the table of the row-sum build and of the propagated
+    extension, or raises or reports absence as they do."""
+    outcomes, sections = set(), 0
+    for n, steps in SHIFTS:
+        for odot in _shift_odots(n, steps):
+            build = _multiply(_shifts(n, steps), odot)
+            for oracle in (row_sum_biadditive_extend,
+                           propagated_biadditive_extend):
+                outcomes.add(_same_indexed(*_tree_and_propagated(build,
+                                                                 oracle)))
+    one = derive_addition(one_point())
+    cases = [(C2XC3, C2XC3_GENS, *pair)
+             for pair in _coordinate_sections(C2XC3, C2XC3_GENS)]
+    cases += [(one, (0,), *pair) for pair in _coordinate_sections(one, (0,))]
+    for t, gens, lambdas, lambda_primes in cases:
+        got = biadditive_extend(t, t, gens, lambdas, lambda_primes).op
+        for oracle in (row_sum_biadditive_extend,
+                       propagated_biadditive_extend):
+            assert got == oracle(t, t, gens, lambdas, lambda_primes).op
+        sections += 1
+    # on c2xc3, (1, 0)^2 is one of the 2 elements that 2 kills, (0, 1)^2
+    # one of the 3 that 3 kills, and their product is zero: 2 x 3 tables,
+    # and one on the one point
+    assert outcomes == {True, False} and sections == 7
+
+
+def _extension_args(sys, odot=None):
+    """The arguments of the one biadditive_extend call that multiplying
+    sys, with odot when given, makes."""
+    calls = []
+    honest = biadd.biadditive_extend
+    with mock.patch.object(biadd, "biadditive_extend",
+                           lambda *args: calls.append(args) or honest(*args)):
+        _multiply(sys, odot)()
+    (args,) = calls
+    return args
+
+
+def _c2xc3_componentwise():
+    """The componentwise product on C2XC3: g_s g_t is g_s when s = t, else
+    zero."""
+    zero = C2XC3.zero
+    grid = [[g if s == u else zero for u in C2XC3_GENS]
+            for s, g in enumerate(C2XC3_GENS)]
+    lambdas, lambda_primes = [
+        [hom_extend(C2XC3, C2XC3, C2XC3_GENS, targets)
+         for targets in rows] for rows in (grid, zip(*grid))]
+    return C2XC3, C2XC3, C2XC3_GENS, lambdas, lambda_primes
+
+
+def _shift_times(n, steps):
+    return _extension_args(_shifts(n, steps), next(_shift_odots(n, steps)))
+
+
+SIGN = parse_odot("\n".join(SIGN_ODOT_LINES))
+# name -> the arguments of a biadditive_extend call, built when a test runs
+WALKS = {
+    "cyc4": lambda: _extension_args(cyc(4)),
+    "rho23": lambda: _extension_args(rho(2, 3)),
+    "c2xc3": lambda: _extension_args(product(cyc(2), cyc(3))),
+    "one-point": lambda: _extension_args(one_point()),
+    "zpair3-sign": lambda: _extension_args(zpair(3), SIGN),
+    "z9-3-shifts": lambda: _shift_times(*SHIFTS[0]),
+    "z8-4-shifts": lambda: _shift_times(*SHIFTS[1]),
+    "c2xc3-coordinates": _c2xc3_componentwise,
+}
+MULTI = ["zpair3-sign", "z9-3-shifts", "z8-4-shifts", "c2xc3-coordinates"]
+
+
+def _rejected(args, want, op):
+    """Both oracles reject op as biadditive_extend(*args): it is not want,
+    the propagated extension's table, and the dropped certificate fails."""
+    M, N, gens, lambdas, _lambda_primes = args
+    return op != want and dropped_multiplication_certificate(
+        M, N, gens, lambdas, op) is not None
+
+
+@pytest.mark.parametrize("name", WALKS)
+def test_a_walk_from_a_wrong_value_at_a_generator_is_caught(name,
+                                                            monkeypatch):
+    """Mutation check: with the section checks switched off, row a is
+    walked from a wrong value v = lambda'_k(a) at g_k.  In a generator's
+    row compatibility rejects it; every other such table comes back from
+    biadditive_extend, and both oracles reject it."""
+    args = WALKS[name]()
+    M, N, gens, lambdas, lambda_primes = args
+    want = propagated_biadditive_extend(*args).op
+    monkeypatch.setattr(biadd, "laws", SimpleNamespace(
+        homomorphisms=lambda *_args: None))
+    caught = 0
+    for k, lamp in enumerate(lambda_primes):
+        for a, v in itertools.product(range(M.size), range(N.size)):
+            if v == lamp.map[a]:
+                continue
+            wrong = HomTable(M, N, lamp.map[:a] + (v,) + lamp.map[a + 1:])
+            mutant = (M, N, gens, lambdas,
+                      (*lambda_primes[:k], wrong, *lambda_primes[k + 1:]))
+            if a in gens:
+                with pytest.raises(CompatibilityViolated):
+                    biadditive_extend(*mutant)
+                continue
+            op = biadditive_extend(*mutant).op
+            assert _rejected(args, want, op), (k, a, v)
+            caught += 1
+    assert caught == (M.size - len(set(gens))) * len(gens) * (N.size - 1)
+
+
+@pytest.mark.parametrize("name", MULTI)
+def test_a_walk_reading_the_wrong_edge_generator_is_caught(name,
+                                                           monkeypatch):
+    """Mutation check: the walk reads generator j != k on the tree edge
+    c = g_k + p, so row a (c) is lambda'_j(a) + row a (p).  On these
+    systems lambda'_j and lambda'_k differ somewhere, so every such table
+    is wrong; it comes back from biadditive_extend, and both oracles
+    reject it."""
+    args = WALKS[name]()
+    M, _N, gens, _lambdas, _lambda_primes = args
+    want = propagated_biadditive_extend(*args).op
+    tree = require_generates(M, gens)
+    caught = 0
+    for c in tree.order[1:]:
+        p, k = tree.parent[c]
+        for j in [j for j in range(len(gens)) if j != k]:
+            wrong = Propagation(tree.order, tree.value,
+                                {**tree.parent, c: (p, j)}, None)
+            monkeypatch.setattr(biadd, "require_generates",
+                                lambda *_args, tree=wrong: tree)
+            op = biadditive_extend(*args).op
+            assert _rejected(args, want, op), (c, j)
+            caught += 1
+    assert caught == (M.size - 1) * (len(gens) - 1) > 0
+
+
 @pytest.mark.parametrize("sys, odot", [
     (cyc(4), None), (rho(1, 3), None), (rho(2, 1), None), (rho(2, 3), None),
-    (zpair(3), parse_odot("\n".join(SIGN_ODOT_LINES))),
-], ids=["cyc4", "rho13", "rho21", "rho23", "zpair3-sign"])
+    (zpair(3), SIGN), (product(cyc(2), cyc(3)), None), (one_point(), None),
+    (_shifts(*SHIFTS[0]), next(_shift_odots(*SHIFTS[0]))),
+], ids=["cyc4", "rho13", "rho21", "rho23", "zpair3-sign", "c2xc3",
+        "one-point", "z9-3-shifts"])
 def test_a_section_corrupted_in_one_cell_is_caught(sys, odot, monkeypatch):
     """Mutation check: biadditive_extend checks nothing of the table it
-    builds, so a row built along the generation tree with one wrong cell,
-    the generator rows included, comes back as the multiplication; the
-    dropped certificate, kept above as a test-side oracle, rejects each
-    such table.  On rho(2, 1) and rho(2, 3) a corrupted row a0 can be
-    another biadditive table, which only its row g_s = lambda_s check
-    rejects."""
-    t = derive_addition(sys)
-
-    def build():
-        if odot is None:
-            return derive_multiplication_single(sys, t).op
-        return derive_multiplication_indexed(sys, t, odot).table.op
-
-    honest_extend, honest_add = biadd.biadditive_extend, biadd.hom_add
-    sections = []  # the honest sum of every hom_add call, in call order
-    calls = []  # the arguments of every biadditive_extend call
-
-    def spy(*args):
-        calls.append(args)
-        return honest_extend(*args)
-
-    def record(a, b):
-        out = honest_add(a, b)
-        sections.append(out.map)
-        return out
-
-    monkeypatch.setattr(biadd, "biadditive_extend", spy)
-    monkeypatch.setattr(biadd, "hom_add", record)
-    honest = build()
-    assert len(sections) == t.size - 1  # one sum per generation-tree edge
-    M, N, gens, lambdas, _lambda_primes = calls[0]
+    walks, so its table with one wrong cell, in a generator row or any
+    other, comes back as the multiplication; the dropped certificate, kept
+    above as a test-side oracle, rejects each such table."""
+    build = _multiply(sys, odot)
+    args = _extension_args(sys, odot)
+    M, N, gens, lambdas, _lambda_primes = args
+    honest = biadditive_extend(*args).op
     assert dropped_multiplication_certificate(M, N, gens, lambdas,
                                               honest) is None
-    for k, sec in enumerate(sections):
-        for cell, v in itertools.product(range(t.size), range(t.size)):
-            if v == sec[cell]:
-                continue
-            count = []
-
-            def corrupt(a, b):
-                out = honest_add(a, b)
-                count.append(None)
-                if len(count) - 1 == k:
-                    out = HomTable(out.src, out.dst,
-                                   sec[:cell] + (v,) + sec[cell + 1:])
-                return out
-
-            monkeypatch.setattr(biadd, "hom_add", corrupt)
-            op = build()
-            assert op != honest
-            assert dropped_multiplication_certificate(
-                M, N, gens, lambdas, op) is not None
+    count = 0
+    for a, b, v in itertools.product(range(M.size), range(M.size),
+                                     range(N.size)):
+        if v == honest[a][b]:
+            continue
+        row = honest[a][:b] + (v,) + honest[a][b + 1:]
+        op = honest[:a] + (row,) + honest[a + 1:]
+        monkeypatch.setattr(biadd, "biadditive_extend", lambda *args, op=op:
+                            BiadditiveTable(*args[:2], op))
+        table = build()
+        assert (table if odot is None else table.table).op == op
+        assert dropped_multiplication_certificate(
+            M, N, gens, lambdas, op) is not None
+        count += 1
+    assert count == M.size ** 2 * (N.size - 1)
