@@ -1,18 +1,18 @@
 """Homomorphism extension, biadditive extension and derived multiplication.
 
-A homomorphism out of a finitely generated table is determined by its values
-on the generators; extension proceeds by forced propagation along generator
-words, and a run without conflict is the extension.  The biadditive
-extension checks its sections at the generators and walks each row, a
-homomorphism, along the generation tree; its proof gives every law of the
-table and of the multiplications built on it, and none is checked.
+A homomorphism out of a finitely generated table is fixed by its values on
+the generators: extension walks it along the generation tree, then checks
+each generator edge.  The biadditive extension checks its sections at the
+generators and walks each row, a homomorphism, along the same tree; its
+proof gives every law of the table and of the multiplications built on it,
+and none is checked.
 A table `t` passed with a system `sys` must be derive_addition(sys), a
 commutative monoid generated by the x_s = f_s(base) by that function's
 proof, not by a check of the table.
 """
 
 from . import laws
-from .core import _Value, _gather, _orbit, propagate, require_single_map
+from .core import _Value, _intertwined, _orbit, _walk, require_single_map
 from .derive import derive_addition, require_generates
 from .dsl import (
     EXIT_ERROR, EXIT_NEGATIVE, EXIT_OK, _emit, _load, _read, _tsv_table,
@@ -37,8 +37,8 @@ class HomTable(_Value):
 
 
 class ExtensionConflict(_Value):
-    """Where forced propagation broke down: the element whose image was forced
-    two different ways, with both candidate images."""
+    """Where a homomorphism extension breaks down: the element whose image
+    is forced two different ways, with the walked image and the other."""
 
     __slots__ = ("element", "expected", "got")
 
@@ -70,35 +70,30 @@ def hom_extend_report(src, dst, gens, targets):
     """Try to extend generator assignments g_s -> b_s to a homomorphism.
 
     Returns (hom, conflict): the unique extension when it exists, otherwise
-    None together with the element where propagation forced two images.
-    A conflict-free propagation is the extension, for commutative src and
-    dst (derive_addition's tables): it sets h(zero) = zero and reaches and
-    expands every x (gens generate src), forcing h(g_s + x) = b_s + h(x).
-    So h(g_s) = b_s + zero = b_s, and h(x + g_s) = h(x) + h(g_s) by
-    commutativity, which is the homomorphism law at right = gens.
+    None and the first element forced to two images.  Gens must generate
+    src (GensDoNotGenerate), one target each (TargetCountMismatch).
 
-    The same pass is the generation check.  Without a conflict it expands
-    every element it reaches along every g_s, so it reaches exactly the
-    elements that gens generate from zero, as require_generates does: all
-    n iff gens generate src.  A run that falls short, or that stops on a
-    conflict and so decides nothing, runs require_generates, which raises
-    GensDoNotGenerate with the same missing elements whether or not the
-    assignment conflicts.  Unequal numbers of gens and targets are a
-    TargetCountMismatch.
+    For commutative src and dst (derive_addition's tables) the extensions
+    are the maps h with h(zero) = zero and h(g_s + x) = b_s + h(x) for all
+    x and s: so h(g_s) = b_s, and h(x + g_s) = h(x) + h(g_s) at gens, which
+    generate.  So the extension is core._walk along require_generates'
+    tree, checked at each generator.  The conflict is at the first edge
+    x -> g_s + x the walk breaks, x in tree order, s in order: where
+    values forced along the same search, whatever they are, first clash.
     """
     gens = tuple(gens)
     targets = tuple(targets)
     if len(gens) != len(targets):
         raise TargetCountMismatch(len(gens), len(targets))
-    prop = propagate(src.zero, dst.zero, [
-        (src.op[g].__getitem__, dst.op[b].__getitem__)
-        for g, b in zip(gens, targets)
-    ])
-    if prop.conflict is not None or len(prop.order) != src.size:
-        require_generates(src, gens)
-    if prop.conflict is not None:
-        return None, ExtensionConflict(*prop.conflict)
-    return HomTable(src, dst, _gather(prop.value, range(src.size))), None
+    tree = require_generates(src, gens)
+    steps = [src.op[g] for g in gens]
+    tables = [dst.op[b] for b in targets]
+    h = _walk(tree, dst.zero, tables)
+    if _intertwined(h, steps, tables):
+        return HomTable(src, dst, tuple(h)), None
+    y, x, table = next((s[x], x, t) for x in tree.order
+                       for s, t in zip(steps, tables) if h[s[x]] != t[h[x]])
+    return None, ExtensionConflict(y, h[y], table[h[x]])
 
 
 def hom_extend(src, dst, gens, targets):
@@ -161,13 +156,10 @@ def biadditive_extend(M, N, gens, lambdas, lambda_primes):
         if i is not None:
             raise InternalInvariantViolation(
                 f"{side} section {i} is no homomorphism")
-    edges = [(*tree.parent[c], c) for c in tree.order[1:]]
-    rows, row = [], [N.zero] * M.size  # the walk rewrites all but row[zero]
+    rows = []
     for a in range(M.size):
         u = [N.op[lamp.map[a]] for lamp in lambda_primes]
-        for p, k, c in edges:
-            row[c] = u[k][row[p]]
-        rows.append(tuple(row))
+        rows.append(tuple(_walk(tree, N.zero, u)))
     return BiadditiveTable(M, N, tuple(rows))
 
 

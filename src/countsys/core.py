@@ -10,6 +10,10 @@ named in the class's `_defaults` may be left out.  `Carrier`, `EndoMap`,
 `CountingSystem` and `derive.MonoidTable` validate their input in
 constructors of their own.  So the maps of every `CountingSystem` commute:
 that is checked once, when the system is built, and by nothing downstream.
+
+A map out of a carrier that one point reaches is fixed by its value there:
+`_walk` sets it along the tree of one breadth-first search (`propagate`),
+then `_intertwined` checks it once per generator.
 """
 
 from operator import attrgetter, itemgetter
@@ -245,59 +249,62 @@ def new_system(carrier, base, index_set, maps):
 
 class Propagation(_Value):
     """The outcome of `propagate`: `order` holds the elements in discovery
-    order, start first; `value` maps element -> the first value forced on
-    it; `parent` element -> (previous, edge index), for all but the start;
-    `conflict` is (element, kept, forced) at a stop, or None."""
+    order, start first; `edges` the tree edges (p, k, c), c = steps[k](p)
+    discovered from p, in discovery order, so that c is order[i + 1] for
+    edge i."""
 
-    __slots__ = ("order", "value", "parent", "conflict")
+    __slots__ = ("order", "edges")
 
 
-def propagate(start, value, edges, sort_levels=False, depth=None):
-    """Forced propagation: breadth-first from `start`, level by level.
+def propagate(start, steps, sort_levels=False):
+    """Breadth-first search from `start`, level by level.
 
-    Each edge is a `(step, push)` pair: `step(x)` is the next element and
-    `push(v)` the value forced on it from x's value v (`push` None forces v
-    itself).  Edges are taken in the given order; a level is expanded in
-    discovery order, or ascending when `sort_levels` is set.  The first value
-    forced on an element is kept; a different one forced later stops the run
-    and is reported as `conflict`.  With `depth`, elements `depth` steps
-    from the start are reached but not expanded.
+    `steps[k](x)` is the element edge k leads to from x.  Edges are taken
+    in the given order; a level is expanded in discovery order, or
+    ascending when `sort_levels` is set.
     """
     order = [start]
-    values = {start: value}
-    parent = {}
+    seen = {start}
+    edges = []
     done = 0  # order[done:] is the level to expand next
-    level = 0
-    while done < len(order) and (depth is None or level < depth):
+    while done < len(order):
         frontier = order[done:]
         done = len(order)
         for x in sorted(frontier) if sort_levels else frontier:
-            v = values[x]
-            for k, (step, push) in enumerate(edges):
+            for k, step in enumerate(steps):
                 y = step(x)
-                forced = v if push is None else push(v)
-                if y in values:
-                    if values[y] != forced:
-                        return Propagation(
-                            order, values, parent, (y, values[y], forced)
-                        )
-                    continue
-                values[y] = forced
-                parent[y] = (x, k)
-                order.append(y)
-        level += 1
-    return Propagation(order, values, parent, None)
+                if y not in seen:
+                    seen.add(y)
+                    edges.append((x, k, y))
+                    order.append(y)
+    return Propagation(order, edges)
+
+
+def _walk(tree, value, tables):
+    """The list h with h[start] = value and h[c] = tables[k][h[p]] on each
+    edge (p, k, c) of a search tree spanning range(n).  A map m with
+    m(start) = value and m(step_k(x)) = tables[k][m(x)] for every x and k
+    is h, by induction along the tree; so one exists iff h is one, which
+    _intertwined checks once per generator."""
+    h = [value] * len(tree.order)
+    for p, k, c in tree.edges:
+        h[c] = tables[k][h[p]]
+    return h
+
+
+def _intertwined(h, steps, tables):
+    """True iff h . steps[k] == tables[k] . h for every k, on index tables."""
+    return all(_gather(h, step) == _gather(table, h)
+               for step, table in zip(steps, tables))
 
 
 def reach(sys):
     """Carrier BFS from the base: levels expanded element-index ascending,
     maps applied in ascending label order (edge k is `sorted(index_set)[k]`).
     """
-    edges = [
-        (f.table.__getitem__, None)
-        for _lab, f in sorted(zip(sys.index_set, sys.maps))
-    ]
-    return propagate(sys.base, None, edges, sort_levels=True)
+    steps = [f.table.__getitem__
+             for _lab, f in sorted(zip(sys.index_set, sys.maps))]
+    return propagate(sys.base, steps, sort_levels=True)
 
 
 def require_minimal(sys):

@@ -1,18 +1,20 @@
 """Morphisms between counting systems, and the free commutative monoid over
 the index set with its evaluation morphism.
 
-A morphism out of a minimal system is forced along generator words, so the
-search is a breadth-first propagation with conflict detection.  Free-monoid
-elements are sparse multisets over the index labels.
+A morphism out of a minimal system is fixed by its value at the base: the
+search walks it along the carrier BFS tree, then checks each generator
+edge.  Free-monoid elements are sparse multisets over the index labels.
 """
+
+from itertools import combinations_with_replacement
 
 from .core import (
     CountingSystem,
     _Frozen,
     _Value,
-    _gather,
+    _intertwined,
     _orbit,
-    propagate,
+    _walk,
     require_minimal,
 )
 from .dsl import EXIT_NEGATIVE, EXIT_OK, _emit, _load
@@ -34,24 +36,19 @@ def _paired_maps(src, dst):
 
 
 def morphism_find(src, dst):
-    """The unique morphism from a minimal system, or None if propagation
-    forces two different images for some element.  A run without conflict
-    is a morphism (is_morphism): value[base] = dst.base, and every x is
-    reached and expanded along each s, forcing value[f_s(x)] = g_s(value[x]).
-
-    The same pass is the minimality check: without a conflict it reaches
-    exactly the elements reachable from the base.  A run that falls short,
-    or stops on a conflict and so decides nothing, runs require_minimal,
-    which raises MinimalityRequired whether or not the images conflict.
-    """
-    pairs = _paired_maps(src, dst)
-    prop = propagate(src.base, dst.base, [
-        (f.table.__getitem__, g.table.__getitem__) for f, g in pairs
-    ])
-    if prop.conflict is None and len(prop.order) == src.size:
-        return SystemMorphism(src, dst, _gather(prop.value, range(src.size)))
-    prop = None  # freed before the second pass
-    require_minimal(src)  # returns only when the run stopped on a conflict
+    """The unique morphism from a minimal system (MinimalityRequired
+    otherwise), or None when there is none.  A morphism m has
+    m(base) = dst.base and m(f_s(x)) = g_s(m(x)) for every x and s, so it
+    is core._walk along the carrier BFS of src, and exists iff that walk
+    intertwines each f_s with g_s."""
+    _paired_maps(src, dst)  # IndexSetMismatch unless the labels agree
+    tree = require_minimal(src)
+    labels = sorted(src.index_set)  # tree edge k is along labels[k]
+    steps = [src.map_for(lab).table for lab in labels]
+    tables = [dst.map_for(lab).table for lab in labels]
+    h = _walk(tree, dst.base, tables)
+    if _intertwined(h, steps, tables):
+        return SystemMorphism(src, dst, tuple(h))
     return None
 
 
@@ -149,20 +146,21 @@ def free_uniqueness_probe(target, bound):
     """Confirm that the two defining conditions force the evaluation values on
     every multiset of total degree <= bound.
 
-    Any map m with m(empty) = base and m(e + unit_s) = f_s(m(e)) is computed
-    by induction over degree; every inductive route must agree with free_eval.
-    A run without conflict has checked every route, since each e - unit_s
-    has degree below `bound` and was expanded along s; the comparison with
-    free_eval cross-checks its count reduction along the orbit.
+    A map m with m(empty) = base and m(e + unit_s) = f_s(m(e)) is fixed by
+    induction over degree, so it is free_eval (whose value at empty is the
+    base) up to `bound` iff free_eval(e + unit_s) = f_s(free_eval(e)) for
+    every e of degree below `bound` and every s.  That is checked, and
+    cross-checks free_eval's count reduction along the orbit.
     """
     require_minimal(target)
-    prop = propagate(free_zero(), target.base, [
-        (lambda e, u=free_unit(lab): free_add(e, u), target.map_for(lab))
-        for lab in target.index_set
-    ], depth=bound)
-    if prop.conflict is not None:
-        return False
-    return all(v == free_eval(target, e) for e, v in prop.value.items())
+    for degree in range(bound):
+        for word in combinations_with_replacement(target.index_set, degree):
+            e = FreeElement.of({lab: word.count(lab) for lab in word})
+            y = free_eval(target, e)
+            if any(free_eval(target, free_add(e, free_unit(lab))) != f(y)
+                   for lab, f in zip(target.index_set, target.maps)):
+                return False
+    return True
 
 
 class InitialityCondition(_Value):
@@ -195,28 +193,29 @@ def initiality_report(sys):
     finite carrier the second condition always fails, so the diagnostics are
     the informative content.
 
-    After one minimality check, the search at a label is morphism_find's
-    propagation onto pad_single(sys, label), without building that system:
-    the other maps push the identity (None), and on a minimal source a run
-    without conflict is the morphism.
+    The search at a label is morphism_find's onto pad_single(sys, label),
+    without building that system: one walk along the carrier BFS tree of
+    the one minimality check, with range(n), the identity, as the table of
+    every other label, checked once per label.
 
     The single-map core at a label is the cyclic submonoid of the derived
     table generated by x_s = f_s(base): adding x_s is f_s (row x_s is the
     closure element f_s, by derive_addition's proof), so that submonoid is
     the orbit of the base under f_s, and _orbit gives its facts.
     """
-    require_minimal(sys)
+    tree = require_minimal(sys)
+    labels = sorted(sys.index_set)  # tree edge k is along labels[k]
+    steps = [sys.map_for(lab).table for lab in labels]
+    ident = range(sys.size)
     conditions = []
     for lab, f in zip(sys.index_set, sys.maps):
-        prop = propagate(sys.base, sys.base, [
-            (g.table.__getitem__, g.table.__getitem__ if t == lab else None)
-            for t, g in zip(sys.index_set, sys.maps)
-        ])
+        padded = [f.table if t == lab else ident for t in labels]
+        h = _walk(tree, sys.base, padded)
         points, tail = _orbit(f.table, sys.base)
         injective = base_in_image = tail == 0
         dedekind = injective and not base_in_image  # the core is minimal
         conditions.append(InitialityCondition(
-            lab, prop.conflict is None, len(points), injective,
+            lab, _intertwined(h, steps, padded), len(points), injective,
             base_in_image, dedekind))
     return InitialityReport(conditions)
 
@@ -259,10 +258,11 @@ def _cmd_morphism(args, out, err):
     dst_doc = _load(args.dst)
     src = src_doc.system
     if args.relabel:
-        mapping = {
-            old: new
-            for _, old, new in _pairs(args.relabel, "=", "--relabel", "old=new")
-        }
+        mapping = {}
+        for col, old, new in _pairs(args.relabel, "=", "--relabel", "old=new"):
+            if old in mapping:
+                raise ParseError(1, col, f"--relabel repeats label {old!r}")
+            mapping[old] = new
         src = relabel_index_set(src, mapping)
     m = morphism_find(src, dst_doc.system)
     if m is None:

@@ -21,7 +21,6 @@ from countsys.core import (
     EndoMap,
     is_minimal,
     new_system,
-    propagate,
 )
 from countsys.derive import derive_addition
 from countsys.errors import (
@@ -32,7 +31,7 @@ from countsys.errors import (
     WordsTooLarge,
 )
 from countsys.fixtures import cyc, one_point, rho, zpair
-from test_laws import FIXTURES, _enumeration, _power, _system
+from test_laws import FIXTURES, _enumeration, _power, _system, seed_propagate
 
 
 def oracle_comp(tm):
@@ -46,11 +45,11 @@ def oracle_comp(tm):
 
 
 def seed_monoid_closure(sys):
-    """The closure as it was built in two passes: `propagate` finds the
+    """The closure as it was built in two passes: `seed_propagate` finds the
     elements, then every (generator, element) pair is composed again to fill
     the Cayley graph and the parents are re-indexed by image table.  Its
-    size limit, a `propagate` option, is left out."""
-    prop = propagate(
+    size limit, a propagation option, is left out."""
+    prop = seed_propagate(
         EndoMap.identity(sys.size), None, [(f.compose, None) for f in sys.maps]
     )
     elements = prop.order

@@ -15,6 +15,9 @@ from countsys.core import (
     Carrier,
     CountingSystem,
     EndoMap,
+    Propagation,
+    _intertwined,
+    _walk,
     adjoin_omega,
     is_dedekind,
     is_minimal,
@@ -38,6 +41,7 @@ from countsys.errors import (
     UnknownLabel,
 )
 from countsys.fixtures import cyc, one_point, rho, zpair
+from test_laws import seed_propagate
 from countsys.morphisms import relabel_index_set
 from test_laws import FIXTURES, _enumeration, _system, minimal_systems
 
@@ -334,10 +338,12 @@ def test_single_map_subsystem():
 
 
 # -- forced propagation --------------------------------------------------------
+# The forcing tests pin down seed_propagate, the test-side oracle that
+# forces values along the search propagate keeps.
 
 def test_propagate_reports_first_conflict():
     # a 3-cycle forcing v -> v + 1: element 0 keeps 0 and is forced 3
-    prop = propagate(0, 0, [(lambda x: (x + 1) % 3, lambda v: v + 1)])
+    prop = seed_propagate(0, 0, [(lambda x: (x + 1) % 3, lambda v: v + 1)])
     assert prop.conflict == (0, 0, 3)
     assert prop.order == [0, 1, 2]
     assert prop.value == {0: 0, 1: 1, 2: 2}
@@ -347,18 +353,43 @@ def test_propagate_consistent_values_and_parents():
     # x -> 2x and x -> 3x on Z5; forcing v -> 2v and v -> 3v is consistent
     edges = [(lambda x: 2 * x % 5, lambda v: 2 * v % 5),
              (lambda x: 3 * x % 5, lambda v: 3 * v % 5)]
-    prop = propagate(1, 1, edges)
+    prop = seed_propagate(1, 1, edges)
     assert prop.conflict is None
     assert prop.order == [1, 2, 3, 4]
     assert prop.value == {1: 1, 2: 2, 3: 3, 4: 4}
     assert prop.parent == {2: (1, 0), 3: (1, 1), 4: (2, 0)}
+    tree = propagate(1, [step for step, _push in edges])
+    assert tree.order == prop.order
+    assert tree.edges == [(1, 0, 2), (1, 1, 3), (2, 0, 4)]
+
+
+def test_walk_forces_values_along_the_tree_and_is_checked_per_edge():
+    # Z6 under +1 and +3 from 0, onto Z2: reduction mod 2 intertwines +1
+    # and +3 with the swap; walked with the identity for +3, it breaks
+    steps = [(1, 2, 3, 4, 5, 0), (3, 4, 5, 0, 1, 2)]
+    tree = propagate(0, [step.__getitem__ for step in steps])
+    assert tree.edges == [(0, 0, 1), (0, 1, 3), (1, 0, 2), (1, 1, 4),
+                          (2, 1, 5)]
+    swap, ident = (1, 0), range(2)
+    h = _walk(tree, 0, [swap, swap])
+    assert h == [0, 1, 0, 1, 0, 1] and _intertwined(h, steps, [swap, swap])
+    h = _walk(tree, 0, [swap, ident])
+    assert h == [0, 1, 0, 0, 1, 0]
+    assert not _intertwined(h, steps, [swap, ident])
 
 
 def test_propagate_depth_bound():
-    prop = propagate(0, 0, [(lambda x: x + 1, lambda v: v + 2)], depth=3)
+    prop = seed_propagate(0, 0, [(lambda x: x + 1, lambda v: v + 2)], depth=3)
     assert prop.order == [0, 1, 2, 3]
     assert prop.value[3] == 6
-    assert propagate(0, None, [(lambda x: x + 1, None)], depth=0).order == [0]
+    assert seed_propagate(0, None, [(lambda x: x + 1, None)],
+                          depth=0).order == [0]
+
+
+def test_propagate_keeps_only_the_search():
+    assert list(inspect.signature(propagate).parameters) == [
+        "start", "steps", "sort_levels"]
+    assert Propagation.__slots__ == ("order", "edges")
 
 
 def test_sorted_levels_differ_from_discovery_order():
@@ -367,9 +398,9 @@ def test_sorted_levels_differ_from_discovery_order():
     s = EndoMap((4, 0, 3, 1, 2, 5))
     t = EndoMap((1, 3, 4, 2, 0, 5))
     sys = new_system(Carrier(tuple("abcdez")), 0, ("s", "t"), (s, t))
-    edges = [(s.table.__getitem__, None), (t.table.__getitem__, None)]
-    assert propagate(0, None, edges).order == [0, 4, 1, 2, 3]
-    assert propagate(0, None, edges, sort_levels=True).order == [0, 4, 1, 3, 2]
+    steps = [s.table.__getitem__, t.table.__getitem__]
+    assert propagate(0, steps).order == [0, 4, 1, 2, 3]
+    assert propagate(0, steps, sort_levels=True).order == [0, 4, 1, 3, 2]
     assert reach(sys).order == [0, 4, 1, 3, 2]
     assert reachable_set(sys) == {0, 1, 2, 3, 4}
     core = minimal_core(sys)
@@ -410,7 +441,6 @@ def _value_cases():
         OdotTable,
     )
     from countsys.closure import EvaluationMap
-    from countsys.core import Propagation
     from countsys.derive import Classification, MonoidTable
     from countsys.dsl import SystemDocument
     from countsys.morphisms import (
@@ -447,8 +477,7 @@ def _value_cases():
         (lambda i: CyclicFreeness(0, 1, (0, 1), True, i == 1), None),
         (lambda i: FreeReport(DirectSumReport(i == 0), ()), None),
         (lambda i: EvaluationMap((0, 1), True, (i, 1 - i)), None),
-        (lambda i: Propagation([0, 1], {0: i, 1: i}, {1: (0, 0)}, None),
-         None),
+        (lambda i: Propagation([0, 1], [(0, i, 1)]), None),
         (lambda i: Classification(False, False, True, i == 0), None),
         (lambda i: SystemDocument(f"c{i}", one_point()), None),
         (lambda i: SystemMorphism(one_point(), one_point(), (i,)), None),

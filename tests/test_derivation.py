@@ -109,8 +109,7 @@ def word_applying_addition(sys):
     prop = reach(sys)
     labels = sorted(sys.index_set)
     word = {sys.base: ()}
-    for y in prop.order[1:]:
-        x, k = prop.parent[y]
+    for x, k, y in prop.edges:
         word[y] = word[x] + (labels[k],)
     maps = dict(zip(sys.index_set, sys.maps))
     op = []

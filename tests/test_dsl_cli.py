@@ -880,6 +880,8 @@ def test_cli_reports_an_internal_invariant_failure_as_a_bug(
     (["morphism", "{z}", "{z}", "--relabel", "abc"],
      "parse error: line 1, col 1: --relabel expects old=new items, "
      "got 'abc'"),
+    (["morphism", "{z}", "{z}", "--relabel", "+=a,-=b,+=c"],
+     "parse error: line 1, col 9: --relabel repeats label '+'"),
 ])
 def test_cli_malformed_option_values_exit_2(tmp_path, argv, message):
     path = write(tmp_path, "z.csys", emit_system(zpair(5), name="z5"))

@@ -21,12 +21,16 @@ derive_addition's proof implies; the multiplication laws and the certificate of 
 extension (its rows and columns homomorphisms, its generator rows the
 prescribed sections), which biadditive_extend's proof implies; and the
 generator values checked after a homomorphism extension and the
-generation pass made before it.
+generation pass made before it.  The forced propagation that extended a
+homomorphism before it was walked along the generation tree, and checked
+once per generator, is kept as `seed_propagate`, the kernel of the seed
+oracles here and in the other test modules.
 """
 
 import collections
 import functools
 import itertools
+import random
 import tracemalloc
 from types import SimpleNamespace
 from unittest import mock
@@ -58,7 +62,9 @@ from countsys.core import (
     CountingSystem,
     EndoMap,
     Propagation,
+    _intertwined,
     _orbit,
+    _walk,
     is_minimal,
     minimal_core,
     new_system,
@@ -88,6 +94,50 @@ from countsys.fixtures import SIGN_ODOT_LINES, cyc, one_point, rho, zpair
 from countsys.morphisms import initiality_report
 
 # -- oracles -------------------------------------------------------------------
+
+
+def seed_propagate(start, value, edges, sort_levels=False, depth=None):
+    """Forced propagation, core.propagate before it kept only the search:
+    breadth-first from `start`, level by level.
+
+    Each edge is a `(step, push)` pair: `step(x)` is the next element and
+    `push(v)` the value forced on it from x's value v (`push` None forces v
+    itself).  Edges are taken in the given order; a level is expanded in
+    discovery order, or ascending when `sort_levels` is set.  The first value
+    forced on an element is kept; a different one forced later stops the run
+    and is reported as `conflict`.  With `depth`, elements `depth` steps
+    from the start are reached but not expanded.
+
+    The outcome's `order` holds the elements in discovery order, start
+    first; `value` maps element -> the first value forced on it; `parent`
+    element -> (previous, edge index), for all but the start; `conflict`
+    is (element, kept, forced) at a stop, or None.
+    """
+    order = [start]
+    values = {start: value}
+    parent = {}
+    done = 0  # order[done:] is the level to expand next
+    level = 0
+    while done < len(order) and (depth is None or level < depth):
+        frontier = order[done:]
+        done = len(order)
+        for x in sorted(frontier) if sort_levels else frontier:
+            v = values[x]
+            for k, (step, push) in enumerate(edges):
+                y = step(x)
+                forced = v if push is None else push(v)
+                if y in values:
+                    if values[y] != forced:
+                        return SimpleNamespace(
+                            order=order, value=values, parent=parent,
+                            conflict=(y, values[y], forced))
+                    continue
+                values[y] = forced
+                parent[y] = (x, k)
+                order.append(y)
+        level += 1
+    return SimpleNamespace(order=order, value=values, parent=parent,
+                           conflict=None)
 
 
 def _cells(n, k):
@@ -735,8 +785,7 @@ def submonoid_closure(t, gens):
     """The least subset containing zero and closed under adding the
     generators: the propagation that decided generation and built the
     cyclic submonoids before they were read from an orbit."""
-    edges = [(t.op[g].__getitem__, None) for g in gens]
-    return set(propagate(t.zero, None, edges).order)
+    return set(propagate(t.zero, [t.op[g].__getitem__ for g in gens]).order)
 
 
 def generates(t, gens):
@@ -830,14 +879,12 @@ def _rows_along_a_wrong_map(sys):
     """reconstruct_addition's table with the row of one element a taken
     along a map other than the one that discovered a: another label's map,
     or the discovering map twice.  The rows below a are built from it."""
-    prop = reach(sys)
+    edges = reach(sys).edges
     maps = [f.table for _lab, f in sorted(zip(sys.index_set, sys.maps))]
-    for a in prop.order[1:]:
-        k = prop.parent[a][1]
+    for _p, k, a in edges:
         for g in [*maps[:k], *maps[k + 1:], _apply(maps[k], maps[k])]:
             rows = {sys.base: tuple(range(sys.size))}
-            for y in prop.order[1:]:
-                p, j = prop.parent[y]
+            for p, j, y in edges:
                 rows[y] = _apply(g if y == a else maps[j], rows[p])
             yield tuple(rows[y] for y in range(sys.size))
 
@@ -941,7 +988,7 @@ def generation_first_hom_extend_report(src, dst, gens, targets):
     gens = tuple(gens)
     targets = tuple(targets)
     require_generates(src, gens)
-    prop = propagate(src.zero, dst.zero, [
+    prop = seed_propagate(src.zero, dst.zero, [
         (src.op[g].__getitem__, dst.op[b].__getitem__)
         for g, b in zip(gens, targets)
     ])
@@ -1005,10 +1052,11 @@ def test_hom_extend_report_matches_the_seed_with_its_generator_pass():
 
 
 def conflict_unchecked_hom_extend_report(src, dst, gens, targets):
-    """Mutant of hom_extend_report: its generation check runs only after a
-    conflict-free run that falls short, not after a conflict."""
+    """Mutant of hom_extend_report as it propagated before it walked: its
+    generation check runs only after a conflict-free propagation that
+    falls short, not after a conflict."""
     gens = tuple(gens)
-    prop = propagate(src.zero, dst.zero, [
+    prop = seed_propagate(src.zero, dst.zero, [
         (src.op[g].__getitem__, dst.op[b].__getitem__)
         for g, b in zip(gens, targets)
     ])
@@ -1037,7 +1085,7 @@ def _non_generating_cases():
                     continue
                 first = {}
                 for targets in itertools.product(range(t.size), repeat=k):
-                    prop = propagate(t.zero, t.zero, [
+                    prop = seed_propagate(t.zero, t.zero, [
                         (t.op[g].__getitem__, t.op[b].__getitem__)
                         for g, b in zip(gens, targets)
                     ])
@@ -1089,24 +1137,12 @@ def test_hom_extend_report_without_the_conflict_path_check_is_caught():
     assert all(conflicts for *_case, conflicts in differ)
 
 
-def propagate_without_conflicts(start, value, edges):
-    """propagate with its conflict check dropped: the first value forced
-    on an element is kept and a different later one is ignored."""
-    order, values = [start], {start: value}
-    for x in order:  # the list grows as it is walked
-        for step, push in edges:
-            y = step(x)
-            if y not in values:
-                values[y] = push(values[x])
-                order.append(y)
-    return Propagation(order, values, {}, None)
-
-
 def test_hom_extend_report_without_the_conflict_check_is_caught(monkeypatch):
-    """Mutation: with nothing after the propagation, its conflict check
-    alone rejects the assignments that extend to no homomorphism.  Dropping
-    it returns maps that are no extension, which the oracle catches."""
-    monkeypatch.setattr(biadd, "propagate", propagate_without_conflicts)
+    """Mutation: with nothing after the walk, its check at the generator
+    edges alone rejects the assignments that extend to no homomorphism.
+    Dropping it returns walks that are no extension, which the oracle
+    catches."""
+    monkeypatch.setattr(biadd, "_intertwined", lambda *_args: True)
     caught = 0
     for src, dst, gens, targets in _extension_cases():
         hom, _ = hom_extend_report(src, dst, gens, targets)
@@ -1118,6 +1154,65 @@ def test_hom_extend_report_without_the_conflict_check_is_caught(monkeypatch):
         else:
             assert hom == want
     assert caught > 0
+
+
+def skip_the_last_check(monkeypatch, module):
+    """Mutate the check of every walk in `module`: it compares the walk
+    at the edges of every generator but the last."""
+    monkeypatch.setattr(module, "_intertwined", lambda h, steps, tables:
+                        _intertwined(h, steps[:-1], tables[:-1]))
+
+
+def test_hom_extend_report_skipping_the_last_generator_check_is_caught(
+    monkeypatch
+):
+    """Mutation: without the comparison at the last generator's edges,
+    hom_extend_report returns walks that break them, which the seed
+    rejects."""
+    cases = list(_extension_cases())
+    want = [seed_hom_extend_report(*case) for case in cases]
+    skip_the_last_check(monkeypatch, biadd)
+    caught = 0
+    for case, (hom, conflict) in zip(cases, want):
+        got = hom_extend_report(*case)
+        if got != (hom, conflict):
+            assert hom is None and got[0] is not None
+            caught += 1
+    assert caught > 0
+
+
+def index_first_hom_extend_report(src, dst, gens, targets):
+    """Mutant of hom_extend_report: its conflict is at the first element x
+    in index order, and the first generator g_s there, whose edge
+    x -> g_s + x the walk breaks, as laws.intertwines finds it."""
+    hom, conflict = hom_extend_report(src, dst, gens, targets)
+    if hom is not None:
+        return hom, conflict
+    tables = [dst.op[b] for b in targets]
+    h = _walk(require_generates(src, gens), dst.zero, tables)
+    x, k = min((x, k) for k, (g, table) in enumerate(zip(gens, tables))
+               if (x := laws.intertwines(h, src.op[g], table)) is not None)
+    y = src.op[gens[k]][x]
+    return None, ExtensionConflict(y, h[y], tables[k][h[x]])
+
+
+def test_hom_extend_report_names_the_first_conflict_in_tree_order():
+    """On Z_63 with the shifts 1, 22 and 43 the first edge a walk breaks
+    in tree order is not the first in index order.  hom_extend_report
+    names the first in tree order, where the seed's propagation stops, and
+    a mutant naming the first in index order fails the comparison."""
+    sys = _shifts(63, (1, 22, 43))
+    t = derive_addition(sys)
+    gens = tuple(f(sys.base) for f in sys.maps)
+    rng = random.Random(0)
+    conflicts = caught = 0
+    for _ in range(300):
+        targets = tuple(rng.randrange(t.size) for _g in gens)
+        want = seed_hom_extend_report(t, t, gens, targets)
+        assert hom_extend_report(t, t, gens, targets) == want
+        conflicts += want[0] is None
+        caught += index_first_hom_extend_report(t, t, gens, targets) != want
+    assert caught == conflicts > 0
 
 
 def oracle_mult_laws(sys, t, mu):
@@ -1254,8 +1349,7 @@ def row_sum_biadditive_extend(M, N, gens, lambdas, lambda_primes):
             raise InternalInvariantViolation(
                 f"{side} section {i} is no homomorphism")
     rows = [zero_hom(M, N)] * M.size
-    for a in tree.order[1:]:
-        p, k = tree.parent[a]
+    for p, k, a in tree.edges:
         rows[a] = hom_add(lambdas[k], rows[p])
     return BiadditiveTable(M, N, tuple(r.map for r in rows))
 
@@ -1273,7 +1367,7 @@ def propagated_biadditive_extend(M, N, gens, lambdas, lambda_primes):
         for j, (g_t, lamp_t) in enumerate(zip(gens, lambda_primes)):
             if lam_s(g_t) != lamp_t(g_s):
                 raise CompatibilityViolated(i, j, lam_s(g_t), lamp_t(g_s))
-    prop = propagate(M.zero, zero_hom(M, N), [
+    prop = seed_propagate(M.zero, zero_hom(M, N), [
         (M.op[g].__getitem__, lambda sec, lam=lam: hom_add(lam, sec))
         for g, lam in zip(gens, lambdas)
     ])
@@ -1608,11 +1702,10 @@ def test_a_walk_reading_the_wrong_edge_generator_is_caught(name,
     want = propagated_biadditive_extend(*args).op
     tree = require_generates(M, gens)
     caught = 0
-    for c in tree.order[1:]:
-        p, k = tree.parent[c]
+    for i, (p, k, c) in enumerate(tree.edges):
         for j in [j for j in range(len(gens)) if j != k]:
-            wrong = Propagation(tree.order, tree.value,
-                                {**tree.parent, c: (p, j)}, None)
+            wrong = Propagation(tree.order, [*tree.edges[:i], (p, j, c),
+                                             *tree.edges[i + 1:]])
             monkeypatch.setattr(biadd, "require_generates",
                                 lambda *_args, tree=wrong: tree)
             op = biadditive_extend(*args).op

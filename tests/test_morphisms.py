@@ -6,7 +6,13 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from countsys.core import CountingSystem, is_minimal, propagate
+from countsys import morphisms
+from countsys.core import (
+    CountingSystem,
+    is_minimal,
+    pad_single,
+    require_minimal,
+)
 from countsys.derive import derive_addition
 from countsys.errors import (
     DuplicateLabel,
@@ -30,7 +36,12 @@ from countsys.morphisms import (
     morphism_find,
     relabel_index_set,
 )
-from test_laws import _system
+from test_laws import (
+    _minimal_systems,
+    _system,
+    seed_propagate,
+    skip_the_last_check,
+)
 
 
 def test_morphism_cyc6_to_cyc3_is_reduction():
@@ -60,10 +71,9 @@ def inverse(m):
     return SystemMorphism(m.dst, m.src, tuple(inv))
 
 
-def test_found_morphisms_pass_the_exhaustive_check():
-    # morphism_find and is_isomorphism no longer re-check what their
-    # construction implies; is_morphism is the oracle, and a brute-force
-    # search over all maps confirms each None
+def _single_map_pairs():
+    """(src, dst): every minimal single-map system on at most four
+    elements with base 0, into every single-map system on at most three."""
     sources = [
         _system(0, [f]) for n in range(1, 5)
         for f in itertools.product(range(n), repeat=n)
@@ -75,16 +85,78 @@ def test_found_morphisms_pass_the_exhaustive_check():
     ]
     for src in filter(is_minimal, sources):
         for dst in targets:
-            m = morphism_find(src, dst)
-            if m is not None:
-                assert is_morphism(m)
-                if is_isomorphism(m):
-                    assert is_morphism(inverse(m))
-                continue
-            assert not any(
-                is_morphism(SystemMorphism(src, dst, h))
-                for h in itertools.product(range(dst.size), repeat=src.size)
-            )
+            yield src, dst
+
+
+def test_found_morphisms_pass_the_exhaustive_check():
+    # morphism_find and is_isomorphism no longer re-check what their
+    # construction implies; is_morphism is the oracle, and a brute-force
+    # search over all maps confirms each None
+    for src, dst in _single_map_pairs():
+        m = morphism_find(src, dst)
+        if m is not None:
+            assert is_morphism(m)
+            if is_isomorphism(m):
+                assert is_morphism(inverse(m))
+            continue
+        assert not any(
+            is_morphism(SystemMorphism(src, dst, h))
+            for h in itertools.product(range(dst.size), repeat=src.size)
+        )
+
+
+def seed_morphism_find(src, dst):
+    """morphism_find as it propagated: images forced along the source's
+    maps, None at a conflict, MinimalityRequired for a source that is not
+    minimal."""
+    pairs = [(f, dst.map_for(lab)) for lab, f in zip(src.index_set, src.maps)]
+    prop = seed_propagate(src.base, dst.base, [
+        (f.table.__getitem__, g.table.__getitem__) for f, g in pairs
+    ])
+    require_minimal(src)
+    if prop.conflict is not None:
+        return None
+    return SystemMorphism(src, dst, tuple(prop.value[x]
+                                          for x in range(src.size)))
+
+
+def _two_label_pairs():
+    """(src, dst): every minimal two-label system on at most three
+    elements into zpair(m) and its two paddings, m <= 4."""
+    targets = [dst for m in range(1, 5)
+               for dst in (zpair(m), pad_single(zpair(m), "+"),
+                           pad_single(zpair(m), "-"))]
+    for src in _minimal_systems():
+        if src.index_set == ("s", "t"):
+            src = relabel_index_set(src, {"s": "+", "t": "-"})
+            for dst in targets:
+                yield src, dst
+
+
+def test_morphism_find_matches_the_propagation():
+    found = set()
+    for src, dst in [*_single_map_pairs(), *_two_label_pairs()]:
+        m = morphism_find(src, dst)
+        assert m == seed_morphism_find(src, dst)
+        found.add(m is None)
+    assert found == {True, False}
+
+
+def test_a_morphism_search_skipping_the_last_label_check_is_caught(
+    monkeypatch
+):
+    """Mutation: without the comparison at the last label's edges,
+    morphism_find returns walks that is_morphism rejects."""
+    cases = [*_single_map_pairs(), *_two_label_pairs()]
+    want = [morphism_find(src, dst) for src, dst in cases]
+    skip_the_last_check(monkeypatch, morphisms)
+    caught = 0
+    for (src, dst), m in zip(cases, want):
+        got = morphism_find(src, dst)
+        if got != m:
+            assert m is None and not is_morphism(got)
+            caught += 1
+    assert caught > 0
 
 
 def test_morphism_requires_matching_index_sets():
@@ -257,9 +329,10 @@ def test_free_eval_reduces_counts_along_tail_and_cycle():
 
 
 def way_down_probe(target, bound):
-    """The probe with its deleted pass: every way down by one unit from an
-    element of degree <= bound gives the value propagation forced on it."""
-    prop = propagate(free_zero(), target.base, [
+    """The probe as it propagated, with its deleted pass: every way down by
+    one unit from an element of degree <= bound gives the value propagation
+    forced on it."""
+    prop = seed_propagate(free_zero(), target.base, [
         (lambda e, u=free_unit(lab): free_add(e, u), target.map_for(lab))
         for lab in target.index_set
     ], depth=bound)
@@ -280,6 +353,32 @@ def test_free_uniqueness_probe_on_fixtures():
     for sys in [cyc(4), rho(2, 2), zpair(4), one_point()]:
         assert free_uniqueness_probe(sys, 8)
         assert way_down_probe(sys, 8)
+
+
+def test_free_uniqueness_probe_matches_the_propagation(monkeypatch):
+    """The probe checks each step up by one unit below `bound`; the seed
+    propagated the forced values and compared them with free_eval.  They
+    agree on every minimal system, where both hold, and on a free_eval
+    whose orbit tail is one too late, where they fail."""
+    systems = list(_minimal_systems())
+    for sys in systems:
+        assert free_uniqueness_probe(sys, 4) == way_down_probe(sys, 4)
+    orbit = morphisms._orbit
+
+    def late(f, x, steps=None):
+        points, tail = orbit(f, x, steps)
+        return points, None if tail is None else tail + 1
+
+    monkeypatch.setattr(morphisms, "_orbit", late)
+    verdicts = set()
+    for sys in systems[:12] + [rho(2, 3), zpair(3)]:
+        try:
+            want = way_down_probe(sys, 4)
+        except (IndexError, ZeroDivisionError):
+            continue
+        assert free_uniqueness_probe(sys, 4) == want
+        verdicts.add(want)
+    assert verdicts == {True, False}
 
 
 def test_free_uniqueness_probe_requires_minimality():

@@ -42,6 +42,7 @@ from test_laws import (
     _minimal_systems,
     _system,
     minimal_systems,
+    skip_the_last_check,
     submonoid_closure,
 )
 
@@ -272,19 +273,38 @@ def test_an_orbit_that_drops_its_last_point_is_caught(monkeypatch):
 
 
 def test_an_initiality_search_without_the_padding_is_caught(monkeypatch):
-    # every edge pushes its own map: the search is for a morphism to the
-    # system itself, which always exists
-    propagate = morphisms.propagate
-
-    def unpadded(start, value, edges, **kwargs):
-        return propagate(start, value, [(step, step) for step, _ in edges],
-                         **kwargs)
-
-    # the oracle runs first: its morphism_find propagates through the
-    # same module attribute
-    want = oracle_initiality_report(zpair(5))
+    # the walk and its check read each label's own map where the padding
+    # puts the identity: the search is for a morphism to the system
+    # itself, which always exists
+    sys = zpair(5)
+    own = [sys.map_for(lab).table for lab in sorted(sys.index_set)]
+    walk, intertwined = morphisms._walk, morphisms._intertwined
+    # the oracle runs first: its morphism_find walks and checks through
+    # the same module attributes
+    want = oracle_initiality_report(sys)
     assert not any(c.morphism_to_padded for c in want.conditions)
-    monkeypatch.setattr(morphisms, "propagate", unpadded)
-    got = initiality_report(zpair(5))
+    monkeypatch.setattr(morphisms, "_walk", lambda tree, value, padded:
+                        walk(tree, value, own))
+    monkeypatch.setattr(morphisms, "_intertwined", lambda h, steps, padded:
+                        intertwined(h, steps, own))
+    got = initiality_report(sys)
     assert all(c.morphism_to_padded for c in got.conditions)
     assert got != want
+
+
+def test_an_initiality_search_skipping_the_last_label_check_is_caught(
+    monkeypatch
+):
+    """Mutation: without the comparison at the last label's edges, the
+    search finds morphisms to padded systems that oracle_initiality_report
+    does not.  The oracle runs first, as in the test above."""
+    systems = [sys for sys in _minimal_systems() if len(sys.maps) == 2]
+    want = [oracle_initiality_report(sys) for sys in systems]
+    skip_the_last_check(monkeypatch, morphisms)
+    caught = 0
+    for sys, rep in zip(systems, want):
+        for got, cond in zip(initiality_report(sys).conditions,
+                             rep.conditions):
+            assert got.morphism_to_padded >= cond.morphism_to_padded
+            caught += got != cond
+    assert caught > 0
