@@ -1,6 +1,6 @@
 """Aggregate structural report for a counting system."""
 
-from .core import _Value, is_dedekind
+from .core import _Value
 from .dsl import EXIT_OK, _emit, _load
 from .errors import MinimalityRequired
 from .morphisms import initiality_report
@@ -19,6 +19,14 @@ class AnalysisReport(_Value):
 
 
 def analyze(sys):
+    """One carrier BFS and, per label, one orbit walk (initiality_report).
+
+    `dedekind` is read from the one condition of a single-map system, and
+    is False when the system is not minimal, as is_dedekind: then the
+    base's orbit misses the carrier.  On a minimal single-map system the
+    orbit is the carrier, so f is injective iff tail == 0, and both
+    core_dedekind and is_dedekind are "tail == 0 and tail != 0": false.
+    """
     try:  # one carrier BFS; MinimalityRequired names the unreachable set
         rep, core_size = initiality_report(sys), sys.size
     except MinimalityRequired as exc:
@@ -26,8 +34,9 @@ def analyze(sys):
     # a self-map of a finite carrier is injective iff it is surjective
     flags = {lab: MapFlags(*[f.is_injective()] * 3)
              for lab, f in zip(sys.index_set, sys.maps)}
-    dedekind = is_dedekind(sys) if len(sys.index_set) == 1 else None
     minimal = rep is not None
+    dedekind = ((minimal and rep.conditions[0].core_dedekind)
+                if len(sys.index_set) == 1 else None)
     initial = minimal and rep.initial
     return AnalysisReport(minimal, core_size, flags, dedekind, initial, rep)
 

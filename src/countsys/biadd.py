@@ -86,13 +86,12 @@ def hom_extend_report(src, dst, gens, targets):
     if len(gens) != len(targets):
         raise TargetCountMismatch(len(gens), len(targets))
     tree = require_generates(src, gens)
-    steps = [src.op[g] for g in gens]
     tables = [dst.op[b] for b in targets]
     h = _walk(tree, dst.zero, tables)
-    if _intertwined(h, steps, tables):
+    if _intertwined(h, tree, tables):
         return HomTable(src, dst, tuple(h)), None
-    y, x, table = next((s[x], x, t) for x in tree.order
-                       for s, t in zip(steps, tables) if h[s[x]] != t[h[x]])
+    y, x, table = next((s[x], x, t) for x in tree.order for s, t
+                       in zip(tree.steps, tables) if h[s[x]] != t[h[x]])
     return None, ExtensionConflict(y, h[y], table[h[x]])
 
 

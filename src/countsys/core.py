@@ -249,17 +249,17 @@ def new_system(carrier, base, index_set, maps):
 
 class Propagation(_Value):
     """The outcome of `propagate`: `order` holds the elements in discovery
-    order, start first; `edges` the tree edges (p, k, c), c = steps[k](p)
+    order, start first; `edges` the tree edges (p, k, c), c = steps[k][p]
     discovered from p, in discovery order, so that c is order[i + 1] for
-    edge i."""
+    edge i; `steps` the index tables searched, as given."""
 
-    __slots__ = ("order", "edges")
+    __slots__ = ("order", "edges", "steps")
 
 
 def propagate(start, steps, sort_levels=False):
     """Breadth-first search from `start`, level by level.
 
-    `steps[k](x)` is the element edge k leads to from x.  Edges are taken
+    `steps[k][x]` is the element edge k leads to from x.  Edges are taken
     in the given order; a level is expanded in discovery order, or
     ascending when `sort_levels` is set.
     """
@@ -272,38 +272,37 @@ def propagate(start, steps, sort_levels=False):
         done = len(order)
         for x in sorted(frontier) if sort_levels else frontier:
             for k, step in enumerate(steps):
-                y = step(x)
+                y = step[x]
                 if y not in seen:
                     seen.add(y)
                     edges.append((x, k, y))
                     order.append(y)
-    return Propagation(order, edges)
+    return Propagation(order, edges, steps)
 
 
 def _walk(tree, value, tables):
     """The list h with h[start] = value and h[c] = tables[k][h[p]] on each
     edge (p, k, c) of a search tree spanning range(n).  A map m with
-    m(start) = value and m(step_k(x)) = tables[k][m(x)] for every x and k
-    is h, by induction along the tree; so one exists iff h is one, which
-    _intertwined checks once per generator."""
+    m(start) = value and m(tree.steps[k][x]) = tables[k][m(x)] for every x
+    and k is h, by induction along the tree; so one exists iff h is one,
+    which _intertwined checks once per generator."""
     h = [value] * len(tree.order)
     for p, k, c in tree.edges:
         h[c] = tables[k][h[p]]
     return h
 
 
-def _intertwined(h, steps, tables):
-    """True iff h . steps[k] == tables[k] . h for every k, on index tables."""
+def _intertwined(h, tree, tables):
+    """True iff h . tree.steps[k] == tables[k] . h for every k."""
     return all(_gather(h, step) == _gather(table, h)
-               for step, table in zip(steps, tables))
+               for step, table in zip(tree.steps, tables))
 
 
 def reach(sys):
     """Carrier BFS from the base: levels expanded element-index ascending,
     maps applied in ascending label order (edge k is `sorted(index_set)[k]`).
     """
-    steps = [f.table.__getitem__
-             for _lab, f in sorted(zip(sys.index_set, sys.maps))]
+    steps = [f.table for _lab, f in sorted(zip(sys.index_set, sys.maps))]
     return propagate(sys.base, steps, sort_levels=True)
 
 
@@ -346,26 +345,17 @@ def minimal_core(sys):
 def product(a, b):
     """Product system on the cartesian carrier, row-major in the first factor."""
     n, m = a.size, b.size
+    k = len(a.index_set) * len(b.index_set)
     if n * m > MAX_CARRIER_SIZE:
         raise CarrierTooLarge(n * m, MAX_CARRIER_SIZE)
-    if len(a.index_set) * len(b.index_set) > MAX_INDEX_SET_SIZE:
-        raise IndexSetTooLarge(
-            len(a.index_set) * len(b.index_set), MAX_INDEX_SET_SIZE
-        )
-    labels = tuple(
-        f"({la},{lb})" for la in a.carrier.labels for lb in b.carrier.labels
-    )
+    if k > MAX_INDEX_SET_SIZE:
+        raise IndexSetTooLarge(k, MAX_INDEX_SET_SIZE)
+    labels = tuple(f"({la},{lb})" for la in a.carrier.labels
+                   for lb in b.carrier.labels)
     index_set = tuple(f"({s},{t})" for s in a.index_set for t in b.index_set)
-    maps = []
-    for fs in a.maps:
-        for gt in b.maps:
-            table = tuple(
-                fs(i) * m + gt(j) for i in range(n) for j in range(m)
-            )
-            maps.append(EndoMap(table))
-    return CountingSystem(
-        Carrier(labels), a.base * m + b.base, index_set, tuple(maps)
-    )
+    maps = [EndoMap(tuple(i * m + j for i in fs.table for j in gt.table))
+            for fs in a.maps for gt in b.maps]
+    return CountingSystem(Carrier(labels), a.base * m + b.base, index_set, maps)
 
 
 def require_single_map(sys):

@@ -77,11 +77,10 @@ def reconstruct_addition(sys):
     """
     n = sys.size
     prop = require_minimal(sys)
-    maps = [f for _lab, f in sorted(zip(sys.index_set, sys.maps))]
     rows = [None] * n
     rows[sys.base] = tuple(range(n))
     for p, k, a in prop.edges:
-        rows[a] = _gather(maps[k].table, rows[p])
+        rows[a] = _gather(prop.steps[k], rows[p])
     return MonoidTable(n, tuple(rows), sys.base)
 
 
@@ -149,7 +148,7 @@ def cayley_embedding(t):
 def require_generates(t, gens):
     """The breadth-first pass from zero adding gens[k] on edge k; raises
     GensDoNotGenerate, with the missing elements, unless it reaches all."""
-    prop = propagate(t.zero, [t.op[g].__getitem__ for g in gens])
+    prop = propagate(t.zero, [t.op[g] for g in gens])
     if len(prop.order) != t.size:
         raise GensDoNotGenerate(gens, set(range(t.size)) - set(prop.order))
     return prop

@@ -43,11 +43,10 @@ def morphism_find(src, dst):
     intertwines each f_s with g_s."""
     _paired_maps(src, dst)  # IndexSetMismatch unless the labels agree
     tree = require_minimal(src)
-    labels = sorted(src.index_set)  # tree edge k is along labels[k]
-    steps = [src.map_for(lab).table for lab in labels]
-    tables = [dst.map_for(lab).table for lab in labels]
+    # tree edge k is along the k-th label in sorted order
+    tables = [dst.map_for(lab).table for lab in sorted(src.index_set)]
     h = _walk(tree, dst.base, tables)
-    if _intertwined(h, steps, tables):
+    if _intertwined(h, tree, tables):
         return SystemMorphism(src, dst, tuple(h))
     return None
 
@@ -205,7 +204,6 @@ def initiality_report(sys):
     """
     tree = require_minimal(sys)
     labels = sorted(sys.index_set)  # tree edge k is along labels[k]
-    steps = [sys.map_for(lab).table for lab in labels]
     ident = range(sys.size)
     conditions = []
     for lab, f in zip(sys.index_set, sys.maps):
@@ -215,19 +213,22 @@ def initiality_report(sys):
         injective = base_in_image = tail == 0
         dedekind = injective and not base_in_image  # the core is minimal
         conditions.append(InitialityCondition(
-            lab, _intertwined(h, steps, padded), len(points), injective,
+            lab, _intertwined(h, tree, padded), len(points), injective,
             base_in_image, dedekind))
     return InitialityReport(conditions)
 
 
 def relabel_index_set(sys, mapping):
-    """Rename index labels via an explicit old -> new mapping; the new labels
-    must be non-empty and distinct (DuplicateLabel from CountingSystem)."""
-    new_labels = []
+    """Rename index labels via an old -> new mapping that names each label
+    and nothing else (UnknownLabel); the new labels must be non-empty and
+    distinct (DuplicateLabel from CountingSystem)."""
     for lab in sys.index_set:
         if lab not in mapping:
             raise UnknownLabel(lab, tuple(mapping))
-        new_labels.append(mapping[lab])
+    for key in mapping:
+        if key not in sys.index_set:
+            raise UnknownLabel(key, sys.index_set)
+    new_labels = [mapping[lab] for lab in sys.index_set]
     return CountingSystem(sys.carrier, sys.base, new_labels, sys.maps)
 
 

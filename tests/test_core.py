@@ -12,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from countsys import laws
 from countsys.core import (
+    MAX_CARRIER_SIZE,
     Carrier,
     CountingSystem,
     EndoMap,
@@ -42,8 +43,15 @@ from countsys.errors import (
 )
 from countsys.fixtures import cyc, one_point, rho, zpair
 from test_laws import seed_propagate
+from countsys.derive import derive_addition, require_generates
 from countsys.morphisms import relabel_index_set
-from test_laws import FIXTURES, _enumeration, _system, minimal_systems
+from test_laws import (
+    FIXTURES,
+    _enumeration,
+    _shifts,
+    _system,
+    minimal_systems,
+)
 
 
 @st.composite
@@ -285,6 +293,69 @@ def test_product_of_minimal_systems_can_be_non_minimal():
     assert len(reachable_set(p)) == 2
 
 
+def per_cell_product(a, b):
+    """The product as core.product built it before it read whole tables:
+    two EndoMap calls per cell."""
+    n, m = a.size, b.size
+    labels = tuple(
+        f"({la},{lb})" for la in a.carrier.labels for lb in b.carrier.labels
+    )
+    index_set = tuple(f"({s},{t})" for s in a.index_set for t in b.index_set)
+    maps = []
+    for fs in a.maps:
+        for gt in b.maps:
+            table = tuple(
+                fs(i) * m + gt(j) for i in range(n) for j in range(m)
+            )
+            maps.append(EndoMap(table))
+    return CountingSystem(
+        Carrier(labels), a.base * m + b.base, index_set, tuple(maps)
+    )
+
+
+def n_scaled_product(a, b):
+    """Mutant of core.product: a's images are scaled by a's own size n,
+    not by b's size m."""
+    n = a.size
+    maps = [EndoMap(tuple(i * n + j for i in fs.table for j in gt.table))
+            for fs in a.maps for gt in b.maps]
+    p = product(a, b)
+    return CountingSystem(p.carrier, p.base, p.index_set, maps)
+
+
+def _is_per_cell_product(build, a, b):
+    """build(a, b) is the per-cell product; a mutant may instead fail on
+    an image out of range or maps that do not commute."""
+    try:
+        return build(a, b) == per_cell_product(a, b)
+    except (BadIndex, NonCommuting):
+        return False
+
+
+@settings(max_examples=40, deadline=None)
+@given(minimal_systems(), minimal_systems())
+def test_product_is_the_per_cell_build_on_random_systems(a, b):
+    """The whole-table build equals the per-cell one; the mutant scaling
+    by n is caught wherever it builds something else: a has an image
+    i > 0 and n != m."""
+    assert _is_per_cell_product(product, a, b)
+    if a.size != b.size and any(max(f.table) > 0 for f in a.maps):
+        assert not _is_per_cell_product(n_scaled_product, a, b)
+
+
+def test_product_is_the_per_cell_build_at_the_limits():
+    """A 4096-point factor with 16 labels times one point, each way
+    round, and the fixtures pairwise; the mutant is caught on the first."""
+    z16 = _shifts(MAX_CARRIER_SIZE, range(1, 32, 2))
+    pairs = [(z16, one_point()), (one_point(), z16),
+             *itertools.product(FIXTURES, repeat=2)]
+    for a, b in pairs:
+        assert _is_per_cell_product(product, a, b)
+    caught = [not _is_per_cell_product(n_scaled_product, a, b)
+              for a, b in pairs]
+    assert caught[0] and sum(caught) > 1
+
+
 def test_adjoin_omega_shape():
     w = adjoin_omega(cyc(3))
     assert w.size == 4
@@ -358,7 +429,8 @@ def test_propagate_consistent_values_and_parents():
     assert prop.order == [1, 2, 3, 4]
     assert prop.value == {1: 1, 2: 2, 3: 3, 4: 4}
     assert prop.parent == {2: (1, 0), 3: (1, 1), 4: (2, 0)}
-    tree = propagate(1, [step for step, _push in edges])
+    tables = [tuple(step(x) for x in range(5)) for step, _push in edges]
+    tree = propagate(1, tables)
     assert tree.order == prop.order
     assert tree.edges == [(1, 0, 2), (1, 1, 3), (2, 0, 4)]
 
@@ -367,15 +439,15 @@ def test_walk_forces_values_along_the_tree_and_is_checked_per_edge():
     # Z6 under +1 and +3 from 0, onto Z2: reduction mod 2 intertwines +1
     # and +3 with the swap; walked with the identity for +3, it breaks
     steps = [(1, 2, 3, 4, 5, 0), (3, 4, 5, 0, 1, 2)]
-    tree = propagate(0, [step.__getitem__ for step in steps])
+    tree = propagate(0, steps)
     assert tree.edges == [(0, 0, 1), (0, 1, 3), (1, 0, 2), (1, 1, 4),
                           (2, 1, 5)]
     swap, ident = (1, 0), range(2)
     h = _walk(tree, 0, [swap, swap])
-    assert h == [0, 1, 0, 1, 0, 1] and _intertwined(h, steps, [swap, swap])
+    assert h == [0, 1, 0, 1, 0, 1] and _intertwined(h, tree, [swap, swap])
     h = _walk(tree, 0, [swap, ident])
     assert h == [0, 1, 0, 0, 1, 0]
-    assert not _intertwined(h, steps, [swap, ident])
+    assert not _intertwined(h, tree, [swap, ident])
 
 
 def test_propagate_depth_bound():
@@ -389,7 +461,7 @@ def test_propagate_depth_bound():
 def test_propagate_keeps_only_the_search():
     assert list(inspect.signature(propagate).parameters) == [
         "start", "steps", "sort_levels"]
-    assert Propagation.__slots__ == ("order", "edges")
+    assert Propagation.__slots__ == ("order", "edges", "steps")
 
 
 def test_sorted_levels_differ_from_discovery_order():
@@ -398,13 +470,49 @@ def test_sorted_levels_differ_from_discovery_order():
     s = EndoMap((4, 0, 3, 1, 2, 5))
     t = EndoMap((1, 3, 4, 2, 0, 5))
     sys = new_system(Carrier(tuple("abcdez")), 0, ("s", "t"), (s, t))
-    steps = [s.table.__getitem__, t.table.__getitem__]
+    steps = [s.table, t.table]
     assert propagate(0, steps).order == [0, 4, 1, 2, 3]
     assert propagate(0, steps, sort_levels=True).order == [0, 4, 1, 3, 2]
     assert reach(sys).order == [0, 4, 1, 3, 2]
     assert reachable_set(sys) == {0, 1, 2, 3, 4}
     core = minimal_core(sys)
     assert core.carrier.labels == tuple("aebdc")
+
+
+def test_propagate_over_tables_is_the_seed_search_on_enumerations():
+    """Over index tables, propagate finds what seed_propagate found over
+    their bound __getitem__, from every start of every enumerated family,
+    of the fixtures and of the family above whose sorted levels differ,
+    with levels in discovery order or sorted: the same order, and the
+    edge (p, k, c) for each parent[c] = (p, k)."""
+    families = [*_enumeration(), [(4, 0, 3, 1, 2, 5), (1, 3, 4, 2, 0, 5)],
+                *([f.table for f in sys.maps] for sys in FIXTURES)]
+    for tables in families:
+        edges = [(table.__getitem__, None) for table in tables]
+        for start in range(len(tables[0])):
+            for sort_levels in (False, True):
+                tree = propagate(start, tables, sort_levels)
+                seed = seed_propagate(start, None, edges, sort_levels)
+                assert tree.order == seed.order
+                assert tree.edges == [(*seed.parent[c], c)
+                                      for c in seed.order[1:]]
+
+
+def test_a_tree_keeps_the_tables_it_searched():
+    """Each tree.steps[k] is the table edge k read, not a copy: a map's
+    table in label order for reach, a row of the addition for
+    require_generates."""
+    for sys in FIXTURES:
+        tree = reach(sys)
+        maps = [f for _lab, f in sorted(zip(sys.index_set, sys.maps))]
+        assert len(tree.steps) == len(maps)
+        assert all(step is f.table for step, f in zip(tree.steps, maps))
+        if is_minimal(sys):
+            t = derive_addition(sys)
+            gens = [f(sys.base) for f in sys.maps]
+            tree = require_generates(t, gens)
+            assert len(tree.steps) == len(gens)
+            assert all(step is t.op[g] for step, g in zip(tree.steps, gens))
 
 
 def test_endomap_names_the_first_bad_image():
@@ -477,7 +585,7 @@ def _value_cases():
         (lambda i: CyclicFreeness(0, 1, (0, 1), True, i == 1), None),
         (lambda i: FreeReport(DirectSumReport(i == 0), ()), None),
         (lambda i: EvaluationMap((0, 1), True, (i, 1 - i)), None),
-        (lambda i: Propagation([0, 1], [(0, i, 1)]), None),
+        (lambda i: Propagation([0, 1], [(0, i, 1)], [(1, 0)] * 2), None),
         (lambda i: Classification(False, False, True, i == 0), None),
         (lambda i: SystemDocument(f"c{i}", one_point()), None),
         (lambda i: SystemMorphism(one_point(), one_point(), (i,)), None),

@@ -896,6 +896,16 @@ def test_cli_relabel_collision_exits_2(tmp_path):
     assert err == "error: duplicate label 'a'\n"
 
 
+def test_cli_relabel_of_an_unknown_label_exits_2(tmp_path):
+    """A --relabel key that names no source label is refused, as
+    --multiset refuses one, not dropped."""
+    path = write(tmp_path, "z.csys", emit_system(zpair(5), name="z5"))
+    code, out, err = run(["morphism", path, path,
+                          "--relabel", "+=a,-=b,q=r"])
+    assert (code, out, err) == (2, "", "error: unknown label 'q' "
+                                "(known: +, -)\n")
+
+
 def test_cli_bad_arguments_exit_2():
     code, out, err = run(["no-such-command"])
     assert code == 2

@@ -785,7 +785,7 @@ def submonoid_closure(t, gens):
     """The least subset containing zero and closed under adding the
     generators: the propagation that decided generation and built the
     cyclic submonoids before they were read from an orbit."""
-    return set(propagate(t.zero, [t.op[g].__getitem__ for g in gens]).order)
+    return set(propagate(t.zero, [t.op[g] for g in gens]).order)
 
 
 def generates(t, gens):
@@ -1159,8 +1159,8 @@ def test_hom_extend_report_without_the_conflict_check_is_caught(monkeypatch):
 def skip_the_last_check(monkeypatch, module):
     """Mutate the check of every walk in `module`: it compares the walk
     at the edges of every generator but the last."""
-    monkeypatch.setattr(module, "_intertwined", lambda h, steps, tables:
-                        _intertwined(h, steps[:-1], tables[:-1]))
+    monkeypatch.setattr(module, "_intertwined", lambda h, tree, tables:
+                        _intertwined(h, tree, tables[:-1]))
 
 
 def test_hom_extend_report_skipping_the_last_generator_check_is_caught(
@@ -1705,7 +1705,7 @@ def test_a_walk_reading_the_wrong_edge_generator_is_caught(name,
     for i, (p, k, c) in enumerate(tree.edges):
         for j in [j for j in range(len(gens)) if j != k]:
             wrong = Propagation(tree.order, [*tree.edges[:i], (p, j, c),
-                                             *tree.edges[i + 1:]])
+                                             *tree.edges[i + 1:]], tree.steps)
             monkeypatch.setattr(biadd, "require_generates",
                                 lambda *_args, tree=wrong: tree)
             op = biadditive_extend(*args).op

@@ -182,6 +182,9 @@ def test_relabel_enables_cross_label_search():
     assert renamed.index_set == ("a", "b")
     with pytest.raises(UnknownLabel):
         relabel_index_set(z, {"+": "a"})
+    with pytest.raises(UnknownLabel) as exc:
+        relabel_index_set(z, {"+": "a", "-": "b", "q": "r", "p": "s"})
+    assert exc.value.label == "q"
 
 
 def test_relabel_rejects_colliding_and_empty_labels():

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 
 from countsys import biadd, core, morphisms
+from countsys.analysis import analyze
 from countsys.biadd import CyclicFreeness, is_free_report
 from countsys.core import (
     _orbit,
@@ -223,6 +224,16 @@ def test_single_map_answers_match_the_oracles_on_random_minimal_systems(sys):
                           10**30 + 7]) is None
 
 
+def test_analyze_reads_dedekind_from_the_initiality_report():
+    """analyze walks no second orbit: its dedekind flag, read from the one
+    initiality condition or False off a minimal system, is is_dedekind's
+    on every enumerated system, minimal or not, and the fixtures."""
+    for sys in [*FIXTURES, *_every_system()]:
+        single = len(sys.maps) == 1
+        assert analyze(sys).dedekind == (is_dedekind(sys) if single
+                                         else None), sys
+
+
 def test_free_eval_matches_the_dict_walk_on_rho():
     assert rho_free_eval_differs() is None
 
@@ -285,8 +296,8 @@ def test_an_initiality_search_without_the_padding_is_caught(monkeypatch):
     assert not any(c.morphism_to_padded for c in want.conditions)
     monkeypatch.setattr(morphisms, "_walk", lambda tree, value, padded:
                         walk(tree, value, own))
-    monkeypatch.setattr(morphisms, "_intertwined", lambda h, steps, padded:
-                        intertwined(h, steps, own))
+    monkeypatch.setattr(morphisms, "_intertwined", lambda h, tree, padded:
+                        intertwined(h, tree, own))
     got = initiality_report(sys)
     assert all(c.morphism_to_padded for c in got.conditions)
     assert got != want
