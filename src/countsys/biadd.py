@@ -2,10 +2,11 @@
 
 A homomorphism out of a finitely generated table is fixed by its values on
 the generators: extension walks it along the generation tree, then checks
-each generator edge.  The biadditive extension checks its sections at the
-generators and walks each row, a homomorphism, along the same tree; its
-proof gives every law of the table and of the multiplications built on it,
-and none is checked.
+each generator edge.  A function searches that tree once and makes every
+extension and check of its call along it.  The biadditive extension checks
+its sections at the generators and walks each row, a homomorphism, along
+the same tree; its proof gives every law of the table and of the
+multiplications built on it, and none is checked.
 A table `t` passed with a system `sys` must be derive_addition(sys), a
 commutative monoid generated by the x_s = f_s(base) by that function's
 proof, not by a check of the table.
@@ -66,6 +67,22 @@ def identity_hom(t):
     return HomTable(t, t, tuple(range(t.size)))
 
 
+def _extend(tree, dst, targets):
+    """The extension into dst, along `tree` (require_generates' search), of
+    the values `targets` at the generators, as hom_extend_report proves it:
+    the walk as a list and None, or None and the ExtensionConflict at the
+    first edge x -> g_s + x the walk breaks, x in tree order, s in order:
+    where values forced along the same search, whatever they are, first
+    clash."""
+    tables = [dst.op[b] for b in targets]
+    h = _walk(tree, dst.zero, tables)
+    if _intertwined(h, tree, tables):
+        return h, None
+    y, x, table = next((s[x], x, t) for x in tree.order for s, t
+                       in zip(tree.steps, tables) if h[s[x]] != t[h[x]])
+    return None, ExtensionConflict(y, h[y], table[h[x]])
+
+
 def hom_extend_report(src, dst, gens, targets):
     """Try to extend generator assignments g_s -> b_s to a homomorphism.
 
@@ -77,22 +94,16 @@ def hom_extend_report(src, dst, gens, targets):
     are the maps h with h(zero) = zero and h(g_s + x) = b_s + h(x) for all
     x and s: so h(g_s) = b_s, and h(x + g_s) = h(x) + h(g_s) at gens, which
     generate.  So the extension is core._walk along require_generates'
-    tree, checked at each generator.  The conflict is at the first edge
-    x -> g_s + x the walk breaks, x in tree order, s in order: where
-    values forced along the same search, whatever they are, first clash.
+    tree, checked at each generator (_extend).  Callers extending several
+    assignments from the same gens search once and call _extend on that
+    tree.
     """
     gens = tuple(gens)
     targets = tuple(targets)
     if len(gens) != len(targets):
         raise TargetCountMismatch(len(gens), len(targets))
-    tree = require_generates(src, gens)
-    tables = [dst.op[b] for b in targets]
-    h = _walk(tree, dst.zero, tables)
-    if _intertwined(h, tree, tables):
-        return HomTable(src, dst, tuple(h)), None
-    y, x, table = next((s[x], x, t) for x in tree.order for s, t
-                       in zip(tree.steps, tables) if h[s[x]] != t[h[x]])
-    return None, ExtensionConflict(y, h[y], table[h[x]])
+    h, conflict = _extend(require_generates(src, gens), dst, targets)
+    return (None if h is None else HomTable(src, dst, tuple(h))), conflict
 
 
 def hom_extend(src, dst, gens, targets):
@@ -120,11 +131,18 @@ def biadditive_extend(M, N, gens, lambdas, lambda_primes):
 
     lambdas[i] prescribes the row section at generator gens[i], lambda_primes
     the column section.  Compatibility lambda_s(g_t) = lambda'_t(g_s) is
-    checked, and so is each section: additive at the generators, it is a
-    homomorphism (laws.homomorphism).  No caller passes one that is not, so
-    that failure raises InternalInvariantViolation.  The table is not
-    checked.  Row a is walked along require_generates' tree: row a (zero)
-    is zero and row a (g_k + p) = lambda'_k(a) + row a (p) on each edge.
+    checked, and so is each section h, on require_generates' tree:
+    h(zero) = zero and h(g + a) = h(g) + h(a) for every generator g and
+    every a, which _intertwined compares a generator's edges at a time.
+    That makes h a homomorphism: the b with h(a + b) = h(a) + h(b) for
+    every a hold zero, every generator (M is commutative) and, with b and
+    c, b + c, as h(a + b + c) = h(a + b) + h(c) = h(a) + h(b) + h(c) =
+    h(a) + h(b + c); so they hold the submonoid gens generate, all of M.
+    No caller passes a section that is not one, so that failure raises
+    InternalInvariantViolation, naming the first failing row section, or
+    else column section.  The table is not checked.  Row a is walked along
+    the same tree: row a (zero) is zero and row a (g_k + p) =
+    lambda'_k(a) + row a (p) on each edge.
     Proof (M, N commutative monoids, gens generating M, sections as
     checked): let S have row zero zero and row c = lambda_k + row p on each
     edge c = g_k + p; then
@@ -150,11 +168,11 @@ def biadditive_extend(M, N, gens, lambdas, lambda_primes):
             if lam_s(g_t) != lamp_t(g_s):
                 raise CompatibilityViolated(i, j, lam_s(g_t), lamp_t(g_s))
     for side, sections in (("row", lambdas), ("column", lambda_primes)):
-        i = laws.homomorphisms(M.op, N.op, [lam.map for lam in sections],
-                               M.zero, N.zero, gens)
-        if i is not None:
-            raise InternalInvariantViolation(
-                f"{side} section {i} is no homomorphism")
+        for i, h in enumerate(lam.map for lam in sections):
+            u = [N.op[h[g]] for g in gens]
+            if h[M.zero] != N.zero or not _intertwined(h, tree, u):
+                raise InternalInvariantViolation(
+                    f"{side} section {i} is no homomorphism")
     rows = []
     for a in range(M.size):
         u = [N.op[lamp.map[a]] for lamp in lambda_primes]
@@ -214,13 +232,15 @@ def derive_multiplication_indexed(sys, t, odot):
     """Multiplication prescribed on generators by an index-set operation.
 
     For each label s the two required endomorphisms (x_t -> x_{s odot t} and
-    x_t -> x_{t odot s}) are searched by homomorphism extension; a missing one
-    is reported as a structured absence, never a partial table.
+    x_t -> x_{t odot s}) are extended (_extend) along the one generation
+    tree searched here; a missing one is reported as a structured absence,
+    never a partial table.
 
     With t = derive_addition(sys), the sections are homomorphisms
-    (hom_extend_report), so mu is biadditive with row x_s = lambda_s by
-    biadditive_extend's proof, and lambda_s(x_t) = x_{s odot t}; none of
-    the laws of mu is checked, and those of odot carry over:
+    (hom_extend_report's proof), so mu is biadditive with row x_s =
+    lambda_s by biadditive_extend's proof, and lambda_s(x_t) =
+    x_{s odot t}; none of the laws of mu is checked, and those of odot
+    carry over:
     if it is commutative, mu and (a, b) -> mu[b][a] agree on generator
     pairs; if associative, both bracketings agree on generator triples; a
     left unit u makes lambda_u, so row x_u, the identity.
@@ -231,38 +251,32 @@ def derive_multiplication_indexed(sys, t, odot):
     labels = sys.index_set
     x = {s: sys.map_for(s)(sys.base) for s in labels}
     gens = tuple(x[s] for s in labels)
-    lambdas = []
-    lambda_primes = []
+    tree = require_generates(t, gens)
+    sections = []  # lambda_s, then lambda'_s, for each label s in turn
     for s in labels:
-        lam, conflict = hom_extend_report(
-            t, t, gens, tuple(x[odot.op[(s, u)]] for u in labels)
-        )
-        if lam is None:
-            return IndexedMultiplication(None, s, conflict)
-        lamp, conflict = hom_extend_report(
-            t, t, gens, tuple(x[odot.op[(u, s)]] for u in labels)
-        )
-        if lamp is None:
-            return IndexedMultiplication(None, s, conflict)
-        lambdas.append(lam)
-        lambda_primes.append(lamp)
+        for pairs in (((s, u) for u in labels), ((u, s) for u in labels)):
+            h, conflict = _extend(tree, t, (x[odot.op[p]] for p in pairs))
+            if h is None:
+                return IndexedMultiplication(None, s, conflict)
+            sections.append(HomTable(t, t, tuple(h)))
     return IndexedMultiplication(
-        biadditive_extend(t, t, gens, lambdas, lambda_primes)
+        biadditive_extend(t, t, gens, sections[::2], sections[1::2])
     )
 
 
 def projections(t, gens):
     """One idempotent-on-its-generator, zero-elsewhere endomorphism per
-    generator, when they all exist."""
+    generator, when they all exist: each extended (_extend) along the one
+    generation tree searched here."""
     gens = tuple(gens)
-    require_generates(t, gens)
+    tree = require_generates(t, gens)
     out = []
     for i, g in enumerate(gens):
-        targets = tuple(g if j == i else t.zero for j in range(len(gens)))
-        hom, conflict = hom_extend_report(t, t, gens, targets)
-        if hom is None:
+        h, conflict = _extend(tree, t, (g if j == i else t.zero
+                                        for j in range(len(gens))))
+        if h is None:
             return None, i, conflict
-        out.append(hom)
+        out.append(HomTable(t, t, tuple(h)))
     return out, None, None
 
 

@@ -8,16 +8,8 @@ cell-by-cell loop would find.  Each law compares whole rows or columns,
 gathered as tuples by `core._gather` and C-level `map` calls; no temporary
 is larger than an n x n transpose.
 
-Every law is exhaustive by default.  `homomorphism` and `homomorphisms`
-take an optional range, a sequence of element indices, that restricts the
-right argument; the witness is then the first in row-major order over the
-range.  A restricted check certifies the whole law only under a precondition
-its caller has established.  The derive path checks only the k prescribed
-row and column sections of the multiplication this way, at right = the
-generators x_s = f_s(base); the table built from them is biadditive by
-biadd.biadditive_extend's proof, and the derived addition's laws by
-derive.derive_addition's, so neither table is checked.  Every other law
-is checked on every cell.
+Every law is exhaustive.  The derive path checks none: its tables' laws
+follow from derive.derive_addition's and biadd.biadditive_extend's proofs.
 """
 
 from itertools import repeat
@@ -32,12 +24,6 @@ def _first(x, y):
     if x == y:
         return None
     return next(i for i, (p, q) in enumerate(zip(x, y)) if p != q)
-
-
-def _every(t, idx):
-    """The range `idx` without repeats (a repeat finds no earlier witness),
-    or every index of t when it is None."""
-    return range(len(t)) if idx is None else dict.fromkeys(idx)
 
 
 def _column(t, j):
@@ -67,39 +53,32 @@ def associative(op):
     return None
 
 
-def _additive(src_col, dst_col, h, right):
-    """First (a, b), b in `right`, with h[src[a][b]] != dst[h[a]][h[b]],
-    where src_col(b) and dst_col(b) are the columns b of src and dst.
-    Evaluated a column at a time: the row-major first is the first column's
-    failure with the least a."""
+def _additive(src_col, dst_col, h):
+    """First (a, b) with h[src[a][b]] != dst[h[a]][h[b]], where src_col(b)
+    and dst_col(b) are the columns b of src and dst.  Evaluated a column at
+    a time: the row-major first is the first column's failure with the
+    least a."""
     best = None
-    for b in right:
+    for b in range(len(h)):
         a = _first(_gather(h, src_col(b)), _gather(dst_col(h[b]), h))
         if a is not None and (best is None or a < best[0]):
             best = a, b
     return best
 
 
-def homomorphism(src, dst, h, right=None):
-    """First (a, b) with h[src[a][b]] != dst[h[a]][h[b]].
-
-    When both tables are associative with units, h sends src's unit to
-    dst's, and adding elements of `right` on the left reaches every element
-    of src from its unit, right alone certifies the law: the b it holds for
-    form a submonoid."""
-    return _additive(lambda b: _column(src, b), lambda b: _column(dst, b),
-                     h, _every(src, right))
+def homomorphism(src, dst, h):
+    """First (a, b) with h[src[a][b]] != dst[h[a]][h[b]]."""
+    return _additive(lambda b: _column(src, b), lambda b: _column(dst, b), h)
 
 
-def homomorphisms(src, dst, maps, zero, dst_zero, right=None):
+def homomorphisms(src, dst, maps, zero, dst_zero):
     """First i such that maps[i] is not a homomorphism src -> dst sending
-    `zero` to `dst_zero`, with `right` as in `homomorphism`.  src and dst
-    must be commutative: their rows are read as their columns.  `maps` may
-    be an iterator, such as zip(*mu) over the columns of mu."""
-    right = _every(src, right)
+    `zero` to `dst_zero`.  src and dst must be commutative: their rows are
+    read as their columns.  `maps` may be an iterator, such as zip(*mu) over
+    the columns of mu."""
     src_col, dst_col = src.__getitem__, dst.__getitem__
     return next((i for i, h in enumerate(maps) if h[zero] != dst_zero
-                 or _additive(src_col, dst_col, h, right) is not None), None)
+                 or _additive(src_col, dst_col, h) is not None), None)
 
 
 def biadditive(src, dst, mu, zero, dst_zero):

@@ -75,6 +75,7 @@ def gathers(draw):
     return seq, draw(st.sampled_from((tuple, list)))(idx)
 
 
+@settings(deadline=None)
 @given(gathers())
 @example(((7,), ()))
 @example(((7,), (0,)))

@@ -39,7 +39,7 @@ from countsys.morphisms import (
     _cmd_free_eval, _cmd_initial, _cmd_morphism, morphism_find,
 )
 from test_closure import cycles
-from test_laws import _shifts
+from test_laws import C2XC3, C2XC3_GENS, _shifts
 
 CYC3 = """\
 # a three-cycle
@@ -550,7 +550,11 @@ def test_cli_mul_indexed(tmp_path):
     (("odot", "+ + = +", "+ - = -", "- + = +", "- - = -", "unit +"),
      "'+' is not a two-sided unit: - + = +"),
     (SIGN_ODOT_LINES[:-1] + ("unit q",), "unknown unit label 'q'"),
-], ids=["not-a-unit", "left-unit-only", "not-a-label"])
+    (SIGN_ODOT_LINES[:-1] + ("q q = q",), "unknown label 'q'"),
+    (SIGN_ODOT_LINES[:-1] + ("+ q = +",), "unknown label 'q'"),
+    (SIGN_ODOT_LINES[:-1] + ("q - = -",), "unknown label 'q'"),
+], ids=["not-a-unit", "left-unit-only", "not-a-label", "entry-off-the-labels",
+        "right-label-unknown", "left-label-unknown"])
 def test_cli_mul_rejects_a_false_odot_unit(tmp_path, table, message):
     sys_path = write(tmp_path, "z.csys", emit_system(zpair(5), name="z5"))
     od_path = write(tmp_path, "u.odot", "\n".join(table) + "\n")
@@ -757,10 +761,10 @@ def test_add_mul_and_free_report_run_no_table_law(tmp_path, monkeypatch):
     add, mul and free-report never call associative or translation (laws
     has no commutative any more).  biadditive_extend proves its table
     biadditive and checks only the k prescribed row sections and the k
-    column sections: mul makes those two laws.homomorphisms calls of k maps
-    each, and no pass over the n columns of its table.  Each command
-    prints what it printed when the checks ran.  Z_63 with the shifts by 1,
-    22 and 43 has the odot of their products."""
+    column sections, along its generation tree: mul makes no
+    laws.homomorphisms call, and no pass over the n columns of its table.
+    Each command prints what it printed when the checks ran.  Z_63 with the
+    shifts by 1, 22 and 43 has the odot of their products."""
     def refuse(*args):
         raise AssertionError("a table law ran")
 
@@ -784,17 +788,17 @@ def test_add_mul_and_free_report_run_no_table_law(tmp_path, monkeypatch):
         f"s{a} s{b} = s{a * b % 63}\n" for a in (1, 22, 43)
         for b in (1, 22, 43)))
     mod64, mod63 = _modular_tsv(64, int.__add__), _modular_tsv(63, int.__add__)
-    for argv, want, k in [
-        (["add", c], mod64, 1),
-        (["mul", c], _modular_tsv(64, int.__mul__), 1),
-        (["free-report", "--json", c], _free_report(c64, True), 1),
-        (["add", z], mod63, 3),
-        (["mul", z, "--odot", o], _modular_tsv(63, int.__mul__), 3),
-        (["free-report", "--json", z], _free_report(z63, False), 3),
+    for argv, want in [
+        (["add", c], mod64),
+        (["mul", c], _modular_tsv(64, int.__mul__)),
+        (["free-report", "--json", c], _free_report(c64, True)),
+        (["add", z], mod63),
+        (["mul", z, "--odot", o], _modular_tsv(63, int.__mul__)),
+        (["free-report", "--json", z], _free_report(z63, False)),
     ]:
         checked.clear()
         assert run(argv) == (0, want, ""), argv
-        assert checked == ([k, k] if argv[0] == "mul" else []), argv
+        assert checked == [], argv
 
 
 def test_each_system_is_checked_for_commuting_once(tmp_path, monkeypatch):
@@ -804,12 +808,18 @@ def test_each_system_is_checked_for_commuting_once(tmp_path, monkeypatch):
     input.  Nothing downstream checks again.  `initial` reads each label's
     morphism search and core from the input system itself, and checks its
     minimality once: one carrier BFS (core.reach).  `analyze` reads its
-    minimality and core size from that same check."""
-    from countsys import core
+    minimality and core size from that same check.  Likewise a generated
+    table is searched once per extension call (biadd.require_generates):
+    `mul --odot` searches once for its 2k sections and once in
+    biadditive_extend, `free-report` and `projections` once for all their
+    projections."""
+    from countsys import biadd, core
     calls = []
     reaches = []
+    searches = []
     noncommuting = core.noncommuting
     reach = core.reach
+    require_generates = biadd.require_generates
 
     def counted(index_set, maps):
         calls.append(index_set)
@@ -819,14 +829,21 @@ def test_each_system_is_checked_for_commuting_once(tmp_path, monkeypatch):
         reaches.append(sys)
         return reach(sys)
 
+    def counted_search(t, gens):
+        searches.append(gens)
+        return require_generates(t, gens)
+
     c = write(tmp_path, "c.csys", emit_system(cyc(64)))
     z = write(tmp_path, "z.csys", emit_system(_shifts(63, (1, 22, 43))))
     o = write(tmp_path, "z.odot", "odot\n" + "".join(
         f"s{a} s{b} = s{a * b % 63}\n" for a in (1, 22, 43)
         for b in (1, 22, 43)))
     r = write(tmp_path, "r.csys", emit_system(product(cyc(2), cyc(4))))
+    x = write(tmp_path, "c2xc3.csys",
+              emit_system(product(cyc(2), cyc(3)), name="c2xc3"))
     monkeypatch.setattr(core, "noncommuting", counted)
     monkeypatch.setattr(core, "reach", counted_reach)
+    monkeypatch.setattr(biadd, "require_generates", counted_search)
     for argv, systems in [
         (["add", c], 1), (["mul", c], 1), (["free-report", c], 1),
         (["closure", c], 1), (["initial", c], 1), (["analyze", c], 1),
@@ -841,6 +858,13 @@ def test_each_system_is_checked_for_commuting_once(tmp_path, monkeypatch):
         assert len(calls) == systems, argv
         if argv[0] in ("initial", "analyze"):
             assert len(reaches) == 1, argv
+    for argv, want in [(["mul", z, "--odot", o], 2), (["free-report", x], 1)]:
+        searches.clear()
+        assert run(argv)[0] == 0, argv
+        assert len(searches) == want, argv
+    searches.clear()
+    assert biadd.projections(C2XC3, C2XC3_GENS)[0] is not None
+    assert searches == [C2XC3_GENS]
 
 
 def test_mul_at_the_label_limit(tmp_path):

@@ -5,8 +5,10 @@ module, kept here as the reference: each scans its cells in row-major order
 and returns the first failing index, or None.  Every law must give the same
 verdict and the same witness as its oracle on every table derived from the
 acceptance enumerations and the fixtures, and on every single-cell tampering
-of a few small tables.  The checks restricted to generators must give the
-oracle's verdict wherever their preconditions hold.
+of a few small tables.  The checks restricted to generators, kept here as
+laws had them, must give the oracle's verdict wherever their preconditions
+hold, and biadditive_extend's section check must reject exactly the
+sections that the restricted homomorphism check rejected.
 
 The constructions the derive path no longer makes are kept here as oracles
 too: the closure transfer of the addition, the biadditive build behind the
@@ -29,6 +31,7 @@ oracles here and in the other test modules.
 
 import collections
 import functools
+import inspect
 import itertools
 import random
 import tracemalloc
@@ -62,6 +65,7 @@ from countsys.core import (
     CountingSystem,
     EndoMap,
     Propagation,
+    _gather,
     _intertwined,
     _orbit,
     _walk,
@@ -423,12 +427,14 @@ def test_every_law_rejects_a_tampered_cell_at_the_oracle_witness(sys):
 # -- generator certificates ---------------------------------------------------
 #
 # Three laws can be checked on the generators only: homomorphism, which the
-# derive path checks so on the sections of the multiplication; biadditivity,
-# which it checked so on the multiplication, and associativity by Light's
-# test, which it checked on the derived addition, until proofs replaced
-# both (`light` is kept below as part of that table's oracle).  Each restricted
-# call must give the exhaustive oracle's verdict whenever the preconditions
-# that the law's docstring states hold; the witnesses may differ.
+# derive path checks so on the sections of the multiplication (along the
+# generation tree in biadditive_extend, through laws with a range before);
+# biadditivity, which it checked so on the multiplication, and associativity
+# by Light's test, which it checked on the derived addition, until proofs
+# replaced both (`light` is kept below as part of that table's oracle).  The
+# restricted checks are kept here: each must give the exhaustive oracle's
+# verdict whenever the preconditions that its docstring states hold; the
+# witnesses may differ.
 
 CERTIFICATES = ("light", "homomorphism", "biadditive")
 
@@ -460,6 +466,41 @@ def _reaches_all(op, zero, gens):
     return len(seen) == len(op)
 
 
+def _restricted(src_col, dst_col, h, right):
+    """laws._additive as it was when it took a range: the first (a, b),
+    b in `right`, with h[src[a][b]] != dst[h[a]][h[b]], in row-major order
+    over the range, where src_col(b) and dst_col(b) are the columns b."""
+    best = None
+    for b in dict.fromkeys(right):  # a repeat finds no earlier witness
+        a = laws._first(_gather(h, src_col(b)), _gather(dst_col(h[b]), h))
+        if a is not None and (best is None or a < best[0]):
+            best = a, b
+    return best
+
+
+def restricted_homomorphism(src, dst, h, right):
+    """laws.homomorphism restricted to right arguments in `right`, as laws
+    had it until no caller passed a range.
+
+    When both tables are associative with units, h sends src's unit to
+    dst's, and adding elements of `right` on the left reaches every element
+    of src from its unit, right alone certifies the law: the b it holds for
+    form a submonoid."""
+    return _restricted(lambda b: laws._column(src, b),
+                       lambda b: laws._column(dst, b), h, right)
+
+
+def restricted_homomorphisms(src, dst, maps, zero, dst_zero, right):
+    """laws.homomorphisms restricted to right arguments in `right`, as
+    biadditive_extend checked its sections at the generators until it
+    compared them along its generation tree: the first i such that maps[i]
+    does not send zero to dst_zero or fails restricted_homomorphism, src
+    and dst commutative, their rows read as their columns."""
+    src_col, dst_col = src.__getitem__, dst.__getitem__
+    return next((i for i, h in enumerate(maps) if h[zero] != dst_zero
+                 or _restricted(src_col, dst_col, h, right) is not None), None)
+
+
 def certificate_cases(op, zero, gens, rng, homs=(), mu=None):
     """(certificate, preconditions hold, restricted verdict, oracle verdict):
     the preconditions are taken with the generators `gens`, the restricted
@@ -470,7 +511,7 @@ def certificate_cases(op, zero, gens, rng, homs=(), mu=None):
            oracle_associative(op))
     for h in homs:
         yield ("homomorphism", monoid and h[zero] == zero,
-               laws.homomorphism(op, op, h, right=rng),
+               restricted_homomorphism(op, op, h, rng),
                oracle_homomorphism(op, op, h))
     if mu is None:
         return
@@ -484,8 +525,9 @@ def generator_certificate(op, mu, zero, rng):
     with the rows at the range in place of its input sections: those rows
     and every column are homomorphisms at the range.  None, or the first
     failing row and column indices."""
-    rows = laws.homomorphisms(op, op, [mu[g] for g in rng], zero, zero, rng)
-    cols = laws.homomorphisms(op, op, zip(*mu), zero, zero, rng)
+    rows = restricted_homomorphisms(op, op, [mu[g] for g in rng], zero, zero,
+                                    rng)
+    cols = restricted_homomorphisms(op, op, zip(*mu), zero, zero, rng)
     return None if rows is None and cols is None else (rows, cols)
 
 
@@ -1006,7 +1048,7 @@ def checked_hom_extend_report(src, dst, gens, targets):
     if hom is None:
         return hom, conflict
     mapping = hom.map
-    w = laws.homomorphism(src.op, dst.op, mapping, right=tuple(gens))
+    w = restricted_homomorphism(src.op, dst.op, mapping, gens)
     if w is not None:
         a, b = w
         ab = src.op[a][b]
@@ -1331,11 +1373,12 @@ def hom_add(a, b):
     )
 
 
-def row_sum_biadditive_extend(M, N, gens, lambdas, lambda_primes):
-    """biadditive_extend before its rows were walked: the same checks, then
-    row zero zero and row c = lambda_k + row p, a pointwise hom_add, on each
-    edge c = g_k + p of the generation tree.  The walk gives the same table
-    (biadditive_extend's proof) without a sum of two rows per element."""
+def restricted_section_checks(M, N, gens, lambdas, lambda_primes):
+    """The checks of biadditive_extend, with no table built, as it made them
+    before it compared its sections along its generation tree: the
+    generation search, compatibility, then each row and column section by
+    restricted_homomorphisms at the generators.  Raises what
+    biadditive_extend raises; returns the tree."""
     gens = tuple(gens)
     tree = require_generates(M, gens)
     for i, (g_s, lam_s) in enumerate(zip(gens, lambdas)):
@@ -1343,11 +1386,20 @@ def row_sum_biadditive_extend(M, N, gens, lambdas, lambda_primes):
             if lam_s(g_t) != lamp_t(g_s):
                 raise CompatibilityViolated(i, j, lam_s(g_t), lamp_t(g_s))
     for side, sections in (("row", lambdas), ("column", lambda_primes)):
-        i = laws.homomorphisms(M.op, N.op, [lam.map for lam in sections],
-                               M.zero, N.zero, gens)
+        i = restricted_homomorphisms(M.op, N.op, [lam.map for lam in sections],
+                                     M.zero, N.zero, gens)
         if i is not None:
             raise InternalInvariantViolation(
                 f"{side} section {i} is no homomorphism")
+    return tree
+
+
+def row_sum_biadditive_extend(M, N, gens, lambdas, lambda_primes):
+    """biadditive_extend before its rows were walked: the same checks, then
+    row zero zero and row c = lambda_k + row p, a pointwise hom_add, on each
+    edge c = g_k + p of the generation tree.  The walk gives the same table
+    (biadditive_extend's proof) without a sum of two rows per element."""
+    tree = restricted_section_checks(M, N, gens, lambdas, lambda_primes)
     rows = [zero_hom(M, N)] * M.size
     for p, k, a in tree.edges:
         rows[a] = hom_add(lambdas[k], rows[p])
@@ -1659,18 +1711,31 @@ def _rejected(args, want, op):
         M, N, gens, lambdas, op) is not None
 
 
+def biadd_mutant(old, new):
+    """biadditive_extend compiled from its own source with `old`, which
+    must occur there once, replaced by `new`: a mutant of the code itself,
+    not of a copy of it."""
+    source = inspect.getsource(biadd.biadditive_extend)
+    assert source.count(old) == 1
+    namespace = dict(vars(biadd))
+    exec(source.replace(old, new), namespace)
+    return namespace["biadditive_extend"]
+
+
+# biadditive_extend's check of a section h, zero test included
+SECTION_CHECK = "h[M.zero] != N.zero or not _intertwined(h, tree, u)"
+
+
 @pytest.mark.parametrize("name", WALKS)
-def test_a_walk_from_a_wrong_value_at_a_generator_is_caught(name,
-                                                            monkeypatch):
-    """Mutation check: with the section checks switched off, row a is
-    walked from a wrong value v = lambda'_k(a) at g_k.  In a generator's
-    row compatibility rejects it; every other such table comes back from
-    biadditive_extend, and both oracles reject it."""
+def test_a_walk_from_a_wrong_value_at_a_generator_is_caught(name):
+    """Mutation check: with the section checks switched off, zero test
+    included, row a is walked from a wrong value v = lambda'_k(a) at g_k.
+    In a generator's row compatibility rejects it; every other such table
+    comes back from biadditive_extend, and both oracles reject it."""
     args = WALKS[name]()
     M, N, gens, lambdas, lambda_primes = args
     want = propagated_biadditive_extend(*args).op
-    monkeypatch.setattr(biadd, "laws", SimpleNamespace(
-        homomorphisms=lambda *_args: None))
+    unchecked_extend = biadd_mutant(SECTION_CHECK, "False")
     caught = 0
     for k, lamp in enumerate(lambda_primes):
         for a, v in itertools.product(range(M.size), range(N.size)):
@@ -1681,12 +1746,113 @@ def test_a_walk_from_a_wrong_value_at_a_generator_is_caught(name,
                       (*lambda_primes[:k], wrong, *lambda_primes[k + 1:]))
             if a in gens:
                 with pytest.raises(CompatibilityViolated):
-                    biadditive_extend(*mutant)
+                    unchecked_extend(*mutant)
                 continue
-            op = biadditive_extend(*mutant).op
+            op = unchecked_extend(*mutant).op
             assert _rejected(args, want, op), (k, a, v)
             caught += 1
     assert caught == (M.size - len(set(gens))) * len(gens) * (N.size - 1)
+
+
+def _verdict(extend, args):
+    """None when extend(*args) returns, else its error's class and text,
+    which names the failing section and its index."""
+    try:
+        extend(*args)
+    except (CompatibilityViolated, InternalInvariantViolation) as exc:
+        return type(exc).__name__, str(exc)
+    return None
+
+
+def _section_corruptions():
+    """(walk, where, args): the arguments of each walk of WALKS, and of
+    rho(1, 1), whose generator absorbs every element, with one section
+    wrong in one cell; `where` is "zero" when that cell is zero's, else
+    "cell"."""
+    walks = {**WALKS, "rho11": lambda: _extension_args(rho(1, 1))}
+    for name, build in walks.items():
+        M, N, gens, *sides = build()
+        for side, k, a in itertools.product(range(2), range(len(gens)),
+                                            range(M.size)):
+            h = sides[side][k].map
+            for v in (v for v in range(N.size) if v != h[a]):
+                wrong = list(sides[side])
+                wrong[k] = HomTable(M, N, h[:a] + (v,) + h[a + 1:])
+                pair = (wrong, sides[1]) if side == 0 else (sides[0], wrong)
+                yield (name, "zero" if a == M.zero else "cell",
+                       (M, N, gens, *pair))
+
+
+def _section_disagreements(extend):
+    """The corruptions (walk, where, want) on which extend and the
+    restricted checks disagree, where want is the checks' verdict, and a
+    count of those verdicts' classes by where."""
+    differ, seen = [], collections.Counter()
+    for name, where, args in _section_corruptions():
+        want = _verdict(restricted_section_checks, args)
+        seen[where, want and want[0]] += 1
+        if _verdict(extend, args) != want:
+            differ.append((name, where, want))
+    return differ, seen
+
+
+def test_section_check_matches_the_restricted_check_on_corrupted_sections():
+    """biadditive_extend compares each section along its generation tree:
+    it rejects exactly the corrupted sections that laws.homomorphisms
+    restricted to the generators rejected, with the same error at the same
+    index."""
+    differ, seen = _section_disagreements(biadditive_extend)
+    assert differ == []
+    assert set(seen) == {("cell", "CompatibilityViolated"),
+                         ("cell", "InternalInvariantViolation"),
+                         ("zero", "InternalInvariantViolation")}
+
+
+def test_a_section_check_without_its_zero_test_is_caught():
+    """Mutation check: without the zero test, a section that is additive
+    at the generators but moves zero passes.  On rho(1, 1) the identity
+    moved to the constant at the generator is one; the restricted checks
+    reject it."""
+    differ, _seen = _section_disagreements(
+        biadd_mutant("h[M.zero] != N.zero or ", ""))
+    assert differ
+    assert all(name == "rho11" and where == "zero"
+               and want[0] == "InternalInvariantViolation"
+               for name, where, want in differ)
+
+
+def test_a_section_check_skipping_the_last_generator_is_caught(monkeypatch):
+    """Mutation check: without the comparison at the last generator's
+    edges, sections additive at the other generators alone pass, which
+    the restricted checks reject."""
+    skip_the_last_check(monkeypatch, biadd)
+    differ, _seen = _section_disagreements(biadditive_extend)
+    assert differ
+    assert all(want[0] == "InternalInvariantViolation"
+               for _name, _where, want in differ)
+
+
+@settings(max_examples=60, deadline=None)
+@given(minimal_systems(), st.data())
+def test_section_check_matches_the_restricted_check_on_random_sections(
+    sys, data
+):
+    """Sections drawn by _draw_sections, then one of them set to a drawn
+    value in one cell, zero's or a drawn one: biadditive_extend raises
+    exactly when the restricted checks do, with the same error at the same
+    index."""
+    t, gens, *sides = _draw_sections(sys, data.draw)
+    side, k = data.draw(st.integers(0, 1)), data.draw(
+        st.integers(0, len(gens) - 1))
+    h = list(sides[side][k].map)
+    a = t.zero if data.draw(st.booleans()) else data.draw(
+        st.integers(0, t.size - 1))
+    h[a] = data.draw(st.integers(0, t.size - 1))
+    sides[side] = list(sides[side])
+    sides[side][k] = HomTable(t, t, tuple(h))
+    args = (t, t, gens, *sides)
+    assert (_verdict(biadditive_extend, args)
+            == _verdict(restricted_section_checks, args))
 
 
 @pytest.mark.parametrize("name", MULTI)
