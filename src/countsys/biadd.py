@@ -3,10 +3,10 @@
 A homomorphism out of a finitely generated table is fixed by its values on
 the generators: extension walks it along the generation tree, then checks
 each generator edge.  A function searches that tree once and makes every
-extension and check of its call along it.  The biadditive extension checks
-its sections at the generators and walks each row, a homomorphism, along
-the same tree; its proof gives every law of the table and of the
-multiplications built on it, and none is checked.
+extension and check of its call along it.  A multiplication walks each
+row, a homomorphism, along the tree of its sections, checking none again
+(_rows); biadditive_extend checks given sections first.  The proof gives
+every law of the table and of its multiplications, and none is checked.
 A table `t` passed with a system `sys` must be derive_addition(sys), a
 commutative monoid generated by the x_s = f_s(base) by that function's
 proof, not by a check of the table.
@@ -126,6 +126,41 @@ def is_biadditive(M, N, op):
     return laws.biadditive(M.op, N.op, op, M.zero, N.zero) is None
 
 
+def _rows(tree, M, N, column_sections):
+    """The biadditive table M x M -> N with column section lambda'_k at
+    g_k, each row walked along `tree`, require_generates' search of M at
+    the gens: row a (zero) = zero, row a (g_k + p) = lambda'_k(a) + row a (p).
+    Premise (M, N commutative, gens generating M): the lambda'_t, and row
+    sections lambda_s with lambda_s(g_t) = lambda'_t(g_s), which are not
+    read, are homomorphisms.  Proof: let S have row zero zero and row
+    c = lambda_k + row p on each edge c = g_k + p; then
+    - row a of S, a sum of lambdas along its tree path, is a homomorphism;
+    - row a of S (g_t) = lambda'_t(a), by induction along the tree from
+      row zero (g_t) = zero = lambda'_t(zero): row a (g_t) is
+      lambda_k(g_t) + row p (g_t) = lambda'_t(g_k) + lambda'_t(p);
+    - so row (a + b) and row a + row b are homomorphisms agreeing on the
+      generators, which generate M: they are equal.  Every column is
+      additive and row zero is zero, so S is biadditive;
+    - row g_s (g_t) = lambda'_t(g_s) = lambda_s(g_t), so row g_s = lambda_s;
+    - the walk gives S, as a homomorphism h is fixed by its values on gens:
+      h(g_k + p) = h(g_k) + h(p), and row a of S has h(g_k) = lambda'_k(a).
+    Biadditive tables agreeing on generator pairs are equal: the rows at
+    each g_s agree, and then every column does.  Likewise maps additive in
+    each of three arguments are fixed by their values on generator triples.
+    Callers here meet the premise unchecked: the indexed sections have
+    lambda_s(x_t) = x_{s odot t} = lambda'_t(x_s), and each passed
+    _extend's _intertwined on `tree` with the tables of its values b_k,
+    biadditive_extend's check (h(zero) = zero starts the walk, and
+    h(g_k) = b_k is h(g_k + x) = b_k + h(x) at x = zero); the single-map
+    sections are the identity.
+    """
+    rows = []
+    for a in range(M.size):
+        u = [N.op[lamp.map[a]] for lamp in column_sections]
+        rows.append(tuple(_walk(tree, N.zero, u)))
+    return BiadditiveTable(M, N, tuple(rows))
+
+
 def biadditive_extend(M, N, gens, lambdas, lambda_primes):
     """Extend compatible section homomorphisms to the unique biadditive table.
 
@@ -138,28 +173,9 @@ def biadditive_extend(M, N, gens, lambdas, lambda_primes):
     every a hold zero, every generator (M is commutative) and, with b and
     c, b + c, as h(a + b + c) = h(a + b) + h(c) = h(a) + h(b) + h(c) =
     h(a) + h(b + c); so they hold the submonoid gens generate, all of M.
-    No caller passes a section that is not one, so that failure raises
-    InternalInvariantViolation, naming the first failing row section, or
-    else column section.  The table is not checked.  Row a is walked along
-    the same tree: row a (zero) is zero and row a (g_k + p) =
-    lambda'_k(a) + row a (p) on each edge.
-    Proof (M, N commutative monoids, gens generating M, sections as
-    checked): let S have row zero zero and row c = lambda_k + row p on each
-    edge c = g_k + p; then
-    - row a of S, a sum of lambdas along its tree path, is a homomorphism;
-    - row a of S (g_t) = lambda'_t(a), by induction along the tree from
-      row zero (g_t) = zero = lambda'_t(zero): row a (g_t) is
-      lambda_k(g_t) + row p (g_t) = lambda'_t(g_k) + lambda'_t(p);
-    - so row (a + b) and row a + row b are homomorphisms agreeing on the
-      generators, which generate M: they are equal.  Every column is
-      additive and row zero is zero, so S is biadditive;
-    - row g_s (g_t) = lambda'_t(g_s) = lambda_s(g_t), so row g_s = lambda_s;
-    - the walk gives S, as a homomorphism h is fixed by its values on gens:
-      h(g_k + p) = h(g_k) + h(p), and row a of S has h(g_k) = lambda'_k(a).
-      Nothing new is checked; the lambdas stay checked, as S's premise.
-    Biadditive tables agreeing on generator pairs are equal: the rows at
-    each g_s agree, and then every column does.  Likewise maps additive in
-    each of three arguments are fixed by their values on generator triples.
+    A section that is not one raises InternalInvariantViolation, naming
+    the first failing row section, or else column section.  Then _rows
+    walks the table on the same tree, unchecked, as the multiplications do.
     """
     gens = tuple(gens)
     tree = require_generates(M, gens)
@@ -173,20 +189,16 @@ def biadditive_extend(M, N, gens, lambdas, lambda_primes):
             if h[M.zero] != N.zero or not _intertwined(h, tree, u):
                 raise InternalInvariantViolation(
                     f"{side} section {i} is no homomorphism")
-    rows = []
-    for a in range(M.size):
-        u = [N.op[lamp.map[a]] for lamp in lambda_primes]
-        rows.append(tuple(_walk(tree, N.zero, u)))
-    return BiadditiveTable(M, N, tuple(rows))
+    return _rows(tree, M, N, lambda_primes)
 
 
 def derive_multiplication_single(sys, t):
     """Multiplication for a minimal single-map system: the unique biadditive
     table whose row at a0 = f(base) is the identity.
 
-    With t = derive_addition(sys), the identity is a homomorphism and
-    biadditive_extend's proof makes the table biadditive with row a0 the
-    identity, which gives every law, none of them checked:
+    With t = derive_addition(sys), the identity is a homomorphism, and by
+    _rows' proof the table walked on t's search at a0 is biadditive with
+    row a0 the identity, which gives every law, none of them checked:
     zero absorption (sections fix zero); distributivity (rows are
     additive); the successor law f(x1) * x2 = x2 + x1 * x2 (f(x1) = a0 + x1,
     column x2 is additive, row a0 is the identity); a0 a unit; and, as
@@ -194,8 +206,8 @@ def derive_multiplication_single(sys, t):
     argument and agree at a0, commutativity and associativity.
     """
     require_single_map(sys)
-    a0, ident = sys.maps[0](sys.base), identity_hom(t)
-    return biadditive_extend(t, t, (a0,), (ident,), (ident,))
+    a0 = sys.maps[0](sys.base)
+    return _rows(require_generates(t, (a0,)), t, t, (identity_hom(t),))
 
 
 class OdotTable(_Value):
@@ -237,10 +249,10 @@ def derive_multiplication_indexed(sys, t, odot):
     never a partial table.
 
     With t = derive_addition(sys), the sections are homomorphisms
-    (hom_extend_report's proof), so mu is biadditive with row x_s =
-    lambda_s by biadditive_extend's proof, and lambda_s(x_t) =
-    x_{s odot t}; none of the laws of mu is checked, and those of odot
-    carry over:
+    (hom_extend_report's proof), so mu, walked by _rows on the same tree,
+    is biadditive with row x_s = lambda_s by _rows' proof, and
+    lambda_s(x_t) = x_{s odot t}; none of the laws of mu is checked, and
+    those of odot carry over:
     if it is commutative, mu and (a, b) -> mu[b][a] agree on generator
     pairs; if associative, both bracketings agree on generator triples; a
     left unit u makes lambda_u, so row x_u, the identity.
@@ -250,18 +262,15 @@ def derive_multiplication_indexed(sys, t, odot):
         raise IndexSetMismatch(odot.index_set, sys.index_set)
     labels = sys.index_set
     x = {s: sys.map_for(s)(sys.base) for s in labels}
-    gens = tuple(x[s] for s in labels)
-    tree = require_generates(t, gens)
-    sections = []  # lambda_s, then lambda'_s, for each label s in turn
+    tree = require_generates(t, tuple(x.values()))
+    columns = []  # lambda'_s; each lambda_s need only exist (_rows)
     for s in labels:
         for pairs in (((s, u) for u in labels), ((u, s) for u in labels)):
             h, conflict = _extend(tree, t, (x[odot.op[p]] for p in pairs))
             if h is None:
                 return IndexedMultiplication(None, s, conflict)
-            sections.append(HomTable(t, t, tuple(h)))
-    return IndexedMultiplication(
-        biadditive_extend(t, t, gens, sections[::2], sections[1::2])
-    )
+        columns.append(HomTable(t, t, tuple(h)))  # h is lambda'_s
+    return IndexedMultiplication(_rows(tree, t, t, columns))
 
 
 def projections(t, gens):

@@ -13,7 +13,8 @@ that is checked once, when the system is built, and by nothing downstream.
 
 A map out of a carrier that one point reaches is fixed by its value there:
 `_walk` sets it along the tree of one breadth-first search (`propagate`),
-then `_intertwined` checks it once per generator.
+then `_intertwined` checks it once per generator.  It does not depend on the
+tree, so every walk reads `require_minimal`'s search, not `reach`'s.
 """
 
 from operator import attrgetter, itemgetter
@@ -301,15 +302,17 @@ def _intertwined(h, tree, tables):
 def reach(sys):
     """Carrier BFS from the base: levels expanded element-index ascending,
     maps applied in ascending label order (edge k is `sorted(index_set)[k]`).
-    """
+    Its order is the one `minimal_core` relabels by."""
     steps = [f.table for _lab, f in sorted(zip(sys.index_set, sys.maps))]
     return propagate(sys.base, steps, sort_levels=True)
 
 
 def require_minimal(sys):
-    """The carrier BFS of a minimal system; raises MinimalityRequired with the
-    unreachable elements otherwise."""
-    prop = reach(sys)
+    """The generation search of a minimal system, edge k along sys.maps[k]
+    and levels in discovery order: require_generates' search of the derived
+    table at the x_s = f_s(base), as adding x_s is f_s.  Raises
+    MinimalityRequired with the unreachable elements otherwise."""
+    prop = propagate(sys.base, [f.table for f in sys.maps])
     if len(prop.order) != sys.size:
         raise MinimalityRequired(set(range(sys.size)) - set(prop.order))
     return prop

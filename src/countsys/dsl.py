@@ -163,8 +163,8 @@ def parse_odot(text, index_set=None):
         if not entry:
             raise ParseError(lineno, 1, "expected '<s> <t> = <u>'")
         s, t, u = tokens[0], tokens[1], tokens[3]
-        for x in (s, t) if index_set is not None else ():
-            if x not in index_set:  # validate would never read it
+        for x in (s, t, u) if index_set is not None else ():
+            if x not in index_set:  # validate cannot name its line
                 raise ParseError(lineno, 1, f"unknown label {x!r}")
         if (s, t) in op:
             raise ParseError(lineno, 1, f"duplicate entry for ({s!r}, {t!r})")

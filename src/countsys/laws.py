@@ -9,7 +9,7 @@ gathered as tuples by `core._gather` and C-level `map` calls; no temporary
 is larger than an n x n transpose.
 
 Every law is exhaustive.  The derive path checks none: its tables' laws
-follow from derive.derive_addition's and biadd.biadditive_extend's proofs.
+follow from derive.derive_addition's and biadd._rows' proofs.
 """
 
 from itertools import repeat

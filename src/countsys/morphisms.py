@@ -39,12 +39,10 @@ def morphism_find(src, dst):
     """The unique morphism from a minimal system (MinimalityRequired
     otherwise), or None when there is none.  A morphism m has
     m(base) = dst.base and m(f_s(x)) = g_s(m(x)) for every x and s, so it
-    is core._walk along the carrier BFS of src, and exists iff that walk
-    intertwines each f_s with g_s."""
-    _paired_maps(src, dst)  # IndexSetMismatch unless the labels agree
+    is core._walk along src's generation search (require_minimal), edge k
+    read in dst's map of src's k-th label, and exists iff it intertwines."""
+    tables = [g.table for _f, g in _paired_maps(src, dst)]
     tree = require_minimal(src)
-    # tree edge k is along the k-th label in sorted order
-    tables = [dst.map_for(lab).table for lab in sorted(src.index_set)]
     h = _walk(tree, dst.base, tables)
     if _intertwined(h, tree, tables):
         return SystemMorphism(src, dst, tuple(h))
@@ -193,7 +191,7 @@ def initiality_report(sys):
     the informative content.
 
     The search at a label is morphism_find's onto pad_single(sys, label),
-    without building that system: one walk along the carrier BFS tree of
+    without building that system: one walk along the generation search of
     the one minimality check, with range(n), the identity, as the table of
     every other label, checked once per label.
 
@@ -203,11 +201,10 @@ def initiality_report(sys):
     the orbit of the base under f_s, and _orbit gives its facts.
     """
     tree = require_minimal(sys)
-    labels = sorted(sys.index_set)  # tree edge k is along labels[k]
     ident = range(sys.size)
     conditions = []
-    for lab, f in zip(sys.index_set, sys.maps):
-        padded = [f.table if t == lab else ident for t in labels]
+    for k, (lab, f) in enumerate(zip(sys.index_set, sys.maps)):
+        padded = [f.table if j == k else ident for j in range(len(sys.maps))]
         h = _walk(tree, sys.base, padded)
         points, tail = _orbit(f.table, sys.base)
         injective = base_in_image = tail == 0

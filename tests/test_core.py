@@ -30,6 +30,7 @@ from countsys.core import (
     propagate,
     reach,
     reachable_set,
+    require_minimal,
     single_map_subsystem,
     _gather,
 )
@@ -37,6 +38,7 @@ from countsys.errors import (
     BadIndex,
     DuplicateLabel,
     EmptyIndexSet,
+    MinimalityRequired,
     NonCommuting,
     SingleMapRequired,
     UnknownLabel,
@@ -514,6 +516,34 @@ def test_a_tree_keeps_the_tables_it_searched():
             tree = require_generates(t, gens)
             assert len(tree.steps) == len(gens)
             assert all(step is t.op[g] for step, g in zip(tree.steps, gens))
+
+
+def test_require_minimal_is_the_search_of_the_derived_table():
+    """require_minimal searches with edge k along sys.maps[k], levels in
+    discovery order: require_generates' search of derive_addition(sys) at
+    the x_s = f_s(base), since row x_s of that table is f_s and its zero
+    the base.  Same order and edges on every enumerated system, every
+    fixture and Z_4096 with the 16 shifts by 257^i; a system that is not
+    minimal raises in both, naming the same elements."""
+    u16 = _shifts(4096, [pow(257, i, 4096) for i in range(16)])
+    systems = [*FIXTURES, u16]
+    systems += [_system(base, tables) for tables in _enumeration()
+                for base in range(len(tables[0]))]
+    searched = 0
+    for sys in systems:
+        try:
+            tree = require_minimal(sys)
+        except MinimalityRequired as exc:
+            with pytest.raises(MinimalityRequired) as info:
+                derive_addition(sys)
+            assert info.value.unreachable == exc.unreachable
+            continue
+        gens = tuple(f(sys.base) for f in sys.maps)
+        want = require_generates(derive_addition(sys), gens)
+        assert (tree.order, tree.edges) == (want.order, want.edges), sys
+        assert all(step is f.table for step, f in zip(tree.steps, sys.maps))
+        searched += 1
+    assert searched > 800
 
 
 def test_endomap_names_the_first_bad_image():

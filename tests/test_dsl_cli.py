@@ -563,6 +563,16 @@ def test_cli_mul_rejects_a_false_odot_unit(tmp_path, table, message):
         2, "", f"parse error: line 6, col 1: {message}\n")
 
 
+def test_cli_mul_names_the_line_of_an_unknown_result_label(tmp_path):
+    """An entry's result label is checked against the index set where it is
+    read, like its two operands, so the error names its line; it used to
+    surface after parsing as an undefined entry at (s, s)."""
+    sys_path = write(tmp_path, "c4.csys", emit_system(cyc(4), name="c4"))
+    od_path = write(tmp_path, "q.odot", "odot\ns s = q\n")
+    assert run(["mul", sys_path, "--odot", od_path]) == (
+        2, "", "parse error: line 2, col 1: unknown label 'q'\n")
+
+
 def test_cli_mul_odot_names_a_map_called_unit(tmp_path):
     # '<s> <t> = <u>' is a table entry even when s is 'unit'
     sys_path = write(tmp_path, "u.csys", "system c3\nelements e0 e1 e2\n"
@@ -759,10 +769,10 @@ def _free_report(sys, direct_sum):
 def test_add_mul_and_free_report_run_no_table_law(tmp_path, monkeypatch):
     """derive_addition proves its table's laws and checks none of them, so
     add, mul and free-report never call associative or translation (laws
-    has no commutative any more).  biadditive_extend proves its table
-    biadditive and checks only the k prescribed row sections and the k
-    column sections, along its generation tree: mul makes no
-    laws.homomorphisms call, and no pass over the n columns of its table.
+    has no commutative any more).  biadd._rows proves its table biadditive
+    and checks nothing; mul checks only the 2k sections it extends, along
+    its generation tree: it makes no laws.homomorphisms call, and no pass
+    over the n columns of its table.
     Each command prints what it printed when the checks ran.  Z_63 with the
     shifts by 1, 22 and 43 has the odot of their products."""
     def refuse(*args):
@@ -807,18 +817,20 @@ def test_each_system_is_checked_for_commuting_once(tmp_path, monkeypatch):
     input, and once more for its core under --auto-core on a non-minimal
     input.  Nothing downstream checks again.  `initial` reads each label's
     morphism search and core from the input system itself, and checks its
-    minimality once: one carrier BFS (core.reach).  `analyze` reads its
-    minimality and core size from that same check.  Likewise a generated
-    table is searched once per extension call (biadd.require_generates):
-    `mul --odot` searches once for its 2k sections and once in
-    biadditive_extend, `free-report` and `projections` once for all their
-    projections."""
-    from countsys import biadd, core
+    minimality once: one generation search (require_minimal), and no
+    sorted carrier BFS (core.reach).  `analyze` reads its minimality and
+    core size from that same check.  Likewise a generated table is
+    searched once per call (biadd.require_generates): `mul --odot` once
+    for its 2k sections and its rows, `mul` once for its rows,
+    `free-report` and `projections` once for all their projections."""
+    from countsys import biadd, core, morphisms
     calls = []
     reaches = []
+    minimal_searches = []
     searches = []
     noncommuting = core.noncommuting
     reach = core.reach
+    require_minimal = morphisms.require_minimal
     require_generates = biadd.require_generates
 
     def counted(index_set, maps):
@@ -828,6 +840,10 @@ def test_each_system_is_checked_for_commuting_once(tmp_path, monkeypatch):
     def counted_reach(sys):
         reaches.append(sys)
         return reach(sys)
+
+    def counted_minimal(sys):
+        minimal_searches.append(sys)
+        return require_minimal(sys)
 
     def counted_search(t, gens):
         searches.append(gens)
@@ -843,6 +859,7 @@ def test_each_system_is_checked_for_commuting_once(tmp_path, monkeypatch):
               emit_system(product(cyc(2), cyc(3)), name="c2xc3"))
     monkeypatch.setattr(core, "noncommuting", counted)
     monkeypatch.setattr(core, "reach", counted_reach)
+    monkeypatch.setattr(morphisms, "require_minimal", counted_minimal)
     monkeypatch.setattr(biadd, "require_generates", counted_search)
     for argv, systems in [
         (["add", c], 1), (["mul", c], 1), (["free-report", c], 1),
@@ -853,12 +870,14 @@ def test_each_system_is_checked_for_commuting_once(tmp_path, monkeypatch):
     ]:
         calls.clear()
         reaches.clear()
+        minimal_searches.clear()
         code, _out, err = run(argv)
         assert (code, err) == (0, ""), argv
         assert len(calls) == systems, argv
         if argv[0] in ("initial", "analyze"):
-            assert len(reaches) == 1, argv
-    for argv, want in [(["mul", z, "--odot", o], 2), (["free-report", x], 1)]:
+            assert (len(minimal_searches), len(reaches)) == (1, 0), argv
+    for argv, want in [(["mul", z, "--odot", o], 1), (["mul", c], 1),
+                       (["free-report", x], 1)]:
         searches.clear()
         assert run(argv)[0] == 0, argv
         assert len(searches) == want, argv

@@ -44,6 +44,18 @@ map a = e1 e2 e3 e4 e0
 map b = e1 e2 e3 e4 e0
 """
 
+# Z_2 x Z_2 with a adding (1, 0) and b adding (0, 1).  Under `left`, its
+# multiplication is (x, y) -> x (i_y + j_y), not commutative, so the row
+# section at each generator differs from the column section there, unlike
+# on twin5, where every section of every odot is the identity.
+V4 = """\
+system v4
+elements e00 e10 e01 e11
+base e00
+map a = e10 e00 e11 e01
+map b = e01 e11 e00 e10
+"""
+
 INPUTS = {
     "cyc6.csys": emit_system(cyc(6), name="cyc6"),
     "rho23.csys": emit_system(rho(2, 3), name="rho23"),
@@ -53,6 +65,7 @@ INPUTS = {
     "sign.odot": "\n".join(SIGN_ODOT_LINES) + "\n",
     "bad.odot": "odot\n+ + = +\n+ - = +\n- + = +\n- - = -\n",
     "twin5.csys": TWIN5,
+    "v4.csys": V4,
     "left.odot": "odot\na a = a\na b = a\nb a = b\nb b = b\n",
     "twisted.odot": "odot\na a = b\na b = a\nb a = a\nb b = a\n",
 }
@@ -95,6 +108,7 @@ GROUPS = {
     "twin5": [
         ["mul", "twin5.csys", "--odot", "left.odot"],
         ["mul", "twin5.csys", "--odot", "twisted.odot"],
+        ["mul", "v4.csys", "--odot", "left.odot"],
     ],
 }
 
@@ -157,7 +171,7 @@ def test_derive_path_builds_no_closure(monkeypatch, tmp_path):
             block = case(argv, tmp_path)
             assert block == expected[block.split("\n", 1)[0]]
             checked += 1
-    assert checked == 6 * 5 + 4  # five per system group, four mul --odot
+    assert checked == 6 * 5 + 5  # five per system group, five mul --odot
 
 
 if __name__ == "__main__":

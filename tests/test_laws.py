@@ -21,7 +21,7 @@ the package no longer makes: the laws of the derived addition (its
 generator rows, Light's test at the generators, and commutativity), which
 derive_addition's proof implies; the multiplication laws and the certificate of the biadditive
 extension (its rows and columns homomorphisms, its generator rows the
-prescribed sections), which biadditive_extend's proof implies; and the
+prescribed sections), which biadd._rows' proof implies; and the
 generator values checked after a homomorphism extension and the
 generation pass made before it.  The forced propagation that extended a
 homomorphism before it was walked along the generation tree, and checked
@@ -1398,7 +1398,7 @@ def row_sum_biadditive_extend(M, N, gens, lambdas, lambda_primes):
     """biadditive_extend before its rows were walked: the same checks, then
     row zero zero and row c = lambda_k + row p, a pointwise hom_add, on each
     edge c = g_k + p of the generation tree.  The walk gives the same table
-    (biadditive_extend's proof) without a sum of two rows per element."""
+    (biadd._rows' proof) without a sum of two rows per element."""
     tree = restricted_section_checks(M, N, gens, lambdas, lambda_primes)
     rows = [zero_hom(M, N)] * M.size
     for p, k, a in tree.edges:
@@ -1433,11 +1433,17 @@ def propagated_biadditive_extend(M, N, gens, lambdas, lambda_primes):
     return BiadditiveTable(M, N, op)
 
 
-def _tree_and_propagated(build, oracle=propagated_biadditive_extend):
-    """build() with biadditive_extend, then with the oracle in its place."""
-    got = build()
-    with mock.patch.object(biadd, "biadditive_extend", oracle):
-        return got, build()
+def _tree_and_propagated(sys, odot=None, oracle=propagated_biadditive_extend):
+    """The multiplication of sys, with odot when given, and the oracle's
+    table over the sections it prescribes (_extension_args), as the same
+    kind of result."""
+    got = _multiply(sys, odot)()
+    args = _extension_args(sys, odot)
+    if odot is None:
+        return got, oracle(*args)
+    if isinstance(args, biadd.IndexedMultiplication):
+        return got, args
+    return got, biadd.IndexedMultiplication(oracle(*args))
 
 
 def _multiply(sys, odot=None):
@@ -1460,14 +1466,13 @@ def test_tree_build_matches_the_propagated_extension():
     count = 0
     for sys in _minimal_systems():
         if len(sys.maps) == 1:
-            got, want = _tree_and_propagated(_multiply(sys))
+            got, want = _tree_and_propagated(sys)
             assert got.op == want.op
             count += 1
     outcomes = set()
     for sys in _two_label_systems():
         for odot in _odots(sys.index_set):
-            outcomes.add(_same_indexed(*_tree_and_propagated(
-                _multiply(sys, odot))))
+            outcomes.add(_same_indexed(*_tree_and_propagated(sys, odot)))
     assert count > 700 and outcomes == {True, False}
 
 
@@ -1477,11 +1482,11 @@ def test_tree_build_matches_the_propagated_extension_on_random_systems(
     sys, which
 ):
     if len(sys.maps) == 1:
-        got, want = _tree_and_propagated(_multiply(sys))
+        got, want = _tree_and_propagated(sys)
         assert got.op == want.op
     else:
         odot = list(_odots(sys.index_set))[which]
-        _same_indexed(*_tree_and_propagated(_multiply(sys, odot)))
+        _same_indexed(*_tree_and_propagated(sys, odot))
 
 
 def dropped_multiplication_certificate(M, N, gens, lambdas, op):
@@ -1639,11 +1644,10 @@ def test_multi_generator_walks_match_both_oracles():
     outcomes, sections = set(), 0
     for n, steps in SHIFTS:
         for odot in _shift_odots(n, steps):
-            build = _multiply(_shifts(n, steps), odot)
             for oracle in (row_sum_biadditive_extend,
                            propagated_biadditive_extend):
-                outcomes.add(_same_indexed(*_tree_and_propagated(build,
-                                                                 oracle)))
+                outcomes.add(_same_indexed(*_tree_and_propagated(
+                    _shifts(n, steps), odot, oracle)))
     one = derive_addition(one_point())
     cases = [(C2XC3, C2XC3_GENS, *pair)
              for pair in _coordinate_sections(C2XC3, C2XC3_GENS)]
@@ -1661,15 +1665,27 @@ def test_multi_generator_walks_match_both_oracles():
 
 
 def _extension_args(sys, odot=None):
-    """The arguments of the one biadditive_extend call that multiplying
-    sys, with odot when given, makes."""
-    calls = []
-    honest = biadd.biadditive_extend
-    with mock.patch.object(biadd, "biadditive_extend",
-                           lambda *args: calls.append(args) or honest(*args)):
-        _multiply(sys, odot)()
-    (args,) = calls
-    return args
+    """The arguments of a biadditive_extend call that multiplies sys, with
+    odot when given: its generators and the row and column sections the
+    multiplication prescribes there, each extended by the public
+    hom_extend_report.  With an odot and a section that does not exist,
+    the IndexedMultiplication naming the first label, its row section
+    before its column section, and the conflict."""
+    t = derive_addition(sys)
+    if odot is None:
+        ident = identity_hom(t)
+        return t, t, (sys.maps[0](sys.base),), (ident,), (ident,)
+    x = {s: sys.map_for(s)(sys.base) for s in sys.index_set}
+    gens = tuple(x.values())
+    sections = []
+    for s in sys.index_set:
+        for pairs in ([(s, u) for u in x], [(u, s) for u in x]):
+            hom, conflict = hom_extend_report(
+                t, t, gens, [x[odot.op[p]] for p in pairs])
+            if hom is None:
+                return biadd.IndexedMultiplication(None, s, conflict)
+            sections.append(hom)
+    return t, t, gens, sections[::2], sections[1::2]
 
 
 def _c2xc3_componentwise():
@@ -1711,15 +1727,88 @@ def _rejected(args, want, op):
         M, N, gens, lambdas, op) is not None
 
 
-def biadd_mutant(old, new):
-    """biadditive_extend compiled from its own source with `old`, which
-    must occur there once, replaced by `new`: a mutant of the code itself,
-    not of a copy of it."""
-    source = inspect.getsource(biadd.biadditive_extend)
+def biadd_mutant(old, new, name="biadditive_extend"):
+    """The function `name` of biadd compiled from its own source with
+    `old`, which must occur there once, replaced by `new`: a mutant of the
+    code itself, not of a copy of it."""
+    source = inspect.getsource(getattr(biadd, name))
     assert source.count(old) == 1
     namespace = dict(vars(biadd))
     exec(source.replace(old, new), namespace)
-    return namespace["biadditive_extend"]
+    return namespace[name]
+
+
+# Z_2 x Z_2, element i + 2j, with a adding (1, 0) and b adding (0, 1), and
+# the odot s t = s: mu(x, y) = x (i_y + j_y), which is not commutative, so
+# its row section at x_a (x_a at both generators) is not its column
+# section there (the identity).  On twin5 (test_golden) x_a = x_b, and
+# every section of every odot is the identity.
+V4 = _system(0, [(1, 0, 3, 2), (2, 3, 0, 1)], labels=("a", "b"))
+LEFT = parse_odot("odot\na a = a\na b = a\nb a = b\nb b = b\n")
+TWIN5 = twin(5)
+
+
+def _row_walk_cases():
+    """(sys, odot): every minimal single-map system with None, every
+    minimal two-label system with each of the 16 odots on its labels,
+    V4 and twin5 with LEFT, and zpair(3) with the sign odot."""
+    systems = list(_minimal_systems())
+    for sys in systems:
+        if len(sys.maps) == 1:
+            yield sys, None
+    for sys in [s for s in systems if len(s.maps) == 2]:
+        for odot in _odots(sys.index_set):
+            yield sys, odot
+    yield from [(V4, LEFT), (TWIN5, LEFT), (zpair(3), SIGN)]
+
+
+def test_a_multiplication_is_biadditive_extend_over_its_sections():
+    """derive_multiplication_single and derive_multiplication_indexed walk
+    their rows (biadd._rows) on the tree they searched for their sections,
+    checking none again; the table is the checked biadditive_extend's over
+    the sections they prescribe, extended test-side, and a missing section
+    is the same failure."""
+    outcomes = collections.Counter()
+    for sys, odot in _row_walk_cases():
+        got, want = _tree_and_propagated(sys, odot, biadditive_extend)
+        if odot is None:
+            assert got.op == want.op, sys
+            outcomes["single"] += 1
+        else:
+            outcomes[_same_indexed(got, want)] += 1
+    assert outcomes["single"] > 700 and outcomes[True] > 100
+    assert outcomes[False] > 100
+
+
+# derive_multiplication_indexed's two extensions at a label; swapped, the
+# last one, which the rows are walked from, is the row section
+ROW_THEN_COLUMN = "(((s, u) for u in labels), ((u, s) for u in labels))"
+COLUMN_THEN_ROW = "(((u, s) for u in labels), ((s, u) for u in labels))"
+
+
+def test_a_row_walk_fed_the_row_sections_is_caught():
+    """Mutation check: derive_multiplication_indexed walking its rows from
+    the row sections in place of the column sections.  Where the odot is
+    not commutative on the generators, as on V4 with LEFT, its table is
+    not biadditive_extend's over the prescribed sections, and the dropped
+    certificate rejects it; where the odot is commutative there, the two
+    kinds of section agree and so do the tables."""
+    mutant = biadd_mutant(ROW_THEN_COLUMN, COLUMN_THEN_ROW,
+                          "derive_multiplication_indexed")
+    caught = []
+    for sys, odot in _row_walk_cases():
+        if odot is None:
+            continue
+        t = derive_addition(sys)
+        got = derive_multiplication_indexed(sys, t, odot)
+        bad = mutant(sys, t, odot)
+        if not (got.ok and bad.ok) or bad.table.op == got.table.op:
+            continue
+        _M, _N, gens, lambdas, _lambda_primes = _extension_args(sys, odot)
+        assert dropped_multiplication_certificate(
+            t, t, gens, lambdas, bad.table.op) is not None
+        caught.append(sys)
+    assert V4 in caught and TWIN5 not in caught and len(caught) > 10
 
 
 # biadditive_extend's check of a section h, zero test included
@@ -1887,10 +1976,11 @@ def test_a_walk_reading_the_wrong_edge_generator_is_caught(name,
 ], ids=["cyc4", "rho13", "rho21", "rho23", "zpair3-sign", "c2xc3",
         "one-point", "z9-3-shifts"])
 def test_a_section_corrupted_in_one_cell_is_caught(sys, odot, monkeypatch):
-    """Mutation check: biadditive_extend checks nothing of the table it
-    walks, so its table with one wrong cell, in a generator row or any
-    other, comes back as the multiplication; the dropped certificate, kept
-    above as a test-side oracle, rejects each such table."""
+    """Mutation check: the multiplication checks nothing of the table
+    biadd._rows walks, so that table with one wrong cell, in a generator
+    row or any other, comes back as the multiplication; the dropped
+    certificate, kept above as a test-side oracle, rejects each such
+    table."""
     build = _multiply(sys, odot)
     args = _extension_args(sys, odot)
     M, N, gens, lambdas, _lambda_primes = args
@@ -1904,8 +1994,8 @@ def test_a_section_corrupted_in_one_cell_is_caught(sys, odot, monkeypatch):
             continue
         row = honest[a][:b] + (v,) + honest[a][b + 1:]
         op = honest[:a] + (row,) + honest[a + 1:]
-        monkeypatch.setattr(biadd, "biadditive_extend", lambda *args, op=op:
-                            BiadditiveTable(*args[:2], op))
+        monkeypatch.setattr(biadd, "_rows", lambda _tree, M, N, _cols, op=op:
+                            BiadditiveTable(M, N, op))
         table = build()
         assert (table if odot is None else table.table).op == op
         assert dropped_multiplication_certificate(

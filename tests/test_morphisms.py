@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 from countsys import morphisms
 from countsys.core import (
     CountingSystem,
+    EndoMap,
     is_minimal,
     pad_single,
     require_minimal,
@@ -38,6 +39,7 @@ from countsys.morphisms import (
 )
 from test_laws import (
     _minimal_systems,
+    _shifts,
     _system,
     seed_propagate,
     skip_the_last_check,
@@ -247,6 +249,76 @@ def test_maps_are_paired_by_label_not_position():
     t = derive_addition(z)
     assert bridge_check(m, t, derive_addition(swapped))
     assert morphism_find(swapped, z).map == tuple(range(5))
+
+
+def _labelled_shifts(n, steps, labels):
+    """Z_n with labels[i] for the map x -> x + steps[i]."""
+    maps = [EndoMap(tuple((x + c) % n for x in range(n))) for c in steps]
+    return CountingSystem(cyc(n).carrier, 0, labels, maps)
+
+
+def _reordered(sys, labels):
+    """sys with its index set listed in the order `labels`."""
+    return CountingSystem(sys.carrier, sys.base, labels,
+                          [sys.map_for(lab) for lab in labels])
+
+
+# index sets out of sorted order: the shifts by 5, 3, 1 as s5, s3, s1; 16
+# labels s0 ... s15, which sorted() lists as s0, s1, s10, ..., s15, s2,
+# ...; and zpair's + and - against a target listing - first.  Each source
+# is a minimal Z_64 or zpair(6).
+SIXTEEN = tuple(f"s{i}" for i in range(16))
+ODD16 = tuple(range(1, 32, 2))
+UNSORTED = [
+    (_shifts(64, (5, 3, 1)),
+     [_shifts(64, (5, 3, 1)), _reordered(_shifts(64, (5, 3, 1)),
+                                         ("s1", "s3", "s5")),
+      _shifts(32, (5, 3, 1)), _shifts(63, (5, 3, 1)),
+      _reordered(_shifts(16, (1, 3, 5)), ("s3", "s5", "s1"))]),
+    (_labelled_shifts(64, ODD16, SIXTEEN),
+     [_reordered(_labelled_shifts(64, ODD16, SIXTEEN), tuple(sorted(SIXTEEN))),
+      _labelled_shifts(8, ODD16, tuple(sorted(SIXTEEN))),
+      _labelled_shifts(63, ODD16, SIXTEEN)]),
+    (zpair(6),
+     [_reordered(zpair(n), ("-", "+")) for n in (2, 3, 4, 6)]),
+]
+
+
+def test_morphisms_do_not_depend_on_the_order_of_the_index_set():
+    """morphism_find walks src's generation search, edge k along src's
+    k-th map, and pairs it with dst's map of the same label; the walk's
+    result does not depend on the tree.  Against the label-keyed forced
+    propagation, on sources whose index sets are out of sorted order,
+    into targets listing their labels in that order, sorted or otherwise."""
+    found = []
+    for src, targets in UNSORTED:
+        for dst in targets:
+            m = morphism_find(src, dst)
+            assert m == seed_morphism_find(src, dst), (src.index_set, dst)
+            assert m is None or is_morphism(m)
+            found.append(m is not None)
+    assert True in found and False in found
+
+
+def test_initiality_does_not_depend_on_the_order_of_the_index_set():
+    """Each label's morphism to the padded system, read from one walk on
+    the generation search, padded by the label's position: against the
+    forced propagation into pad_single(sys, label) on the sources above,
+    and on Z_8 and Z_64 with a map listed before the identity, where
+    padding by sorted position would read the other map."""
+    systems = [src for src, _targets in UNSORTED]
+    for n in (8, 64):
+        systems.append(_labelled_shifts(n, (1, 0), ("b", "a")))
+        systems.append(_labelled_shifts(n, (3, 0, 0), ("s5", "s3", "s1")))
+    padded = []
+    for sys in systems:
+        rep = initiality_report(sys)
+        assert [c.label for c in rep.conditions] == list(sys.index_set)
+        for cond in rep.conditions:
+            want = seed_morphism_find(sys, pad_single(sys, cond.label))
+            assert cond.morphism_to_padded == (want is not None), cond
+            padded.append(cond.morphism_to_padded)
+    assert True in padded and False in padded
 
 
 # -- free multiset monoid ----------------------------------------------------
