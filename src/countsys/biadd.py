@@ -1,19 +1,21 @@
 """Homomorphism extension, biadditive extension and derived multiplication.
 
 A homomorphism out of a finitely generated table is fixed by its values on
-the generators: extension walks it along the generation tree, then checks
-each generator edge.  A function searches that tree once and makes every
-extension and check of its call along it.  A multiplication walks each
-row, a homomorphism, along the tree of its sections, checking none again
-(_rows); biadditive_extend checks given sections first.  The proof gives
-every law of the table and of its multiplications, and none is checked.
-A table `t` passed with a system `sys` must be derive_addition(sys), a
-commutative monoid generated by the x_s = f_s(base) by that function's
-proof, not by a check of the table.
+the generators: extension walks it along one generation search, then
+checks each generator edge (_extend).  A multiplication walks each row, a
+homomorphism, along the tree of its sections, checking none again (_rows);
+biadditive_extend checks given sections first.  The proofs give every law
+of the tables, and none is checked.  A table `t` passed with a system
+`sys` must be derive_addition(sys), whose row x_s = f_s(base) is f_s by its
+key lemma: adding x_s is applying f_s.  So require_minimal(sys) is
+require_generates' search of t at the x_s, and sections, projections and
+orbits are read off the system (_extend).
 """
 
 from . import laws
-from .core import _Value, _intertwined, _orbit, _walk, require_single_map
+from .core import (
+    _Value, _intertwined, _orbit, _walk, require_minimal, require_single_map,
+)
 from .derive import derive_addition, require_generates
 from .dsl import (
     EXIT_ERROR, EXIT_NEGATIVE, EXIT_OK, _emit, _load, _read, _tsv_table,
@@ -67,15 +69,15 @@ def identity_hom(t):
     return HomTable(t, t, tuple(range(t.size)))
 
 
-def _extend(tree, dst, targets):
-    """The extension into dst, along `tree` (require_generates' search), of
-    the values `targets` at the generators, as hom_extend_report proves it:
-    the walk as a list and None, or None and the ExtensionConflict at the
-    first edge x -> g_s + x the walk breaks, x in tree order, s in order:
-    where values forced along the same search, whatever they are, first
-    clash."""
-    tables = [dst.op[b] for b in targets]
-    h = _walk(tree, dst.zero, tables)
+def _extend(tree, zero, tables):
+    """The extension along `tree`, require_generates' search, of values b_s
+    at the generators, given by their rows `tables` in a table with unit
+    `zero`, as hom_extend_report proves it: the walk as a list and None, or
+    None and the ExtensionConflict at the first edge x -> g_s + x the walk
+    breaks, x in tree order, s in order.  On require_minimal(sys), x_k's row
+    in t = derive_addition(sys) is tree.steps[k] and zero's is range(n): the
+    search, walk and witness are those on t's own (module docstring)."""
+    h = _walk(tree, zero, tables)
     if _intertwined(h, tree, tables):
         return h, None
     y, x, table = next((s[x], x, t) for x in tree.order for s, t
@@ -94,21 +96,18 @@ def hom_extend_report(src, dst, gens, targets):
     are the maps h with h(zero) = zero and h(g_s + x) = b_s + h(x) for all
     x and s: so h(g_s) = b_s, and h(x + g_s) = h(x) + h(g_s) at gens, which
     generate.  So the extension is core._walk along require_generates'
-    tree, checked at each generator (_extend).  Callers extending several
-    assignments from the same gens search once and call _extend on that
-    tree.
+    tree, checked at each generator (_extend).
     """
-    gens = tuple(gens)
-    targets = tuple(targets)
+    gens, targets = tuple(gens), tuple(targets)
     if len(gens) != len(targets):
         raise TargetCountMismatch(len(gens), len(targets))
-    h, conflict = _extend(require_generates(src, gens), dst, targets)
+    h, conflict = _extend(require_generates(src, gens), dst.zero,
+                          [dst.op[b] for b in targets])
     return (None if h is None else HomTable(src, dst, tuple(h))), conflict
 
 
 def hom_extend(src, dst, gens, targets):
-    hom, _ = hom_extend_report(src, dst, gens, targets)
-    return hom
+    return hom_extend_report(src, dst, gens, targets)[0]
 
 
 class BiadditiveTable(_Value):
@@ -127,9 +126,9 @@ def is_biadditive(M, N, op):
 
 
 def _rows(tree, M, N, column_sections):
-    """The biadditive table M x M -> N with column section lambda'_k at
-    g_k, each row walked along `tree`, require_generates' search of M at
-    the gens: row a (zero) = zero, row a (g_k + p) = lambda'_k(a) + row a (p).
+    """The biadditive table M x M -> N with column section lambda'_k (a
+    list) at g_k, each row walked along `tree`, require_generates' search of
+    M at the gens: row a (0) = 0, row a (g_k + p) = lambda'_k(a) + row a (p).
     Premise (M, N commutative, gens generating M): the lambda'_t, and row
     sections lambda_s with lambda_s(g_t) = lambda'_t(g_s), which are not
     read, are homomorphisms.  Proof: let S have row zero zero and row
@@ -151,12 +150,11 @@ def _rows(tree, M, N, column_sections):
     lambda_s(x_t) = x_{s odot t} = lambda'_t(x_s), and each passed
     _extend's _intertwined on `tree` with the tables of its values b_k,
     biadditive_extend's check (h(zero) = zero starts the walk, and
-    h(g_k) = b_k is h(g_k + x) = b_k + h(x) at x = zero); the single-map
-    sections are the identity.
+    h(g_k) = b_k is h(g_k + x) = b_k + h(x) at x = zero).
     """
     rows = []
     for a in range(M.size):
-        u = [N.op[lamp.map[a]] for lamp in column_sections]
+        u = [N.op[lamp[a]] for lamp in column_sections]
         rows.append(tuple(_walk(tree, N.zero, u)))
     return BiadditiveTable(M, N, tuple(rows))
 
@@ -189,25 +187,7 @@ def biadditive_extend(M, N, gens, lambdas, lambda_primes):
             if h[M.zero] != N.zero or not _intertwined(h, tree, u):
                 raise InternalInvariantViolation(
                     f"{side} section {i} is no homomorphism")
-    return _rows(tree, M, N, lambda_primes)
-
-
-def derive_multiplication_single(sys, t):
-    """Multiplication for a minimal single-map system: the unique biadditive
-    table whose row at a0 = f(base) is the identity.
-
-    With t = derive_addition(sys), the identity is a homomorphism, and by
-    _rows' proof the table walked on t's search at a0 is biadditive with
-    row a0 the identity, which gives every law, none of them checked:
-    zero absorption (sections fix zero); distributivity (rows are
-    additive); the successor law f(x1) * x2 = x2 + x1 * x2 (f(x1) = a0 + x1,
-    column x2 is additive, row a0 is the identity); a0 a unit; and, as
-    (a, b) -> b * a and both bracketings of a * b * c are additive in each
-    argument and agree at a0, commutativity and associativity.
-    """
-    require_single_map(sys)
-    a0 = sys.maps[0](sys.base)
-    return _rows(require_generates(t, (a0,)), t, t, (identity_hom(t),))
+    return _rows(tree, M, N, [lamp.map for lamp in lambda_primes])
 
 
 class OdotTable(_Value):
@@ -244,9 +224,9 @@ def derive_multiplication_indexed(sys, t, odot):
     """Multiplication prescribed on generators by an index-set operation.
 
     For each label s the two required endomorphisms (x_t -> x_{s odot t} and
-    x_t -> x_{t odot s}) are extended (_extend) along the one generation
-    tree searched here; a missing one is reported as a structured absence,
-    never a partial table.
+    x_t -> x_{t odot s}) are extended (_extend) along require_minimal(sys),
+    before t is read; a missing one is reported as a structured absence,
+    never a partial table.  t None is derive_addition(sys) on that search.
 
     With t = derive_addition(sys), the sections are homomorphisms
     (hom_extend_report's proof), so mu, walked by _rows on the same tree,
@@ -261,32 +241,59 @@ def derive_multiplication_indexed(sys, t, odot):
     if tuple(odot.index_set) != tuple(sys.index_set):
         raise IndexSetMismatch(odot.index_set, sys.index_set)
     labels = sys.index_set
-    x = {s: sys.map_for(s)(sys.base) for s in labels}
-    tree = require_generates(t, tuple(x.values()))
+    tree = require_minimal(sys)
+    row = dict(zip(labels, tree.steps))  # adding x_s is applying f_s
     columns = []  # lambda'_s; each lambda_s need only exist (_rows)
     for s in labels:
         for pairs in (((s, u) for u in labels), ((u, s) for u in labels)):
-            h, conflict = _extend(tree, t, (x[odot.op[p]] for p in pairs))
+            h, conflict = _extend(tree, sys.base,
+                                  [row[odot.op[p]] for p in pairs])
             if h is None:
                 return IndexedMultiplication(None, s, conflict)
-        columns.append(HomTable(t, t, tuple(h)))  # h is lambda'_s
+        columns.append(h)  # h is lambda'_s
+    if t is None:
+        t = derive_addition(sys, tree)
     return IndexedMultiplication(_rows(tree, t, t, columns))
 
 
-def projections(t, gens):
+def _single_odot(sys):
+    """The odot s odot s = s of a single-map system.  Its one section is
+    the identity, which always extends, and s is its unit."""
+    require_single_map(sys)
+    (s,) = sys.index_set
+    return OdotTable((s,), {(s, s): s}, s)
+
+
+def derive_multiplication_single(sys, t):
+    """Multiplication for a minimal single-map system: the unique biadditive
+    table whose row at a0 = f(base) is the identity, which is
+    derive_multiplication_indexed's for _single_odot.  Its laws are that
+    odot's; the successor law f(x1) * x2 = x2 + x1 * x2 holds as
+    f(x1) = a0 + x1 and column x2 is additive."""
+    return derive_multiplication_indexed(sys, t, _single_odot(sys)).table
+
+
+def _projections(tree):
     """One idempotent-on-its-generator, zero-elsewhere endomorphism per
-    generator, when they all exist: each extended (_extend) along the one
-    generation tree searched here."""
-    gens = tuple(gens)
-    tree = require_generates(t, gens)
+    generator of the search `tree`, each extended (_extend) along it, as
+    lists; or None, the first generator without one, and the conflict."""
+    zero, n, k = tree.order[0], len(tree.order), len(tree.steps)
     out = []
-    for i, g in enumerate(gens):
-        h, conflict = _extend(tree, t, (g if j == i else t.zero
-                                        for j in range(len(gens))))
+    for i, step in enumerate(tree.steps):  # range(n) is zero's row
+        h, conflict = _extend(tree, zero, [step if j == i else range(n)
+                                           for j in range(k)])
         if h is None:
             return None, i, conflict
-        out.append(HomTable(t, t, tuple(h)))
+        out.append(h)
     return out, None, None
+
+
+def projections(t, gens):
+    """_projections along require_generates(t, gens), as HomTables."""
+    deltas, failing, conflict = _projections(require_generates(t, gens))
+    if deltas is not None:
+        deltas = [HomTable(t, t, tuple(h)) for h in deltas]
+    return deltas, failing, conflict
 
 
 class DirectSumReport(_Value):
@@ -307,7 +314,11 @@ def direct_sum_report(t, gens):
     are equal.  Its value at (g_s, g_t) is delta_s(g_t), and its glueing
     homomorphism a_s -> a_s is the identity.
     """
-    deltas, failing, conflict = projections(t, gens)
+    return _direct_sum(require_generates(t, gens))
+
+
+def _direct_sum(tree):
+    deltas, failing, conflict = _projections(tree)
     return DirectSumReport(deltas is not None, failing, conflict)
 
 
@@ -324,7 +335,7 @@ class CyclicFreeness(_Value):
     @property
     def free(self):
         # the submonoid is the orbit of zero under +g, so it is minimal; both
-        # flags are "its tail is 0" (is_free_report), so this is never true
+        # flags are "its tail is 0" (_free_report), so this is never true
         return self.injective and not self.zero_in_image
 
 
@@ -338,53 +349,47 @@ class FreeReport(_Value):
         return self.direct_sum.ok and all(c.free for c in self.cyclic)
 
 
+def _free_report(tree):
+    """Freeness of the table `tree` searched, with respect to its generators,
+    decided on finite data: the direct-sum condition plus, per generator
+    g, the Peano conditions for its cyclic submonoid (which always fail on
+    a finite carrier), the orbit of zero under +g, whose row is a step of
+    `tree`: +g is injective on it iff zero is in its image iff its tail is
+    0 (_orbit).  On require_minimal(sys), the table is never built."""
+    zero, cyclic = tree.order[0], []
+    for i, step in enumerate(tree.steps):
+        points, tail = _orbit(step, zero)
+        cyclic.append(CyclicFreeness(i, step[zero], tuple(sorted(points)),
+                                     tail == 0, tail == 0))
+    return FreeReport(_direct_sum(tree), cyclic)
+
+
 def is_free_report(t, gens):
-    """Freeness of the table with respect to its generators, decided on finite
-    data: the direct-sum condition plus, per generator, the Peano conditions
-    for its cyclic submonoid (which always fail on a finite carrier), the
-    orbit of zero under +g: +g is injective on it iff zero is in its image
-    iff its tail is 0 (_orbit)."""
-    gens = tuple(gens)
-    ds = direct_sum_report(t, gens)  # raises unless gens generate t
-    cyclic = []
-    for i, g in enumerate(gens):
-        points, tail = _orbit(t.op[g], t.zero)
-        closed = tail == 0
-        cyclic.append(
-            CyclicFreeness(i, g, tuple(sorted(points)), closed, closed))
-    return FreeReport(ds, cyclic)
+    return _free_report(require_generates(t, gens))
 
 
 def _cmd_mul(args, out, err):
-    doc = _load(args.file, args.auto_core)
-    sys_ = doc.system
-    t = derive_addition(sys_)
-    if args.odot:
+    sys_ = _load(args.file, args.auto_core).system
+    if args.odot:  # read, so valid, on the system's labels before a search
         odot = parse_odot(_read(args.odot), index_set=sys_.index_set)
-        res = derive_multiplication_indexed(sys_, t, odot)
-        if not res.ok:
-            msg = "no multiplication: required endomorphism missing " \
-                  f"at label {res.failing_label!r}"
-            if res.conflict is not None:
-                msg += f" ({res.conflict.describe()})"
-            print(msg, file=err)
-            return EXIT_NEGATIVE
-        mult = res.table
+    elif len(sys_.index_set) != 1:
+        require_minimal(sys_)  # a system that is not is reported first
+        print("error: multi-map system needs --odot", file=err)
+        return EXIT_ERROR
     else:
-        if len(sys_.index_set) != 1:
-            print("error: multi-map system needs --odot", file=err)
-            return EXIT_ERROR
-        mult = derive_multiplication_single(sys_, t)
-    _tsv_table(sys_.carrier.labels, mult.op, out)
+        odot = _single_odot(sys_)
+    res = derive_multiplication_indexed(sys_, None, odot)
+    if not res.ok:
+        print("no multiplication: required endomorphism missing at label "
+              f"{res.failing_label!r} ({res.conflict.describe()})", file=err)
+        return EXIT_NEGATIVE
+    _tsv_table(sys_.carrier.labels, res.table.op, out)
     return EXIT_OK
 
 
 def _cmd_free_report(args, out, err):
-    doc = _load(args.file, args.auto_core)
-    sys_ = doc.system
-    t = derive_addition(sys_)
-    gens = tuple(f(sys_.base) for f in sys_.maps)
-    rep = is_free_report(t, gens)
+    sys_ = _load(args.file, args.auto_core).system
+    rep = _free_report(require_minimal(sys_))
     cyclic = [{"label": sys_.index_set[c.label_index],
                "generator": c.generator, "submonoid_size": len(c.submonoid),
                "free": c.free, "injective": c.injective,

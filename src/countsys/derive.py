@@ -40,15 +40,20 @@ class Classification(_Value):
     __slots__ = ("group", "cancellative", "zero_sum_free", "trichotomy")
 
 
-def derive_addition(sys):
-    """The transferred addition; zero is the base.
+def derive_addition(sys, tree=None):
+    """The transferred addition; zero is the base.  `tree` is
+    require_minimal(sys), searched here unless given, which raises
+    MinimalityRequired, with the unreachable witness set, when the system
+    is not minimal; the maps of a CountingSystem commute.
 
-    reconstruct_addition raises MinimalityRequired, with the unreachable
-    witness set, when the system is not minimal, and the maps of a
-    CountingSystem commute.  Given both, the table's laws are theorems:
+    Row base is the identity (unit).  Every other element a was discovered
+    by the search as f_k(p) for its parent p, so by the shift axiom
+    a + b = f_k(p + b): row a is row p mapped through f_k.  Any table with
+    the unit and shift axioms is this one, which establishes uniqueness.
+    Given minimality and commuting maps, the table's laws are theorems:
 
     - row a is u_a, the closure element with u_a(base) = a, by induction
-      along the BFS tree: row base is the identity, and row a = f_k . u_p
+      along the tree: row base is the identity, and row a = f_k . u_p
       for a's parent p is a composite of maps with value f_k(p) = a;
     - so a + b = u_a(b);
     - u_a . u_b is a closure element with value u_a(b) = a + b at base, so
@@ -64,23 +69,13 @@ def derive_addition(sys):
     The checks this proof replaced (row f_s(base) = f_s, Light's test and
     commutativity) stay in the test suite as an oracle of the table.
     """
-    return reconstruct_addition(sys)
-
-
-def reconstruct_addition(sys):
-    """Rebuild the table from the unit and shift axioms alone.
-
-    Row base is the identity (unit).  Every other element a was discovered
-    by the carrier BFS as f_k(p) for its parent p, so by the shift axiom
-    a + b = f_k(p + b): row a is row p mapped through f_k.  Any table with
-    the unit and shift axioms is this one, which establishes uniqueness.
-    """
     n = sys.size
-    prop = require_minimal(sys)
+    if tree is None:
+        tree = require_minimal(sys)
     rows = [None] * n
     rows[sys.base] = tuple(range(n))
-    for p, k, a in prop.edges:
-        rows[a] = _gather(prop.steps[k], rows[p])
+    for p, k, a in tree.edges:
+        rows[a] = _gather(tree.steps[k], rows[p])
     return MonoidTable(n, tuple(rows), sys.base)
 
 
@@ -88,7 +83,7 @@ def verify_plus_axioms(sys, t):
     """Check the unit and shift axioms, which make the table unique.
 
     Returns (ok, witness); the witness names the first failing axiom instance
-    and is None on success.  A passing table is reconstruct_addition's: row
+    and is None on success.  A passing table is derive_addition's: row
     base is the identity and row f_k(p) is f_k applied to row p, which on a
     minimal system (MinimalityRequired otherwise) reaches every row.
     """

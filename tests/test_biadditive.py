@@ -5,8 +5,13 @@ import tracemalloc
 
 import pytest
 
+from countsys import biadd
 from countsys.biadd import (
+    CyclicFreeness,
+    DirectSumReport,
+    FreeReport,
     HomTable,
+    IndexedMultiplication,
     OdotTable,
     biadditive_extend,
     derive_multiplication_indexed,
@@ -22,7 +27,8 @@ from countsys.biadd import (
     make_hom,
     projections,
 )
-from countsys.derive import derive_addition, product_table
+from countsys.core import MAX_CARRIER_SIZE, _orbit, require_minimal
+from countsys.derive import derive_addition, product_table, require_generates
 from countsys.errors import (
     CompatibilityViolated,
     GensDoNotGenerate,
@@ -32,6 +38,9 @@ from countsys.errors import (
     TargetCountMismatch,
 )
 from countsys.fixtures import SIGN_ODOT_LINES, cyc, rho, rho_collapse, zpair
+from test_laws import (
+    _minimal_systems, _shift_odots, _shifts, biadd_mutant,
+)
 
 
 def sign_odot():
@@ -160,12 +169,15 @@ def test_multiplication_peaks_below_twice_its_table(sys, odot):
 
 
 def test_single_map_multiplication_is_modular():
+    """Also as mul runs it: the odot s odot s = s with no table given."""
     for n in range(1, 10):
         sys = cyc(n)
         mult = derive_multiplication_single(sys, derive_addition(sys))
         assert mult.op == tuple(
             tuple((i * j) % n for j in range(n)) for i in range(n)
         )
+        res = derive_multiplication_indexed(sys, None, biadd._single_odot(sys))
+        assert res == IndexedMultiplication(mult)
 
 
 def test_rho_multiplication_matches_collapse_oracle():
@@ -263,3 +275,126 @@ def test_free_report_requires_generators():
     z6 = derive_addition(cyc(6))
     with pytest.raises(GensDoNotGenerate):
         is_free_report(z6, (2,))
+
+
+# -- the system path against the table path ----------------------------------
+
+
+def table_free_report(t, gens):
+    """is_free_report as it was: each projection's targets and each orbit
+    read as rows of the table t, along require_generates' search."""
+    tree = require_generates(t, gens)
+    ds = DirectSumReport(True)
+    for i in range(len(gens)):
+        h, conflict = biadd._extend(tree, t.zero, [
+            t.op[g if j == i else t.zero] for j, g in enumerate(gens)])
+        if h is None:
+            ds = DirectSumReport(False, i, conflict)
+            break
+    cyclic = []
+    for i, g in enumerate(gens):
+        points, tail = _orbit(t.op[g], t.zero)
+        cyclic.append(CyclicFreeness(i, g, tuple(sorted(points)), tail == 0,
+                                     tail == 0))
+    return FreeReport(ds, cyclic)
+
+
+def table_indexed(sys, t, odot):
+    """derive_multiplication_indexed as it was: its sections' targets read
+    as rows of t, along require_generates' search of t at the x_s."""
+    labels = sys.index_set
+    x = {s: f(sys.base) for s, f in zip(labels, sys.maps)}
+    tree = require_generates(t, tuple(x.values()))
+    columns = []
+    for s in labels:
+        for pairs in (((s, u) for u in labels), ((u, s) for u in labels)):
+            h, conflict = biadd._extend(tree, t.zero,
+                                        [t.op[x[odot.op[p]]] for p in pairs])
+            if h is None:
+                return IndexedMultiplication(None, s, conflict)
+        columns.append(h)
+    return IndexedMultiplication(biadd._rows(tree, t, t, columns))
+
+
+Z16 = _shifts(MAX_CARRIER_SIZE, range(1, 32, 2))
+U16_STEPS = [pow(257, i, MAX_CARRIER_SIZE) for i in range(16)]
+
+
+def _free_report_differences(systems):
+    """The systems on which free-report's body, run on require_minimal(sys)
+    as the command runs it, is not table_free_report of
+    derive_addition(sys) at the x_s = f_s(base), or where projections'
+    maps are not those of the body."""
+    differ = []
+    for sys in systems:
+        t = derive_addition(sys)
+        gens = tuple(f(sys.base) for f in sys.maps)
+        tree = require_minimal(sys)
+        deltas, failing, conflict = projections(t, gens)
+        got = biadd._projections(tree)
+        if (biadd._free_report(tree) != table_free_report(t, gens)
+                or (failing, conflict) != got[1:]
+                or got[0] is not None
+                and [d.map for d in deltas] != list(map(tuple, got[0]))):
+            differ.append(sys)
+    return differ
+
+
+def test_free_report_from_the_system_is_the_tables():
+    """free-report reads its projections and orbits off the system's
+    generation search, as row x_s of the addition is f_s; the report,
+    conflict witnesses included, is the one read off the table, on every
+    minimal system of the enumerations, the fixtures and z16."""
+    systems = [*_minimal_systems(), Z16]
+    assert _free_report_differences(systems) == []
+    direct = [biadd._free_report(require_minimal(s)).direct_sum.ok
+              for s in systems]
+    assert direct.count(True) > 700 and direct.count(False) > 50
+
+
+@pytest.mark.parametrize("old, new", [
+    ("[step if j == i else", "[tree.steps[(i + 1) % k] if j == i else"),
+    ("_orbit(step, zero)",
+     "_orbit(tree.steps[(i + 1) % len(tree.steps)], zero)"),
+], ids=["projection", "orbit"])
+def test_a_generator_read_from_the_next_label_is_caught(old, new,
+                                                        monkeypatch):
+    """Mutation check: the free-report body reading generator k's row from
+    label k + 1, in a projection's target or in its orbit, differs from
+    the table's report on some two-map system."""
+    name = "_projections" if "j == i" in old else "_free_report"
+    monkeypatch.setattr(biadd, name, biadd_mutant(old, new, name))
+    two_maps = [s for s in _minimal_systems() if len(s.maps) == 2]
+    assert _free_report_differences(two_maps) != []
+
+
+def test_odot_sections_from_the_system_are_the_tables():
+    """derive_multiplication_indexed extends its sections along
+    require_minimal(sys) with the targets' rows f_s: the outcome, failing
+    label and conflict witness included, is the one read off the table,
+    with t given or built by the call, on the Z_63 odots; on u16 with two
+    odots whose sections conflict, the call with t None fails without
+    building the addition."""
+    z63 = _shifts(63, (1, 22, 43))
+    t = derive_addition(z63)
+    outcomes = []
+    for odot in _shift_odots(63, (1, 22, 43)):
+        want = table_indexed(z63, t, odot)
+        assert derive_multiplication_indexed(z63, t, odot) == want
+        assert derive_multiplication_indexed(z63, None, odot) == want
+        outcomes.append(want.ok)
+    assert True in outcomes and False in outcomes
+    u16 = _shifts(MAX_CARRIER_SIZE, U16_STEPS)
+    product, left = itertools.islice(
+        _shift_odots(MAX_CARRIER_SIZE, U16_STEPS), 2)
+    last = product.index_set[-1]  # its row section breaks, at x_last only
+    odots = [left, OdotTable(product.index_set, {
+        **product.op, (last, last): product.index_set[0]})]
+    got = []
+    for odot in odots:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(biadd, "derive_addition", None)  # not called
+            got.append(derive_multiplication_indexed(u16, None, odot))
+    t = derive_addition(u16)
+    assert got == [table_indexed(u16, t, odot) for odot in odots]
+    assert [r.failing_label for r in got] == ["s1", last]

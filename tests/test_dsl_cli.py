@@ -27,7 +27,7 @@ from countsys.cli import (
 )
 from countsys.closure import _cmd_closure
 from countsys.core import Carrier, EndoMap, new_system, product
-from countsys.derive import _cmd_add
+from countsys.derive import MonoidTable, _cmd_add
 from countsys.dsl import _json, _tsv_table, emit_system, parse_odot, parse_system
 from countsys.errors import (
     CountingSystemError,
@@ -39,6 +39,7 @@ from countsys.morphisms import (
     _cmd_free_eval, _cmd_initial, _cmd_morphism, morphism_find,
 )
 from test_closure import cycles
+from test_golden import GOLDEN, GROUPS, case as golden_case, write_inputs
 from test_laws import C2XC3, C2XC3_GENS, _shifts
 
 CYC3 = """\
@@ -811,6 +812,26 @@ def test_add_mul_and_free_report_run_no_table_law(tmp_path, monkeypatch):
         assert checked == [], argv
 
 
+def count_searches(monkeypatch):
+    """The list to which each generation search is appended, as its
+    generators or system, wherever it is made: require_minimal under every
+    name a countsys module binds it to, and require_generates."""
+    from countsys import biadd, core, derive, morphisms
+    searches = []
+
+    def counted(search):
+        def search_counted(*args):
+            searches.append(args[-1])
+            return search(*args)
+        return search_counted
+
+    for mod in (core, derive, biadd, morphisms):
+        for name in ("require_minimal", "require_generates"):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, counted(getattr(mod, name)))
+    return searches
+
+
 def test_each_system_is_checked_for_commuting_once(tmp_path, monkeypatch):
     """The maps of a CountingSystem commute by construction, so a command
     makes the commuting check once per system it builds: once for the
@@ -819,19 +840,16 @@ def test_each_system_is_checked_for_commuting_once(tmp_path, monkeypatch):
     morphism search and core from the input system itself, and checks its
     minimality once: one generation search (require_minimal), and no
     sorted carrier BFS (core.reach).  `analyze` reads its minimality and
-    core size from that same check.  Likewise a generated table is
-    searched once per call (biadd.require_generates): `mul --odot` once
-    for its 2k sections and its rows, `mul` once for its rows,
-    `free-report` and `projections` once for all their projections."""
-    from countsys import biadd, core, morphisms
+    core size from that same check.  Likewise a command makes one
+    generation search (require_minimal or require_generates, wherever it
+    is called): `add` for its table; `mul --odot` for its 2k sections, its
+    table and its rows; `mul` for its table and rows; `free-report` for
+    all its projections and orbits.  `projections` searches once too."""
+    from countsys import biadd, core
     calls = []
     reaches = []
-    minimal_searches = []
-    searches = []
     noncommuting = core.noncommuting
     reach = core.reach
-    require_minimal = morphisms.require_minimal
-    require_generates = biadd.require_generates
 
     def counted(index_set, maps):
         calls.append(index_set)
@@ -840,14 +858,6 @@ def test_each_system_is_checked_for_commuting_once(tmp_path, monkeypatch):
     def counted_reach(sys):
         reaches.append(sys)
         return reach(sys)
-
-    def counted_minimal(sys):
-        minimal_searches.append(sys)
-        return require_minimal(sys)
-
-    def counted_search(t, gens):
-        searches.append(gens)
-        return require_generates(t, gens)
 
     c = write(tmp_path, "c.csys", emit_system(cyc(64)))
     z = write(tmp_path, "z.csys", emit_system(_shifts(63, (1, 22, 43))))
@@ -859,8 +869,7 @@ def test_each_system_is_checked_for_commuting_once(tmp_path, monkeypatch):
               emit_system(product(cyc(2), cyc(3)), name="c2xc3"))
     monkeypatch.setattr(core, "noncommuting", counted)
     monkeypatch.setattr(core, "reach", counted_reach)
-    monkeypatch.setattr(morphisms, "require_minimal", counted_minimal)
-    monkeypatch.setattr(biadd, "require_generates", counted_search)
+    searches = count_searches(monkeypatch)
     for argv, systems in [
         (["add", c], 1), (["mul", c], 1), (["free-report", c], 1),
         (["closure", c], 1), (["initial", c], 1), (["analyze", c], 1),
@@ -870,20 +879,89 @@ def test_each_system_is_checked_for_commuting_once(tmp_path, monkeypatch):
     ]:
         calls.clear()
         reaches.clear()
-        minimal_searches.clear()
+        searches.clear()
         code, _out, err = run(argv)
         assert (code, err) == (0, ""), argv
         assert len(calls) == systems, argv
-        if argv[0] in ("initial", "analyze"):
-            assert (len(minimal_searches), len(reaches)) == (1, 0), argv
-    for argv, want in [(["mul", z, "--odot", o], 1), (["mul", c], 1),
-                       (["free-report", x], 1)]:
+        if argv[0] in ("add", "mul", "free-report", "initial", "analyze"):
+            assert (len(searches), len(reaches)) == (1, 0), argv
+    ones = write(tmp_path, "ones.odot", "odot\n" + "".join(
+        f"s{a} s{b} = s1\n" for a in (1, 22, 43) for b in (1, 22, 43)))
+    for argv, code in [(["mul", z, "--odot", ones], 1),
+                       (["free-report", x], 0),
+                       (["free-report", "--json", x], 0)]:
         searches.clear()
-        assert run(argv)[0] == 0, argv
-        assert len(searches) == want, argv
+        assert run(argv)[0] == code, argv
+        assert len(searches) == 1, argv
     searches.clear()
     assert biadd.projections(C2XC3, C2XC3_GENS)[0] is not None
     assert searches == [C2XC3_GENS]
+
+
+class TableBuilt(Exception):
+    """A MonoidTable was built where none may be."""
+
+
+def refuse_tables(monkeypatch):
+    def refuse(self, *args):
+        raise TableBuilt
+
+    monkeypatch.setattr(MonoidTable, "__init__", refuse)
+
+
+def test_free_report_and_a_failing_mul_build_no_table(tmp_path, monkeypatch):
+    """free-report reads the system's generation search, and mul --odot
+    decides its sections on it before it builds the addition, so with no
+    MonoidTable to be had, free-report (with and without --json), every
+    mul that fails and every mul refused for want of --odot print their
+    golden transcripts; a mul that succeeds needs the table."""
+    write_inputs(tmp_path)
+    checked = built = 0
+    for group, cases in GROUPS.items():
+        text = (GOLDEN / f"{group}.txt").read_text(encoding="utf-8")
+        blocks = re.split(r"(?m)^(?=\$ countsys )", text)
+        expected = {b.split("\n", 1)[0]: b for b in blocks if b}
+        for argv in cases:
+            if not {"mul", "free-report"} & set(argv):
+                continue
+            want = expected["$ countsys " + " ".join(argv)]
+            with monkeypatch.context() as mp:
+                refuse_tables(mp)
+                if "mul" in argv and want.split("\n")[1] == "exit 0":
+                    with pytest.raises(TableBuilt):
+                        golden_case(argv, tmp_path)
+                    built += 1
+                else:
+                    assert golden_case(argv, tmp_path) == want, argv
+                    checked += 1
+    assert (checked, built) == (6 * 2 + 4, 7)
+
+
+def test_mul_reads_its_arguments_before_it_searches(tmp_path, monkeypatch):
+    """mul reads its odot on the system's labels, so checks it, before any
+    search: on a system that is not minimal, a missing or malformed odot
+    is reported, not the minimality.  Without --odot, a multi-map system
+    is refused after the minimality check, which a non-minimal one fails
+    first, and before any table is built."""
+    searches = count_searches(monkeypatch)
+    refuse_tables(monkeypatch)
+    write_inputs(tmp_path)
+    nonmin, zpair5 = (str(tmp_path / f) for f in ("nonmin.csys",
+                                                  "zpair5.csys"))
+    unknown = write(tmp_path, "u.odot", "odot\ns s = u\n")
+    for argv, searched, code, message in [
+        (["mul", nonmin, "--odot", str(tmp_path / "missing.odot")], 0, 2,
+         "error: [Errno 2] No such file or directory"),
+        (["mul", nonmin, "--odot", unknown], 0, 2,
+         "parse error: line 2, col 1: unknown label 'u'"),
+        (["mul", nonmin], 1, 2,
+         "error: system is not minimal; unreachable elements: 5"),
+        (["mul", zpair5], 1, 2, "error: multi-map system needs --odot"),
+    ]:
+        searches.clear()
+        got, out, err = run(argv)
+        assert (got, out, len(searches)) == (code, "", searched), argv
+        assert err.startswith(message), (argv, err)
 
 
 def test_mul_at_the_label_limit(tmp_path):

@@ -84,7 +84,6 @@ from countsys.derive import (
     classify,
     derive_addition,
     product_table,
-    reconstruct_addition,
     require_generates,
     verify_plus_axioms,
 )
@@ -739,7 +738,7 @@ def seed_verify_plus_axioms(sys, t):
             for x2 in range(n):
                 if t.op[f(x1)][x2] != f(t.op[x1][x2]):
                     return False, ("shift", lab, x1, x2)
-    recon = reconstruct_addition(sys)
+    recon = derive_addition(sys)
     for a in range(n):
         for b in range(n):
             if recon.op[a][b] != t.op[a][b]:
@@ -773,7 +772,7 @@ def test_verify_plus_axioms_and_cayley_match_the_seed_loops(sys):
         assert verdict == seed_verify_plus_axioms(sys, tampered)
         # the unit and shift axioms alone fix the table
         if verdict[0]:
-            assert oracle_difference(reconstruct_addition(sys).op, op) is None
+            assert oracle_difference(derive_addition(sys).op, op) is None
         assert cayley_embedding(tampered) == seed_cayley_embedding(tampered)
 
 
@@ -904,12 +903,12 @@ def test_derive_addition_passes_the_dropped_checks_on_random_systems(sys):
 
 
 def _derived_from(sys, monkeypatch, op):
-    """derive_addition(sys).op with reconstruct_addition returning `op` and
+    """derive_addition(sys).op with the table it builds replaced by `op` and
     MonoidTable's unit check switched off, so that derive_addition checks
     nothing of the table."""
     monkeypatch.setattr(laws, "unit", lambda op, e: None)
-    monkeypatch.setattr(derive, "reconstruct_addition",
-                        lambda s: MonoidTable(s.size, op, s.base))
+    monkeypatch.setattr(derive, "MonoidTable",
+                        lambda n, _rows, zero: MonoidTable(n, op, zero))
     return derive_addition(sys).op
 
 
@@ -918,7 +917,7 @@ def _apply(f, xs):
 
 
 def _rows_along_a_wrong_map(sys):
-    """reconstruct_addition's table with the row of one element a taken
+    """derive_addition's table with the row of one element a taken
     along a map other than the one that discovered a: another label's map,
     or the discovering map twice.  The rows below a are built from it."""
     edges = reach(sys).edges
@@ -940,9 +939,9 @@ def test_a_derived_table_with_one_cell_changed_fails_the_dropped_checks(
     sys, monkeypatch
 ):
     """Mutation check: with MonoidTable's unit check off, derive_addition
-    returns whatever table reconstruct_addition builds, and the oracle
-    rejects each that differs from the honest one in one cell."""
-    for op in _tamperings(reconstruct_addition(sys).op):
+    returns whatever table it builds, and the oracle rejects each that
+    differs from the honest one in one cell."""
+    for op in _tamperings(derive_addition(sys).op):
         assert _derived_from(sys, monkeypatch, op) == op
         assert dropped_addition_checks(sys, op) is not None
 
@@ -954,7 +953,7 @@ def test_a_derived_row_along_the_wrong_map_fails_the_dropped_checks(
     """Mutation check: as above, for a table whose row a is taken along the
     wrong map g.  On these systems g never sends a's parent to a, which by
     the key lemma would make the row right, so every such table is wrong."""
-    honest = reconstruct_addition(sys).op
+    honest = derive_addition(sys).op
     count = 0
     for op in _rows_along_a_wrong_map(sys):
         assert op != honest
