@@ -12,7 +12,7 @@ from importlib import import_module as _import_module
 _HOME = {
     **dict.fromkeys(("AnalysisReport", "analyze"), "analysis"),
     **dict.fromkeys((
-        "BiadditiveTable", "HomTable", "OdotTable", "biadditive_extend",
+        "BiadditiveTable", "HomTable", "biadditive_extend",
         "derive_multiplication_indexed", "derive_multiplication_single",
         "direct_sum_check", "direct_sum_report", "hom_extend",
         "is_free_report", "projections",
@@ -30,7 +30,8 @@ _HOME = {
         "derive_addition", "product_table", "verify_plus_axioms",
     ), "derive"),
     **dict.fromkeys((
-        "SystemDocument", "emit_system", "parse_odot", "parse_system",
+        "OdotTable", "SystemDocument", "emit_system", "parse_odot",
+        "parse_system",
     ), "dsl"),
     **dict.fromkeys((
         "FreeElement", "SystemMorphism", "bridge_check", "free_add",

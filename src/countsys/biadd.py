@@ -9,7 +9,7 @@ of the tables, and none is checked.  A table `t` passed with a system
 `sys` must be derive_addition(sys), whose row x_s = f_s(base) is f_s by its
 key lemma: adding x_s is applying f_s.  So require_minimal(sys) is
 require_generates' search of t at the x_s, and sections, projections and
-orbits are read off the system (_extend).
+orbits are read off the system (_extend).  `dsl` defines the odot record.
 """
 
 from . import laws
@@ -18,14 +18,13 @@ from .core import (
 )
 from .derive import derive_addition, require_generates
 from .dsl import (
-    EXIT_ERROR, EXIT_NEGATIVE, EXIT_OK, _emit, _load, _read, _tsv_table,
-    parse_odot,
+    EXIT_ERROR, EXIT_NEGATIVE, EXIT_OK, OdotTable, _emit, _load, _read,
+    _tsv_table, parse_odot,
 )
 from .errors import (
     CompatibilityViolated,
     IndexSetMismatch,
     InternalInvariantViolation,
-    OdotNotTotal,
     TargetCountMismatch,
 )
 
@@ -188,22 +187,6 @@ def biadditive_extend(M, N, gens, lambdas, lambda_primes):
                 raise InternalInvariantViolation(
                     f"{side} section {i} is no homomorphism")
     return _rows(tree, M, N, [lamp.map for lamp in lambda_primes])
-
-
-class OdotTable(_Value):
-    """A total binary operation on the index-set labels, with optional unit;
-    `op` maps (s, t) -> label."""
-
-    __slots__ = ("index_set", "op", "unit")
-    _defaults = {"unit": None}
-
-    def validate(self):
-        for s in self.index_set:
-            for t in self.index_set:
-                if self.op.get((s, t)) not in self.index_set:
-                    raise OdotNotTotal(s, t)  # missing, or not a label
-        if self.unit is not None and self.unit not in self.index_set:
-            raise OdotNotTotal(self.unit, self.unit)
 
 
 class IndexedMultiplication(_Value):

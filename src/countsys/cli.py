@@ -5,11 +5,12 @@ verdict or structured absence (no morphism, no extension), 2 for parse or
 validation errors and violated preconditions, and for an internal invariant
 failure (a bug), which is reported with a `bug:` prefix instead of `error:`.
 
-A run compiles only the code of its command: here are the handlers of the
-commands that run only `core` and `dsl`; every other is a `_cmd_<command>`
-of the module it calls, imported once the command line is read.  None may
-import `countsys.cli`: `python -m` runs this file as `__main__`, so that
-import would compile and run it a second time.
+This module is only the command line: its grammar, `run_cli` and `main`.
+A run compiles only the code of its command: every handler is a
+`_cmd_<command>` of the module it calls (`dsl` for the commands that run
+only `core`), imported once the command line is read.  None may import
+`countsys.cli`: `python -m` runs this file as `__main__`, so that import
+would compile and run it a second time.
 
 The command line is read against one table, `_COMMANDS`, by the grammar
 README states: `--auto-core` before the command, then its options, named in
@@ -22,51 +23,22 @@ import sys as _sys
 from importlib import import_module
 from types import SimpleNamespace
 
-from .core import adjoin_omega, minimal_core, product
-from .dsl import EXIT_ERROR, EXIT_OK, _load, emit_system
+from .dsl import EXIT_ERROR, EXIT_OK
 from .errors import CountingSystemError, InternalInvariantViolation, ParseError
 
-
-def _cmd_validate(args, out, err):
-    doc = _load(args.file, args.auto_core)
-    print(f"ok: {doc.name} ({doc.system.size} elements, "
-          f"{len(doc.system.index_set)} maps)", file=out)
-    return EXIT_OK
-
-
-def _cmd_core(args, out, err):
-    doc = _load(args.file)
-    out.write(emit_system(minimal_core(doc.system), name=doc.name + "_core"))
-    return EXIT_OK
-
-
-def _cmd_product(args, out, err):
-    a, b = _load(args.a), _load(args.b)
-    sys_ = product(a.system, b.system)
-    out.write(emit_system(sys_, name=f"{a.name}_x_{b.name}"))
-    return EXIT_OK
-
-
-def _cmd_omega(args, out, err):
-    doc = _load(args.file)
-    out.write(emit_system(adjoin_omega(doc.system), name=doc.name + "_omega"))
-    return EXIT_OK
-
-
-# command: (handler, or the module defining it as `_cmd_<command>`, usage);
-# in a usage, an option in brackets may be left out, one with "=" takes a
-# value, and a word without "-" is a positional; argv is read against it by
-# the grammar README states
+# command: (the module of its handler `_cmd_<command>`, usage); in a usage,
+# an option in brackets may be left out, one with "=" takes a value, and a
+# word without "-" is a positional; argv is read by README's grammar
 _COMMANDS = {
-    "validate": (_cmd_validate, "file"),
+    "validate": ("dsl", "file"),
     "analyze": ("analysis", "[--json] file"),
-    "core": (_cmd_core, "file"),
+    "core": ("dsl", "file"),
     "closure": ("closure", "[--full] [--json] file"),
     "add": ("derive", "file"),
     "mul": ("biadd", "[--odot=ODOT] file"),
     "morphism": ("morphisms", "[--relabel=OLD=NEW,...] src dst"),
-    "product": (_cmd_product, "a b"),
-    "omega": (_cmd_omega, "file"),
+    "product": ("dsl", "a b"),
+    "omega": ("dsl", "file"),
     "free-eval": ("morphisms", "--multiset=LABEL:COUNT,... file"),
     "initial": ("morphisms", "[--json] file"),
     "free-report": ("biadd", "[--json] file"),
@@ -121,7 +93,7 @@ def _parse_args(argv):
                 raise _UsageError(command, f"unrecognized arguments: {token}")
             setattr(args, todo.pop(0), token)
         elif token in _COMMANDS:
-            command, (args.fn, usage) = token, _COMMANDS[token]
+            command, (home, usage) = token, _COMMANDS[token]
             takes = {}
             for word in usage.split():
                 name, eq, _ = word.strip("[]").partition("=")
@@ -139,9 +111,8 @@ def _parse_args(argv):
         raise _UsageError("", "missing COMMAND")
     if required or todo:
         raise _UsageError(command, f"missing {', '.join([*required, *todo])}")
-    if isinstance(args.fn, str):  # only now load the handler's module
-        module = import_module(f"{__package__}.{args.fn}")
-        args.fn = getattr(module, "_cmd_" + command.replace("-", "_"))
+    module = import_module(f"{__package__}.{home}")  # once argv is read
+    args.fn = getattr(module, "_cmd_" + command.replace("-", "_"))
     return args
 
 

@@ -15,6 +15,7 @@ A map out of a carrier that one point reaches is fixed by its value there:
 `_walk` sets it along the tree of one breadth-first search (`propagate`),
 then `_intertwined` checks it once per generator.  It does not depend on the
 tree, so every walk reads `require_minimal`'s search, not `reach`'s.
+Every module builds on this one, which imports only `errors`.
 """
 
 from operator import attrgetter, itemgetter
@@ -237,9 +238,9 @@ def noncommuting(index_set, maps):
     tables = tuple(first.items())
     for i, (f, s) in enumerate(tables):
         for g, t in tables[i + 1:]:
-            if _gather(f, g) != _gather(g, f):  # f . g against g . f
-                from . import laws  # only to name the witness
-                return s, t, laws.intertwines(f, g, g)
+            fg, gf = _gather(f, g), _gather(g, f)  # f . g and g . f
+            if fg != gf:
+                return s, t, next(x for x, a in enumerate(fg) if a != gf[x])
     return None
 
 

@@ -12,11 +12,14 @@ an `odot` header, then `<s> <t> = <u>` lines covering the whole square, plus
 an optional `unit <s>` line naming a two-sided unit of the table.
 
 Every command loads this module, so it also holds what their handlers
-share: the exit codes, reading input files and writing reports and tables.
+share (the exit codes, reading input files, writing reports and tables)
+and the handlers of `validate`, `core`, `product` and `omega`, which run
+only `core`.  It imports only `core` and `errors`.
 """
 
-from .core import Carrier, EndoMap, _Value, _gather, minimal_core, new_system
-from .errors import DuplicateLabel, InputTooLarge, ParseError
+from .core import (Carrier, EndoMap, _Value, _gather, adjoin_omega,
+                   minimal_core, new_system, product)
+from .errors import DuplicateLabel, InputTooLarge, OdotNotTotal, ParseError
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -136,8 +139,23 @@ def emit_system(doc_or_sys, name=None):
     return "\n".join(lines) + "\n"
 
 
+class OdotTable(_Value):
+    """A total binary operation on the index-set labels, with optional unit;
+    `op` maps (s, t) -> label."""
+
+    __slots__ = ("index_set", "op", "unit")
+    _defaults = {"unit": None}
+
+    def validate(self):
+        for s in self.index_set:
+            for t in self.index_set:
+                if self.op.get((s, t)) not in self.index_set:
+                    raise OdotNotTotal(s, t)  # missing, or not a label
+        if self.unit is not None and self.unit not in self.index_set:
+            raise OdotNotTotal(self.unit, self.unit)
+
+
 def parse_odot(text, index_set=None):
-    from .biadd import OdotTable
     header_seen = False
     op = {}
     unit = None
@@ -211,6 +229,32 @@ def _load(path, auto_core=False):
     if auto_core:
         doc.system = minimal_core(doc.system)
     return doc
+
+
+def _cmd_validate(args, out, err):
+    doc = _load(args.file, args.auto_core)
+    print(f"ok: {doc.name} ({doc.system.size} elements, "
+          f"{len(doc.system.index_set)} maps)", file=out)
+    return EXIT_OK
+
+
+def _cmd_core(args, out, err):
+    doc = _load(args.file, args.auto_core)
+    out.write(emit_system(minimal_core(doc.system), name=doc.name + "_core"))
+    return EXIT_OK
+
+
+def _cmd_product(args, out, err):
+    a, b = _load(args.a, args.auto_core), _load(args.b, args.auto_core)
+    sys_ = product(a.system, b.system)
+    out.write(emit_system(sys_, name=f"{a.name}_x_{b.name}"))
+    return EXIT_OK
+
+
+def _cmd_omega(args, out, err):
+    doc = _load(args.file, args.auto_core)
+    out.write(emit_system(adjoin_omega(doc.system), name=doc.name + "_omega"))
+    return EXIT_OK
 
 
 def _tsv_table(labels, table, out):

@@ -253,7 +253,7 @@ def _pairs(text, sep, option, form):
 
 def _cmd_morphism(args, out, err):
     src_doc = _load(args.src, args.auto_core)
-    dst_doc = _load(args.dst)
+    dst_doc = _load(args.dst, args.auto_core)
     src = src_doc.system
     if args.relabel:
         mapping = {}

@@ -12,7 +12,6 @@ from countsys.biadd import (
     FreeReport,
     HomTable,
     IndexedMultiplication,
-    OdotTable,
     biadditive_extend,
     derive_multiplication_indexed,
     derive_multiplication_single,
@@ -29,6 +28,7 @@ from countsys.biadd import (
 )
 from countsys.core import MAX_CARRIER_SIZE, _orbit, require_minimal
 from countsys.derive import derive_addition, product_table, require_generates
+from countsys.dsl import OdotTable
 from countsys.errors import (
     CompatibilityViolated,
     GensDoNotGenerate,

@@ -577,11 +577,10 @@ def _value_cases():
         FreeReport,
         HomTable,
         IndexedMultiplication,
-        OdotTable,
     )
     from countsys.closure import EvaluationMap
     from countsys.derive import Classification, MonoidTable
-    from countsys.dsl import SystemDocument
+    from countsys.dsl import OdotTable, SystemDocument
     from countsys.morphisms import (
         FreeElement,
         InitialityCondition,

@@ -1,9 +1,11 @@
 """Text formats and the command-line front end."""
 
 import argparse
+import ast
 import contextlib
 import errno
 import functools
+import graphlib
 import importlib
 import io
 import json
@@ -21,14 +23,14 @@ from hypothesis import given, settings, strategies as st
 import countsys
 from countsys.analysis import _cmd_analyze
 from countsys.biadd import _cmd_free_report, _cmd_mul
-from countsys.cli import (
-    _cmd_core, _cmd_omega, _cmd_product, _cmd_validate, _help, _parse_args,
-    _COMMANDS, _UsageError, run_cli,
-)
+from countsys.cli import _help, _parse_args, _COMMANDS, _UsageError, run_cli
 from countsys.closure import _cmd_closure
-from countsys.core import Carrier, EndoMap, new_system, product
+from countsys.core import Carrier, EndoMap, minimal_core, new_system, product
 from countsys.derive import MonoidTable, _cmd_add
-from countsys.dsl import _json, _tsv_table, emit_system, parse_odot, parse_system
+from countsys.dsl import (
+    _cmd_core, _cmd_omega, _cmd_product, _cmd_validate, _json, _tsv_table,
+    emit_system, parse_odot, parse_system,
+)
 from countsys.errors import (
     CountingSystemError,
     InternalInvariantViolation,
@@ -39,7 +41,9 @@ from countsys.morphisms import (
     _cmd_free_eval, _cmd_initial, _cmd_morphism, morphism_find,
 )
 from test_closure import cycles
-from test_golden import GOLDEN, GROUPS, case as golden_case, write_inputs
+from test_golden import (
+    GOLDEN, GROUPS, NONMIN, case as golden_case, write_inputs,
+)
 from test_laws import C2XC3, C2XC3_GENS, _shifts
 
 CYC3 = """\
@@ -400,6 +404,80 @@ def test_cli_run_as_main_never_imports_countsys_cli(tmp_path, argv, extra):
     assert set(loaded) == {f"countsys.{m}" for m in names}
 
 
+def relative_imports():
+    """Module -> the countsys modules it imports by a relative import, at
+    module level or inside a function, read from the package's source."""
+    graph = {}
+    for path in sorted(Path(countsys.__file__).parent.glob("*.py")):
+        deps = graph.setdefault(path.stem, set())
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                if node.module:  # from .core import x
+                    deps.add(node.module.split(".")[0])
+                else:  # from . import laws
+                    deps.update(alias.name for alias in node.names)
+    return graph
+
+
+def test_the_package_imports_downward_only():
+    """The relative imports of countsys form no cycle, lazy ones included:
+    `core` names its own commuting witness, and `dsl`, which every command
+    loads, imports no construction module.  `cli` is only the grammar:
+    every handler is a `_cmd_<command>` of the module its `_COMMANDS` entry
+    names."""
+    graph = relative_imports()
+    order = list(graphlib.TopologicalSorter(graph).static_order())
+    assert sorted(order) == sorted(graph)
+    assert graph["errors"] == set()
+    assert graph["core"] == {"errors"}
+    assert graph["dsl"] == {"core", "errors"}
+    assert graph["cli"] == {"dsl", "errors"}
+    cli_source = ast.parse(Path(countsys.__file__).with_name(
+        "cli.py").read_text(encoding="utf-8"))
+    assert not [node.name for node in ast.walk(cli_source)
+                if isinstance(node, ast.FunctionDef)
+                and node.name.startswith("_cmd_")]
+    for command, (module, _usage) in _COMMANDS.items():
+        assert module in graph
+        handler = "_cmd_" + command.replace("-", "_")
+        assert callable(getattr(
+            importlib.import_module(f"countsys.{module}"), handler))
+
+
+def test_parse_odot_loads_no_construction_module():
+    """`OdotTable` sits with its parser, so reading an odot loads only
+    `dsl` and what it imports; `biadd`, which builds odots, still has it."""
+    from countsys import biadd, dsl
+    assert countsys.OdotTable is dsl.OdotTable is biadd.OdotTable
+    probe = (
+        "import sys\n"
+        "from countsys.dsl import parse_odot\n"
+        "table = parse_odot('odot\\ns s = s\\nunit s\\n')\n"
+        "print(type(table).__name__, *sorted(\n"
+        "    m for m in sys.modules if m.split('.')[0] == 'countsys'))\n"
+    )
+    assert fresh_stdout(probe).split() == [
+        "OdotTable", "countsys", "countsys.core", "countsys.dsl",
+        "countsys.errors"]
+
+
+def test_a_non_commuting_system_is_named_without_the_laws():
+    """`noncommuting` names its witness itself: a system whose maps do not
+    commute is refused, with the first failing element, and `laws` is
+    never loaded."""
+    probe = (
+        "import sys\n"
+        "from countsys.core import Carrier, EndoMap, new_system\n"
+        "from countsys.errors import NonCommuting\n"
+        "try:\n"
+        "    new_system(Carrier(('a', 'b', 'c')), 0, ('s', 't'),\n"
+        "               (EndoMap((1, 2, 0)), EndoMap((1, 0, 2))))\n"
+        "except NonCommuting as exc:\n"
+        "    print(exc.s, exc.t, exc.x, 'countsys.laws' in sys.modules)\n"
+    )
+    assert fresh_stdout(probe) == "s t 0 False\n"
+
+
 def test_package_names_resolve_lazily_to_their_submodules():
     assert len(countsys.__all__) == 49
     for name in countsys.__all__:
@@ -527,6 +605,45 @@ def test_cli_add_requires_minimal_input(tmp_path):
     code, out, err = run(["--auto-core", "add", path])
     assert code == 0
     assert out.splitlines()[0] == "\ta"
+
+
+# two single-map systems with an unreachable element each, and a target
+# whose core is a three-cycle
+NONMIN_A = "system na\nelements z a b c\nbase a\nmap s = b b c a\n"
+NONMIN_B = "system nb\nelements p q y r\nbase p\nmap s = q r r r\n"
+NONMIN_CYC3 = "system t\nelements z p q r\nbase p\nmap s = p q r p\n"
+
+
+def test_auto_core_applies_to_every_input(tmp_path):
+    """--auto-core replaces every system a command reads by its core:
+    `omega` and `product` print what they print on the cores, under the
+    same names.  A morphism from a minimal source lands in the target's
+    core, whose labels `minimal_core` keeps, so `morphism` prints the same
+    lines, or the same absence, as without the flag."""
+    paths, cores = {}, {}
+    for name, text in (("a", NONMIN_A), ("b", NONMIN_B), ("n", NONMIN)):
+        doc = parse_system(text)
+        paths[name] = write(tmp_path, f"{name}.csys", text)
+        cores[name] = write(tmp_path, f"{name}_core.csys", emit_system(
+            minimal_core(doc.system), name=doc.name))
+    for name in "ab":
+        got = run(["--auto-core", "omega", paths[name]])
+        assert got == run(["omega", cores[name]]) != run(
+            ["omega", paths[name]])
+        assert got[0] == 0
+    for a, b in ("ab", "na", "bn"):
+        got = run(["--auto-core", "product", paths[a], paths[b]])
+        assert got == run(["product", cores[a], cores[b]]) != run(
+            ["product", paths[a], paths[b]])
+        assert got[0] == 0
+    dst = write(tmp_path, "t.csys", NONMIN_CYC3)
+    codes = []
+    for i, sys_ in enumerate([cyc(3), cyc(6), rho(1, 2)]):
+        src = write(tmp_path, f"src{i}.csys", emit_system(sys_))
+        got = run(["--auto-core", "morphism", src, dst])
+        assert got == run(["morphism", src, dst])
+        codes.append(got[0])
+    assert codes == [0, 0, 1]
 
 
 def test_cli_mul_single_map(tmp_path):

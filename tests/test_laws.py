@@ -47,7 +47,6 @@ from countsys.biadd import (
     DirectSumReport,
     ExtensionConflict,
     HomTable,
-    OdotTable,
     biadditive_extend,
     derive_multiplication_indexed,
     derive_multiplication_single,
@@ -87,7 +86,7 @@ from countsys.derive import (
     require_generates,
     verify_plus_axioms,
 )
-from countsys.dsl import parse_odot
+from countsys.dsl import OdotTable, parse_odot
 from countsys.errors import (
     CompatibilityViolated,
     GensDoNotGenerate,
