@@ -1,7 +1,7 @@
 """Aggregate structural report for a counting system."""
 
 from .core import _Value
-from .dsl import EXIT_OK, _emit, _load
+from .dsl import _emit, _load
 from .errors import MinimalityRequired
 from .morphisms import initiality_report
 
@@ -41,7 +41,7 @@ def analyze(sys):
     return AnalysisReport(minimal, core_size, flags, dedekind, initial, rep)
 
 
-def _cmd_analyze(args, out, err):
+def _cmd_analyze(args, out):
     doc = _load(args.file, args.auto_core)
     rep = analyze(doc.system)
     keys = ("injective", "surjective", "bijective")
@@ -57,4 +57,3 @@ def _cmd_analyze(args, out, err):
             for c in rep.initial_diagnostics.conditions
         ]
     _emit(payload, args.json, out, "map", maps, keys)
-    return EXIT_OK

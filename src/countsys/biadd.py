@@ -10,6 +10,7 @@ of the tables, and none is checked.  A table `t` passed with a system
 key lemma: adding x_s is applying f_s.  So require_minimal(sys) is
 require_generates' search of t at the x_s, and sections, projections and
 orbits are read off the system (_extend).  `dsl` defines the odot record.
+`mul` raises a missing section as a NegativeVerdict, which exits 1.
 """
 
 from . import laws
@@ -17,14 +18,13 @@ from .core import (
     _Value, _intertwined, _orbit, _walk, require_minimal, require_single_map,
 )
 from .derive import derive_addition, require_generates
-from .dsl import (
-    EXIT_ERROR, EXIT_NEGATIVE, EXIT_OK, OdotTable, _emit, _load, _read,
-    _tsv_table, parse_odot,
-)
+from .dsl import OdotTable, _emit, _load, _read, _tsv_table, parse_odot
 from .errors import (
     CompatibilityViolated,
+    CountingSystemError,
     IndexSetMismatch,
     InternalInvariantViolation,
+    NegativeVerdict,
     TargetCountMismatch,
 )
 
@@ -351,26 +351,24 @@ def is_free_report(t, gens):
     return _free_report(require_generates(t, gens))
 
 
-def _cmd_mul(args, out, err):
+def _cmd_mul(args, out):
     sys_ = _load(args.file, args.auto_core).system
     if args.odot:  # read, so valid, on the system's labels before a search
         odot = parse_odot(_read(args.odot), index_set=sys_.index_set)
     elif len(sys_.index_set) != 1:
         require_minimal(sys_)  # a system that is not is reported first
-        print("error: multi-map system needs --odot", file=err)
-        return EXIT_ERROR
+        raise CountingSystemError("multi-map system needs --odot")
     else:
         odot = _single_odot(sys_)
     res = derive_multiplication_indexed(sys_, None, odot)
     if not res.ok:
-        print("no multiplication: required endomorphism missing at label "
-              f"{res.failing_label!r} ({res.conflict.describe()})", file=err)
-        return EXIT_NEGATIVE
+        raise NegativeVerdict(
+            "no multiplication: required endomorphism missing at label "
+            f"{res.failing_label!r} ({res.conflict.describe()})")
     _tsv_table(sys_.carrier.labels, res.table.op, out)
-    return EXIT_OK
 
 
-def _cmd_free_report(args, out, err):
+def _cmd_free_report(args, out):
     sys_ = _load(args.file, args.auto_core).system
     rep = _free_report(require_minimal(sys_))
     cyclic = [{"label": sys_.index_set[c.label_index],
@@ -381,4 +379,3 @@ def _cmd_free_report(args, out, err):
                "cyclic": cyclic}
     _emit(payload, args.json, out, "label", {c["label"]: c for c in cyclic},
           ("free", "submonoid_size", "injective", "zero_in_image"))
-    return EXIT_OK

@@ -4,13 +4,16 @@ Exit codes: 0 for success or a positive verdict, 1 for a well-formed negative
 verdict or structured absence (no morphism, no extension), 2 for parse or
 validation errors and violated preconditions, and for an internal invariant
 failure (a bug), which is reported with a `bug:` prefix instead of `error:`.
+`run_cli` alone decides the code and writes every stderr line: a handler
+returns nothing and writes only its output, and raises any other outcome,
+a negative verdict as an `errors.NegativeVerdict`.
 
-This module is only the command line: its grammar, `run_cli` and `main`.
-A run compiles only the code of its command: every handler is a
-`_cmd_<command>` of the module it calls (`dsl` for the commands that run
-only `core`), imported once the command line is read.  None may import
-`countsys.cli`: `python -m` runs this file as `__main__`, so that import
-would compile and run it a second time.
+This module is only the command line: its grammar, `run_cli` and `main`,
+and it imports only `errors`.  A run compiles only the code of its command:
+every handler is a `_cmd_<command>(args, out)` of the module it calls
+(`dsl` for the commands that run only `core`), imported once the command
+line is read.  None may import `countsys.cli`: `python -m` runs this file
+as `__main__`, so that import would compile and run it a second time.
 
 The command line is read against one table, `_COMMANDS`, by the grammar
 README states: `--auto-core` before the command, then its options, named in
@@ -23,8 +26,12 @@ import sys as _sys
 from importlib import import_module
 from types import SimpleNamespace
 
-from .dsl import EXIT_ERROR, EXIT_OK
-from .errors import CountingSystemError, InternalInvariantViolation, ParseError
+from .errors import (CountingSystemError, InternalInvariantViolation,
+                     NegativeVerdict, ParseError)
+
+EXIT_OK = 0
+EXIT_NEGATIVE = 1
+EXIT_ERROR = 2
 
 # command: (the module of its handler `_cmd_<command>`, usage); in a usage,
 # an option in brackets may be left out, one with "=" takes a value, and a
@@ -56,12 +63,11 @@ def _usage(command):
     return f"usage: countsys {command} [-h] {usage}".replace("  ", " ")
 
 
-def _help(args, out, err):
+def _help(args, out):
     """The command's usage, or with no command every command's usage."""
     lines = [] if args.command else [
         _usage(c).removeprefix("usage: ") for c in _COMMANDS]
     print(_usage(args.command), *lines, sep="\n  ", file=out)
-    return EXIT_OK
 
 
 def _parse_args(argv):
@@ -119,13 +125,16 @@ def _parse_args(argv):
 def run_cli(argv, out=None, err=None):
     out = out if out is not None else _sys.stdout
     err = err if err is not None else _sys.stderr
+    code = EXIT_ERROR  # unless a negative verdict is raised
     try:
         if out is None:  # file descriptor 1 was closed
             raise OSError("no standard output")
         args = _parse_args(argv)
-        code = args.fn(args, out, err)
+        args.fn(args, out)
         out.flush()  # a failed write of the last output is an error too
-        return code
+        return EXIT_OK
+    except NegativeVerdict as exc:
+        message, code = str(exc), EXIT_NEGATIVE
     except _UsageError as exc:
         command, error = exc.args
         message = f"{_usage(command)}\ncountsys: error: {error}"
@@ -137,11 +146,11 @@ def run_cli(argv, out=None, err=None):
         message = f"error: {exc}"
     except MemoryError:  # where no declared limit fired first
         message = "error: out of memory"
-    try:  # an error that cannot be reported still exits 2
+    try:  # an outcome that cannot be reported exits 2
         err.write(message + "\n")
     except (AttributeError, OSError):  # stderr is None, or failed
-        pass
-    return EXIT_ERROR
+        return EXIT_ERROR
+    return code
 
 
 def main():

@@ -13,7 +13,7 @@ sends each closure element u to u(base).
 from functools import cached_property
 
 from .core import EndoMap, _Value, _gather
-from .dsl import EXIT_OK, _emit, _load, _tsv_table
+from .dsl import _emit, _load, _tsv_table
 from .errors import (
     ClosureTooLarge,
     CompositionTableTooLarge,
@@ -139,7 +139,7 @@ def is_invariant(subset, sys):
     return all(f(x) in subset for f in sys.maps for x in subset)
 
 
-def _cmd_closure(args, out, err):
+def _cmd_closure(args, out):
     doc = _load(args.file, args.auto_core)
     tm = monoid_closure(doc.system)
     payload = {"size": tm.size, "generators": tm.gen_index}
@@ -149,10 +149,6 @@ def _cmd_closure(args, out, err):
     if args.json:
         # a cyclic closure's words hold m^2 / 2 labels; text never builds them
         payload["words"] = tm.words
-    _emit(payload, args.json, out)
-    if not args.json:
-        for lab, idx in tm.gen_index.items():
-            print(f"generator {lab}: {idx}", file=out)
-        if args.full:
-            _tsv_table([str(i) for i in range(tm.size)], tm.comp, out)
-    return EXIT_OK
+    _emit(payload, args.json, out, "generator", tm.gen_index)
+    if args.full and not args.json:
+        _tsv_table([str(i) for i in range(tm.size)], tm.comp, out)

@@ -14,7 +14,7 @@ the maps commute, holds for every CountingSystem, whose constructor checks it.
 
 from . import laws
 from .core import _Value, _gather, propagate, require_minimal
-from .dsl import EXIT_OK, _load, _tsv_table
+from .dsl import _load, _tsv_table
 from .errors import GensDoNotGenerate, InternalInvariantViolation
 
 
@@ -164,8 +164,7 @@ def product_table(a, b):
     return MonoidTable(n * m, op, a.zero * m + b.zero)
 
 
-def _cmd_add(args, out, err):
+def _cmd_add(args, out):
     doc = _load(args.file, args.auto_core)
     t = derive_addition(doc.system)
     _tsv_table(doc.system.carrier.labels, t.op, out)
-    return EXIT_OK

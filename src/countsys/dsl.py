@@ -12,18 +12,15 @@ an `odot` header, then `<s> <t> = <u>` lines covering the whole square, plus
 an optional `unit <s>` line naming a two-sided unit of the table.
 
 Every command loads this module, so it also holds what their handlers
-share (the exit codes, reading input files, writing reports and tables)
-and the handlers of `validate`, `core`, `product` and `omega`, which run
-only `core`.  It imports only `core` and `errors`.
+share (reading input files, writing reports and tables) and the handlers
+of `validate`, `core`, `product` and `omega`, which run only `core`.  It
+imports only `core` and `errors`; the exit codes are `cli`'s.
 """
 
 from .core import (Carrier, EndoMap, _Value, _gather, adjoin_omega,
                    minimal_core, new_system, product)
 from .errors import DuplicateLabel, InputTooLarge, OdotNotTotal, ParseError
 
-EXIT_OK = 0
-EXIT_NEGATIVE = 1
-EXIT_ERROR = 2
 MAX_INPUT_CHARS = 1 << 26  # most characters an input file may hold
 
 
@@ -123,13 +120,8 @@ def parse_system(text):
     return SystemDocument(name, sys)
 
 
-def emit_system(doc_or_sys, name=None):
-    if isinstance(doc_or_sys, SystemDocument):
-        sys = doc_or_sys.system
-        name = name or doc_or_sys.name
-    else:
-        sys = doc_or_sys
-        name = name or "system"
+def emit_system(sys, name=None):
+    name = name or "system"
     labels = sys.carrier.labels
     lines = [f"system {name}", "elements " + " ".join(labels),
              f"base {labels[sys.base]}"]
@@ -231,30 +223,26 @@ def _load(path, auto_core=False):
     return doc
 
 
-def _cmd_validate(args, out, err):
+def _cmd_validate(args, out):
     doc = _load(args.file, args.auto_core)
     print(f"ok: {doc.name} ({doc.system.size} elements, "
           f"{len(doc.system.index_set)} maps)", file=out)
-    return EXIT_OK
 
 
-def _cmd_core(args, out, err):
+def _cmd_core(args, out):
     doc = _load(args.file, args.auto_core)
     out.write(emit_system(minimal_core(doc.system), name=doc.name + "_core"))
-    return EXIT_OK
 
 
-def _cmd_product(args, out, err):
+def _cmd_product(args, out):
     a, b = _load(args.a, args.auto_core), _load(args.b, args.auto_core)
     sys_ = product(a.system, b.system)
     out.write(emit_system(sys_, name=f"{a.name}_x_{b.name}"))
-    return EXIT_OK
 
 
-def _cmd_omega(args, out, err):
+def _cmd_omega(args, out):
     doc = _load(args.file, args.auto_core)
     out.write(emit_system(adjoin_omega(doc.system), name=doc.name + "_omega"))
-    return EXIT_OK
 
 
 def _tsv_table(labels, table, out):
@@ -295,7 +283,8 @@ def _emit(payload, as_json, out, head="", rows=None, keys=()):
     """Print a report as JSON, or as text: one `key: value` line per scalar
     field that is not None, in insertion order, then one
     `<head> <label>: k=v ...` line per entry of `rows` (label -> row) over
-    `keys`.  Fields that are neither scalars nor rows appear only in JSON."""
+    `keys`, or with no `keys` `<head> <label>: <row>`.  Fields that are
+    neither scalars nor rows appear only in JSON."""
     if as_json:
         print(_json(payload), file=out)
         return
@@ -303,5 +292,5 @@ def _emit(payload, as_json, out, head="", rows=None, keys=()):
         if isinstance(value, (bool, int, str)):
             print(f"{key}: {value}", file=out)
     for label, row in (rows or {}).items():
-        fields = " ".join(f"{k}={row[k]}" for k in keys)
+        fields = " ".join(f"{k}={row[k]}" for k in keys) if keys else row
         print(f"{head} {label}: {fields}", file=out)

@@ -5,6 +5,9 @@ An error class declares `fields`, its argument names in order, and a
 stores each argument under its field name.  A class without a template
 passes its arguments to Exception unchanged.  Every error keeps the
 arguments it was constructed from, and pickle and copy rebuild it from them.
+
+A NegativeVerdict is a well-formed "no", not a fault: `cli.run_cli`, which
+alone maps outcomes to exit codes, prints it as it is with exit code 1.
 """
 
 
@@ -144,6 +147,10 @@ class CompatibilityViolated(CountingSystemError):
 class OdotNotTotal(CountingSystemError):
     fields = ("s", "t")
     message = "index-set operation undefined at ({s!r}, {t!r})"
+
+
+class NegativeVerdict(CountingSystemError):
+    """A well-formed negative verdict: printed as it is, with exit code 1."""
 
 
 class InternalInvariantViolation(CountingSystemError):

@@ -17,8 +17,8 @@ from .core import (
     _walk,
     require_minimal,
 )
-from .dsl import EXIT_NEGATIVE, EXIT_OK, _emit, _load
-from .errors import IndexSetMismatch, ParseError, UnknownLabel
+from .dsl import _emit, _load
+from .errors import IndexSetMismatch, NegativeVerdict, ParseError, UnknownLabel
 
 
 class SystemMorphism(_Value):
@@ -251,7 +251,7 @@ def _pairs(text, sep, option, form):
     return pairs
 
 
-def _cmd_morphism(args, out, err):
+def _cmd_morphism(args, out):
     src_doc = _load(args.src, args.auto_core)
     dst_doc = _load(args.dst, args.auto_core)
     src = src_doc.system
@@ -264,16 +264,14 @@ def _cmd_morphism(args, out, err):
         src = relabel_index_set(src, mapping)
     m = morphism_find(src, dst_doc.system)
     if m is None:
-        print("no morphism: image propagation conflicts", file=err)
-        return EXIT_NEGATIVE
+        raise NegativeVerdict("no morphism: image propagation conflicts")
     src_labels = src.carrier.labels
     dst_labels = dst_doc.system.carrier.labels
     out.write("".join([f"{src_labels[i]}\t{dst_labels[j]}\n"
                        for i, j in enumerate(m.map)]))  # one write
-    return EXIT_OK
 
 
-def _cmd_free_eval(args, out, err):
+def _cmd_free_eval(args, out):
     doc = _load(args.file, args.auto_core)
     counts = {}
     if args.multiset.strip():
@@ -292,10 +290,9 @@ def _cmd_free_eval(args, out, err):
     e = FreeElement.of(counts)
     idx = free_eval(doc.system, e)
     print(doc.system.carrier.labels[idx], file=out)
-    return EXIT_OK
 
 
-def _cmd_initial(args, out, err):
+def _cmd_initial(args, out):
     doc = _load(args.file, args.auto_core)
     rep = initiality_report(doc.system)
     keys = ("morphism_to_padded", "core_size", "core_dedekind",
@@ -305,4 +302,3 @@ def _cmd_initial(args, out, err):
     payload = {"initial": rep.initial, "conditions": conditions}
     _emit(payload, args.json, out, "label",
           {c["label"]: c for c in conditions}, keys)
-    return EXIT_OK

@@ -763,6 +763,7 @@ ERROR_CASES = [
      "4 != 5", {"s": 0, "t": 1, "left": 4, "right": 5}),
     ("OdotNotTotal", ("s", "t"),
      "index-set operation undefined at ('s', 't')", {"s": "s", "t": "t"}),
+    ("NegativeVerdict", ("no morphism",), "no morphism", {}),
     ("InternalInvariantViolation", ("bug",), "bug", {}),
     ("ParseError", (3, 7, "bad"), "line 3, col 7: bad",
      {"line": 3, "col": 7, "reason": "bad"}),
@@ -771,7 +772,7 @@ LIMITS = {"LimitExceeded", "CarrierTooLarge", "IndexSetTooLarge",
           "ClosureTooLarge", "CompositionTableTooLarge", "WordsTooLarge",
           "InputTooLarge"}
 # The classes that take any arguments and pass them to Exception as given.
-PASS_THROUGH = {"CountingSystemError", "LimitExceeded",
+PASS_THROUGH = {"CountingSystemError", "LimitExceeded", "NegativeVerdict",
                 "InternalInvariantViolation"}
 
 

@@ -422,16 +422,16 @@ def relative_imports():
 def test_the_package_imports_downward_only():
     """The relative imports of countsys form no cycle, lazy ones included:
     `core` names its own commuting witness, and `dsl`, which every command
-    loads, imports no construction module.  `cli` is only the grammar:
-    every handler is a `_cmd_<command>` of the module its `_COMMANDS` entry
-    names."""
+    loads, imports no construction module.  `cli` is only the grammar and
+    the outcome map, and imports only `errors`: every handler is a
+    `_cmd_<command>` of the module its `_COMMANDS` entry names."""
     graph = relative_imports()
     order = list(graphlib.TopologicalSorter(graph).static_order())
     assert sorted(order) == sorted(graph)
     assert graph["errors"] == set()
     assert graph["core"] == {"errors"}
     assert graph["dsl"] == {"core", "errors"}
-    assert graph["cli"] == {"dsl", "errors"}
+    assert graph["cli"] == {"errors"}
     cli_source = ast.parse(Path(countsys.__file__).with_name(
         "cli.py").read_text(encoding="utf-8"))
     assert not [node.name for node in ast.walk(cli_source)
@@ -442,6 +442,83 @@ def test_the_package_imports_downward_only():
         handler = "_cmd_" + command.replace("-", "_")
         assert callable(getattr(
             importlib.import_module(f"countsys.{module}"), handler))
+
+
+def writes_to_err(fn):
+    """True iff `fn` calls `err.write` or prints with `file=err`."""
+    for node in ast.walk(fn):
+        if not isinstance(node, ast.Call):
+            continue
+        if (isinstance(node.func, ast.Attribute) and node.func.attr == "write"
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "err"):
+            return True
+        if any(k.arg == "file" and isinstance(k.value, ast.Name)
+               and k.value.id == "err" for k in node.keywords):
+            return True
+    return False
+
+
+def test_only_run_cli_decides_an_outcome():
+    """A handler only answers: it takes (args, out), returns nothing and
+    never writes to stderr.  The exit codes are bound only in `cli`, and
+    `run_cli` writes every stderr line."""
+    handlers, writers, binders = [], set(), set()
+    for path in sorted(Path(countsys.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for fn in tree.body:
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            if writes_to_err(fn):
+                writers.add((path.stem, fn.name))
+            if fn.name.startswith("_cmd_"):
+                handlers.append(fn.name)
+                assert [a.arg for a in fn.args.args] == ["args", "out"], \
+                    fn.name
+                assert not [node for node in ast.walk(fn)
+                            if isinstance(node, ast.Return)
+                            and node.value is not None], fn.name
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                names = [node.id]
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [alias.asname or alias.name for alias in node.names]
+            else:
+                continue
+            if any(name.startswith("EXIT_") for name in names):
+                binders.add(path.stem)
+    assert sorted(handlers) == sorted(
+        "_cmd_" + command.replace("-", "_") for command in _COMMANDS)
+    assert writers == {("cli", "run_cli")}
+    assert binders == {"cli"}
+
+
+def test_importing_the_cli_loads_only_errors():
+    """`cli` imports only `errors`; a command's own modules are imported
+    once its command line is read."""
+    probe = ("import sys\n"
+             "import countsys.cli\n"
+             "print(*sorted(m for m in sys.modules\n"
+             "             if m.split('.')[0] == 'countsys'))\n")
+    assert fresh_stdout(probe).split() == [
+        "countsys", "countsys.cli", "countsys.errors"]
+
+
+def test_every_source_parses_as_python_3_10():
+    """pyproject.toml declares Python 3.10, so the package, its tests and
+    the benchmark use no later syntax (a check of syntax only, not of the
+    3.10 runtime)."""
+    root = Path(__file__).resolve().parent.parent
+    paths = [path for pattern in ("src/countsys/*.py", "tests/*.py",
+                                  "bench/*.py")
+             for path in sorted(root.glob(pattern))]
+    assert len(paths) > 20
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), str(path),
+                  feature_version=(3, 10))
+    with pytest.raises(SyntaxError):  # 3.11's except* is refused
+        ast.parse("try:\n    pass\nexcept* OSError:\n    pass\n",
+                  feature_version=(3, 10))
 
 
 def test_parse_odot_loads_no_construction_module():
@@ -1298,7 +1375,7 @@ def test_cli_morphism_writes_its_map_at_once(tmp_path, n):
               file=expected)
     writes = []
     out = SimpleNamespace(write=writes.append)
-    assert _cmd_morphism(args, out, io.StringIO()) == 0
+    assert _cmd_morphism(args, out) is None
     assert (len(writes), writes[0]) == (1, expected.getvalue())
 
 
@@ -1400,6 +1477,32 @@ def test_cli_a_negative_verdict_that_cannot_be_written_exits_2(tmp_path):
     b = write(tmp_path, "b.csys", emit_system(cyc(6), name="c6"))
     err = SimpleNamespace(write=full)
     assert run_cli(["morphism", a, b], out=io.StringIO(), err=err) == 2
+
+
+def test_run_cli_maps_every_outcome(tmp_path):
+    """A handler raises what it does not print: a negative verdict exits 1
+    with its line as it is, `mul` on a multi-map system without --odot
+    exits 2 with an `error:` line, and either exits 2 when the line cannot
+    be written to stderr."""
+    def full(text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+    z5 = write(tmp_path, "z5.csys", emit_system(zpair(5), name="z5"))
+    odot = write(tmp_path, "bad.odot",
+                 "odot\n+ + = +\n+ - = +\n- + = +\n- - = -\n")
+    c3 = write(tmp_path, "c3.csys", emit_system(cyc(3), name="c3"))
+    c6 = write(tmp_path, "c6.csys", emit_system(cyc(6), name="c6"))
+    cases = [
+        (["mul", z5, "--odot", odot], 1,
+         "no multiplication: required endomorphism missing at label '+' "
+         "(element 0 forced to both 0 and 2)\n"),
+        (["morphism", c3, c6], 1,
+         "no morphism: image propagation conflicts\n"),
+        (["mul", z5], 2, "error: multi-map system needs --odot\n"),
+    ]
+    for argv, code, line in cases:
+        assert run(argv) == (code, "", line)
+        err = SimpleNamespace(write=full)
+        assert run_cli(argv, out=io.StringIO(), err=err) == 2
 
 
 def test_main_without_stdout_exits_2(tmp_path):
