@@ -163,15 +163,8 @@ class EndoMap(_Frozen):
         return self.table[i]
 
     def compose(self, other):
-        """self after other: (self . other)(x) = self(other(x)).  On tables of
-        one length n, other's images index self's, and self's lie in range(n),
-        so the result is valid unchecked; unequal lengths are checked."""
-        table = _gather(self.table, other.table)
-        if len(table) != len(self.table):
-            return EndoMap(table)
-        new = object.__new__(EndoMap)
-        object.__setattr__(new, "table", table)
-        return new
+        """self after other: (self . other)(x) = self(other(x))."""
+        return EndoMap(_gather(self.table, other.table))
 
     def is_injective(self):
         return len(set(self.table)) == len(self.table)

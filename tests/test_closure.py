@@ -2,12 +2,14 @@
 
 import itertools
 import tracemalloc
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, strategies as st
 
-from countsys import laws
+from countsys import closure, laws
 from countsys.closure import (
+    MAX_CLOSURE_SIZE,
     MAX_COMPOSITION_TABLE_SIZE,
     MAX_WORD_LABELS,
     TransformationMonoid,
@@ -21,6 +23,7 @@ from countsys.core import (
     EndoMap,
     is_minimal,
     new_system,
+    require_minimal,
 )
 from countsys.derive import derive_addition
 from countsys.errors import (
@@ -48,7 +51,8 @@ def seed_monoid_closure(sys):
     """The closure as it was built in two passes: `seed_propagate` finds the
     elements, then every (generator, element) pair is composed again to fill
     the Cayley graph and the parents are re-indexed by image table.  Its
-    size limit, a propagation option, is left out."""
+    size limit, a propagation option, is left out.  Returns the closure's
+    fields, the words spelled along the propagation's parents."""
     prop = seed_propagate(
         EndoMap.identity(sys.size), None, [(f.compose, None) for f in sys.maps]
     )
@@ -70,27 +74,33 @@ def seed_monoid_closure(sys):
         (index[prop.parent[u][0].table], prop.parent[u][1])
         for u in elements[1:]
     )
-    return TransformationMonoid(
-        tuple(elements), tuple(cayley), parent, gen_index
+    words = {elements[0]: ()}
+    for u in elements[1:]:
+        p, k = prop.parent[u]
+        words[u] = words[p] + (sys.index_set[k],)
+    return SimpleNamespace(
+        elements=tuple(elements), cayley=tuple(cayley), parent=parent,
+        gen_index=gen_index, words=tuple(words[u] for u in elements),
     )
 
 
 def assert_matches_the_seed(sys):
     tm, seed = monoid_closure(sys), seed_monoid_closure(sys)
-    assert [u.table for u in tm.elements] == [u.table for u in seed.elements]
+    assert tm.elements == seed.elements
     assert tm.cayley == seed.cayley
     assert tm.parent == seed.parent
     assert list(tm.gen_index.items()) == list(seed.gen_index.items())
     assert tm.words == seed.words
 
 
-def cycles(lengths):
-    """One permutation made of disjoint cycles of the given lengths; its
-    closure is its powers, lcm(lengths) of them."""
+def cycles(lengths, n=None):
+    """One permutation made of disjoint cycles of the given lengths, then
+    fixed points up to n; its closure is its powers, lcm(lengths) of them."""
     table, start = [], 0
     for ell in lengths:
         table += [start + (i + 1) % ell for i in range(ell)]
         start += ell
+    table += range(start, n or start)
     labels = tuple(f"e{i}" for i in range(len(table)))
     return new_system(Carrier(labels), 0, ("s",), (EndoMap(tuple(table)),))
 
@@ -160,12 +170,19 @@ def test_closure_limit_is_enforced():
 
 def test_closure_limit_raises_before_it_is_exceeded(monkeypatch):
     assert monoid_closure(cyc(10), limit=10).size == 10
-    calls = _count_composes(monkeypatch)
+    steps = _count_steps(monkeypatch)
     with pytest.raises(ClosureTooLarge):
         monoid_closure(cyc(10), limit=9)
     # raised on discovering the tenth element, f . u_8; none is expanded
     # after it
-    assert len(calls) == 9
+    assert len(steps) == 9
+
+
+def test_the_declared_closure_limit_is_enforced():
+    sys = cycles([7, 8, 9, 11, 13])  # lcm 72072 > 65536
+    with pytest.raises(ClosureTooLarge) as exc:
+        monoid_closure(sys)
+    assert exc.value.limit == MAX_CLOSURE_SIZE == 1 << 16
 
 
 def test_evaluation_bijective_on_minimal_systems():
@@ -242,26 +259,97 @@ def test_lazy_comp_matches_the_pairwise_oracle_on_random_systems(sys):
     assert tm.comp == oracle_comp(tm)
 
 
-def _count_composes(monkeypatch):
+def _count(monkeypatch, owner, name):
     calls = []
-    compose = EndoMap.compose
+    original = getattr(owner, name)
 
-    def counted(self, other):
+    def counted(*args):
         calls.append(1)
-        return compose(self, other)
+        return original(*args)
 
-    monkeypatch.setattr(EndoMap, "compose", counted)
+    monkeypatch.setattr(owner, name, counted)
     return calls
 
 
-def test_closure_composes_once_per_cayley_edge(monkeypatch):
-    calls = _count_composes(monkeypatch)
+def _count_steps(monkeypatch):
+    """Counts the key steps: every `_gather` that the closure module makes."""
+    return _count(monkeypatch, closure, "_gather")
+
+
+def test_closure_steps_once_per_cayley_edge(monkeypatch):
+    composes = _count(monkeypatch, EndoMap, "compose")
+    steps = _count_steps(monkeypatch)
     for sys in FIXTURES + [rho(5, 4), zpair(7), cycles([3, 4, 5])]:
-        calls.clear()
+        steps.clear()
         tm = monoid_closure(sys)
-        assert len(calls) == len(sys.maps) * tm.size
+        assert len(steps) == len(sys.maps) * tm.size
+        tm.comp, tm.words  # read from the Cayley graph: no map is composed
+        assert not composes and "elements" not in vars(tm)
+        tm.elements
+        assert len(composes) == tm.size - 1
+        composes.clear()
+
+
+def assert_is_the_generation_search(sys):
+    """The closure of a minimal system is require_minimal's search, keyed
+    by the base alone and relabelled by discovery position."""
+    tree = require_minimal(sys)
+    at = {x: i for i, x in enumerate(tree.order)}
+    tm = monoid_closure(sys)
+    assert tm.keys == tuple((x,) for x in tree.order)
+    assert tm.parent[1:] == tuple((at[p], k) for p, k, _c in tree.edges)
+    assert tm.cayley == tuple(
+        tuple(at[step[x]] for x in tree.order) for step in tree.steps
+    )
+
+
+def z16():
+    """Z_4096 with the 16 maps x -> x + c, c = 1, 3, ..., 31."""
+    n, shifts = 4096, range(1, 32, 2)
+    return new_system(
+        Carrier(tuple(f"e{x}" for x in range(n))), 0,
+        tuple(f"s{c}" for c in shifts),
+        tuple(EndoMap(tuple((x + c) % n for x in range(n))) for c in shifts),
+    )
+
+
+def test_closure_of_a_minimal_system_is_its_generation_search():
+    systems = [s for s in FIXTURES if is_minimal(s)] + [z16()]
+    for tables in _enumeration():
+        systems += [_system(b, tables) for b in range(len(tables[0]))]
+    searched = 0
+    for sys in systems:
+        if is_minimal(sys):
+            assert_is_the_generation_search(sys)
+            searched += 1
+    assert searched > 800
+
+
+def test_the_key_holds_every_moved_point_the_base_does_not_reach():
+    # f^0 and f^3 agree at base 3 of rho(2, 3): 3 -> 4 -> 2 -> 3
+    r = rho(2, 3)
+    tm = monoid_closure(CountingSystem(r.carrier, 3, r.index_set, r.maps))
+    assert tm.keys[0] == (3, 0, 1) and tm.size == 5
+    # the base is fixed, and point 1 alone tells f from the identity
+    assert monoid_closure(_system(0, [(0, 2, 2)])).keys == ((0, 1), (0, 2))
+
+
+def test_a_65520_element_closure_on_4096_points_stays_small():
+    sys = cycles([5, 7, 9, 16, 13], 4096)
+    tracemalloc.start()
+    try:
+        tm = monoid_closure(sys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tm.size == 65520
+    assert len(tm.keys[0]) == 1 + 7 + 9 + 16 + 13
+    # 65520 image tables of 4096 points would take 2 GB
+    assert peak < 48 << 20
+    with pytest.raises(CompositionTableTooLarge):
         tm.comp
-        assert len(calls) == len(sys.maps) * tm.size
+    with pytest.raises(WordsTooLarge):
+        tm.words
 
 
 def test_closure_matches_the_two_pass_seed():

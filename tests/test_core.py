@@ -130,9 +130,8 @@ def test_endomap_compose_order():
 
 
 def test_endomap_compose_equals_the_checked_construction():
-    """compose builds its table without EndoMap's per-image check; on one
-    carrier it is the map the checked constructor builds, and it stays a
-    frozen, hashable EndoMap."""
+    """compose is the map the checked constructor builds from the gathered
+    table, and it stays a frozen, hashable EndoMap."""
     for n in (1, 2, 5, 17):
         maps = [EndoMap(tuple((a * x + b) % n for x in range(n)))
                 for a in range(3) for b in range(3)]
