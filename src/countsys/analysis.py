@@ -41,7 +41,7 @@ def analyze(sys):
     return AnalysisReport(minimal, core_size, flags, dedekind, initial, rep)
 
 
-def _cmd_analyze(args, out):
+def _cmd_analyze(args):
     doc = _load(args.file, args.auto_core)
     rep = analyze(doc.system)
     keys = ("injective", "surjective", "bijective")
@@ -56,4 +56,4 @@ def _cmd_analyze(args, out):
             {k: getattr(c, k) for k in fields}
             for c in rep.initial_diagnostics.conditions
         ]
-    _emit(payload, args.json, out, "map", maps, keys)
+    yield from _emit(payload, args.json, "map", maps, keys)

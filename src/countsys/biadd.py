@@ -351,7 +351,7 @@ def is_free_report(t, gens):
     return _free_report(require_generates(t, gens))
 
 
-def _cmd_mul(args, out):
+def _cmd_mul(args):
     sys_ = _load(args.file, args.auto_core).system
     if args.odot:  # read, so valid, on the system's labels before a search
         odot = parse_odot(_read(args.odot), index_set=sys_.index_set)
@@ -365,10 +365,10 @@ def _cmd_mul(args, out):
         raise NegativeVerdict(
             "no multiplication: required endomorphism missing at label "
             f"{res.failing_label!r} ({res.conflict.describe()})")
-    _tsv_table(sys_.carrier.labels, res.table.op, out)
+    yield from _tsv_table(sys_.carrier.labels, res.table.op)
 
 
-def _cmd_free_report(args, out):
+def _cmd_free_report(args):
     sys_ = _load(args.file, args.auto_core).system
     rep = _free_report(require_minimal(sys_))
     cyclic = [{"label": sys_.index_set[c.label_index],
@@ -377,5 +377,6 @@ def _cmd_free_report(args, out):
                "zero_in_image": c.zero_in_image} for c in rep.cyclic]
     payload = {"free": rep.free, "direct_sum": rep.direct_sum.ok,
                "cyclic": cyclic}
-    _emit(payload, args.json, out, "label", {c["label"]: c for c in cyclic},
-          ("free", "submonoid_size", "injective", "zero_in_image"))
+    yield from _emit(payload, args.json, "label",
+                     {c["label"]: c for c in cyclic},
+                     ("free", "submonoid_size", "injective", "zero_in_image"))

@@ -4,13 +4,12 @@ Exit codes: 0 for success or a positive verdict, 1 for a well-formed negative
 verdict or structured absence (no morphism, no extension), 2 for parse or
 validation errors and violated preconditions, and for an internal invariant
 failure (a bug), which is reported with a `bug:` prefix instead of `error:`.
-`run_cli` alone decides the code and writes every stderr line: a handler
-returns nothing and writes only its output, and raises any other outcome,
-a negative verdict as an `errors.NegativeVerdict`.
+`run_cli` alone decides the code and writes: a handler yields its output in
+pieces, and raises any other outcome, a negative verdict as NegativeVerdict.
 
 This module is only the command line: its grammar, `run_cli` and `main`,
 and it imports only `errors`.  A run compiles only the code of its command:
-every handler is a `_cmd_<command>(args, out)` of the module it calls
+every handler is a `_cmd_<command>(args)` of the module it calls
 (`dsl` for the commands that run only `core`), imported once the command
 line is read.  None may import `countsys.cli`: `python -m` runs this file
 as `__main__`, so that import would compile and run it a second time.
@@ -24,6 +23,7 @@ import atexit
 import os
 import sys as _sys
 from importlib import import_module
+from itertools import islice
 from types import SimpleNamespace
 
 from .errors import (CountingSystemError, InternalInvariantViolation,
@@ -63,11 +63,11 @@ def _usage(command):
     return f"usage: countsys {command} [-h] {usage}".replace("  ", " ")
 
 
-def _help(args, out):
+def _help(args):
     """The command's usage, or with no command every command's usage."""
     lines = [] if args.command else [
         _usage(c).removeprefix("usage: ") for c in _COMMANDS]
-    print(_usage(args.command), *lines, sep="\n  ", file=out)
+    yield "\n  ".join([_usage(args.command), *lines]) + "\n"
 
 
 def _parse_args(argv):
@@ -130,7 +130,11 @@ def run_cli(argv, out=None, err=None):
         if out is None:  # file descriptor 1 was closed
             raise OSError("no standard output")
         args = _parse_args(argv)
-        args.fn(args, out)
+        pieces = args.fn(args)
+        while block := list(islice(pieces, 256)):  # 6 MB at 4096 labels a row
+            block = "".join(block)  # the pieces freed before the write
+            out.write(block)
+            del block  # and the text before the next block is read
         out.flush()  # a failed write of the last output is an error too
         return EXIT_OK
     except NegativeVerdict as exc:

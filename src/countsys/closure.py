@@ -153,7 +153,7 @@ def is_invariant(subset, sys):
     return all(f(x) in subset for f in sys.maps for x in subset)
 
 
-def _cmd_closure(args, out):
+def _cmd_closure(args):
     doc = _load(args.file, args.auto_core)
     tm = monoid_closure(doc.system)
     payload = {"size": tm.size, "generators": tm.gen_index}
@@ -163,6 +163,6 @@ def _cmd_closure(args, out):
     if args.json:
         # a cyclic closure's words hold m^2 / 2 labels; text never builds them
         payload["words"] = tm.words
-    _emit(payload, args.json, out, "generator", tm.gen_index)
+    yield from _emit(payload, args.json, "generator", tm.gen_index)
     if args.full and not args.json:
-        _tsv_table([str(i) for i in range(tm.size)], tm.comp, out)
+        yield from _tsv_table([str(i) for i in range(tm.size)], tm.comp)

@@ -164,7 +164,7 @@ def product_table(a, b):
     return MonoidTable(n * m, op, a.zero * m + b.zero)
 
 
-def _cmd_add(args, out):
+def _cmd_add(args):
     doc = _load(args.file, args.auto_core)
     t = derive_addition(doc.system)
-    _tsv_table(doc.system.carrier.labels, t.op, out)
+    yield from _tsv_table(doc.system.carrier.labels, t.op)

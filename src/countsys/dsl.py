@@ -12,7 +12,7 @@ an `odot` header, then `<s> <t> = <u>` lines covering the whole square, plus
 an optional `unit <s>` line naming a two-sided unit of the table.
 
 Every command loads this module, so it also holds what their handlers
-share (reading input files, writing reports and tables) and the handlers
+share (reading input files, reports and tables as text) and the handlers
 of `validate`, `core`, `product` and `omega`, which run only `core`.  It
 imports only `core` and `errors`; the exit codes are `cli`'s.
 """
@@ -203,7 +203,7 @@ def _read(path):
     InputTooLarge, not a process that grows until it is killed."""
     parts, size = [], 0
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:  # drops a BOM
             # read(k) allocates k bytes up front, so k is at most 1 MiB
             while size <= MAX_INPUT_CHARS and (part := fh.read(
                     min(1 << 20, MAX_INPUT_CHARS + 1 - size))):
@@ -223,74 +223,72 @@ def _load(path, auto_core=False):
     return doc
 
 
-def _cmd_validate(args, out):
+def _cmd_validate(args):
     doc = _load(args.file, args.auto_core)
-    print(f"ok: {doc.name} ({doc.system.size} elements, "
-          f"{len(doc.system.index_set)} maps)", file=out)
+    yield (f"ok: {doc.name} ({doc.system.size} elements, "
+           f"{len(doc.system.index_set)} maps)\n")
 
 
-def _cmd_core(args, out):
+def _cmd_core(args):
     doc = _load(args.file, args.auto_core)
-    out.write(emit_system(minimal_core(doc.system), name=doc.name + "_core"))
+    yield emit_system(minimal_core(doc.system), name=doc.name + "_core")
 
 
-def _cmd_product(args, out):
+def _cmd_product(args):
     a, b = _load(args.a, args.auto_core), _load(args.b, args.auto_core)
-    sys_ = product(a.system, b.system)
-    out.write(emit_system(sys_, name=f"{a.name}_x_{b.name}"))
+    yield emit_system(product(a.system, b.system), name=f"{a.name}_x_{b.name}")
 
 
-def _cmd_omega(args, out):
+def _cmd_omega(args):
     doc = _load(args.file, args.auto_core)
-    out.write(emit_system(adjoin_omega(doc.system), name=doc.name + "_omega"))
+    yield emit_system(adjoin_omega(doc.system), name=doc.name + "_omega")
 
 
-def _tsv_table(labels, table, out):
-    """A square table: header and rows, 256 rows to a write (6 MB of text at
-    4096 rows), the labels of a row gathered by one `_gather` call."""
-    text = "\t" + "\t".join(labels) + "\n"
-    for k in range(0, len(table), 256):
-        out.write(text + "".join([
-            labels[i] + "\t" + "\t".join(_gather(labels, row)) + "\n"
-            for i, row in enumerate(table[k:k + 256], k)]))
-        text = ""
+def _tsv_table(labels, table):
+    """A square table as TSV: the header, then one piece a row."""
+    yield "\t" + "\t".join(labels) + "\n"
+    for label, row in zip(labels, table):
+        yield label + "\t" + "\t".join(_gather(labels, row)) + "\n"
 
 
 _SCALARS = {str, int, float, bool, type(None)}
 
 
 def _json(value, pad="\n"):
-    """json.dumps(value, indent=2, sort_keys=True) for string-keyed data.
-    json.dumps takes its C encoder only without indent, so the indentation
-    and the key order are built here, and each list of scalars is written
-    by the C encoder with the indentation as its item separator."""
+    """json.dumps(value, indent=2, sort_keys=True) for string-keyed data, a
+    key or an item to a piece.  json.dumps takes its C encoder only without
+    indent, so the indentation and key order are built here; a list of
+    scalars is one piece, by the C encoder with the indent as separator."""
     import json
     inner = pad + "  "
-    if isinstance(value, dict) and value:
-        items = [json.dumps(k) + ": " + _json(value[k], inner)
-                 for k in sorted(value)]
-        return "{" + inner + ("," + inner).join(items) + pad + "}"
-    if not isinstance(value, (list, tuple)) or not value:
-        return json.dumps(value)  # a scalar, {} or []
-    if set(map(type, value)) <= _SCALARS:
+    if not isinstance(value, (dict, list, tuple)) or not value:
+        yield json.dumps(value)  # a scalar, {} or []
+    elif not isinstance(value, dict) and set(map(type, value)) <= _SCALARS:
         items = json.dumps(value, separators=("," + inner, ""))[1:-1]
+        yield "[" + inner + items + pad + "]"
     else:
-        items = ("," + inner).join([_json(v, inner) for v in value])
-    return "[" + inner + items + pad + "]"
+        keyed = isinstance(value, dict)
+        ends = "{}" if keyed else "[]"
+        for i, k in enumerate(sorted(value) if keyed else range(len(value))):
+            head = json.dumps(k) + ": " if keyed else ""
+            yield ("," if i else ends[0]) + inner + head
+            yield from _json(value[k], inner)
+        yield pad + ends[1]
 
 
-def _emit(payload, as_json, out, head="", rows=None, keys=()):
-    """Print a report as JSON, or as text: one `key: value` line per scalar
-    field that is not None, in insertion order, then one
+def _emit(payload, as_json, head="", rows=None, keys=()):
+    """A report's pieces, as JSON, or as text: one `key: value` line per
+    scalar field that is not None, in insertion order, then one
     `<head> <label>: k=v ...` line per entry of `rows` (label -> row) over
     `keys`, or with no `keys` `<head> <label>: <row>`.  Fields that are
     neither scalars nor rows appear only in JSON."""
     if as_json:
-        print(_json(payload), file=out)
+        yield from _json(payload)
+        yield "\n"
         return
     for key, value in payload.items():
         if isinstance(value, (bool, int, str)):
-            print(f"{key}: {value}", file=out)
+            yield f"{key}: {value}\n"
     for label, row in (rows or {}).items():
         fields = " ".join(f"{k}={row[k]}" for k in keys) if keys else row
-        print(f"{head} {label}: {fields}", file=out)
+        yield f"{head} {label}: {fields}\n"

@@ -251,7 +251,7 @@ def _pairs(text, sep, option, form):
     return pairs
 
 
-def _cmd_morphism(args, out):
+def _cmd_morphism(args):
     src_doc = _load(args.src, args.auto_core)
     dst_doc = _load(args.dst, args.auto_core)
     src = src_doc.system
@@ -265,13 +265,12 @@ def _cmd_morphism(args, out):
     m = morphism_find(src, dst_doc.system)
     if m is None:
         raise NegativeVerdict("no morphism: image propagation conflicts")
-    src_labels = src.carrier.labels
     dst_labels = dst_doc.system.carrier.labels
-    out.write("".join([f"{src_labels[i]}\t{dst_labels[j]}\n"
-                       for i, j in enumerate(m.map)]))  # one write
+    for label, j in zip(src.carrier.labels, m.map):
+        yield f"{label}\t{dst_labels[j]}\n"
 
 
-def _cmd_free_eval(args, out):
+def _cmd_free_eval(args):
     doc = _load(args.file, args.auto_core)
     counts = {}
     if args.multiset.strip():
@@ -287,12 +286,11 @@ def _cmd_free_eval(args, out):
                     "non-negative integer"
                 )
             counts[lab.strip()] = counts.get(lab.strip(), 0) + num
-    e = FreeElement.of(counts)
-    idx = free_eval(doc.system, e)
-    print(doc.system.carrier.labels[idx], file=out)
+    idx = free_eval(doc.system, FreeElement.of(counts))
+    yield doc.system.carrier.labels[idx] + "\n"
 
 
-def _cmd_initial(args, out):
+def _cmd_initial(args):
     doc = _load(args.file, args.auto_core)
     rep = initiality_report(doc.system)
     keys = ("morphism_to_padded", "core_size", "core_dedekind",
@@ -300,5 +298,5 @@ def _cmd_initial(args, out):
     conditions = [{"label": c.label, **{k: getattr(c, k) for k in keys}}
                   for c in rep.conditions]
     payload = {"initial": rep.initial, "conditions": conditions}
-    _emit(payload, args.json, out, "label",
-          {c["label"]: c for c in conditions}, keys)
+    yield from _emit(payload, args.json, "label",
+                     {c["label"]: c for c in conditions}, keys)

@@ -1,6 +1,8 @@
 """Transformation-monoid closure and the evaluation map."""
 
+import hashlib
 import itertools
+import json
 import tracemalloc
 from types import SimpleNamespace
 
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from countsys import closure, laws
+from countsys.cli import run_cli
 from countsys.closure import (
     MAX_CLOSURE_SIZE,
     MAX_COMPOSITION_TABLE_SIZE,
@@ -26,6 +29,7 @@ from countsys.core import (
     require_minimal,
 )
 from countsys.derive import derive_addition
+from countsys.dsl import emit_system
 from countsys.errors import (
     ClosureTooLarge,
     CompositionTableTooLarge,
@@ -350,6 +354,43 @@ def test_a_65520_element_closure_on_4096_points_stays_small():
         tm.comp
     with pytest.raises(WordsTooLarge):
         tm.words
+
+
+def test_closure_full_json_never_holds_its_document(tmp_path):
+    """`closure --full --json` on Z_1024 with x -> x +- 1 (1024 maps) writes
+    json.dumps's text of its report in blocks: its peak stays below three
+    times the composition table it holds, though the text is larger than
+    the table (it peaked above six times the table as one string)."""
+    path = tmp_path / "z.csys"
+    path.write_text(emit_system(zpair(1024), name="z"))
+    digest, writes = hashlib.sha256(), []
+
+    def write(text):
+        digest.update(text.encode())
+        writes.append(len(text))
+
+    sink = SimpleNamespace(write=write, flush=lambda: None)
+    tracemalloc.start()
+    try:
+        code = run_cli(["closure", str(path), "--full", "--json"], out=sink)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    tm = monoid_closure(zpair(1024))
+    tracemalloc.start()
+    try:
+        comp = tm.comp
+        table = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    text = json.dumps({"size": tm.size, "generators": tm.gen_index,
+                       "comp": comp, "words": tm.words},
+                      indent=2, sort_keys=True) + "\n"
+    assert code == 0
+    assert digest.hexdigest() == hashlib.sha256(text.encode()).hexdigest()
+    assert len(text) > table > 1 << 20
+    assert peak < 3 * table
+    assert max(writes) < len(text) / 4
 
 
 def test_closure_matches_the_two_pass_seed():

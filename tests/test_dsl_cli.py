@@ -7,6 +7,7 @@ import errno
 import functools
 import graphlib
 import importlib
+import inspect
 import io
 import json
 import os
@@ -26,10 +27,10 @@ from countsys.biadd import _cmd_free_report, _cmd_mul
 from countsys.cli import _help, _parse_args, _COMMANDS, _UsageError, run_cli
 from countsys.closure import _cmd_closure
 from countsys.core import Carrier, EndoMap, minimal_core, new_system, product
-from countsys.derive import MonoidTable, _cmd_add
+from countsys.derive import MonoidTable, _cmd_add, derive_addition
 from countsys.dsl import (
-    _cmd_core, _cmd_omega, _cmd_product, _cmd_validate, _json, _tsv_table,
-    emit_system, parse_odot, parse_system,
+    _cmd_core, _cmd_omega, _cmd_product, _cmd_validate, _json, emit_system,
+    parse_odot, parse_system,
 )
 from countsys.errors import (
     CountingSystemError,
@@ -228,15 +229,16 @@ _DATA = st.recursive(
 
 @given(_DATA)
 def test_json_writes_the_text_of_json_dumps(value):
-    """_json writes what json.dumps(indent=2, sort_keys=True) does: empty
-    and nested containers, bools among ints, and escaped strings."""
-    assert _json(value) == json.dumps(value, indent=2, sort_keys=True)
+    """_json's pieces are what json.dumps(indent=2, sort_keys=True) writes:
+    empty and nested containers, bools among ints, and escaped strings."""
+    assert "".join(_json(value)) == json.dumps(value, indent=2, sort_keys=True)
 
 
 def test_json_writes_the_text_of_json_dumps_on_edge_cases():
     for value in [[], {}, [[]], [{}], {"a": []}, [True, 1, None, 0.5],
                   ["q\"b\\c\u0001é"], {"b": [1, [2]], "a": {"c": ()}}]:
-        assert _json(value) == json.dumps(value, indent=2, sort_keys=True)
+        assert "".join(_json(value)) == json.dumps(value, indent=2,
+                                                   sort_keys=True)
 
 
 _STRING = st.text(alphabet=st.sampled_from('ab"\\/\n\t\x00\x1fé€😀 +-'),
@@ -253,7 +255,7 @@ def test_json_writes_lists_of_strings_as_json_dumps_does(value):
     """Lists of strings, such as closure --json's words, as json.dumps
     writes them: nested in lists and objects, empty or of one item, and
     with strings that need escapes or are not ASCII."""
-    assert _json(value) == json.dumps(value, indent=2, sort_keys=True)
+    assert "".join(_json(value)) == json.dumps(value, indent=2, sort_keys=True)
 
 
 def test_json_writes_lists_of_strings_as_json_dumps_does_on_edge_cases():
@@ -261,7 +263,8 @@ def test_json_writes_lists_of_strings_as_json_dumps_does_on_edge_cases():
                   {"words": [[], ["+"], ["+", "-"]], "size": 3},
                   ["é", "€😀", "q\"b\\c", "\n\t\x00\x1f", "/"],
                   [["a", None], ["a", 1], ["a", ["b"]]]]:
-        assert _json(value) == json.dumps(value, indent=2, sort_keys=True)
+        assert "".join(_json(value)) == json.dumps(value, indent=2,
+                                                   sort_keys=True)
 
 
 _TOKENS = ["system", "elements", "base", "map", "odot", "unit", "=", "a",
@@ -304,6 +307,24 @@ def test_cli_validate_ok(tmp_path):
     code, out, err = run(["validate", path])
     assert code == 0
     assert "cyc3" in out
+
+
+def test_cli_reads_a_file_saved_with_a_byte_order_mark(tmp_path):
+    """A UTF-8 byte-order mark before a system or an odot document is not
+    part of its first line: the command reads the file as without it."""
+    system = emit_system(zpair(5), name="z5")
+    odot = "\n".join(SIGN_ODOT_LINES) + "\n"
+    plain = [write(tmp_path, "z.csys", system),
+             write(tmp_path, "sign.odot", odot)]
+    marked = [write(tmp_path, "z_bom.csys", "\ufeff" + system),
+              write(tmp_path, "sign_bom.odot", "\ufeff" + odot)]
+    assert Path(marked[0]).read_bytes()[:3] == b"\xef\xbb\xbf"
+    assert run(["validate", marked[0]]) == (
+        0, "ok: z5 (5 elements, 2 maps)\n", "")
+    expected = run(["mul", plain[0], "--odot", plain[1]])
+    assert expected[0] == 0
+    assert run(["mul", marked[0], "--odot", marked[1]]) == expected
+    assert run(["mul", plain[0], "--odot", marked[1]]) == expected
 
 
 @pytest.mark.parametrize("command, flags", [
@@ -444,37 +465,38 @@ def test_the_package_imports_downward_only():
             importlib.import_module(f"countsys.{module}"), handler))
 
 
-def writes_to_err(fn):
-    """True iff `fn` calls `err.write` or prints with `file=err`."""
+def streams_written(fn):
+    """What `fn` writes to: "print" for a print call, and the stream of
+    each `<stream>.write(...)` or `<stream>.writelines(...)` call."""
+    written = set()
     for node in ast.walk(fn):
         if not isinstance(node, ast.Call):
             continue
-        if (isinstance(node.func, ast.Attribute) and node.func.attr == "write"
-                and isinstance(node.func.value, ast.Name)
-                and node.func.value.id == "err"):
-            return True
-        if any(k.arg == "file" and isinstance(k.value, ast.Name)
-               and k.value.id == "err" for k in node.keywords):
-            return True
-    return False
+        if isinstance(node.func, ast.Name) and node.func.id == "print":
+            written.add("print")
+        if (isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("write", "writelines")):
+            written.add(ast.unparse(node.func.value))
+    return written
 
 
 def test_only_run_cli_decides_an_outcome():
-    """A handler only answers: it takes (args, out), returns nothing and
-    never writes to stderr.  The exit codes are bound only in `cli`, and
-    `run_cli` writes every stderr line."""
+    """A handler only answers: it takes (args), is a generator of its
+    output's text pieces, returns nothing and writes nothing.  The exit
+    codes are bound only in `cli`, and `run_cli` alone writes: stdout in
+    blocks of pieces and every stderr line.  No function prints."""
     handlers, writers, binders = [], set(), set()
     for path in sorted(Path(countsys.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        for fn in tree.body:
+        for fn in ast.walk(tree):
             if not isinstance(fn, ast.FunctionDef):
                 continue
-            if writes_to_err(fn):
-                writers.add((path.stem, fn.name))
+            writers.update((path.stem, fn.name, stream)
+                           for stream in streams_written(fn))
             if fn.name.startswith("_cmd_"):
                 handlers.append(fn.name)
-                assert [a.arg for a in fn.args.args] == ["args", "out"], \
-                    fn.name
+                assert [a.arg for a in fn.args.args] == ["args"], fn.name
+                assert not fn.args.kwonlyargs and not fn.args.vararg, fn.name
                 assert not [node for node in ast.walk(fn)
                             if isinstance(node, ast.Return)
                             and node.value is not None], fn.name
@@ -489,7 +511,11 @@ def test_only_run_cli_decides_an_outcome():
                 binders.add(path.stem)
     assert sorted(handlers) == sorted(
         "_cmd_" + command.replace("-", "_") for command in _COMMANDS)
-    assert writers == {("cli", "run_cli")}
+    for command, (module, _usage) in _COMMANDS.items():
+        assert inspect.isgeneratorfunction(getattr(importlib.import_module(
+            f"countsys.{module}"), "_cmd_" + command.replace("-", "_")))
+    assert inspect.isgeneratorfunction(_help)
+    assert writers == {("cli", "run_cli", "out"), ("cli", "run_cli", "err")}
     assert binders == {"cli"}
 
 
@@ -1343,40 +1369,52 @@ def test_readme_cli_table_matches_the_command_table():
             command
 
 
+def blocks_written(argv):
+    """The writes of run_cli on argv, and a None for each flush."""
+    calls = []
+    out = SimpleNamespace(write=calls.append,
+                          flush=lambda: calls.append(None))
+    assert run_cli(argv, out=out) == 0
+    return calls
+
+
 @pytest.mark.parametrize("n", [1, 255, 256, 257, 600])
-def test_tsv_table_writes_each_block_of_256_rows_at_once(n):
-    """The text is the one of a print per line, in one write per block of
-    256 rows (a system call each on an unbuffered stream)."""
-    labels = [f"e{i}" for i in range(n)]
-    table = [[(i * j + 1) % n for j in range(n)] for i in range(n)]
+def test_tsv_table_writes_each_block_of_256_rows_at_once(tmp_path, n):
+    """`add`'s table is the text of a print per line, its header and each
+    row a piece, and run_cli writes it in one write per block of 256 pieces
+    (a system call each on an unbuffered stream), then flushes once."""
+    sys_ = cyc(n)
+    labels = sys_.carrier.labels
     expected = io.StringIO()
     print("\t" + "\t".join(labels), file=expected)
-    for i, row in enumerate(table):
+    for i, row in enumerate(derive_addition(sys_).op):
         print(labels[i] + "\t" + "\t".join([labels[j] for j in row]),
               file=expected)
-    writes = []
-    _tsv_table(labels, table, SimpleNamespace(write=writes.append))
-    assert "".join(writes) == expected.getvalue()
-    assert len(writes) == -(-n // 256)
+    calls = blocks_written(
+        ["add", write(tmp_path, "c.csys", emit_system(sys_, name="c"))])
+    assert calls[-1] is None and None not in calls[:-1]
+    assert "".join(calls[:-1]) == expected.getvalue()
+    assert len(calls) - 1 == -(-(n + 1) // 256)
+    assert all(len(block.splitlines()) == 256 for block in calls[:-2])
 
 
 @pytest.mark.parametrize("n", [1, 6, 600])
 def test_cli_morphism_writes_its_map_at_once(tmp_path, n):
-    """The map of cyc(2n) onto cyc(n) is the text of a print per line, in
-    one write (a system call on an unbuffered stream)."""
+    """The map of cyc(2n) onto cyc(n) is the text of a print per line, a
+    piece each, written in one write per block of 256 lines (at once for
+    2n <= 256), then flushed once."""
     src, dst = cyc(2 * n), cyc(n)
-    args = SimpleNamespace(
-        src=write(tmp_path, "a.csys", emit_system(src, name="a")),
-        dst=write(tmp_path, "b.csys", emit_system(dst, name="b")),
-        auto_core=False, relabel=None)
     expected = io.StringIO()
     for i, j in enumerate(morphism_find(src, dst).map):
         print(f"{src.carrier.labels[i]}\t{dst.carrier.labels[j]}",
               file=expected)
-    writes = []
-    out = SimpleNamespace(write=writes.append)
-    assert _cmd_morphism(args, out) is None
-    assert (len(writes), writes[0]) == (1, expected.getvalue())
+    calls = blocks_written(["morphism",
+                            write(tmp_path, "a.csys", emit_system(src, "a")),
+                            write(tmp_path, "b.csys", emit_system(dst, "b"))])
+    assert calls[-1] is None and None not in calls[:-1]
+    assert "".join(calls[:-1]) == expected.getvalue()
+    assert [len(block.splitlines()) for block in calls[:-1]] == [
+        min(256, 2 * n - k) for k in range(0, 2 * n, 256)]
 
 
 def test_cli_without_stdout_exits_2_for_every_command(tmp_path, monkeypatch):
