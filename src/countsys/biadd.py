@@ -1,30 +1,31 @@
 """Homomorphism extension, biadditive extension and derived multiplication.
 
 A homomorphism out of a finitely generated table is fixed by its values on
-the generators: extension walks it along one generation search, then
-checks each generator edge (_extend).  A multiplication walks each row, a
+the generators: core's kernel `_extend` walks it along one generation
+search and checks each generator edge.  A multiplication walks each row, a
 homomorphism, along the tree of its sections, checking none again (_rows);
-biadditive_extend checks given sections first.  The proofs give every law
-of the tables, and none is checked.  A table `t` passed with a system
-`sys` must be derive_addition(sys), whose row x_s = f_s(base) is f_s by its
-key lemma: adding x_s is applying f_s.  So require_minimal(sys) is
-require_generates' search of t at the x_s, and sections, projections and
-orbits are read off the system (_extend).  `dsl` defines the odot record.
-`mul` raises a missing section as a NegativeVerdict, which exits 1.
+biadditive_extend accepts a given section iff the kernel returns it.  The
+proofs give every law of the tables, and none is checked.  A table `t`
+passed with a system `sys` must be derive_addition(sys), whose row
+x_s = f_s(base) is f_s by its key lemma: adding x_s is applying f_s.  So
+require_minimal(sys) is require_generates' search of t at the x_s, and
+sections, projections and orbits (core._label_pass) are read off the
+system.  `dsl` defines the odot record.  `mul` raises a missing section as
+an ExtensionVerdict with its conflict, which exits 1.
 """
 
 from . import laws
 from .core import (
-    _Value, _intertwined, _orbit, _walk, require_minimal, require_single_map,
+    _Value, _extend, _label_pass, _walk, require_minimal, require_single_map,
 )
 from .derive import derive_addition, require_generates
 from .dsl import OdotTable, _emit, _load, _read, _tsv_table, parse_odot
 from .errors import (
     CompatibilityViolated,
     CountingSystemError,
+    ExtensionVerdict,
     IndexSetMismatch,
     InternalInvariantViolation,
-    NegativeVerdict,
     TargetCountMismatch,
 )
 
@@ -36,19 +37,6 @@ class HomTable(_Value):
 
     def __call__(self, a):
         return self.map[a]
-
-
-class ExtensionConflict(_Value):
-    """Where a homomorphism extension breaks down: the element whose image
-    is forced two different ways, with the walked image and the other."""
-
-    __slots__ = ("element", "expected", "got")
-
-    def describe(self):
-        return (
-            f"element {self.element} forced to both "
-            f"{self.expected} and {self.got}"
-        )
 
 
 def is_hom(src, dst, mapping):
@@ -68,22 +56,6 @@ def identity_hom(t):
     return HomTable(t, t, tuple(range(t.size)))
 
 
-def _extend(tree, zero, tables):
-    """The extension along `tree`, require_generates' search, of values b_s
-    at the generators, given by their rows `tables` in a table with unit
-    `zero`, as hom_extend_report proves it: the walk as a list and None, or
-    None and the ExtensionConflict at the first edge x -> g_s + x the walk
-    breaks, x in tree order, s in order.  On require_minimal(sys), x_k's row
-    in t = derive_addition(sys) is tree.steps[k] and zero's is range(n): the
-    search, walk and witness are those on t's own (module docstring)."""
-    h = _walk(tree, zero, tables)
-    if _intertwined(h, tree, tables):
-        return h, None
-    y, x, table = next((s[x], x, t) for x in tree.order for s, t
-                       in zip(tree.steps, tables) if h[s[x]] != t[h[x]])
-    return None, ExtensionConflict(y, h[y], table[h[x]])
-
-
 def hom_extend_report(src, dst, gens, targets):
     """Try to extend generator assignments g_s -> b_s to a homomorphism.
 
@@ -94,8 +66,8 @@ def hom_extend_report(src, dst, gens, targets):
     For commutative src and dst (derive_addition's tables) the extensions
     are the maps h with h(zero) = zero and h(g_s + x) = b_s + h(x) for all
     x and s: so h(g_s) = b_s, and h(x + g_s) = h(x) + h(g_s) at gens, which
-    generate.  So the extension is core._walk along require_generates'
-    tree, checked at each generator (_extend).
+    generate.  So the extension is core._extend from zero along
+    require_generates' tree, with the rows of the b_s.
     """
     gens, targets = tuple(gens), tuple(targets)
     if len(gens) != len(targets):
@@ -146,10 +118,8 @@ def _rows(tree, M, N, column_sections):
     each g_s agree, and then every column does.  Likewise maps additive in
     each of three arguments are fixed by their values on generator triples.
     Callers here meet the premise unchecked: the indexed sections have
-    lambda_s(x_t) = x_{s odot t} = lambda'_t(x_s), and each passed
-    _extend's _intertwined on `tree` with the tables of its values b_k,
-    biadditive_extend's check (h(zero) = zero starts the walk, and
-    h(g_k) = b_k is h(g_k + x) = b_k + h(x) at x = zero).
+    lambda_s(x_t) = x_{s odot t} = lambda'_t(x_s), and each is one that
+    core._extend returned on `tree`, biadditive_extend's check.
     """
     rows = []
     for a in range(M.size):
@@ -162,19 +132,21 @@ def biadditive_extend(M, N, gens, lambdas, lambda_primes):
     """Extend compatible section homomorphisms to the unique biadditive table.
 
     lambdas[i] prescribes the row section at generator gens[i], lambda_primes
-    the column section.  Compatibility lambda_s(g_t) = lambda'_t(g_s) is
-    checked, and so is each section h, on require_generates' tree:
-    h(zero) = zero and h(g + a) = h(g) + h(a) for every generator g and
-    every a, which _intertwined compares a generator's edges at a time.
-    That makes h a homomorphism: the b with h(a + b) = h(a) + h(b) for
-    every a hold zero, every generator (M is commutative) and, with b and
-    c, b + c, as h(a + b + c) = h(a + b) + h(c) = h(a) + h(b) + h(c) =
-    h(a) + h(b + c); so they hold the submonoid gens generate, all of M.
+    the column section, one per generator each (TargetCountMismatch, before
+    any other check).  Compatibility lambda_s(g_t) = lambda'_t(g_s) is
+    checked, then a section h passes iff core._extend, from zero along
+    require_generates' tree with the rows of the h(g), returns h.  Proof:
+    it does iff h(zero) = zero and h(g + a) = h(g) + h(a) for all gens g
+    and all a, which a homomorphism has, and which give h(a + b) =
+    h(a) + h(b) by induction on b along the gens (M is commutative).
     A section that is not one raises InternalInvariantViolation, naming
     the first failing row section, or else column section.  Then _rows
     walks the table on the same tree, unchecked, as the multiplications do.
     """
     gens = tuple(gens)
+    for sections in (lambdas, lambda_primes):
+        if len(sections) != len(gens):
+            raise TargetCountMismatch(len(gens), len(sections))
     tree = require_generates(M, gens)
     for i, (g_s, lam_s) in enumerate(zip(gens, lambdas)):
         for j, (g_t, lamp_t) in enumerate(zip(gens, lambda_primes)):
@@ -183,7 +155,7 @@ def biadditive_extend(M, N, gens, lambdas, lambda_primes):
     for side, sections in (("row", lambdas), ("column", lambda_primes)):
         for i, h in enumerate(lam.map for lam in sections):
             u = [N.op[h[g]] for g in gens]
-            if h[M.zero] != N.zero or not _intertwined(h, tree, u):
+            if _extend(tree, N.zero, u)[0] != list(h):
                 raise InternalInvariantViolation(
                     f"{side} section {i} is no homomorphism")
     return _rows(tree, M, N, [lamp.map for lamp in lambda_primes])
@@ -207,9 +179,10 @@ def derive_multiplication_indexed(sys, t, odot):
     """Multiplication prescribed on generators by an index-set operation.
 
     For each label s the two required endomorphisms (x_t -> x_{s odot t} and
-    x_t -> x_{t odot s}) are extended (_extend) along require_minimal(sys),
-    before t is read; a missing one is reported as a structured absence,
-    never a partial table.  t None is derive_addition(sys) on that search.
+    x_t -> x_{t odot s}) are extended (core._extend) along
+    require_minimal(sys), before t is read; a missing one is reported as a
+    structured absence, never a partial table.  t None is
+    derive_addition(sys) on that search.
 
     With t = derive_addition(sys), the sections are homomorphisms
     (hom_extend_report's proof), so mu, walked by _rows on the same tree,
@@ -256,27 +229,14 @@ def derive_multiplication_single(sys, t):
     return derive_multiplication_indexed(sys, t, _single_odot(sys)).table
 
 
-def _projections(tree):
-    """One idempotent-on-its-generator, zero-elsewhere endomorphism per
-    generator of the search `tree`, each extended (_extend) along it, as
-    lists; or None, the first generator without one, and the conflict."""
-    zero, n, k = tree.order[0], len(tree.order), len(tree.steps)
-    out = []
-    for i, step in enumerate(tree.steps):  # range(n) is zero's row
-        h, conflict = _extend(tree, zero, [step if j == i else range(n)
-                                           for j in range(k)])
-        if h is None:
-            return None, i, conflict
-        out.append(h)
-    return out, None, None
-
-
 def projections(t, gens):
-    """_projections along require_generates(t, gens), as HomTables."""
-    deltas, failing, conflict = _projections(require_generates(t, gens))
-    if deltas is not None:
-        deltas = [HomTable(t, t, tuple(h)) for h in deltas]
-    return deltas, failing, conflict
+    """Each generator's idempotent-on-it, zero-elsewhere endomorphism, the
+    padded walks of core._label_pass(require_generates(t, gens)), as
+    HomTables; or None, the first generator without one, and its conflict."""
+    passes = _label_pass(require_generates(t, gens))
+    ds = _direct_sum(passes)
+    deltas = [HomTable(t, t, tuple(h)) for h, *_ in passes] if ds.ok else None
+    return deltas, ds.failing_gen, ds.conflict
 
 
 class DirectSumReport(_Value):
@@ -297,12 +257,15 @@ def direct_sum_report(t, gens):
     are equal.  Its value at (g_s, g_t) is delta_s(g_t), and its glueing
     homomorphism a_s -> a_s is the identity.
     """
-    return _direct_sum(require_generates(t, gens))
+    return _direct_sum(_label_pass(require_generates(t, gens)))
 
 
-def _direct_sum(tree):
-    deltas, failing, conflict = _projections(tree)
-    return DirectSumReport(deltas is not None, failing, conflict)
+def _direct_sum(passes):
+    """The first projection of core._label_pass's that fails, if any."""
+    for i, (h, conflict, _points, _tail) in enumerate(passes):
+        if h is None:
+            return DirectSumReport(False, i, conflict)
+    return DirectSumReport(True)
 
 
 def direct_sum_check(t, gens):
@@ -334,17 +297,17 @@ class FreeReport(_Value):
 
 def _free_report(tree):
     """Freeness of the table `tree` searched, with respect to its generators,
-    decided on finite data: the direct-sum condition plus, per generator
-    g, the Peano conditions for its cyclic submonoid (which always fail on
-    a finite carrier), the orbit of zero under +g, whose row is a step of
-    `tree`: +g is injective on it iff zero is in its image iff its tail is
-    0 (_orbit).  On require_minimal(sys), the table is never built."""
-    zero, cyclic = tree.order[0], []
-    for i, step in enumerate(tree.steps):
-        points, tail = _orbit(step, zero)
-        cyclic.append(CyclicFreeness(i, step[zero], tuple(sorted(points)),
-                                     tail == 0, tail == 0))
-    return FreeReport(_direct_sum(tree), cyclic)
+    decided on finite data by one core._label_pass: the direct-sum
+    condition plus, per generator g, the Peano conditions for its cyclic
+    submonoid (which always fail on a finite carrier), the orbit of zero
+    under +g, whose row is a step of `tree`: +g is injective on it iff zero
+    is in its image iff its tail is 0.  No table is built."""
+    zero, passes = tree.order[0], _label_pass(tree)
+    cyclic = [CyclicFreeness(i, step[zero], tuple(sorted(points)),
+                             tail == 0, tail == 0)
+              for i, (step, (_h, _conflict, points, tail))
+              in enumerate(zip(tree.steps, passes))]
+    return FreeReport(_direct_sum(passes), cyclic)
 
 
 def is_free_report(t, gens):
@@ -362,9 +325,9 @@ def _cmd_mul(args):
         odot = _single_odot(sys_)
     res = derive_multiplication_indexed(sys_, None, odot)
     if not res.ok:
-        raise NegativeVerdict(
+        raise ExtensionVerdict(
             "no multiplication: required endomorphism missing at label "
-            f"{res.failing_label!r} ({res.conflict.describe()})")
+            f"{res.failing_label!r} ({res.conflict.describe()})", res.conflict)
     yield from _tsv_table(sys_.carrier.labels, res.table.op)
 
 

@@ -12,9 +12,10 @@ constructors of their own.  So the maps of every `CountingSystem` commute:
 that is checked once, when the system is built, and by nothing downstream.
 
 A map out of a carrier that one point reaches is fixed by its value there:
-`_walk` sets it along the tree of one breadth-first search (`propagate`),
-then `_intertwined` checks it once per generator.  It does not depend on the
-tree, so every walk reads `require_minimal`'s search, not `reach`'s.
+the extension kernel `_extend` walks it along one breadth-first search
+tree (`propagate`), checks it once per generator and names the first edge
+it breaks.  Walks read `require_minimal`'s search, not `reach`'s, as the
+map does not depend on the tree; `_label_pass` walks each label padded.
 Every module builds on this one, which imports only `errors`.
 """
 
@@ -291,6 +292,43 @@ def _intertwined(h, tree, tables):
     """True iff h . tree.steps[k] == tables[k] . h for every k."""
     return all(_gather(h, step) == _gather(table, h)
                for step, table in zip(tree.steps, tables))
+
+
+class ExtensionConflict(_Value):
+    """Where an extension breaks down (_extend): the element whose image
+    is forced two different ways, with the walked image and the other."""
+
+    __slots__ = ("element", "expected", "got")
+
+    def describe(self):
+        return (f"element {self.element} forced to both {self.expected} "
+                f"and {self.got}")
+
+
+def _extend(tree, value, tables):
+    """The map h with h[start] = value and h . steps[k] == tables[k] . h
+    for every k, as a list, and None; or None and the ExtensionConflict at
+    the first edge x -> c = steps[k][x] that _walk's h breaks, x in tree
+    order, k in order: c walked to h[c] and forced to tables[k][h[x]]."""
+    h = _walk(tree, value, tables)
+    if _intertwined(h, tree, tables):
+        return h, None
+    c, x, table = next((s[x], x, t) for x in tree.order for s, t
+                       in zip(tree.steps, tables) if h[s[x]] != t[h[x]])
+    return None, ExtensionConflict(c, h[c], table[h[x]])
+
+
+def _label_pass(tree):
+    """Per generator k, (h, conflict, points, tail): _extend from the start
+    with steps[k] at k and the identity elsewhere, and _orbit(steps[k],
+    start), for every k.  On require_minimal(sys) the walk is the morphism
+    into pad_single(sys, s_k), unbuilt, and, as row x_k = f_k(base) of
+    derive_addition(sys) is steps[k] and row zero the identity, the
+    projection x_k -> x_k, x_j -> zero; the orbit is x_k's submonoid."""
+    start, ident, gens = tree.order[0], range(len(tree.order)), tree.steps
+    return [(*_extend(tree, start, [step if j == k else ident
+                                    for j in range(len(gens))]),
+             *_orbit(step, start)) for k, step in enumerate(gens)]
 
 
 def reach(sys):

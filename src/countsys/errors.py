@@ -153,6 +153,13 @@ class NegativeVerdict(CountingSystemError):
     """A well-formed negative verdict: printed as it is, with exit code 1."""
 
 
+class ExtensionVerdict(NegativeVerdict):
+    """No extension exists: `conflict`, a core.ExtensionConflict, shows it."""
+
+    fields = ("verdict", "conflict")
+    message = "{verdict}"
+
+
 class InternalInvariantViolation(CountingSystemError):
     """A property that must hold on valid input failed; this is a bug, not data."""
 

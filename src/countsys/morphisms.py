@@ -1,24 +1,21 @@
 """Morphisms between counting systems, and the free commutative monoid over
 the index set with its evaluation morphism.
 
-A morphism out of a minimal system is fixed by its value at the base: the
-search walks it along the carrier BFS tree, then checks each generator
-edge.  Free-monoid elements are sparse multisets over the index labels.
+A morphism out of a minimal system is fixed by its value at the base, so
+core's kernel `_extend` finds it; the initiality report formats core's
+`_label_pass`.  Free-monoid elements are sparse multisets over the labels.
 """
 
 from itertools import combinations_with_replacement
 
 from .core import (
-    CountingSystem,
-    _Frozen,
-    _Value,
-    _intertwined,
-    _orbit,
-    _walk,
+    CountingSystem, _Frozen, _Value, _extend, _label_pass, _orbit,
     require_minimal,
 )
 from .dsl import _emit, _load
-from .errors import IndexSetMismatch, NegativeVerdict, ParseError, UnknownLabel
+from .errors import (
+    ExtensionVerdict, IndexSetMismatch, ParseError, UnknownLabel,
+)
 
 
 class SystemMorphism(_Value):
@@ -37,16 +34,17 @@ def _paired_maps(src, dst):
 
 def morphism_find(src, dst):
     """The unique morphism from a minimal system (MinimalityRequired
-    otherwise), or None when there is none.  A morphism m has
-    m(base) = dst.base and m(f_s(x)) = g_s(m(x)) for every x and s, so it
-    is core._walk along src's generation search (require_minimal), edge k
-    read in dst's map of src's k-th label, and exists iff it intertwines."""
+    otherwise), or None when there is none: _morphism_walk's map."""
+    h, _conflict = _morphism_walk(src, dst)
+    return None if h is None else SystemMorphism(src, dst, tuple(h))
+
+
+def _morphism_walk(src, dst):
+    """core._extend along src's generation search from dst.base, edge k
+    read in dst's map of src's k-th label, as a morphism m has
+    m(base) = dst.base and m(f_s(x)) = g_s(m(x)) for every x and s."""
     tables = [g.table for _f, g in _paired_maps(src, dst)]
-    tree = require_minimal(src)
-    h = _walk(tree, dst.base, tables)
-    if _intertwined(h, tree, tables):
-        return SystemMorphism(src, dst, tuple(h))
-    return None
+    return _extend(require_minimal(src), dst.base, tables)
 
 
 def is_morphism(m):
@@ -190,28 +188,19 @@ def initiality_report(sys):
     finite carrier the second condition always fails, so the diagnostics are
     the informative content.
 
-    The search at a label is morphism_find's onto pad_single(sys, label),
-    without building that system: one walk along the generation search of
-    the one minimality check, with range(n), the identity, as the table of
-    every other label, checked once per label.
-
-    The single-map core at a label is the cyclic submonoid of the derived
-    table generated by x_s = f_s(base): adding x_s is f_s (row x_s is the
-    closure element f_s, by derive_addition's proof), so that submonoid is
-    the orbit of the base under f_s, and _orbit gives its facts.
+    Both are read off core._label_pass on the one minimality check's
+    search: its padded walk is the morphism, and its orbit of the base
+    under f_s the core, the submonoid of x_s = f_s(base) in the derived
+    table, as adding x_s is f_s (derive_addition's proof).
     """
-    tree = require_minimal(sys)
-    ident = range(sys.size)
     conditions = []
-    for k, (lab, f) in enumerate(zip(sys.index_set, sys.maps)):
-        padded = [f.table if j == k else ident for j in range(len(sys.maps))]
-        h = _walk(tree, sys.base, padded)
-        points, tail = _orbit(f.table, sys.base)
+    for lab, (h, _conflict, points, tail) in zip(
+            sys.index_set, _label_pass(require_minimal(sys))):
         injective = base_in_image = tail == 0
         dedekind = injective and not base_in_image  # the core is minimal
         conditions.append(InitialityCondition(
-            lab, _intertwined(h, tree, padded), len(points), injective,
-            base_in_image, dedekind))
+            lab, h is not None, len(points), injective, base_in_image,
+            dedekind))
     return InitialityReport(conditions)
 
 
@@ -262,11 +251,12 @@ def _cmd_morphism(args):
                 raise ParseError(1, col, f"--relabel repeats label {old!r}")
             mapping[old] = new
         src = relabel_index_set(src, mapping)
-    m = morphism_find(src, dst_doc.system)
-    if m is None:
-        raise NegativeVerdict("no morphism: image propagation conflicts")
+    h, conflict = _morphism_walk(src, dst_doc.system)
+    if h is None:
+        raise ExtensionVerdict("no morphism: image propagation conflicts",
+                               conflict)
     dst_labels = dst_doc.system.carrier.labels
-    for label, j in zip(src.carrier.labels, m.map):
+    for label, j in zip(src.carrier.labels, h):
         yield f"{label}\t{dst_labels[j]}\n"
 
 

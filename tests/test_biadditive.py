@@ -5,7 +5,7 @@ import tracemalloc
 
 import pytest
 
-from countsys import biadd
+from countsys import biadd, core
 from countsys.biadd import (
     CyclicFreeness,
     DirectSumReport,
@@ -145,6 +145,34 @@ def test_biadditive_extend_rejects_a_column_section_that_is_no_homomorphism():
     with pytest.raises(InternalInvariantViolation,
                        match="column section 0 is no homomorphism"):
         biadditive_extend(z4, z4, (1,), (identity_hom(z4),), (bad,))
+
+
+def test_biadditive_extend_takes_one_section_per_generator():
+    """Each side gives one section per generator, or TargetCountMismatch
+    is raised before any other check: an empty side, a short one and a
+    long one, whose extra section would go unchecked, on Z_5 at (1,) and
+    on C2 x C3 at its coordinate generators, and on Z_6 at (2,), which
+    does not generate: the count is checked before the search."""
+    z5 = derive_addition(cyc(5))
+    ident = identity_hom(z5)
+    bad = HomTable(z5, z5, (0, 1, 3, 2, 4))  # no homomorphism
+    c6 = product_table(derive_addition(cyc(2)), derive_addition(cyc(3)))
+    deltas = projections(c6, (3, 1))[0]
+    z6 = derive_addition(cyc(6))
+    cases = [
+        (z5, (1,), (), (ident,), 0), (z5, (1,), (ident,), (), 0),
+        (z5, (1,), (), (), 0), (z5, (1,), (ident, bad), (ident,), 2),
+        (z5, (1,), (ident,), (ident, bad), 2),
+        (c6, (3, 1), deltas[:1], deltas, 1),
+        (c6, (3, 1), deltas, deltas[:1], 1),
+        (c6, (3, 1), deltas + deltas[:1], deltas, 3),
+        (z6, (2,), (), (), 0),
+    ]
+    for M, gens, lambdas, lambda_primes, count in cases:
+        with pytest.raises(TargetCountMismatch) as exc:
+            biadditive_extend(M, M, gens, lambdas, lambda_primes)
+        assert (exc.value.gens, exc.value.targets) == (len(gens), count)
+    assert biadditive_extend(c6, c6, (3, 1), deltas, deltas).op[3][3] == 3
 
 
 @pytest.mark.parametrize("sys, odot", [
@@ -324,18 +352,21 @@ def _free_report_differences(systems):
     """The systems on which free-report's body, run on require_minimal(sys)
     as the command runs it, is not table_free_report of
     derive_addition(sys) at the x_s = f_s(base), or where projections'
-    maps are not those of the body."""
+    maps and failure are not the padded walks and direct sum of the
+    body's pass (biadd._label_pass, core's)."""
     differ = []
     for sys in systems:
         t = derive_addition(sys)
         gens = tuple(f(sys.base) for f in sys.maps)
         tree = require_minimal(sys)
         deltas, failing, conflict = projections(t, gens)
-        got = biadd._projections(tree)
-        if (biadd._free_report(tree) != table_free_report(t, gens)
-                or (failing, conflict) != got[1:]
-                or got[0] is not None
-                and [d.map for d in deltas] != list(map(tuple, got[0]))):
+        rep = biadd._free_report(tree)
+        walks = [h for h, *_ in biadd._label_pass(tree)]
+        if (rep != table_free_report(t, gens)
+                or (failing, conflict) != (rep.direct_sum.failing_gen,
+                                           rep.direct_sum.conflict)
+                or deltas is not None
+                and [d.map for d in deltas] != list(map(tuple, walks))):
             differ.append(sys)
     return differ
 
@@ -353,17 +384,19 @@ def test_free_report_from_the_system_is_the_tables():
 
 
 @pytest.mark.parametrize("old, new", [
-    ("[step if j == i else", "[tree.steps[(i + 1) % k] if j == i else"),
-    ("_orbit(step, zero)",
-     "_orbit(tree.steps[(i + 1) % len(tree.steps)], zero)"),
+    ("[step if j == k else",
+     "[tree.steps[(k + 1) % len(tree.steps)] if j == k else"),
+    ("_orbit(step, start)",
+     "_orbit(tree.steps[(k + 1) % len(tree.steps)], start)"),
 ], ids=["projection", "orbit"])
 def test_a_generator_read_from_the_next_label_is_caught(old, new,
                                                         monkeypatch):
-    """Mutation check: the free-report body reading generator k's row from
-    label k + 1, in a projection's target or in its orbit, differs from
-    the table's report on some two-map system."""
-    name = "_projections" if "j == i" in old else "_free_report"
-    monkeypatch.setattr(biadd, name, biadd_mutant(old, new, name))
+    """Mutation check: the free-report body's pass (core._label_pass)
+    reading generator k's row from label k + 1, in a projection's target
+    or in its orbit, differs from the table's report on some two-map
+    system."""
+    monkeypatch.setattr(biadd, "_label_pass",
+                        biadd_mutant(old, new, "_label_pass", core))
     two_maps = [s for s in _minimal_systems() if len(s.maps) == 2]
     assert _free_report_differences(two_maps) != []
 

@@ -16,6 +16,7 @@ from countsys.core import (
     Carrier,
     CountingSystem,
     EndoMap,
+    ExtensionConflict,
     Propagation,
     _intertwined,
     _walk,
@@ -572,7 +573,6 @@ def _value_cases():
         BiadditiveTable,
         CyclicFreeness,
         DirectSumReport,
-        ExtensionConflict,
         FreeReport,
         HomTable,
         IndexedMultiplication,
@@ -763,6 +763,9 @@ ERROR_CASES = [
     ("OdotNotTotal", ("s", "t"),
      "index-set operation undefined at ('s', 't')", {"s": "s", "t": "t"}),
     ("NegativeVerdict", ("no morphism",), "no morphism", {}),
+    ("ExtensionVerdict", ("no morphism", ExtensionConflict(0, 0, 1)),
+     "no morphism", {"verdict": "no morphism",
+                     "conflict": ExtensionConflict(0, 0, 1)}),
     ("InternalInvariantViolation", ("bug",), "bug", {}),
     ("ParseError", (3, 7, "bad"), "line 3, col 7: bad",
      {"line": 3, "col": 7, "reason": "bad"}),

@@ -3,6 +3,7 @@
 import argparse
 import ast
 import contextlib
+import copy
 import errno
 import functools
 import graphlib
@@ -11,6 +12,7 @@ import inspect
 import io
 import json
 import os
+import pickle
 import re
 import string
 import subprocess
@@ -23,10 +25,14 @@ from hypothesis import given, settings, strategies as st
 
 import countsys
 from countsys.analysis import _cmd_analyze
-from countsys.biadd import _cmd_free_report, _cmd_mul
+from countsys.biadd import (
+    _cmd_free_report, _cmd_mul, derive_multiplication_indexed,
+)
 from countsys.cli import _help, _parse_args, _COMMANDS, _UsageError, run_cli
 from countsys.closure import _cmd_closure
-from countsys.core import Carrier, EndoMap, minimal_core, new_system, product
+from countsys.core import (
+    Carrier, EndoMap, ExtensionConflict, minimal_core, new_system, product,
+)
 from countsys.derive import MonoidTable, _cmd_add, derive_addition
 from countsys.dsl import (
     _cmd_core, _cmd_omega, _cmd_product, _cmd_validate, _json, emit_system,
@@ -34,6 +40,7 @@ from countsys.dsl import (
 )
 from countsys.errors import (
     CountingSystemError,
+    ExtensionVerdict,
     InternalInvariantViolation,
     ParseError,
 )
@@ -517,6 +524,32 @@ def test_only_run_cli_decides_an_outcome():
     assert inspect.isgeneratorfunction(_help)
     assert writers == {("cli", "run_cli", "out"), ("cli", "run_cli", "err")}
     assert binders == {"cli"}
+
+
+def test_one_kernel_walks_and_checks_every_extension():
+    """Every morphism, homomorphism, section and projection is found by the
+    one extension kernel, core._extend: it alone checks a walk
+    (_intertwined), and a walk is made only by it and by biadd._rows,
+    which walks the rows of a multiplication whose sections it checked."""
+    refs = {"_walk": set(), "_intertwined": set()}
+    for path in sorted(Path(countsys.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for node in ast.walk(fn):
+                name = getattr(node, "id", getattr(node, "attr", None))
+                if name in refs and isinstance(node, (ast.Name,
+                                                      ast.Attribute)):
+                    refs[name].add((path.stem, fn.name))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    if alias.name in refs:
+                        refs[alias.name].add((path.stem, "import"))
+    assert refs["_intertwined"] == {("core", "_extend")}
+    assert refs["_walk"] == {("core", "_extend"), ("biadd", "_rows"),
+                             ("biadd", "import")}
 
 
 def test_importing_the_cli_loads_only_errors():
@@ -1052,6 +1085,27 @@ def count_searches(monkeypatch):
     return searches
 
 
+def count_walks(monkeypatch):
+    """The list to which the name of each kernel walk (core._extend) and
+    orbit walk (core._orbit) is appended, under every name a countsys
+    module binds it to."""
+    from countsys import biadd, core, morphisms
+    walks = []
+
+    def counted(name, walk):
+        def walk_counted(*args):
+            walks.append(name)
+            return walk(*args)
+        return walk_counted
+
+    for mod in (core, biadd, morphisms):
+        for name in ("_extend", "_orbit"):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, counted(name,
+                                                       getattr(mod, name)))
+    return walks
+
+
 def test_each_system_is_checked_for_commuting_once(tmp_path, monkeypatch):
     """The maps of a CountingSystem commute by construction, so a command
     makes the commuting check once per system it builds: once for the
@@ -1064,7 +1118,10 @@ def test_each_system_is_checked_for_commuting_once(tmp_path, monkeypatch):
     generation search (require_minimal or require_generates, wherever it
     is called): `add` for its table; `mul --odot` for its 2k sections, its
     table and its rows; `mul` for its table and rows; `free-report` for
-    all its projections and orbits.  `projections` searches once too."""
+    all its projections and orbits; `morphism` for its map.  `projections`
+    searches once too.  On that search `initial`, `analyze` and
+    `free-report` make one kernel walk (core._extend) and one orbit walk
+    per label, `mul` two kernel walks per label, and `morphism` one."""
     from countsys import biadd, core
     calls = []
     reaches = []
@@ -1085,25 +1142,34 @@ def test_each_system_is_checked_for_commuting_once(tmp_path, monkeypatch):
         f"s{a} s{b} = s{a * b % 63}\n" for a in (1, 22, 43)
         for b in (1, 22, 43)))
     r = write(tmp_path, "r.csys", emit_system(product(cyc(2), cyc(4))))
+    h = write(tmp_path, "h.csys", emit_system(cyc(32)))
     x = write(tmp_path, "c2xc3.csys",
               emit_system(product(cyc(2), cyc(3)), name="c2xc3"))
     monkeypatch.setattr(core, "noncommuting", counted)
     monkeypatch.setattr(core, "reach", counted_reach)
     searches = count_searches(monkeypatch)
-    for argv, systems in [
-        (["add", c], 1), (["mul", c], 1), (["free-report", c], 1),
-        (["closure", c], 1), (["initial", c], 1), (["analyze", c], 1),
-        (["add", z], 1), (["mul", z, "--odot", o], 1),
-        (["free-report", z], 1), (["closure", z], 1), (["initial", z], 1),
-        (["analyze", z], 1), (["--auto-core", "add", r], 2),
+    walks = count_walks(monkeypatch)
+    # argv, systems built, (kernel walks, orbit walks)
+    for argv, systems, walked in [
+        (["add", c], 1, (0, 0)), (["mul", c], 1, (2, 0)),
+        (["free-report", c], 1, (1, 1)), (["closure", c], 1, (0, 0)),
+        (["initial", c], 1, (1, 1)), (["analyze", c], 1, (1, 1)),
+        (["add", z], 1, (0, 0)), (["mul", z, "--odot", o], 1, (6, 0)),
+        (["free-report", z], 1, (3, 3)), (["closure", z], 1, (0, 0)),
+        (["initial", z], 1, (3, 3)), (["analyze", z], 1, (3, 3)),
+        (["--auto-core", "add", r], 2, (0, 0)),
+        (["morphism", c, h], 2, (1, 0)),
     ]:
         calls.clear()
         reaches.clear()
         searches.clear()
+        walks.clear()
         code, _out, err = run(argv)
         assert (code, err) == (0, ""), argv
         assert len(calls) == systems, argv
-        if argv[0] in ("add", "mul", "free-report", "initial", "analyze"):
+        assert (walks.count("_extend"), walks.count("_orbit")) == walked, argv
+        if argv[0] in ("add", "mul", "free-report", "initial", "analyze",
+                       "morphism"):
             assert (len(searches), len(reaches)) == (1, 0), argv
     ones = write(tmp_path, "ones.odot", "odot\n" + "".join(
         f"s{a} s{b} = s1\n" for a in (1, 22, 43) for b in (1, 22, 43)))
@@ -1396,6 +1462,39 @@ def test_tsv_table_writes_each_block_of_256_rows_at_once(tmp_path, n):
     assert "".join(calls[:-1]) == expected.getvalue()
     assert len(calls) - 1 == -(-(n + 1) // 256)
     assert all(len(block.splitlines()) == 256 for block in calls[:-2])
+
+
+def test_a_negative_verdict_carries_its_conflict(tmp_path):
+    """`morphism` and `mul` raise their exit-1 verdicts as ExtensionVerdict,
+    with the kernel's ExtensionConflict as the field `conflict`, which
+    pickle and copy keep; the text is unchanged.  cyc(4096) onto Z_4095
+    breaks at its last edge, 4095 -> 0, where the walk has 0 and the edge
+    forces 1."""
+    def verdict(argv):
+        args = _parse_args(argv)
+        with pytest.raises(ExtensionVerdict) as info:
+            list(args.fn(args))
+        exc = info.value
+        assert run(argv) == (1, "", str(exc) + "\n")
+        assert exc.args == (str(exc),)
+        for back in (pickle.loads(pickle.dumps(exc)), copy.copy(exc)):
+            assert back.args == exc.args and back.conflict == exc.conflict
+        return exc
+
+    a = write(tmp_path, "a.csys", emit_system(cyc(4096), "a"))
+    b = write(tmp_path, "b.csys", emit_system(cyc(4095), "b"))
+    exc = verdict(["morphism", a, b])
+    assert str(exc) == "no morphism: image propagation conflicts"
+    assert exc.conflict == ExtensionConflict(0, 0, 1)
+    assert exc.conflict.describe() == "element 0 forced to both 0 and 1"
+    z63 = _shifts(63, (1, 22, 43))
+    z = write(tmp_path, "z.csys", emit_system(z63))
+    odot = "odot\n" + "".join(f"s{i} s{j} = s1\n" for i in (1, 22, 43)
+                               for j in (1, 22, 43))
+    exc = verdict(["mul", z, "--odot", write(tmp_path, "ones.odot", odot)])
+    want = derive_multiplication_indexed(z63, None, parse_odot(odot)).conflict
+    assert want is not None and exc.conflict == want
+    assert str(exc).endswith(f"({want.describe()})")
 
 
 @pytest.mark.parametrize("n", [1, 6, 600])

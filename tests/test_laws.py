@@ -41,11 +41,10 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from countsys import biadd, derive, laws
+from countsys import biadd, core, derive, laws
 from countsys.biadd import (
     BiadditiveTable,
     DirectSumReport,
-    ExtensionConflict,
     HomTable,
     biadditive_extend,
     derive_multiplication_indexed,
@@ -63,6 +62,7 @@ from countsys.core import (
     Carrier,
     CountingSystem,
     EndoMap,
+    ExtensionConflict,
     Propagation,
     _gather,
     _intertwined,
@@ -1182,7 +1182,7 @@ def test_hom_extend_report_without_the_conflict_check_is_caught(monkeypatch):
     edges alone rejects the assignments that extend to no homomorphism.
     Dropping it returns walks that are no extension, which the oracle
     catches."""
-    monkeypatch.setattr(biadd, "_intertwined", lambda *_args: True)
+    monkeypatch.setattr(core, "_intertwined", lambda *_args: True)
     caught = 0
     for src, dst, gens, targets in _extension_cases():
         hom, _ = hom_extend_report(src, dst, gens, targets)
@@ -1196,10 +1196,11 @@ def test_hom_extend_report_without_the_conflict_check_is_caught(monkeypatch):
     assert caught > 0
 
 
-def skip_the_last_check(monkeypatch, module):
-    """Mutate the check of every walk in `module`: it compares the walk
-    at the edges of every generator but the last."""
-    monkeypatch.setattr(module, "_intertwined", lambda h, tree, tables:
+def skip_the_last_check(monkeypatch):
+    """Mutate the check of the extension kernel, core._extend, which every
+    walk goes through: it compares the walk at the edges of every
+    generator but the last."""
+    monkeypatch.setattr(core, "_intertwined", lambda h, tree, tables:
                         _intertwined(h, tree, tables[:-1]))
 
 
@@ -1211,7 +1212,7 @@ def test_hom_extend_report_skipping_the_last_generator_check_is_caught(
     rejects."""
     cases = list(_extension_cases())
     want = [seed_hom_extend_report(*case) for case in cases]
-    skip_the_last_check(monkeypatch, biadd)
+    skip_the_last_check(monkeypatch)
     caught = 0
     for case, (hom, conflict) in zip(cases, want):
         got = hom_extend_report(*case)
@@ -1725,13 +1726,13 @@ def _rejected(args, want, op):
         M, N, gens, lambdas, op) is not None
 
 
-def biadd_mutant(old, new, name="biadditive_extend"):
-    """The function `name` of biadd compiled from its own source with
+def biadd_mutant(old, new, name="biadditive_extend", module=biadd):
+    """The function `name` of `module` compiled from its own source with
     `old`, which must occur there once, replaced by `new`: a mutant of the
     code itself, not of a copy of it."""
-    source = inspect.getsource(getattr(biadd, name))
+    source = inspect.getsource(getattr(module, name))
     assert source.count(old) == 1
-    namespace = dict(vars(biadd))
+    namespace = dict(vars(module))
     exec(source.replace(old, new), namespace)
     return namespace[name]
 
@@ -1809,8 +1810,8 @@ def test_a_row_walk_fed_the_row_sections_is_caught():
     assert V4 in caught and TWIN5 not in caught and len(caught) > 10
 
 
-# biadditive_extend's check of a section h, zero test included
-SECTION_CHECK = "h[M.zero] != N.zero or not _intertwined(h, tree, u)"
+# biadditive_extend's check of a section h: the kernel's walk from zero
+SECTION_CHECK = "_extend(tree, N.zero, u)[0] != list(h)"
 
 
 @pytest.mark.parametrize("name", WALKS)
@@ -1870,12 +1871,36 @@ def _section_corruptions():
                        (M, N, gens, *pair))
 
 
-def _section_disagreements(extend):
+def _walked_corruptions():
+    """(walk, "walk", args): the arguments of each walk of WALKS with row
+    section k and column section j each walked (core._walk) from its
+    values at the generators but one, v at g_j and at g_k: compatible
+    sections that the kernel's walk returns, so that only its check at the
+    generators can reject them."""
+    for name, build in WALKS.items():
+        M, N, gens, lambdas, lambda_primes = build()
+        tree = require_generates(M, gens)
+
+        def walked(h, i, v):
+            values = [v if m == i else h[g] for m, g in enumerate(gens)]
+            return HomTable(M, N, tuple(_walk(tree, N.zero,
+                                              [N.op[b] for b in values])))
+
+        for k, j in itertools.product(range(len(gens)), repeat=2):
+            row, column = lambdas[k].map, lambda_primes[j].map
+            for v in (v for v in range(N.size) if v != row[gens[j]]):
+                rows, columns = list(lambdas), list(lambda_primes)
+                rows[k], columns[j] = walked(row, j, v), walked(column, k, v)
+                yield name, "walk", (M, N, gens, rows, columns)
+
+
+def _section_disagreements(extend, corruptions=_section_corruptions):
     """The corruptions (walk, where, want) on which extend and the
     restricted checks disagree, where want is the checks' verdict, and a
-    count of those verdicts' classes by where."""
+    count of those verdicts' classes by where; by default the one-cell
+    corruptions."""
     differ, seen = [], collections.Counter()
-    for name, where, args in _section_corruptions():
+    for name, where, args in corruptions():
         want = _verdict(restricted_section_checks, args)
         seen[where, want and want[0]] += 1
         if _verdict(extend, args) != want:
@@ -1896,12 +1921,13 @@ def test_section_check_matches_the_restricted_check_on_corrupted_sections():
 
 
 def test_a_section_check_without_its_zero_test_is_caught():
-    """Mutation check: without the zero test, a section that is additive
-    at the generators but moves zero passes.  On rho(1, 1) the identity
-    moved to the constant at the generator is one; the restricted checks
-    reject it."""
+    """Mutation check: without the zero test, the kernel's walk starting
+    from the section's own value at zero, a section that is additive at
+    the generators but moves zero passes.  On rho(1, 1) the identity moved
+    to the constant at the generator is one; the restricted checks reject
+    it."""
     differ, _seen = _section_disagreements(
-        biadd_mutant("h[M.zero] != N.zero or ", ""))
+        biadd_mutant("_extend(tree, N.zero,", "_extend(tree, h[M.zero],"))
     assert differ
     assert all(name == "rho11" and where == "zero"
                and want[0] == "InternalInvariantViolation"
@@ -1909,11 +1935,16 @@ def test_a_section_check_without_its_zero_test_is_caught():
 
 
 def test_a_section_check_skipping_the_last_generator_is_caught(monkeypatch):
-    """Mutation check: without the comparison at the last generator's
-    edges, sections additive at the other generators alone pass, which
-    the restricted checks reject."""
-    skip_the_last_check(monkeypatch, biadd)
-    differ, _seen = _section_disagreements(biadditive_extend)
+    """Mutation check: without the kernel's comparison at the last
+    generator's edges, sections additive at the other generators alone
+    pass, which the restricted checks reject.  A section corrupted in one
+    cell is not the kernel's walk, which the check compares it with, so
+    the sections tried are walks from wrong generator values."""
+    assert _section_disagreements(biadditive_extend,
+                                  _walked_corruptions)[0] == []
+    skip_the_last_check(monkeypatch)
+    differ, _seen = _section_disagreements(biadditive_extend,
+                                           _walked_corruptions)
     assert differ
     assert all(want[0] == "InternalInvariantViolation"
                for _name, _where, want in differ)
@@ -1953,14 +1984,16 @@ def test_a_walk_reading_the_wrong_edge_generator_is_caught(name,
     args = WALKS[name]()
     M, _N, gens, _lambdas, _lambda_primes = args
     want = propagated_biadditive_extend(*args).op
-    tree = require_generates(M, gens)
+    tree, rows = require_generates(M, gens), biadd._rows
     caught = 0
     for i, (p, k, c) in enumerate(tree.edges):
         for j in [j for j in range(len(gens)) if j != k]:
             wrong = Propagation(tree.order, [*tree.edges[:i], (p, j, c),
                                              *tree.edges[i + 1:]], tree.steps)
-            monkeypatch.setattr(biadd, "require_generates",
-                                lambda *_args, tree=wrong: tree)
+            # the sections are checked on the true tree, the rows walked
+            # on the wrong one
+            monkeypatch.setattr(biadd, "_rows", lambda _tree, *rest,
+                                tree=wrong: rows(tree, *rest))
             op = biadditive_extend(*args).op
             assert _rejected(args, want, op), (c, j)
             caught += 1

@@ -6,10 +6,12 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from countsys import morphisms
+from countsys import core, morphisms
 from countsys.core import (
+    MAX_CARRIER_SIZE,
     CountingSystem,
     EndoMap,
+    ExtensionConflict,
     is_minimal,
     pad_single,
     require_minimal,
@@ -41,6 +43,7 @@ from test_laws import (
     _minimal_systems,
     _shifts,
     _system,
+    biadd_mutant,
     seed_propagate,
     skip_the_last_check,
 )
@@ -135,9 +138,21 @@ def _two_label_pairs():
                 yield src, dst
 
 
+def _cap_pairs():
+    """z16 (Z_4096 under x -> x + c, c = 1, 3, ..., 31) and u16 (the shifts
+    by 257^i) with u16's labels renamed to z16's, both ways, and z16 onto
+    itself."""
+    z16 = _shifts(MAX_CARRIER_SIZE, range(1, 32, 2))
+    u16 = _shifts(MAX_CARRIER_SIZE,
+                  [pow(257, i, MAX_CARRIER_SIZE) for i in range(16)])
+    u16 = relabel_index_set(u16, dict(zip(u16.index_set, z16.index_set)))
+    return [(z16, u16), (u16, z16), (z16, z16)]
+
+
 def test_morphism_find_matches_the_propagation():
     found = set()
-    for src, dst in [*_single_map_pairs(), *_two_label_pairs()]:
+    for src, dst in [*_single_map_pairs(), *_two_label_pairs(),
+                     *_cap_pairs()]:
         m = morphism_find(src, dst)
         assert m == seed_morphism_find(src, dst)
         found.add(m is None)
@@ -151,7 +166,7 @@ def test_a_morphism_search_skipping_the_last_label_check_is_caught(
     morphism_find returns walks that is_morphism rejects."""
     cases = [*_single_map_pairs(), *_two_label_pairs()]
     want = [morphism_find(src, dst) for src, dst in cases]
-    skip_the_last_check(monkeypatch, morphisms)
+    skip_the_last_check(monkeypatch)
     caught = 0
     for (src, dst), m in zip(cases, want):
         got = morphism_find(src, dst)
@@ -159,6 +174,26 @@ def test_a_morphism_search_skipping_the_last_label_check_is_caught(
             assert m is None and not is_morphism(got)
             caught += 1
     assert caught > 0
+
+
+def test_a_conflict_names_the_target_of_the_edge_it_breaks(monkeypatch):
+    """Both maps of src send its base e1 to e0, and dst's t is the
+    identity.  The walk sends e0 where s sends e1, to e0, and intertwines
+    s; only t's edge e1 -> e0 breaks, where t forces e1.  The conflict
+    names the edge's target, e0, and a kernel mutant naming the edge's
+    source, e1, fails."""
+    src = _system(1, [(0, 0), (0, 0)])
+    dst = _system(1, [(0, 0), (0, 1)])
+    tree, tables = require_minimal(src), [g.table for g in dst.maps]
+    h = core._walk(tree, dst.base, tables)
+    assert h == [0, 1] and core._intertwined(h, tree, tables[:1])
+    want = ExtensionConflict(0, 0, 1)
+    assert morphisms._morphism_walk(src, dst) == (None, want)
+    monkeypatch.setattr(morphisms, "_extend", biadd_mutant(
+        "ExtensionConflict(c, h[c]", "ExtensionConflict(x, h[c]", "_extend",
+        core))
+    got = morphisms._morphism_walk(src, dst)[1]
+    assert got != want and got.element == 1
 
 
 def test_morphism_requires_matching_index_sets():

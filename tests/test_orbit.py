@@ -16,7 +16,7 @@ from hypothesis import given, settings
 
 from countsys import biadd, core, morphisms
 from countsys.analysis import analyze
-from countsys.biadd import CyclicFreeness, is_free_report
+from countsys.biadd import CyclicFreeness, direct_sum_report, is_free_report
 from countsys.core import (
     _orbit,
     is_dedekind,
@@ -37,11 +37,13 @@ from countsys.morphisms import (
     initiality_report,
     morphism_find,
 )
+from test_biadditive import Z16, table_free_report
 from test_laws import (
     FIXTURES,
     _enumeration,
     _minimal_systems,
     _system,
+    biadd_mutant,
     minimal_systems,
     skip_the_last_check,
     submonoid_closure,
@@ -238,11 +240,48 @@ def test_free_eval_matches_the_dict_walk_on_rho():
     assert rho_free_eval_differs() is None
 
 
+def test_one_pass_per_label_is_initiality_freeness_and_the_direct_sum():
+    """core._label_pass on the generation search is what `initial`,
+    `analyze` and `free-report` report: each label's padded walk exists iff
+    oracle_initiality_report finds a morphism to the padded system, its
+    orbit holds that label's core facts and table_free_report's cyclic
+    submonoid, and the first label whose walk fails, with its conflict, is
+    the direct sum's failing generator, on the table and on the system.
+    On every minimal system of the enumerations (the fixtures among them)
+    and z16."""
+    systems = [*_minimal_systems(), Z16]
+    failing = []
+    for sys in systems:
+        tree = require_minimal(sys)
+        passes = core._label_pass(tree)
+        t = derive_addition(sys)
+        gens = tuple(f(sys.base) for f in sys.maps)
+        table = table_free_report(t, gens)
+        oracle = oracle_initiality_report(sys)
+        first = next(((k, conflict) for k, (h, conflict, *_rest)
+                      in enumerate(passes) if h is None), (None, None))
+        for ds in (table.direct_sum, direct_sum_report(t, gens),
+                   biadd._free_report(tree).direct_sum):
+            assert (ds.ok, ds.failing_gen, ds.conflict) == (
+                first[0] is None, *first), sys
+        for (h, conflict, points, tail), cond, cyclic in zip(
+                passes, oracle.conditions, table.cyclic):
+            assert (h is None) == (conflict is not None)
+            assert (h is not None) == cond.morphism_to_padded, sys
+            assert (len(points), tail == 0, tail == 0) == (
+                cond.core_size, cond.core_injective, cond.base_in_core_image)
+            assert tuple(sorted(points)) == cyclic.submonoid
+            assert (tail == 0) == cyclic.injective == cyclic.zero_in_image
+        failing.append(first[0] is not None)
+    assert (len(systems), failing.count(True)) == (853, 79)
+    assert failing[-1]  # z16's first label has no projection
+
+
 # -- mutants the oracles must catch --------------------------------------------
 
 
 def _install_orbit(monkeypatch, broken):
-    for mod in (core, morphisms, biadd):
+    for mod in (core, morphisms):
         monkeypatch.setattr(mod, "_orbit", broken)
 
 
@@ -284,20 +323,14 @@ def test_an_orbit_that_drops_its_last_point_is_caught(monkeypatch):
 
 
 def test_an_initiality_search_without_the_padding_is_caught(monkeypatch):
-    # the walk and its check read each label's own map where the padding
-    # puts the identity: the search is for a morphism to the system
-    # itself, which always exists
+    # core._label_pass's walk and its check read each label's own map
+    # where the padding puts the identity: the search is for a morphism to
+    # the system itself, which always exists
     sys = zpair(5)
-    own = [sys.map_for(lab).table for lab in sorted(sys.index_set)]
-    walk, intertwined = morphisms._walk, morphisms._intertwined
-    # the oracle runs first: its morphism_find walks and checks through
-    # the same module attributes
     want = oracle_initiality_report(sys)
     assert not any(c.morphism_to_padded for c in want.conditions)
-    monkeypatch.setattr(morphisms, "_walk", lambda tree, value, padded:
-                        walk(tree, value, own))
-    monkeypatch.setattr(morphisms, "_intertwined", lambda h, tree, padded:
-                        intertwined(h, tree, own))
+    monkeypatch.setattr(morphisms, "_label_pass", biadd_mutant(
+        "else ident", "else tree.steps[j]", "_label_pass", core))
     got = initiality_report(sys)
     assert all(c.morphism_to_padded for c in got.conditions)
     assert got != want
@@ -308,10 +341,11 @@ def test_an_initiality_search_skipping_the_last_label_check_is_caught(
 ):
     """Mutation: without the comparison at the last label's edges, the
     search finds morphisms to padded systems that oracle_initiality_report
-    does not.  The oracle runs first, as in the test above."""
+    does not.  The oracle runs first: its morphism_find goes through the
+    same kernel."""
     systems = [sys for sys in _minimal_systems() if len(sys.maps) == 2]
     want = [oracle_initiality_report(sys) for sys in systems]
-    skip_the_last_check(monkeypatch, morphisms)
+    skip_the_last_check(monkeypatch)
     caught = 0
     for sys, rep in zip(systems, want):
         for got, cond in zip(initiality_report(sys).conditions,
