@@ -13,7 +13,7 @@ the maps commute, holds for every CountingSystem, whose constructor checks it.
 """
 
 from . import laws
-from .core import _Value, _gather, propagate, require_minimal
+from .core import _Value, _translations, propagate, require_minimal
 from .dsl import _load, _tsv_table
 from .errors import GensDoNotGenerate, InternalInvariantViolation
 
@@ -69,14 +69,9 @@ def derive_addition(sys, tree=None):
     The checks this proof replaced (row f_s(base) = f_s, Light's test and
     commutativity) stay in the test suite as an oracle of the table.
     """
-    n = sys.size
     if tree is None:
         tree = require_minimal(sys)
-    rows = [None] * n
-    rows[sys.base] = tuple(range(n))
-    for p, k, a in tree.edges:
-        rows[a] = _gather(tree.steps[k], rows[p])
-    return MonoidTable(n, tuple(rows), sys.base)
+    return MonoidTable(sys.size, _translations(tree), sys.base)
 
 
 def verify_plus_axioms(sys, t):
@@ -118,10 +113,7 @@ def classify(sys, t):
 
     trichotomy = laws.trichotomy(t.op) is None
     zero_sum_free = laws.zero_sum_free(t.op, t.zero) is None
-    image = set()
-    for f in sys.maps:
-        image.update(f.table)
-    if sys.base not in image and not zero_sum_free:
+    if not zero_sum_free and all(sys.base not in f.table for f in sys.maps):
         raise InternalInvariantViolation(
             "base outside every image but zero has a non-trivial sum"
         )
@@ -151,17 +143,10 @@ def require_generates(t, gens):
 
 def product_table(a, b):
     """Componentwise table on the cartesian set, row-major in the first factor."""
-    n, m = a.size, b.size
-    op = tuple(
-        tuple(
-            a.op[i1][i2] * m + b.op[j1][j2]
-            for i2 in range(n)
-            for j2 in range(m)
-        )
-        for i1 in range(n)
-        for j1 in range(m)
-    )
-    return MonoidTable(n * m, op, a.zero * m + b.zero)
+    m = b.size
+    op = tuple(tuple(x * m + y for x in row_a for y in row_b)
+               for row_a in a.op for row_b in b.op)
+    return MonoidTable(a.size * m, op, a.zero * m + b.zero)
 
 
 def _cmd_add(args):

@@ -268,8 +268,13 @@ def _cmd_free_eval(args):
         for col, lab, text in parts:
             try:
                 num = int(text)
-            except ValueError:
-                num = -1
+            except ValueError:  # or more digits than int() reads (4300)
+                num, digits = -1, text.strip()
+                if digits.isascii() and digits.isdigit():
+                    num = 0
+                    for i in range(0, len(digits), 4000):
+                        piece = digits[i:i + 4000]
+                        num = num * 10 ** len(piece) + int(piece)
             if num < 0:
                 raise ParseError(
                     1, col, f"--multiset count {text!r} is not a "

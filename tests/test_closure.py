@@ -1,6 +1,7 @@
 """Transformation-monoid closure and the evaluation map."""
 
 import hashlib
+import io
 import itertools
 import json
 import tracemalloc
@@ -13,7 +14,6 @@ from countsys import closure, laws
 from countsys.cli import run_cli
 from countsys.closure import (
     MAX_CLOSURE_SIZE,
-    MAX_COMPOSITION_TABLE_SIZE,
     MAX_WORD_LABELS,
     TransformationMonoid,
     evaluation,
@@ -21,6 +21,7 @@ from countsys.closure import (
     monoid_closure,
 )
 from countsys.core import (
+    MAX_CARRIER_SIZE,
     Carrier,
     CountingSystem,
     EndoMap,
@@ -38,7 +39,15 @@ from countsys.errors import (
     WordsTooLarge,
 )
 from countsys.fixtures import cyc, one_point, rho, zpair
-from test_laws import FIXTURES, _enumeration, _power, _system, seed_propagate
+from countsys.morphisms import morphism_find
+from test_laws import (
+    FIXTURES,
+    _enumeration,
+    _power,
+    _system,
+    biadd_mutant,
+    seed_propagate,
+)
 
 
 def oracle_comp(tm):
@@ -91,8 +100,10 @@ def seed_monoid_closure(sys):
 def assert_matches_the_seed(sys):
     tm, seed = monoid_closure(sys), seed_monoid_closure(sys)
     assert tm.elements == seed.elements
-    assert tm.cayley == seed.cayley
-    assert tm.parent == seed.parent
+    assert tm.tree.steps == list(seed.cayley)
+    assert tm.tree.order == list(range(len(seed.elements)))
+    assert tm.tree.edges == [(*pk, c) for c, pk in enumerate(seed.parent)
+                             if pk is not None]
     assert list(tm.gen_index.items()) == list(seed.gen_index.items())
     assert tm.words == seed.words
 
@@ -225,12 +236,98 @@ def test_generator_equal_to_identity_is_deduplicated():
     assert tm.gen_index["t"] == 0
 
 
+def cayley_system(tm, sys):
+    """The closure as a counting system: carrier the element indices, base
+    the identity (element 0), and each label acting by its Cayley table."""
+    return new_system(Carrier(tuple(map(str, range(tm.size)))), 0,
+                      sys.index_set, [EndoMap(step) for step in tm.tree.steps])
+
+
+def assert_is_its_cayley_system(sys, tm):
+    """tm, the closure of sys, is its Cayley system C: tm.tree is C's
+    generation search, comp is C's derived addition, and evaluation is
+    the morphism from C to sys."""
+    c = cayley_system(tm, sys)
+    assert tm.tree == require_minimal(c)
+    assert tm.comp == derive_addition(c).op
+    assert evaluation(tm, sys).to_carrier == morphism_find(c, sys).map
+
+
+def closure_wide_style():
+    """Two maps on disjoint tail-and-cycle components, each the identity on
+    the other's, with the base on one, as in the bench's closure-wide
+    workload: 22 points, not minimal, and 37 * 13 = 481 closure elements
+    (tail 2 and period lcm(5, 7) for f; tail 1 and period lcm(4, 3) for
+    g)."""
+    f, g = [], []
+    for moved, fixed, tail, ell in [(f, g, 2, 5), (f, g, 0, 7), (g, f, 1, 4),
+                                    (g, f, 0, 3)]:
+        start, size = len(f), tail + ell
+        moved += [start + (x + 1 if x + 1 < size else tail)
+                  for x in range(size)]
+        fixed += range(start, start + size)
+    return new_system(Carrier(tuple(f"e{x}" for x in range(len(f)))), 0,
+                      ("f", "g"), (EndoMap(tuple(f)), EndoMap(tuple(g))))
+
+
 def test_lazy_comp_matches_the_pairwise_oracle():
-    systems = list(FIXTURES)
+    wide = closure_wide_style()
+    assert not is_minimal(wide) and monoid_closure(wide).size == 481
+    systems = list(FIXTURES) + [wide]
     systems += [_system(0, tables) for tables in _enumeration()]
     for sys in systems:
         tm = monoid_closure(sys)
         assert tm.comp == oracle_comp(tm)
+        assert_is_its_cayley_system(sys, tm)
+    assert_is_its_cayley_system(z16(), monoid_closure(z16()))
+
+
+def test_a_closure_tree_with_a_wrong_generator_fails_the_cayley_oracle():
+    """A monoid_closure whose tree records generator k + 1 on the edge that
+    found element 1 (f_0 of the identity) walks a wrong comp row 1, and the
+    oracle catches it by the tree and by the table alike."""
+    mutant = biadd_mutant("edges.append((i, k, j))",
+                          "edges.append((i, k + (j == 1), j))",
+                          "monoid_closure", closure)
+    for sys in [zpair(5), closure_wide_style()]:
+        tm = mutant(sys)
+        c = cayley_system(tm, sys)
+        assert tm.tree != require_minimal(c)
+        assert tm.comp != derive_addition(c).op
+        with pytest.raises(AssertionError):
+            assert_is_its_cayley_system(sys, tm)
+
+
+def _cells(text, size, rename):
+    """{(row, column): entry} of the size x size TSV table that ends text,
+    each label passed through rename."""
+    header, *rows = text.splitlines()[-size - 1:]
+    columns = header.split("\t")[1:]
+    return {(rename(row[0]), rename(col)): rename(entry)
+            for row in (line.split("\t") for line in rows)
+            for col, entry in zip(columns, row[1:])}
+
+
+def test_closure_full_relabelled_by_evaluation_is_add(tmp_path):
+    """On a minimal system, closure --full's table carried to the carrier
+    by evaluation is add's table: m + n is the map +n applied to m."""
+    n = 64
+    shifts = new_system(Carrier(tuple(f"e{x}" for x in range(n))), 0,
+                        ("a", "b", "c"),
+                        [EndoMap(tuple((x + c) % n for x in range(n)))
+                         for c in (3, 8, 21)])
+    for sys in [s for s in FIXTURES if is_minimal(s)] + [shifts]:
+        path = tmp_path / "s.csys"
+        path.write_text(emit_system(sys, name="s"))
+        labels = sys.carrier.labels
+        to = evaluation(monoid_closure(sys), sys).to_carrier
+        texts = []
+        for argv in (["closure", str(path), "--full"], ["add", str(path)]):
+            out = io.StringIO()
+            assert run_cli(argv, out=out) == 0
+            texts.append(out.getvalue())
+        full = _cells(texts[0], sys.size, lambda i: labels[to[int(i)]])
+        assert full == _cells(texts[1], sys.size, str)
 
 
 @st.composite
@@ -301,10 +398,10 @@ def assert_is_the_generation_search(sys):
     at = {x: i for i, x in enumerate(tree.order)}
     tm = monoid_closure(sys)
     assert tm.keys == tuple((x,) for x in tree.order)
-    assert tm.parent[1:] == tuple((at[p], k) for p, k, _c in tree.edges)
-    assert tm.cayley == tuple(
+    assert tm.tree.edges == [(at[p], k, at[c]) for p, k, c in tree.edges]
+    assert tm.tree.steps == [
         tuple(at[step[x]] for x in tree.order) for step in tree.steps
-    )
+    ]
 
 
 def z16():
@@ -426,7 +523,7 @@ def test_commutativity_guard_rejects_non_commuting_maps():
 
 def test_full_table_is_refused_above_its_limit_before_allocating():
     tm = monoid_closure(cycles([5, 7, 9, 16]))  # 37 points
-    assert tm.size == 5040 > MAX_COMPOSITION_TABLE_SIZE
+    assert tm.size == 5040 > MAX_CARRIER_SIZE
     tracemalloc.start()
     try:
         with pytest.raises(CompositionTableTooLarge) as exc:

@@ -368,14 +368,15 @@ COMMAND_MODULES = [
     (["initial", "{c}"], {"morphisms"}),
     (["analyze", "{c}"], {"analysis", "morphisms"}),
     (["closure", "{c}"], {"closure"}),
+    (["closure", "{c}", "--full"], {"closure"}),
     (["add", "{c}"], {"derive", "laws"}),
     (["mul", "{c}"], {"derive", "biadd", "laws"}),
     (["mul", "{c}", "--odot", "{o}"], {"derive", "biadd", "laws"}),
     (["free-report", "{c}"], {"derive", "biadd", "laws"}),
 ]
 COMMAND_IDS = ["validate", "core", "omega", "product", "morphism",
-               "free-eval", "initial", "analyze", "closure", "add", "mul",
-               "mul-odot", "free-report"]
+               "free-eval", "initial", "analyze", "closure", "closure-full",
+               "add", "mul", "mul-odot", "free-report"]
 
 
 @pytest.mark.parametrize("argv, extra", COMMAND_MODULES, ids=COMMAND_IDS)
@@ -550,6 +551,22 @@ def test_one_kernel_walks_and_checks_every_extension():
     assert refs["_intertwined"] == {("core", "_extend")}
     assert refs["_walk"] == {("core", "_extend"), ("biadd", "_rows"),
                              ("biadd", "import")}
+
+
+def test_one_walk_follows_every_search_tree():
+    """Every value made along a search tree (an addition's rows, a
+    closure's maps, words and depths) is made by core._along; only
+    core._walk, the integer walk of _extend and biadd._rows, loops over a
+    tree's edges too."""
+    loops = set()
+    for path in sorted(Path(countsys.__file__).parent.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(fn, ast.FunctionDef):
+                for node in ast.walk(fn):
+                    it = getattr(node, "iter", None)
+                    if isinstance(it, ast.Attribute) and it.attr == "edges":
+                        loops.add((path.stem, fn.name))
+    assert loops == {("core", "_along"), ("core", "_walk")}
 
 
 def test_importing_the_cli_loads_only_errors():
@@ -978,8 +995,10 @@ def test_cli_initial_and_free_report(tmp_path):
 
 def test_cli_free_eval_huge_count(tmp_path):
     path = write(tmp_path, "c.csys", emit_system(cyc(6), name="c6"))
-    code, out, err = run(["free-eval", path, "--multiset", "s:10000000000"])
-    assert (code, out, err) == (0, "e4\n", "")
+    # 10^5000 has more digits than int() reads (4300 on 3.11)
+    for count in ["10000000000", "1" + "0" * 5000]:
+        code, out, err = run(["free-eval", path, "--multiset", f"s:{count}"])
+        assert (code, out, err) == (0, "e4\n", "")
 
 
 def test_cli_names_product_labels(tmp_path):
